@@ -110,6 +110,42 @@ def matrix_exp(h: np.ndarray, scalar: complex = 1.0, tol: float = HERMITIAN_TOL)
     return dec.apply(np.exp(scalar * dec.eigenvalues))
 
 
+def _principal_phases(
+    eigenvalues: np.ndarray,
+    tol: float = UNITARY_TOL,
+    branch_gap: float = BRANCH_GAP,
+) -> np.ndarray:
+    """Eigenphases in (-pi, pi] of eigenvalues that must lie on the unit circle.
+
+    Any eigenphase within ``branch_gap`` of the -pi cut is rejected, because
+    the principal branch is discontinuous there.
+    """
+    mods = np.abs(eigenvalues)
+    if max_abs(mods - 1.0) > max(tol, 1e-10):
+        raise ToleranceError("eigenvalues are not on the unit circle")
+    phases = np.angle(eigenvalues)
+    if np.any(np.pi - np.abs(phases) < branch_gap):
+        worst = float(np.min(np.pi - np.abs(phases)))
+        raise BranchCutError(
+            f"eigenphase within {worst:.3e} of the -pi branch cut (gap {branch_gap:.0e})"
+        )
+    return phases
+
+
+def unitary_eigenphases(
+    u: np.ndarray,
+    tol: float = UNITARY_TOL,
+    branch_gap: float = BRANCH_GAP,
+) -> np.ndarray:
+    """Principal eigenphases of a unitary; no eigenvectors are formed.
+
+    The eigenvalues of a normal matrix are well conditioned, so plain
+    ``eigvals`` gives them to rounding even where eigenvectors would not be.
+    """
+    assert_unitary(u, tol)
+    return _principal_phases(np.linalg.eigvals(u), tol, branch_gap)
+
+
 def matrix_log_unitary(
     u: np.ndarray,
     tol: float = UNITARY_TOL,
@@ -117,20 +153,12 @@ def matrix_log_unitary(
 ) -> np.ndarray:
     """Principal logarithm of a unitary: anti-Hermitian L with exp(L) = u.
 
-    Eigenphases are taken in (-pi, pi].  Any eigenphase within
-    ``branch_gap`` of the -pi cut is rejected, because the principal branch
-    is discontinuous there and the log would be meaningless downstream.
+    Eigenphases are taken in (-pi, pi] by ``_principal_phases``, which
+    rejects any within ``branch_gap`` of the cut: the log would be
+    meaningless downstream.
     """
     dec = unitary_decompose(u, tol)
-    mods = np.abs(dec.eigenvalues)
-    if max_abs(mods - 1.0) > max(tol, 1e-10):
-        raise ToleranceError("eigenvalues are not on the unit circle")
-    phases = np.angle(dec.eigenvalues)  # in (-pi, pi]
-    if np.any(np.pi - np.abs(phases) < branch_gap):
-        worst = float(np.min(np.pi - np.abs(phases)))
-        raise BranchCutError(
-            f"eigenphase within {worst:.3e} of the -pi branch cut (gap {branch_gap:.0e})"
-        )
+    phases = _principal_phases(dec.eigenvalues, tol, branch_gap)
     log_u = dec.apply(1j * phases)
     # Principal log of a unitary is anti-Hermitian; enforce it exactly.
     log_u = 0.5 * (log_u - log_u.conj().T)

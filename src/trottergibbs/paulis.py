@@ -1,9 +1,14 @@
-"""Phased Pauli strings and their dense matrix forms.
+"""Phased Pauli strings, their bitmask action, and their dense matrix forms.
 
 A Pauli string is a tensor product of single-qubit operators from
 {I, X, Y, Z} together with a phase from {+1, -1, +i, -i}.  Products of
 strings stay in this set, which is what makes them a convenient carrier
 for fermionic operators after a Jordan-Wigner transformation.
+
+On computational basis states a string acts as a signed permutation,
+P|b> = q (-1)^{|b & z|} |b ^ x>, with bitmasks x (X or Y sites) and
+z (Z or Y sites) and a fourth root of unity q; qubit 0 is the top bit.
+That action is all the product-formula kernel and the dense sums need.
 """
 
 from __future__ import annotations
@@ -118,20 +123,44 @@ def pauli_commutes(a: PauliString, b: PauliString) -> bool:
     return clashes % 2 == 0
 
 
-def to_dense(p: PauliString, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of the string, phase included.
+def check_dense_cap(n_qubits: int, cap: int = DENSE_QUBIT_CAP) -> None:
+    """Refuse to materialize more than ``cap`` qubits, keeping memory at desk scale."""
+    if n_qubits > cap:
+        raise DimensionCapError(f"{n_qubits} qubits exceeds dense cap of {cap}")
 
-    Refuses to materialize more than ``cap`` qubits to keep memory use at
-    desk scale.
-    """
-    if p.n_qubits > cap:
-        raise DimensionCapError(
-            f"{p.n_qubits} qubits exceeds dense cap of {cap}"
-        )
+
+def to_dense(p: PauliString, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of the string, phase included."""
+    check_dense_cap(p.n_qubits, cap)
     mat = np.array([[p.phase]], dtype=complex)
     for ch in p.letters:
         mat = np.kron(mat, PAULI_MATS[ch])
     return mat
+
+
+def pauli_masks(p: PauliString) -> tuple[int, int, complex]:
+    """Bitmasks (x, z) and phase q with P|b> = q (-1)^{|b & z|} |b ^ x>.
+
+    Y = iXZ, so q is the string's phase times i^(number of Y sites).
+    """
+    x = z = n_y = 0
+    for ch in p.letters:
+        x = (x << 1) | (ch in "XY")
+        z = (z << 1) | (ch in "ZY")
+        n_y += ch == "Y"
+    return x, z, p.phase * (1, 1j, -1, -1j)[n_y % 4]
+
+
+def parity_signs(n_qubits: int) -> np.ndarray:
+    """(-1)^popcount(m) for every m in [0, 2^n), as floats.
+
+    Built by doubling (the top bit flips the sign), so it needs no
+    popcount primitive.
+    """
+    signs = np.ones(1)
+    for _ in range(n_qubits):
+        signs = np.concatenate([signs, -signs])
+    return signs
 
 
 def pauli_trace(p: PauliString) -> complex:

@@ -3,12 +3,15 @@
 Each Chebyshev node s_k gets its own effective Hamiltonian at step
 s_k * t; the rescaled traces Z(beta, s_k)/N are evaluated (exactly,
 through the synthesized block, or by simulated amplitude estimation) and
-extrapolated to s = 0.  The trace bound, the ancilla ledger, and the
-analytic cost model live here too.
+extrapolated to s = 0.  Even-order formulas give the mirror nodes s_k and
+-s_k the same effective Hamiltonian, so each mirror pair shares one
+spectrum and one Boltzmann oracle.  The trace bound, the ancilla ledger,
+and the analytic cost model live here too.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -16,16 +19,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cheb import ChebGrid, cheb_grid, exact_partition, interpolate_to_zero
-from .linalg import spectral_norm
+from .linalg import BRANCH_GAP, spectral_norm
 from .seeding import split_seed
 from .syk import HamiltonianTerms
 from .thermal import (
+    BoltzmannOracle,
     EstimationSchedule,
+    TraceValues,
     amplitude_estimate,
     build_u_boltz,
     exact_p0,
 )
-from .trotter import build_plan, effective_hamiltonian
+from .trotter import (
+    FormulaPlan,
+    build_plan,
+    effective_hamiltonian,
+    node_spectrum,
+    stage_weight,
+)
 
 PIPELINE_MODES = ("exact", "gqsp", "ideal-w", "sampled")
 EXTRAPOLATION_TOL = 1e-14
@@ -82,6 +93,20 @@ class PipelineConfig:
         if self.mode not in PIPELINE_MODES:
             raise ValueError(
                 f"unknown mode {self.mode!r}; expected one of {PIPELINE_MODES}"
+            )
+        # Every eigenphase of S_p(s t) is at most |s| t ||H||_1 w_p; past
+        # pi - BRANCH_GAP it may wrap around the principal branch unseen.
+        phase_bound = (
+            math.cos(math.pi / (2 * self.m_cheb))
+            * self.base_step
+            * self.model.one_norm
+            * stage_weight(self.order)
+        )
+        if phase_bound >= math.pi - BRANCH_GAP:
+            raise ValueError(
+                f"branch bound: max|s_k| * base_step * one_norm * w_p = "
+                f"{phase_bound:.6g} >= pi - {BRANCH_GAP:.0e}; eigenphases of the "
+                "product formula could wrap past the principal branch"
             )
 
 
@@ -142,12 +167,40 @@ def _stage_depth(n_stages: int, plan_q: int, fourier_m: int) -> int:
     return n_stages * plan_q * (2 * fourier_m + 1)
 
 
+def _node_traces(
+    cfg: PipelineConfig, plan: FormulaPlan, s: float
+) -> tuple[TraceValues, BoltzmannOracle | None]:
+    """Exact node traces at s, plus the Boltzmann oracle in gqsp/ideal-w mode.
+
+    Exact and sampled runs need only the eigenphases of S_p(s t); the
+    synthesized block needs the effective Hamiltonian as a matrix.
+    """
+    if cfg.mode in ("gqsp", "ideal-w"):
+        h_eff = effective_hamiltonian(
+            cfg.model, s, cfg.base_step, plan, grouped=cfg.grouped
+        )
+        oracle = build_u_boltz(
+            h_eff,
+            cfg.beta,
+            mode=cfg.mode,
+            eps_qsp=cfg.eps_qsp,
+            s_node=s,
+            base_step=cfg.base_step,
+        )
+        return exact_p0(h_eff, cfg.beta), oracle
+    spectrum = node_spectrum(cfg.model, s, cfg.base_step, plan, grouped=cfg.grouped)
+    return exact_p0(spectrum, cfg.beta), None
+
+
 def run_pipeline(cfg: PipelineConfig) -> PartitionResult:
     """Evaluate all node traces and extrapolate to the zero-step limit.
 
     Nodes are visited in descending |s_k| (cheapest circuits first) and
     aggregated by node index, so the result does not depend on evaluation
-    order.  Failures carry the offending node in the message.
+    order.  For even orders node M-1-k mirrors node k; the pair is matched
+    by index, since the two cosines need not be exact negatives in floating
+    point.  Sampled mode still draws each node's estimate with its own
+    seed.  Failures carry the offending node in the message.
     """
     grid = cheb_grid(cfg.m_cheb)
     if cfg.grouped:
@@ -157,31 +210,26 @@ def run_pipeline(cfg: PipelineConfig) -> PartitionResult:
     else:
         n_units = cfg.model.n_terms
     plan = build_plan(n_units, cfg.order)
+    fold = cfg.order % 2 == 0
+    evaluated: dict[int, tuple[TraceValues, BoltzmannOracle | None]] = {}
     records: list[NodeRecord | None] = [None] * cfg.m_cheb
     shift = math.exp(cfg.beta)
 
     for k in np.argsort(-np.abs(grid.nodes), kind="stable"):
+        k = int(k)
         s_k = float(grid.nodes[k])
-        seed_k = split_seed(cfg.seed, "node", int(k))
+        seed_k = split_seed(cfg.seed, "node", k)
+        source = min(k, cfg.m_cheb - 1 - k) if fold else k
         try:
-            h_eff = effective_hamiltonian(
-                cfg.model, s_k, cfg.base_step, plan, grouped=cfg.grouped
-            )
-            tv = exact_p0(h_eff, cfg.beta)
+            if source not in evaluated:
+                evaluated[source] = _node_traces(cfg, plan, float(grid.nodes[source]))
+            tv, oracle = evaluated[source]
             beta_k = cfg.beta
             p0_hat = tv.p0
             depth = 0
             queries = 0
             diagnostics: dict = {}
-            if cfg.mode in ("gqsp", "ideal-w"):
-                oracle = build_u_boltz(
-                    h_eff,
-                    cfg.beta,
-                    mode=cfg.mode,
-                    eps_qsp=cfg.eps_qsp,
-                    s_node=s_k,
-                    base_step=cfg.base_step,
-                )
+            if oracle is not None:
                 b = oracle.normalized_block
                 p0_hat = float(np.real(np.trace(b.conj().T @ b)) / b.shape[0])
                 beta_k = oracle.beta_k
@@ -199,6 +247,11 @@ def run_pipeline(cfg: PipelineConfig) -> PartitionResult:
                 est = amplitude_estimate(
                     tv.p0, cfg.eps_stat, seed=seed_k, schedule=cfg.schedule
                 )
+                if not est.converged:
+                    raise PipelineError(
+                        f"node {k + 1} (s_k={s_k:+.6f}): amplitude estimation "
+                        f"stopped unconverged after {est.rounds} rounds"
+                    )
                 p0_hat = est.p0_hat
                 queries = est.queries
         except PipelineError:
@@ -206,7 +259,7 @@ def run_pipeline(cfg: PipelineConfig) -> PartitionResult:
         except Exception as err:
             raise PipelineError(f"node {k + 1} (s_k={s_k:+.6f}): {err}") from err
         records[k] = NodeRecord(
-            index=int(k) + 1,
+            index=k + 1,
             s_k=s_k,
             d_k=float(grid.weights[k]),
             beta_k=beta_k,
@@ -301,6 +354,21 @@ def node_inverse_sum(m_cheb: int) -> float:
     return float(np.sum(1.0 / np.abs(grid.nodes)))
 
 
+@functools.cache
+def _node_sum_ratio_max() -> float:
+    """Worst Sigma 1/|s_k| / (M log M) over even M in [2, 64], checked once.
+
+    Odd M are left out: they have a node at s = 0 and the sum diverges.
+    """
+    ratios = []
+    for m in range(2, 65, 2):
+        ratio = node_inverse_sum(m) / (m * math.log(m))
+        if ratio > NODE_SUM_CONSTANT:
+            raise PipelineError(f"node-sum identity fails at M={m}: ratio {ratio:.3f}")
+        ratios.append(ratio)
+    return max(ratios)
+
+
 def cost_model(
     cfg: PipelineConfig,
     grid: ChebGrid,
@@ -312,8 +380,8 @@ def cost_model(
 
     Per-node depth follows M_k 5^p / (t |s_k|); the aggregate expression
     is (5^p/t) max_k(M_k sqrt(Z_k/N)/eps) M_cheb log M_cheb with the
-    leading constant exposed.  The ledger also verifies that
-    Sigma 1/|s_k| stays below NODE_SUM_CONSTANT * M log M across
+    leading constant exposed.  The ledger also verifies, once per process,
+    that Sigma 1/|s_k| stays below NODE_SUM_CONSTANT * M log M across
     M in [2, 64], the node-sum identity the total depth rests on.
     """
     p = cfg.order
@@ -331,21 +399,12 @@ def cost_model(
     log_m = math.log(grid.m_cheb)
     total = constant * stage_factor / t * float(np.max(query_factor))
     total *= grid.m_cheb * max(log_m, math.log(2.0))
-    ratios = {}
-    # Even orders only: odd ones have a node at s = 0 and the sum diverges.
-    for m in range(2, 65, 2):
-        ratio = node_inverse_sum(m) / (m * math.log(m))
-        if ratio > NODE_SUM_CONSTANT:
-            raise PipelineError(
-                f"node-sum identity fails at M={m}: ratio {ratio:.3f}"
-            )
-        ratios[m] = ratio
     return {
         "order": p,
         "base_step": t,
         "stage_factor": stage_factor,
         "depth_per_node": depth_per_node.tolist(),
         "node_inverse_sum": node_inverse_sum(grid.m_cheb),
-        "node_sum_ratio_max": max(ratios.values()),
+        "node_sum_ratio_max": _node_sum_ratio_max(),
         "total_cost": total,
     }

@@ -19,11 +19,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
-from .paulis import PauliString, pauli_commutes, pauli_multiply, to_dense
+from .paulis import (
+    DENSE_QUBIT_CAP,
+    PauliString,
+    check_dense_cap,
+    parity_signs,
+    pauli_commutes,
+    pauli_masks,
+    pauli_multiply,
+)
 
 
 @dataclass(frozen=True)
@@ -84,7 +93,8 @@ class HamiltonianTerms:
     """A Hamiltonian as a list of (real coefficient, phase-free Pauli string).
 
     ``groups`` optionally partitions term indices into mutually commuting
-    sets; ``group_commuting`` fills it in.
+    sets; ``group_commuting`` fills it in.  ``pauli_masks`` is derived
+    from ``terms`` on first use and kept on the instance.
     """
 
     n_qubits: int
@@ -100,21 +110,26 @@ class HamiltonianTerms:
     def n_terms(self) -> int:
         return len(self.terms)
 
-    def dense(self, cap: int = 12) -> np.ndarray:
-        dim = 2**self.n_qubits
-        mat = np.zeros((dim, dim), dtype=complex)
-        for coeff, string in self.terms:
-            mat += coeff * to_dense(string, cap=cap)
-        return mat
+    @cached_property
+    def pauli_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-term x masks, z masks and phases; see ``paulis.pauli_masks``."""
+        masks = [pauli_masks(s) for _, s in self.terms]
+        return (
+            np.array([m[0] for m in masks], dtype=np.int64),
+            np.array([m[1] for m in masks], dtype=np.int64),
+            np.array([m[2] for m in masks], dtype=complex),
+        )
 
-    def term_matrices(self, grouped: bool = False, cap: int = 12) -> list[np.ndarray]:
-        """Dense generators, one per term or one per commuting group."""
-        mats = [coeff * to_dense(string, cap=cap) for coeff, string in self.terms]
-        if not grouped:
-            return mats
-        if self.groups is None:
-            raise ValueError("no commuting groups present; run group_commuting first")
-        return [sum(mats[i] for i in group) for group in self.groups]
+    def dense(self, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+        """Sum of c P scattered term by term, one entry per column per term."""
+        check_dense_cap(self.n_qubits, cap)
+        dim = 2**self.n_qubits
+        basis = np.arange(dim)
+        signs = parity_signs(self.n_qubits)
+        mat = np.zeros((dim, dim), dtype=complex)
+        for (coeff, _), x, z, q in zip(self.terms, *self.pauli_masks):
+            mat[basis ^ x, basis] += coeff * (q * signs[basis & z])
+        return mat
 
 
 def build_syk_hamiltonian(c: SykCouplings) -> HamiltonianTerms:

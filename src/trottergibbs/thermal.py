@@ -346,9 +346,13 @@ class TraceValues:
 
 
 def exact_p0(h_eff: EffectiveHamiltonian | np.ndarray, beta: float) -> TraceValues:
-    """Normalized Gibbs trace of H_eff, in both shift conventions."""
-    h = h_eff.matrix if isinstance(h_eff, EffectiveHamiltonian) else h_eff
-    vals = np.linalg.eigvalsh(h)
+    """Normalized Gibbs trace of H_eff, in both shift conventions.
+
+    Takes the effective Hamiltonian, its matrix, or (a 1-D array) its
+    eigenvalues.
+    """
+    h = h_eff.matrix if isinstance(h_eff, EffectiveHamiltonian) else np.asarray(h_eff)
+    vals = h if h.ndim == 1 else np.linalg.eigvalsh(h)
     n = h.shape[0]
     p0 = float(np.sum(np.exp(-beta * (vals + 1.0))) / n)
     z = float(np.sum(np.exp(-beta * vals)) / n)
@@ -441,6 +445,7 @@ class TraceEstimate:
     seed: int
     rounds: int
     confidence: float
+    converged: bool  # False when max_rounds ran out before the interval closed
 
 
 def _find_next_k(
@@ -500,7 +505,7 @@ def amplitude_estimate(
 
     while math.sin(theta_u) - math.sin(theta_l) > 2.0 * eps:
         if rounds >= sched.max_rounds:
-            break
+            break  # reported through TraceEstimate.converged
         k, up = _find_next_k(k, up, theta_l, theta_u, sched.ratio)
         p_shot = math.sin((2 * k + 1) * theta_true) ** 2
         hits = int(rng.binomial(sched.shots, p_shot))
@@ -533,6 +538,7 @@ def amplitude_estimate(
         theta_u = max(min(theta_u, hi), theta_l)
 
     a_lo, a_hi = math.sin(theta_l), math.sin(theta_u)
+    converged = a_hi - a_lo <= 2.0 * eps
     a0_hat = 0.5 * (a_lo + a_hi)
     if total_hits == 0:
         a0_hat = 0.0
@@ -546,6 +552,7 @@ def amplitude_estimate(
         seed=seed,
         rounds=rounds,
         confidence=1.0 - sched.alpha,
+        converged=converged,
     )
 
 

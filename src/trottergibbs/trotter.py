@@ -10,6 +10,11 @@ A product formula of order p applied for time t is a sequence of stages
 where u_l = (4 - 4^(1/(2l-1)))^(-1).  The effective Hamiltonian is the
 principal log of the realized unitary divided by (i t); its distance from H
 shrinks as O(|t|^p).
+
+Each stage exp(i theta c P) = cos(theta c) I + i sin(theta c) P acts on
+the running product as a signed permutation of its columns, so a formula
+costs O(d^2) per stage and never forms a term matrix.  Even-order
+formulas are symmetric, S_p(-t) = S_p(t)^dag, so H_eff(-t) = H_eff(t).
 """
 
 from __future__ import annotations
@@ -19,12 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
+from .linalg import (  # noqa: F401  (eigh_decompose: perfbench probes it here)
     eigh_decompose,
     hermitian_part,
     matrix_log_unitary,
     spectral_norm,
+    unitary_eigenphases,
 )
+from .paulis import check_dense_cap, parity_signs
 from .syk import HamiltonianTerms
 
 
@@ -76,6 +83,17 @@ def build_plan(n_terms: int, order: int) -> FormulaPlan:
     return FormulaPlan(order, n_terms, tuple(stages))
 
 
+def stage_weight(order: int) -> float:
+    """Sum of |stage fraction| per term: 1 for orders 1 and 2, prod (8 u_l - 1) above.
+
+    ``stage_weight(p) * |t| * ||H||_1`` bounds every eigenphase of S_p(t).
+    """
+    weight = 1.0
+    for l in range(2, order // 2 + 1):
+        weight *= 8.0 * suzuki_u(l) - 1.0
+    return weight
+
+
 def apply_formula(
     h: HamiltonianTerms,
     t: float,
@@ -85,21 +103,35 @@ def apply_formula(
     """Dense unitary of the product formula at time t.
 
     Stages are multiplied left to right: the first stage is the leftmost
-    factor.  In grouped mode each stage generator is a whole commuting
-    group, exponentiated exactly.
+    factor.  Right-multiplying U by cos(a) I + i sin(a) P mixes column b
+    of U with column b ^ x, signed by P's entry; the loop keeps U
+    transposed so that those columns are contiguous rows.  In grouped mode
+    each stage generator is a whole commuting group, exponentiated exactly
+    by applying its members one after another.
     """
-    mats = h.term_matrices(grouped=grouped)
-    if plan.n_terms != len(mats):
+    if grouped and h.groups is None:
+        raise ValueError("no commuting groups present; run group_commuting first")
+    units = h.groups if grouped else [[j] for j in range(h.n_terms)]
+    if plan.n_terms != len(units):
         raise ValueError(
-            f"plan built for {plan.n_terms} stage generators, model has {len(mats)}"
+            f"plan built for {plan.n_terms} stage generators, model has {len(units)}"
         )
-    decs = [eigh_decompose(m) for m in mats]
-    dim = mats[0].shape[0]
-    u = np.eye(dim, dtype=complex)
+    check_dense_cap(h.n_qubits)
+    if any(s.phase.imag for _, s in h.terms):
+        raise ValueError("every term must be Hermitian (string phase +1 or -1)")
+    x, z, q = h.pauli_masks
+    coeffs = [c for c, _ in h.terms]
+    basis = np.arange(2**h.n_qubits)
+    signs = parity_signs(h.n_qubits)
+    ut = np.eye(basis.size, dtype=complex)
     for idx, frac in plan.stages:
-        dec = decs[idx]
-        u = u @ dec.apply(np.exp(1j * frac * t * dec.eigenvalues))
-    return u
+        for j in units[idx]:
+            angle = frac * t * coeffs[j]
+            mixed = ut[basis ^ x[j]]
+            mixed *= (1j * math.sin(angle) * q[j] * signs[basis & z[j]])[:, None]
+            ut *= math.cos(angle)
+            ut += mixed
+    return ut.T.copy()
 
 
 @dataclass
@@ -132,6 +164,26 @@ def effective_hamiltonian(
     h_eff = log_u / (1j * tau)
     h_eff = hermitian_part(h_eff, max_discard=1e-10, what="effective Hamiltonian")
     return EffectiveHamiltonian(h_eff, tau, plan.order)
+
+
+def node_spectrum(
+    h: HamiltonianTerms,
+    s: float,
+    t: float,
+    plan: FormulaPlan,
+    grouped: bool = False,
+) -> np.ndarray:
+    """Sorted eigenvalues of H_eff at tau = s * t, without forming H_eff.
+
+    They are the principal eigenphases of S_p(tau) divided by tau, under
+    the same unitarity, unit-circle and branch-cut checks as
+    ``effective_hamiltonian``.
+    """
+    tau = s * t
+    if tau == 0.0:
+        raise ValueError("tau = s*t must be nonzero")
+    u = apply_formula(h, tau, plan, grouped=grouped)
+    return np.sort(unitary_eigenphases(u) / tau)
 
 
 def trotter_error_norm(

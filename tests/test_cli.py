@@ -173,6 +173,18 @@ def test_invalid_parameter_value_is_config_error(tmp_path, capsys):
     assert payload["error"]["type"] == "config"
 
 
+def test_branch_wrap_is_config_error(tmp_path, capsys):
+    # Used to exit 0 with extrapolated 1.08e6 against an oracle of 4.37e13.
+    cfg = write_config(
+        tmp_path, "cfg.json", {"model": {"kind": "syk", "n_majorana": 8, "one_norm": 64}}
+    )
+    rc, payload = run_cli(capsys, "pipeline", "--config", cfg, "--out", str(tmp_path / "r"))
+    assert rc == 2
+    assert payload["error"]["type"] == "config"
+    assert "branch bound" in payload["error"]["message"]
+    assert not (tmp_path / "r" / "pipeline_result.json").exists()
+
+
 def test_numeric_failure_exit_code(tmp_path, capsys):
     # Validation passes but the Fourier window cannot hold the spectrum:
     # a stage failure, not a config error.

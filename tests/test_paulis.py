@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trottergibbs.paulis import (
     DENSE_QUBIT_CAP,
+    VALID_PHASES,
     DimensionCapError,
     PauliString,
+    parity_signs,
     pauli_commutes,
+    pauli_masks,
     pauli_multiply,
     pauli_trace,
     to_dense,
@@ -29,6 +34,13 @@ def dense_oracle(p: PauliString) -> np.ndarray:
     for ch in p.letters:
         m = np.kron(m, SINGLE[ch])
     return m
+
+
+@st.composite
+def phased_strings(draw, max_qubits=5):
+    n = draw(st.integers(1, max_qubits))
+    letters = draw(st.text(alphabet=LETTERS, min_size=n, max_size=n))
+    return PauliString(n, letters, draw(st.sampled_from(VALID_PHASES)))
 
 
 def random_string(rng: np.random.Generator, n: int) -> PauliString:
@@ -174,3 +186,19 @@ def test_invalid_letters_and_phase():
         PauliString(2, "XX", phase=0.5 + 0.5j)
     with pytest.raises(ValueError):
         PauliString(3, "XX")
+
+
+def test_parity_signs_match_popcount():
+    for n in range(6):
+        want = [(-1.0) ** bin(m).count("1") for m in range(2**n)]
+        assert parity_signs(n).tolist() == want
+
+
+@given(phased_strings())
+def test_signed_permutation_is_exactly_to_dense(p):
+    # P|b> = q (-1)^{|b & z|} |b ^ x>: one signed entry per column.
+    x, z, q = pauli_masks(p)
+    basis = np.arange(2**p.n_qubits)
+    mat = np.zeros((basis.size, basis.size), dtype=complex)
+    mat[basis ^ x, basis] = q * parity_signs(p.n_qubits)[basis & z]
+    assert np.array_equal(mat, to_dense(p))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from trottergibbs import pipeline, trotter
 from trottergibbs.cheb import cheb_grid, exact_partition
 from trottergibbs.paulis import PauliString
 from trottergibbs.pipeline import (
@@ -26,6 +27,7 @@ from trottergibbs.syk import (
     normalize_one_norm,
     sample_syk,
 )
+from trottergibbs.thermal import EstimationSchedule
 from trottergibbs.trotter import build_plan
 
 # Frozen convergence fixture: n=8 seed=11, beta=2, p=2, t=1, exact mode.
@@ -63,6 +65,28 @@ def test_config_validation():
         PipelineConfig(model=model, beta=1.0, mode="teleport")
     with pytest.raises(ValueError):
         PipelineConfig(model=model, beta=1.0, eps_stat=0.0)
+
+
+def test_config_refuses_branch_wrap():
+    # S_2 phases are bounded by |s_k| t ||H||_1; the outer node of M = 2
+    # sits at cos(pi/4), so with one-norm 2 the bound crosses pi near t = 2.22.
+    model = HamiltonianTerms(1, [(2.0, PauliString.from_label("Z"))])
+    PipelineConfig(model=model, beta=1.0, m_cheb=2, base_step=2.2)
+    with pytest.raises(ValueError, match="branch bound"):
+        PipelineConfig(model=model, beta=1.0, m_cheb=2, base_step=2.25)
+    # Order 4 weighs each term by 8 u_2 - 1 (about 2.32).
+    PipelineConfig(model=model, beta=1.0, m_cheb=2, base_step=0.9, order=4)
+    with pytest.raises(ValueError, match="branch bound"):
+        PipelineConfig(model=model, beta=1.0, m_cheb=2, base_step=1.0, order=4)
+
+
+def test_config_refuses_strong_coupling_syk():
+    # One-norm 64 at base step 1 used to run and return 1.08e6 against an
+    # exact 4.37e13: the eigenphases wrapped without landing near the cut.
+    h = build_syk_hamiltonian(sample_syk(8, seed=7))
+    model = HamiltonianTerms(h.n_qubits, [(c * 64.0 / h.one_norm, s) for c, s in h.terms])
+    with pytest.raises(ValueError, match="branch bound"):
+        PipelineConfig(model=model, beta=2.0, base_step=1.0, m_cheb=4)
 
 
 def test_single_term_model_is_exact():
@@ -167,6 +191,58 @@ def test_sampled_mode_deterministic_per_seed():
     )
 
 
+@pytest.mark.parametrize(
+    "order, mode, m_cheb",
+    [(2, "exact", 4), (4, "exact", 6), (2, "sampled", 4), (2, "gqsp", 4), (1, "exact", 4)],
+)
+def test_mirror_nodes_share_one_formula(monkeypatch, order, mode, m_cheb):
+    calls = {"formula": 0, "boltz": 0}
+    apply_formula, build_u_boltz = trotter.apply_formula, pipeline.build_u_boltz
+
+    def counted_formula(*args, **kwargs):
+        calls["formula"] += 1
+        return apply_formula(*args, **kwargs)
+
+    def counted_boltz(*args, **kwargs):
+        calls["boltz"] += 1
+        return build_u_boltz(*args, **kwargs)
+
+    monkeypatch.setattr(trotter, "apply_formula", counted_formula)
+    monkeypatch.setattr(pipeline, "build_u_boltz", counted_boltz)
+    model = syk_model(8, seed=4)
+    cfg = PipelineConfig(model=model, beta=1.0, m_cheb=m_cheb, order=order, mode=mode)
+    res = run_pipeline(cfg)
+    fold = order % 2 == 0
+    assert calls["formula"] == (m_cheb // 2 if fold else m_cheb)
+    assert calls["boltz"] == (m_cheb // 2 if mode == "gqsp" else 0)
+    shared = ("p0_exact", "z_exact", "beta_k", "depth", "diagnostics")
+    if mode != "sampled":
+        shared += ("p0_hat", "z_hat")
+    for k in range(m_cheb // 2):
+        pos, neg = res.nodes[k], res.nodes[m_cheb - 1 - k]
+        assert pos.s_k == pytest.approx(-neg.s_k, abs=1e-15)
+        assert pos.seed != neg.seed
+        if fold:
+            assert all(getattr(pos, name) == getattr(neg, name) for name in shared)
+        else:
+            assert pos.p0_exact != neg.p0_exact  # S_1(-t) is not S_1(t)^dag
+    if mode == "sampled":
+        assert len({r.p0_hat for r in res.nodes}) == m_cheb
+
+
+def test_unconverged_estimate_names_the_node():
+    model = syk_model(4, seed=5)
+    cfg = PipelineConfig(
+        model=model,
+        beta=1.0,
+        m_cheb=2,
+        mode="sampled",
+        schedule=EstimationSchedule(max_rounds=1),
+    )
+    with pytest.raises(PipelineError, match=r"node \d+ \(s_k=.*unconverged after 1 rounds"):
+        run_pipeline(cfg)
+
+
 def test_pipeline_error_names_the_failing_node():
     # A base step too coarse for the Fourier window fails inside the node
     # loop; the error must say which node.
@@ -261,6 +337,9 @@ def test_cost_model_contents():
     want0 = 3 * 25.0 / (0.25 * abs(grid.nodes[0]))
     assert cost["depth_per_node"][0] == pytest.approx(want0, rel=1e-12)
     assert cost["node_sum_ratio_max"] <= NODE_SUM_CONSTANT
+    assert cost["node_sum_ratio_max"] == max(
+        node_inverse_sum(m) / (m * math.log(m)) for m in range(2, 65, 2)
+    )
     assert cost["total_cost"] > 0
     with pytest.raises(ValueError):
         cost_model(cfg, grid, [1, 2, 3])

@@ -5,9 +5,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trottergibbs.linalg import max_abs, spectral_norm
-from trottergibbs.paulis import PauliString, pauli_commutes, to_dense
+from trottergibbs.paulis import VALID_PHASES, PauliString, pauli_commutes, to_dense
 from trottergibbs.syk import (
     HamiltonianTerms,
     VarianceRule,
@@ -195,8 +197,8 @@ def test_group_commuting_reference_count():
 def test_group_sum_matches_full_hamiltonian():
     h = group_commuting(build_syk_hamiltonian(sample_syk(8, seed=7)))
     total = np.zeros_like(h.dense())
-    for mat in h.term_matrices(grouped=True):
-        total = total + mat
+    for group in h.groups:
+        total = total + HamiltonianTerms(h.n_qubits, [h.terms[i] for i in group]).dense()
     assert max_abs(total - h.dense()) < 1e-12
 
 
@@ -207,3 +209,37 @@ def test_json_round_trip():
     assert h2.groups == h.groups
     assert h2.terms == h.terms
     assert max_abs(h.dense() - h2.dense()) == 0.0
+
+
+def kron_sum(h):
+    """The dense sum as it was first written: one Kronecker product per term."""
+    mat = np.zeros((2**h.n_qubits, 2**h.n_qubits), dtype=complex)
+    for coeff, string in h.terms:
+        mat += coeff * to_dense(string)
+    return mat
+
+
+@st.composite
+def term_lists(draw):
+    n = draw(st.integers(1, 4))
+    term = st.tuples(
+        st.floats(-10.0, 10.0, allow_nan=False),
+        st.text(alphabet="IXYZ", min_size=n, max_size=n),
+        st.sampled_from(VALID_PHASES),
+    )
+    terms = draw(st.lists(term, min_size=1, max_size=8))
+    return HamiltonianTerms(n, [(c, PauliString(n, s, q)) for c, s, q in terms])
+
+
+@given(term_lists())
+def test_dense_is_bit_identical_to_kron_sum(h):
+    assert h.dense().tobytes() == kron_sum(h).tobytes()
+
+
+def test_dense_of_empty_model_is_zero():
+    assert np.array_equal(HamiltonianTerms(2, []).dense(), np.zeros((4, 4)))
+
+
+def test_dense_is_bit_identical_to_kron_sum_on_syk():
+    h = build_syk_hamiltonian(sample_syk(10, seed=3))
+    assert h.dense().tobytes() == kron_sum(h).tobytes()

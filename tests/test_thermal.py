@@ -297,6 +297,20 @@ def test_amplitude_estimate_reports_schedule():
     assert 0.0 <= est.p0_hat <= 1.0
 
 
+def test_amplitude_estimate_flags_exhausted_rounds():
+    assert amplitude_estimate(0.3, 0.01, seed=4).converged
+    est = amplitude_estimate(0.3, 0.01, seed=4, schedule=EstimationSchedule(max_rounds=1))
+    assert est.rounds == 1
+    assert not est.converged
+
+
+def test_exact_p0_accepts_a_spectrum():
+    rng = np.random.default_rng(9)
+    eff = random_effective(rng, 8)
+    vals = np.linalg.eigvalsh(eff.matrix)
+    assert exact_p0(vals, 1.3) == exact_p0(eff, 1.3)
+
+
 def test_amplitude_estimate_domain():
     with pytest.raises(ValueError):
         amplitude_estimate(1.5, 0.05, seed=0)

@@ -5,15 +5,24 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trottergibbs.linalg import BranchCutError, max_abs, spectral_norm
 from trottergibbs.paulis import PauliString
-from trottergibbs.syk import HamiltonianTerms, build_syk_hamiltonian, sample_syk
+from trottergibbs.syk import (
+    HamiltonianTerms,
+    build_syk_hamiltonian,
+    group_commuting,
+    sample_syk,
+)
 from trottergibbs.trotter import (
     apply_formula,
     build_plan,
     effective_hamiltonian,
     fit_alpha,
+    node_spectrum,
+    stage_weight,
     suzuki_u,
     trotter_error_norm,
 )
@@ -38,9 +47,11 @@ def random_model(rng, n_qubits, n_terms, scale=1.0):
     return HamiltonianTerms(n_qubits, terms)
 
 
-def product_oracle(h, t, plan):
+def product_oracle(h, t, plan, grouped=False):
     """Left-to-right product of stage exponentials, built independently."""
     mats = [c * _dense(p) for c, p in h.terms]
+    if grouped:
+        mats = [sum(mats[i] for i in group) for group in h.groups]
     u = np.eye(2**h.n_qubits, dtype=complex)
     for idx, frac in plan.stages:
         u = u @ scipy.linalg.expm(1j * mats[idx] * frac * t)
@@ -58,6 +69,23 @@ def _dense(p):
     for ch in p.letters:
         m = np.kron(m, single[ch])
     return m
+
+
+@st.composite
+def small_models(draw, max_terms=5, coeff=0.5):
+    """A random Pauli model (distinct non-identity labels, |c| <= coeff)."""
+    n = draw(st.integers(1, 3))
+    n_terms = draw(st.integers(1, min(max_terms, 4**n - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.choice(4**n - 1, size=n_terms, replace=False) + 1
+    terms = [
+        (
+            float(rng.uniform(-coeff, coeff)),
+            PauliString.from_label("".join("IXYZ"[(v >> 2 * q) & 3] for q in range(n))),
+        )
+        for v in labels
+    ]
+    return group_commuting(HamiltonianTerms(n, terms))
 
 
 def log_log_slope(taus, errs):
@@ -193,6 +221,55 @@ def test_apply_formula_grouped_matches_ungrouped_limit():
     # Second-order error bound, just a sanity envelope here.
     assert max_abs(ug - exact) < 0.1
     assert max_abs(ug @ ug.conj().T - np.eye(4)) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_models(),
+    st.sampled_from((1, 2, 4)),
+    st.booleans(),
+    st.floats(-0.6, 0.6, allow_nan=False),
+)
+def test_apply_formula_matches_product_oracle_property(h, order, grouped, t):
+    n_units = len(h.groups) if grouped else h.n_terms
+    plan = build_plan(n_units, order)
+    got = apply_formula(h, t, plan, grouped=grouped)
+    assert max_abs(got - product_oracle(h, t, plan, grouped=grouped)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    small_models(),
+    st.sampled_from((1, 2, 4)),
+    st.floats(0.2, 1.0),
+    st.sampled_from((1.0, -1.0)),
+)
+def test_node_spectrum_matches_effective_hamiltonian(h, order, s, sign):
+    # |tau| * one-norm * stage_weight stays below 2.4, well inside the branch.
+    plan = build_plan(h.n_terms, order)
+    got = node_spectrum(h, sign * s, 0.4, plan)
+    eff = effective_hamiltonian(h, sign * s, 0.4, plan)
+    assert np.max(np.abs(got - np.linalg.eigvalsh(eff.matrix))) < 1e-10
+
+
+def test_node_spectrum_refuses_branch_cut():
+    h = two_term_model(["ZI", "IZ"], [math.pi / 2, math.pi / 2])
+    with pytest.raises(BranchCutError):
+        node_spectrum(h, 1.0, 1.0, build_plan(2, 2))
+
+
+def test_apply_formula_refuses_non_hermitian_terms():
+    h = HamiltonianTerms(1, [(0.5, PauliString(1, "X", 1j))])
+    with pytest.raises(ValueError, match="Hermitian"):
+        apply_formula(h, 0.3, build_plan(1, 2))
+
+
+def test_stage_weight_is_absolute_fraction_sum():
+    for order in (1, 2, 4, 6):
+        plan = build_plan(1, order)
+        want = sum(abs(f) for _, f in plan.stages)
+        assert stage_weight(order) == pytest.approx(want, rel=1e-13)
+    assert stage_weight(4) == pytest.approx(8 * suzuki_u(2) - 1, rel=1e-15)
 
 
 def test_effective_hamiltonian_single_term():
