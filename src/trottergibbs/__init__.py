@@ -38,9 +38,7 @@ from .thermal import (
     beta_correction,
     build_u_boltz,
     exact_p0,
-    grover_operator,
     qubit_ledger,
-    thermofield_double,
 )
 from .trotter import (
     EffectiveHamiltonian,

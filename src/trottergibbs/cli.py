@@ -32,7 +32,7 @@ from . import __version__
 from .cheb import exact_partition
 from .lwf import gibbs_fourier, gibbs_taylor, taylor_order
 from .paulis import PauliString
-from .pipeline import PipelineConfig, ancilla_savings, run_pipeline
+from .pipeline import PIPELINE_MODES, PipelineConfig, ancilla_savings, run_pipeline
 from .syk import HamiltonianTerms, build_syk_hamiltonian, sample_syk
 from .trotter import build_plan, trotter_error_norm
 
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "pipeline":
             p.add_argument(
                 "--mode",
-                choices=("exact", "gqsp", "ideal-w", "sampled"),
+                choices=PIPELINE_MODES,
                 default=None,
                 help="override the document mode",
             )

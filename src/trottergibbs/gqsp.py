@@ -61,11 +61,6 @@ class LaurentPoly:
         return LaurentPoly(self.M, self.c * factor)
 
 
-def monomial_shift(p: LaurentPoly) -> tuple[np.ndarray, int]:
-    """Coefficients of z^M * P(z) in ascending powers, plus the shift M."""
-    return p.c.copy(), p.M
-
-
 def direct_poly_apply(p: LaurentPoly, u: np.ndarray) -> np.ndarray:
     """sum_m c_m U^m evaluated with explicit matrix powers."""
     dim = u.shape[0]
@@ -217,11 +212,14 @@ def extract_block(full: np.ndarray) -> np.ndarray:
 
 
 def synthesize_laurent(p: LaurentPoly) -> GqspAngles:
-    """Angles for a Laurent target: shift to plain powers, complete, peel."""
-    shifted, shift = monomial_shift(p)
+    """Angles for a Laurent target: shift to plain powers, complete, peel.
+
+    The coefficients of z^M P(z) in ascending powers are exactly ``p.c``.
+    """
+    shifted = p.c.copy()
     q_coefs = complete_polynomial(shifted)
     angles = synthesize_angles(shifted, q_coefs)
-    angles.diagnostics["shift"] = shift
+    angles.diagnostics["shift"] = p.M
     angles.diagnostics["completion_residual"] = float(
         np.max(
             np.abs(

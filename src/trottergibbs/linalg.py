@@ -1,4 +1,4 @@
-"""Dense spectral kernels: validated exp/log of Hermitian and unitary matrices.
+"""Dense spectral kernels: checked decompositions, eigenphases and unitary logs.
 
 Everything here works through explicit spectral decompositions rather than
 Pade-style approximants, so eigenvalues and eigenvectors stay available to
@@ -34,15 +34,6 @@ def max_abs(a: np.ndarray) -> float:
 def spectral_norm(a: np.ndarray) -> float:
     """Largest singular value."""
     return float(np.linalg.norm(a, 2))
-
-
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return max_abs(a - a.conj().T) <= tol
-
-
-def is_unitary(a: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    eye = np.eye(a.shape[0])
-    return max_abs(a.conj().T @ a - eye) <= tol
 
 
 def assert_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix"):
@@ -102,12 +93,6 @@ def unitary_decompose(u: np.ndarray, tol: float = UNITARY_TOL) -> SpectralDecomp
     dec = SpectralDecomposition(np.diag(t).copy(), z)
     dec.check(u)
     return dec
-
-
-def matrix_exp(h: np.ndarray, scalar: complex = 1.0, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """exp(scalar * h) for Hermitian h via eigendecomposition."""
-    dec = eigh_decompose(h, tol)
-    return dec.apply(np.exp(scalar * dec.eigenvalues))
 
 
 def _principal_phases(

@@ -274,36 +274,6 @@ def lwf_coefficients(
     return approx
 
 
-def truncation_scan(
-    ts: TaylorSeries,
-    delta: float,
-    m_list: list[int],
-    grid_size: int = 1000,
-    floor_eps: float = 1e-12,
-) -> list[tuple[int, float]]:
-    """Best-achievable sup error for each frequency cutoff in ``m_list``.
-
-    Coefficients are assembled once with a window wide enough for the
-    largest requested cutoff, then truncated, so the scan isolates the
-    cutoff's contribution from the Taylor and arcsin budgets.
-    """
-    if not m_list or any(m < 0 for m in m_list):
-        raise ValueError("m_list must be non-empty with nonnegative entries")
-    m_full = max(m_list)
-    order = _choose_arcsin_order(ts, delta, floor_eps)
-    combined = _combined_series(ts, order)
-    c_full, _ = _assemble(combined, m_full)
-    grid = np.linspace(-1.0 + delta, 1.0 - delta, grid_size)
-    target = np.exp(-ts.beta * (grid + 1.0))
-    out = []
-    for m in m_list:
-        c = c_full[m_full - m : m_full + m + 1]
-        phases = np.exp(1j * (math.pi / 2.0) * np.outer(grid, np.arange(-m, m + 1)))
-        err = float(np.max(np.abs(target - phases @ c)))
-        out.append((m, err))
-    return out
-
-
 def gibbs_fourier(beta: float, delta: float, eps: float) -> FourierApprox:
     """One-call construction: size the Taylor order, then assemble."""
     ts = gibbs_taylor(beta, taylor_order(beta, eps))

@@ -161,10 +161,3 @@ def parity_signs(n_qubits: int) -> np.ndarray:
     for _ in range(n_qubits):
         signs = np.concatenate([signs, -signs])
     return signs
-
-
-def pauli_trace(p: PauliString) -> complex:
-    """Trace of the dense form: phase * 2^n for the identity string, else 0."""
-    if p.weight == 0:
-        return p.phase * (2**p.n_qubits)
-    return 0j

@@ -23,6 +23,7 @@ from .linalg import BRANCH_GAP, spectral_norm
 from .seeding import split_seed
 from .syk import HamiltonianTerms
 from .thermal import (
+    MODES,
     BoltzmannOracle,
     EstimationSchedule,
     TraceValues,
@@ -38,7 +39,7 @@ from .trotter import (
     stage_weight,
 )
 
-PIPELINE_MODES = ("exact", "gqsp", "ideal-w", "sampled")
+PIPELINE_MODES = ("exact", *MODES, "sampled")
 EXTRAPOLATION_TOL = 1e-14
 TRACE_BOUND_SLACK = 1e-10
 
@@ -55,10 +56,10 @@ class PipelineError(RuntimeError):
 class PipelineConfig:
     """Inputs of one end-to-end run.
 
-    ``mode`` selects how node traces are obtained: "exact" diagonalizes
-    the effective Hamiltonian, "gqsp" and "ideal-w" read the synthesized
-    Boltzmann block, "sampled" draws simulated estimation outcomes around
-    the exact value.
+    ``mode`` selects how node traces are obtained: "exact" reads the
+    eigenphases of the product formula S_p(s_k t), "gqsp" and "ideal-w"
+    read the synthesized Boltzmann block, "sampled" draws simulated
+    estimation outcomes around the exact value.
     """
 
     model: HamiltonianTerms
@@ -115,7 +116,8 @@ class NodeRecord:
     """One node's trace evaluation, in both shift conventions.
 
     ``depth`` counts elementary Trotter stages of the realized circuit;
-    it is 0 for nodes evaluated by direct diagonalization.
+    it is 0 for nodes evaluated by direct diagonalization and for
+    beta = 0, where the block is the identity and no circuit exists.
     """
 
     index: int
@@ -173,21 +175,15 @@ def _node_traces(
     """Exact node traces at s, plus the Boltzmann oracle in gqsp/ideal-w mode.
 
     Exact and sampled runs need only the eigenphases of S_p(s t); the
-    synthesized block needs the effective Hamiltonian as a matrix.
+    synthesized block needs the effective Hamiltonian as a matrix, and its
+    oracle's spectrum then gives the exact trace.
     """
-    if cfg.mode in ("gqsp", "ideal-w"):
+    if cfg.mode in MODES:
         h_eff = effective_hamiltonian(
             cfg.model, s, cfg.base_step, plan, grouped=cfg.grouped
         )
-        oracle = build_u_boltz(
-            h_eff,
-            cfg.beta,
-            mode=cfg.mode,
-            eps_qsp=cfg.eps_qsp,
-            s_node=s,
-            base_step=cfg.base_step,
-        )
-        return exact_p0(h_eff, cfg.beta), oracle
+        oracle = build_u_boltz(h_eff, cfg.beta, mode=cfg.mode, eps_qsp=cfg.eps_qsp)
+        return exact_p0(oracle.spectrum, cfg.beta), oracle
     spectrum = node_spectrum(cfg.model, s, cfg.base_step, plan, grouped=cfg.grouped)
     return exact_p0(spectrum, cfg.beta), None
 
@@ -233,11 +229,12 @@ def run_pipeline(cfg: PipelineConfig) -> PartitionResult:
                 b = oracle.normalized_block
                 p0_hat = float(np.real(np.trace(b.conj().T @ b)) / b.shape[0])
                 beta_k = oracle.beta_k
-                depth = _stage_depth(
-                    plan.n_stages,
-                    max(1, oracle.diagnostics["q"]),
-                    oracle.diagnostics["fourier_m"],
-                )
+                if cfg.beta > 0.0:
+                    depth = _stage_depth(
+                        plan.n_stages,
+                        max(1, oracle.diagnostics["q"]),
+                        oracle.diagnostics["fourier_m"],
+                    )
                 diagnostics = {
                     "block_deviation": oracle.diagnostics["block_deviation"],
                     "fourier_m": oracle.diagnostics["fourier_m"],

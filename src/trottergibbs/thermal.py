@@ -1,11 +1,13 @@
-"""Thermofield-double trace evaluation and amplitude estimation.
+"""Boltzmann block synthesis and amplitude estimation.
 
 The partition function is probed through the infinite-temperature
 thermofield double: for any operator B on the system register,
 <TFD| (B (x) I) |TFD> = Tr(B)/N.  A subnormalized block operator
 carrying e^{-beta(H_eff + 1)/2} turns that trace into the success
 probability of a single ancilla, which iterative amplitude estimation
-then reads out quadratically faster than direct sampling.
+then reads out quadratically faster than direct sampling.  Only the
+block and the estimate are simulated here; the dense thermofield circuit
+that ties them together is checked in the test suite.
 
 Register order is (C, A, B): the block ancilla C is the outermost
 tensor factor, the system register A next, and the trace copy B
@@ -19,56 +21,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gqsp import LaurentPoly, extract_block, gqsp_apply, synthesize_laurent
-from .linalg import (
-    assert_unitary,
-    eigh_decompose,
-    spectral_norm,
-    unitary_power,
-)
+from .gqsp import LaurentPoly, gqsp_apply, synthesize_laurent
+from .linalg import assert_unitary, eigh_decompose, unitary_power
 from .lwf import gibbs_fourier
 from .trotter import EffectiveHamiltonian
 
-DIAG_TOL = 1e-12
 SUBNORMALIZATION_TOL = 1e-9
-EXACT_BLOCK_TOL = 1e-12
-DEFAULT_EDGE_GAP = 0.05
+EDGE_GAP = 0.05
 COEF_RESCALE = 1.0 - 1e-6
 
-MODES = ("exact", "gqsp", "ideal-w")
+MODES = ("gqsp", "ideal-w")
 
 
 class OracleError(ValueError):
     """Raised when a Boltzmann oracle cannot be realized as requested."""
-
-
-@dataclass(frozen=True)
-class ThermofieldState:
-    """Infinite-temperature thermofield double on registers (A, B)."""
-
-    n: int
-    vector: np.ndarray
-
-    def __post_init__(self):
-        norm = float(np.linalg.norm(self.vector))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"thermofield state norm {norm!r} != 1")
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n
-
-
-def thermofield_double(n: int, cap: int = 12) -> ThermofieldState:
-    """(1/sqrt(N)) sum_i |i>_A |i>_B with N = 2**n."""
-    if n < 1:
-        raise ValueError("need at least one system qubit")
-    if 2 * n > cap:
-        raise ValueError(f"thermofield register 2*{n} exceeds the dense cap {cap}")
-    dim = 2**n
-    vec = np.zeros(dim * dim)
-    vec[np.arange(dim) * dim + np.arange(dim)] = 1.0 / math.sqrt(dim)
-    return ThermofieldState(n, vec)
 
 
 def beta_correction(beta: float, s_k: float, t: float) -> float:
@@ -109,21 +75,17 @@ def _gqsp_plan(
     eigenvalues: np.ndarray,
     mode: str,
     eps_qsp: float,
-    delta_prime: float | None,
-    edge_gap: float,
 ) -> GqspPlan:
     lam_min = float(np.min(eigenvalues))
     lam_max = float(np.max(eigenvalues))
     radius = max(abs(lam_min), abs(lam_max))
-    dp = (1.0 / beta) if delta_prime is None else float(delta_prime)
-    if dp <= 0.0:
-        raise OracleError("spectral shift delta' must be positive")
+    dp = 1.0 / beta
     x0 = dp / (1.0 + dp)
     t_star = math.pi / (2.0 * (1.0 + dp))
-    budget = 1.0 - edge_gap - x0
+    budget = 1.0 - EDGE_GAP - x0
     if budget <= 0.0:
         raise OracleError(
-            f"shift delta'={dp} leaves no window below the edge gap {edge_gap}"
+            f"shift delta'={dp} leaves no window below the edge gap {EDGE_GAP}"
         )
     if radius == 0.0:
         t_sig = t_star
@@ -145,9 +107,9 @@ def _gqsp_plan(
     slope = 2.0 * t_sig / math.pi
     edges = (x0 + slope * lam_max, x0 + slope * lam_min)
     max_edge = max(abs(edges[0]), abs(edges[1]))
-    if max_edge > 1.0 - edge_gap + 1e-12:
+    if max_edge > 1.0 - EDGE_GAP + 1e-12:
         raise OracleError(
-            f"mapped spectrum edge {max_edge:.6f} breaches the gap {edge_gap}"
+            f"mapped spectrum edge {max_edge:.6f} breaches the gap {EDGE_GAP}"
         )
     delta_cert = min(1.0, 1.0 / beta, 1.0 - max_edge)
     scale = COEF_RESCALE * math.exp(beta / 2.0 - beta_f * (1.0 + x0))
@@ -172,19 +134,16 @@ class BoltzmannOracle:
 
     ``block`` is the realized A-register operator sitting in the C=0
     corner of ``unitary``; it equals ``scale`` times e^{-beta(H_eff+1)/2}
-    up to the mode's approximation error.  ``scale`` is a known classical
-    factor (1 in exact mode) divided out downstream.
+    up to the Fourier approximation error.  ``scale`` is a known classical
+    factor divided out downstream.  ``spectrum`` holds the eigenvalues of
+    H_eff from the one diagonalization the block is built on.
     """
 
-    mode: str
-    beta: float
-    s_node: float
-    base_step: float
-    order: int
     beta_k: float
     block: np.ndarray
     scale: float
     unitary: np.ndarray
+    spectrum: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -202,38 +161,23 @@ class BoltzmannOracle:
             raise OracleError("unitary corner disagrees with the stored block")
 
 
-def _complete_contraction(b: np.ndarray) -> np.ndarray:
-    """Unitary [[B, -S], [S, B]] for Hermitian contraction B, S = sqrt(I-B^2)."""
-    dec = eigh_decompose(b)
-    vals = np.clip(dec.eigenvalues, -1.0, 1.0)
-    s = dec.apply(np.sqrt(1.0 - vals**2))
-    top = np.hstack([b, -s])
-    bot = np.hstack([s, b])
-    u = np.vstack([top, bot])
-    assert_unitary(u)
-    return u
-
-
 def build_u_boltz(
     h_eff: EffectiveHamiltonian,
     beta: float,
-    mode: str = "exact",
+    mode: str = "gqsp",
     *,
     eps_qsp: float = 1e-6,
-    delta_prime: float | None = None,
-    edge_gap: float = DEFAULT_EDGE_GAP,
-    s_node: float = 1.0,
-    base_step: float | None = None,
 ) -> BoltzmannOracle:
     """Realize the Boltzmann block for H_eff at inverse temperature beta.
 
-    exact    -- matrix exponential of the shifted generator, completed to a
-                unitary directly.
     gqsp     -- Fourier polynomial of W = S_p(tau)^q evaluated through the
                 rotation circuit; q is rounded to an integer and the
                 residual folded into the Fourier inverse temperature.
     ideal-w  -- same pipeline but with the signal time left continuous,
                 isolating the Fourier approximation error from rounding.
+
+    At beta = 0 the block is the identity and no circuit is built: the
+    diagnostics then report q = 0, fourier_m = 0 and block_deviation 0.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -241,37 +185,21 @@ def build_u_boltz(
         raise ValueError("beta must be nonnegative")
     h = h_eff.matrix
     dim = h.shape[0]
-    step = h_eff.tau if base_step is None else base_step
-    if beta == 0.0:
-        block = np.eye(dim, dtype=complex)
-        unitary = np.eye(2 * dim, dtype=complex)
-        # A zero-temperature-free block is the identity in every mode.
-        oracle = BoltzmannOracle(
-            mode, beta, s_node, step, h_eff.order, beta, block, 1.0, unitary
-        )
-        oracle.check()
-        return oracle
-
     dec = eigh_decompose(h)
-    exact_block = dec.apply(np.exp(-beta * (dec.eigenvalues + 1.0) / 2.0))
-
-    if mode == "exact":
-        unitary = _complete_contraction(exact_block)
+    if beta == 0.0:
         oracle = BoltzmannOracle(
-            mode,
             beta,
-            s_node,
-            step,
-            h_eff.order,
-            beta,
-            exact_block,
+            np.eye(dim, dtype=complex),
             1.0,
-            unitary,
+            np.eye(2 * dim, dtype=complex),
+            dec.eigenvalues,
+            diagnostics={"q": 0, "fourier_m": 0, "block_deviation": 0.0},
         )
         oracle.check()
         return oracle
 
-    plan = _gqsp_plan(h_eff, beta, dec.eigenvalues, mode, eps_qsp, delta_prime, edge_gap)
+    exact_block = dec.apply(np.exp(-beta * (dec.eigenvalues + 1.0) / 2.0))
+    plan = _gqsp_plan(h_eff, beta, dec.eigenvalues, mode, eps_qsp)
     fa = gibbs_fourier(plan.beta_f, plan.delta_cert, plan.eps_lwf)
     ms = np.arange(-fa.M, fa.M + 1)
     coefs = fa.c * np.exp(1j * math.pi * ms * plan.x0 / 2.0) * COEF_RESCALE
@@ -293,15 +221,11 @@ def build_u_boltz(
     block = unitary[:dim, :dim]
 
     oracle = BoltzmannOracle(
-        mode,
-        beta,
-        s_node,
-        step,
-        h_eff.order,
         plan.beta_k,
         block,
         plan.scale,
         unitary,
+        dec.eigenvalues,
         diagnostics={
             "q": plan.q,
             "time": plan.time,
@@ -322,20 +246,6 @@ def build_u_boltz(
     return oracle
 
 
-def gqsp_plan_for(
-    h_eff: EffectiveHamiltonian,
-    beta: float,
-    *,
-    eps_qsp: float = 1e-6,
-    delta_prime: float | None = None,
-    edge_gap: float = DEFAULT_EDGE_GAP,
-    mode: str = "gqsp",
-) -> GqspPlan:
-    """Parameter plan only (no circuit); used for cost accounting."""
-    dec = eigh_decompose(h_eff.matrix)
-    return _gqsp_plan(h_eff, beta, dec.eigenvalues, mode, eps_qsp, delta_prime, edge_gap)
-
-
 @dataclass(frozen=True)
 class TraceValues:
     """Shifted and unshifted normalized traces of the Gibbs operator."""
@@ -345,79 +255,15 @@ class TraceValues:
     shift_factor: float  # e^{-beta}, the known classical factor
 
 
-def exact_p0(h_eff: EffectiveHamiltonian | np.ndarray, beta: float) -> TraceValues:
-    """Normalized Gibbs trace of H_eff, in both shift conventions.
-
-    Takes the effective Hamiltonian, its matrix, or (a 1-D array) its
-    eigenvalues.
-    """
-    h = h_eff.matrix if isinstance(h_eff, EffectiveHamiltonian) else np.asarray(h_eff)
-    vals = h if h.ndim == 1 else np.linalg.eigvalsh(h)
-    n = h.shape[0]
+def exact_p0(spectrum: np.ndarray, beta: float) -> TraceValues:
+    """Normalized Gibbs trace of H_eff from its eigenvalues, in both shift conventions."""
+    vals = np.asarray(spectrum)
+    if vals.ndim != 1:
+        raise ValueError("exact_p0 takes the 1-D spectrum of H_eff")
+    n = vals.shape[0]
     p0 = float(np.sum(np.exp(-beta * (vals + 1.0))) / n)
     z = float(np.sum(np.exp(-beta * vals)) / n)
     return TraceValues(p0, z, math.exp(-beta))
-
-
-def householder_prepare(target: np.ndarray) -> np.ndarray:
-    """Real orthogonal matrix sending e_0 to the (real) target vector."""
-    target = np.asarray(target, dtype=float)
-    norm = float(np.linalg.norm(target))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError("state-preparation target must be normalized")
-    dim = target.shape[0]
-    u = -target.copy()
-    u[0] += 1.0
-    nsq = float(np.dot(u, u))
-    if nsq < 1e-24:
-        return np.eye(dim)
-    return np.eye(dim) - 2.0 * np.outer(u, u) / nsq
-
-
-def amplitude_circuit(oracle: BoltzmannOracle) -> np.ndarray:
-    """State-preparation unitary A on (C, A, B): prepare TFD, apply U_boltz."""
-    dim = oracle.block.shape[0]
-    n = int(round(math.log2(dim)))
-    if 2**n != dim:
-        raise ValueError("oracle dimension is not a power of two")
-    tfd = thermofield_double(n, cap=2 * n)
-    v_prep = householder_prepare(tfd.vector)
-    prep = np.kron(np.eye(2), v_prep)
-    # kron nests (C, A) outer and B inner, matching the register order.
-    boltz = np.kron(oracle.unitary, np.eye(dim))
-    return boltz @ prep
-
-
-def good_state_probability(a_circuit: np.ndarray) -> float:
-    """Probability of the block ancilla C reading 0 after A|0...0>."""
-    dim_total = a_circuit.shape[0]
-    state = a_circuit[:, 0]
-    half = dim_total // 2
-    return float(np.sum(np.abs(state[:half]) ** 2))
-
-
-def grover_operator(a_circuit: np.ndarray) -> np.ndarray:
-    """Q = -A S_0 A^dag S_chi with S_0 about |0...0> and S_chi about C=0."""
-    assert_unitary(a_circuit)
-    dim_total = a_circuit.shape[0]
-    half = dim_total // 2
-    s0 = np.eye(dim_total, dtype=complex)
-    s0[0, 0] = -1.0
-    chi = np.ones(dim_total)
-    chi[:half] = -1.0
-    s_chi = np.diag(chi).astype(complex)
-    return -a_circuit @ s0 @ a_circuit.conj().T @ s_chi
-
-
-def grover_amplitude(q_op: np.ndarray, a_circuit: np.ndarray, tol: float = 1e-8) -> float:
-    """Amplitude sin(theta_a) read off Q's eigenphases on the A|0> subspace."""
-    vals, vecs = np.linalg.eig(q_op)
-    psi = a_circuit[:, 0]
-    weights = np.abs(vecs.conj().T @ psi) ** 2
-    phases = np.abs(np.angle(vals[weights > tol]))
-    if phases.size == 0:
-        raise ValueError("initial state has no support on Q's spectrum")
-    return float(np.mean(np.sin(phases / 2.0)))
 
 
 @dataclass

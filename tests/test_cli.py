@@ -4,10 +4,13 @@ import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from trottergibbs.cli import main
+from trottergibbs.cli import COMMANDS, main
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 # Frozen regression value for the default pipeline document
 # (bundled n=8 seed=7 model, beta=2, four nodes, exact mode).
@@ -197,6 +200,24 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert rc == 3
     assert payload["error"]["type"] == "PipelineError"
     assert "node" in payload["error"]["message"]
+
+
+def test_block_mode_at_beta_zero_exits_zero(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, "cfg.json", {"beta": 0.0, "mode": "gqsp", "base_step": 0.3}
+    )
+    out = tmp_path / "r"
+    rc, _ = run_cli(capsys, "pipeline", "--config", cfg, "--out", str(out))
+    assert rc == 0
+    assert json.loads((out / "pipeline_result.json").read_text())["extrapolated"] == 1.0
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_runs(path, tmp_path, capsys):
+    # configs/<command>_<variant>.json, with the command's dashes as underscores.
+    command = next(c for c in COMMANDS if path.stem.replace("_", "-").startswith(c))
+    rc, _ = run_cli(capsys, command, "--config", str(path), "--out", str(tmp_path))
+    assert rc == 0
 
 
 def test_lwf_convergence_artifacts(tmp_path, capsys):

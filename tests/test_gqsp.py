@@ -13,7 +13,6 @@ from trottergibbs.gqsp import (
     direct_poly_apply,
     extract_block,
     gqsp_apply,
-    monomial_shift,
     rotation,
     synthesize_angles,
     synthesize_laurent,
@@ -56,32 +55,34 @@ def test_rotation_unitary():
         assert max_abs(r @ r.conj().T - np.eye(2)) < 1e-14
 
 
+def circle_block(p):
+    """Diagonal of the synthesized block on a signal with eigenvalues on the circle."""
+    angles = synthesize_laurent(p)
+    z = CIRCLE[::256]
+    return angles, np.diag(extract_block(gqsp_apply(angles, np.diag(z)))), z
+
+
 def test_monomial_shift_constant():
-    coefs, shift = monomial_shift(LaurentPoly(0, [1.0]))
-    assert shift == 0
-    assert np.array_equal(coefs, np.array([1.0 + 0j]))
+    angles, block, _ = circle_block(LaurentPoly(0, [0.5]))
+    assert angles.diagnostics["shift"] == 0
+    assert np.max(np.abs(block - 0.5)) < 1e-12
 
 
 def test_monomial_shift_symmetric_pair():
-    p = LaurentPoly(1, [0.5, 0.0, 0.5])
-    coefs, shift = monomial_shift(p)
-    assert shift == 1
-    assert np.allclose(coefs, [0.5, 0.0, 0.5])
-    # z^M P(z) = 1/2 + z^2/2: same array read as ordinary powers.
-    vals = circle_values(coefs)
-    direct = 0.5 + 0.5 * CIRCLE**2
-    assert np.max(np.abs(vals - direct)) < 1e-12
+    # z^M P(z) = 0.45 + 0.45 z^2: the coefficient array read as plain powers.
+    angles, block, z = circle_block(LaurentPoly(1, [0.45, 0.0, 0.45]))
+    assert angles.diagnostics["shift"] == 1
+    assert np.max(np.abs(block - (0.45 + 0.45 * z**2))) < 1e-10
 
 
 def test_monomial_shift_preserves_circle_values():
     rng = np.random.default_rng(32)
     for _ in range(10):
         p = random_laurent(rng, int(rng.integers(1, 6)))
-        coefs, shift = monomial_shift(p)
-        lhs = circle_values(coefs)
+        angles, block, z = circle_block(p)
         freqs = np.arange(-p.M, p.M + 1)
-        rhs = (CIRCLE**shift) * (CIRCLE[:, None] ** freqs @ p.c)
-        assert np.max(np.abs(lhs - rhs)) < 1e-10
+        want = (z ** angles.diagnostics["shift"]) * (z[:, None] ** freqs @ p.c)
+        assert np.max(np.abs(block - want)) < 1e-9
 
 
 def test_laurent_rejects_inadmissible():
@@ -105,7 +106,7 @@ def test_complete_random_targets_residual():
     for _ in range(10):
         m = int(rng.integers(1, 9))
         p = random_laurent(rng, m)
-        coefs, _ = monomial_shift(p)
+        coefs = p.c
         q = complete_polynomial(coefs)
         res = np.abs(circle_values(coefs)) ** 2 + np.abs(circle_values(q)) ** 2 - 1.0
         assert np.max(np.abs(res)) <= 1e-9

@@ -12,18 +12,42 @@ import pytest
 from trottergibbs.lwf import (
     ApproximationError,
     FourierApprox,
+    _assemble,
+    _choose_arcsin_order,
+    _combined_series,
     arcsin_series,
     gibbs_fourier,
     gibbs_taylor,
     lwf_coefficients,
     lwf_order,
     taylor_order,
-    truncation_scan,
 )
 
 
 def fit_slope(xs, ys):
     return float(np.polyfit(np.asarray(xs, float), np.asarray(ys, float), 1)[0])
+
+
+def truncation_scan(ts, delta, m_list, grid_size=1000, floor_eps=1e-12):
+    """Best-achievable sup error for each frequency cutoff in ``m_list``.
+
+    Coefficients are assembled once with a window wide enough for the
+    largest requested cutoff, then truncated, so the scan isolates the
+    cutoff's contribution from the Taylor and arcsin budgets.
+    """
+    if not m_list or any(m < 0 for m in m_list):
+        raise ValueError("m_list must be non-empty with nonnegative entries")
+    m_full = max(m_list)
+    order = _choose_arcsin_order(ts, delta, floor_eps)
+    c_full, _ = _assemble(_combined_series(ts, order), m_full)
+    grid = np.linspace(-1.0 + delta, 1.0 - delta, grid_size)
+    target = np.exp(-ts.beta * (grid + 1.0))
+    out = []
+    for m in m_list:
+        c = c_full[m_full - m : m_full + m + 1]
+        phases = np.exp(1j * (math.pi / 2.0) * np.outer(grid, np.arange(-m, m + 1)))
+        out.append((m, float(np.max(np.abs(target - phases @ c)))))
+    return out
 
 
 def test_taylor_first_coefficients():

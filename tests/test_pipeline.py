@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from trottergibbs import pipeline, trotter
+from trottergibbs import pipeline, thermal, trotter
 from trottergibbs.cheb import cheb_grid, exact_partition
 from trottergibbs.paulis import PauliString
 from trottergibbs.pipeline import (
@@ -146,12 +146,43 @@ def test_gqsp_mode_tracks_exact_mode():
     exact = run_pipeline(PipelineConfig(mode="exact", **kw))
     synth = run_pipeline(PipelineConfig(mode="gqsp", eps_qsp=1e-6, **kw))
     for re_, rs in zip(exact.nodes, synth.nodes):
+        # The eigenphases of S_p and the oracle's H_eff spectrum agree.
+        assert rs.p0_exact == pytest.approx(re_.p0_exact, rel=1e-14)
         assert abs(rs.p0_hat - re_.p0_exact) < 1e-4
         assert rs.depth > 0
         # Query-count rounding perturbs the realized inverse temperature
         # in either direction, but only mildly.
         assert abs(rs.beta_k - 1.0) < 0.25
     assert abs(synth.extrapolated - exact.extrapolated) < 1e-3
+
+
+def test_gqsp_node_diagonalizes_h_eff_once(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(thermal, "eigh_decompose", counted(thermal.eigh_decompose))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    cfg = PipelineConfig(model=syk_model(8, seed=4), beta=1.0, m_cheb=4, order=2, mode="gqsp")
+    run_pipeline(cfg)
+    # One diagonalization per mirror pair: the oracle's spectrum also gives
+    # the exact trace.
+    assert calls == ["eigh_decompose"] * 2
+
+
+@pytest.mark.parametrize("mode", thermal.MODES)
+def test_block_modes_at_beta_zero_return_one(mode):
+    cfg = PipelineConfig(model=syk_model(8, seed=4), beta=0.0, m_cheb=4, mode=mode)
+    res = run_pipeline(cfg)
+    assert res.extrapolated == 1.0
+    for rec in res.nodes:
+        assert rec.p0_hat == 1.0 and rec.depth == 0
+        assert rec.diagnostics == {"block_deviation": 0.0, "fourier_m": 0, "q": 0}
 
 
 def test_sampled_mode_error_within_propagated_budget():

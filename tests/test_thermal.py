@@ -1,28 +1,29 @@
-"""Tests for the Boltzmann block, trace states, and amplitude estimation."""
+"""Tests for the Boltzmann block, trace states, and amplitude estimation.
+
+The dense circuit model of the trace reading lives here: the thermofield
+double on registers (A, B), its Householder preparation, the exact
+Boltzmann block completed to a unitary on (C, A), and the Grover operator
+whose eigenphases carry sqrt(p0).  Register order is (C, A, B).
+"""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from trottergibbs.linalg import max_abs
+from trottergibbs.linalg import assert_unitary, eigh_decompose, max_abs
 from trottergibbs.syk import build_syk_hamiltonian, normalize_one_norm, sample_syk
 from trottergibbs.thermal import (
-    BoltzmannOracle,
+    MODES,
     EstimationSchedule,
     OracleError,
-    amplitude_circuit,
     amplitude_estimate,
     beta_correction,
     build_u_boltz,
     exact_p0,
-    good_state_probability,
-    gqsp_plan_for,
-    grover_amplitude,
-    grover_operator,
-    householder_prepare,
     qubit_ledger,
-    thermofield_double,
 )
 from trottergibbs.trotter import EffectiveHamiltonian, build_plan, effective_hamiltonian
 
@@ -38,6 +39,90 @@ def random_effective(rng, dim, tau=0.3, order=2):
     h = 0.5 * (a + a.conj().T)
     h /= np.linalg.norm(h, 2) * 1.5
     return EffectiveHamiltonian(h, tau, order)
+
+
+@dataclass(frozen=True)
+class ThermofieldState:
+    """Infinite-temperature thermofield double on registers (A, B)."""
+
+    n: int
+    vector: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return 2**self.n
+
+
+def thermofield_double(n: int) -> ThermofieldState:
+    """(1/sqrt(N)) sum_i |i>_A |i>_B with N = 2**n."""
+    dim = 2**n
+    vec = np.zeros(dim * dim)
+    vec[np.arange(dim) * dim + np.arange(dim)] = 1.0 / math.sqrt(dim)
+    return ThermofieldState(n, vec)
+
+
+def householder_prepare(target: np.ndarray) -> np.ndarray:
+    """Real orthogonal matrix sending e_0 to the (real) target vector."""
+    target = np.asarray(target, dtype=float)
+    if abs(float(np.linalg.norm(target)) - 1.0) > 1e-12:
+        raise ValueError("state-preparation target must be normalized")
+    u = -target.copy()
+    u[0] += 1.0
+    nsq = float(np.dot(u, u))
+    if nsq < 1e-24:
+        return np.eye(target.shape[0])
+    return np.eye(target.shape[0]) - 2.0 * np.outer(u, u) / nsq
+
+
+def exact_boltzmann_unitary(h_eff: EffectiveHamiltonian, beta: float) -> np.ndarray:
+    """Unitary [[B, -S], [S, B]] with B = e^{-beta(H_eff+1)/2}, S = sqrt(I - B^2).
+
+    B's eigenvalues are clipped to [0, 1]: a normalized SYK H_eff can reach
+    -1 - 2e-16, which puts them a rounding error above 1.
+    """
+    dec = eigh_decompose(h_eff.matrix)
+    b_vals = np.clip(np.exp(-beta * (dec.eigenvalues + 1.0) / 2.0), 0.0, 1.0)
+    b = dec.apply(b_vals)
+    s = dec.apply(np.sqrt(1.0 - b_vals**2))
+    return np.block([[b, -s], [s, b]])
+
+
+def amplitude_circuit(boltz_unitary: np.ndarray) -> np.ndarray:
+    """State-preparation unitary A on (C, A, B): prepare TFD, apply U_boltz."""
+    dim = boltz_unitary.shape[0] // 2
+    tfd = thermofield_double(int(round(math.log2(dim))))
+    prep = np.kron(np.eye(2), householder_prepare(tfd.vector))
+    # kron nests (C, A) outer and B inner, matching the register order.
+    return np.kron(boltz_unitary, np.eye(dim)) @ prep
+
+
+def good_state_probability(a_circuit: np.ndarray) -> float:
+    """Probability of the block ancilla C reading 0 after A|0...0>."""
+    half = a_circuit.shape[0] // 2
+    return float(np.sum(np.abs(a_circuit[:half, 0]) ** 2))
+
+
+def grover_operator(a_circuit: np.ndarray) -> np.ndarray:
+    """Q = -A S_0 A^dag S_chi with S_0 about |0...0> and S_chi about C=0."""
+    assert_unitary(a_circuit)
+    dim_total = a_circuit.shape[0]
+    s0 = np.eye(dim_total, dtype=complex)
+    s0[0, 0] = -1.0
+    chi = np.ones(dim_total)
+    chi[: dim_total // 2] = -1.0
+    return -a_circuit @ s0 @ a_circuit.conj().T @ np.diag(chi)
+
+
+def grover_amplitude(q_op: np.ndarray, a_circuit: np.ndarray, tol: float = 1e-8) -> float:
+    """Amplitude sin(theta_a) read off Q's eigenphases on the A|0> subspace."""
+    vals, vecs = np.linalg.eig(q_op)
+    weights = np.abs(vecs.conj().T @ a_circuit[:, 0]) ** 2
+    phases = np.abs(np.angle(vals[weights > tol]))
+    return float(np.mean(np.sin(phases / 2.0)))
+
+
+def spectrum(eff: EffectiveHamiltonian) -> np.ndarray:
+    return np.linalg.eigvalsh(eff.matrix)
 
 
 def test_thermofield_single_qubit():
@@ -65,13 +150,6 @@ def test_thermofield_transfers_operators_to_trace():
     big = np.kron(o, np.eye(dim))
     got = tfd.vector.conj() @ big @ tfd.vector
     assert abs(got - np.trace(o) / dim) < 1e-12
-
-
-def test_thermofield_cap():
-    with pytest.raises(ValueError):
-        thermofield_double(7)  # 14 > default cap of 12
-    with pytest.raises(ValueError):
-        thermofield_double(0)
 
 
 def test_beta_correction_integer_queries_exact():
@@ -104,25 +182,25 @@ def test_beta_correction_domain():
 
 def test_build_u_boltz_beta_zero_identity_all_modes():
     eff = syk_effective(4, beta_seed=1)
-    for mode in ("exact", "gqsp", "ideal-w"):
+    for mode in MODES:
         oracle = build_u_boltz(eff, 0.0, mode=mode)
         assert max_abs(oracle.normalized_block - np.eye(eff.matrix.shape[0])) < 1e-12
         assert oracle.scale == 1.0
+        # No circuit is built, and the oracle still carries the spectrum.
+        assert oracle.diagnostics == {"q": 0, "fourier_m": 0, "block_deviation": 0.0}
+        assert max_abs(oracle.spectrum - spectrum(eff)) < 1e-12
 
 
-def test_build_u_boltz_exact_matches_eigen_oracle():
+def test_build_u_boltz_keeps_the_spectrum():
     eff = syk_effective(8, beta_seed=2)
-    beta = 1.5
-    oracle = build_u_boltz(eff, beta, mode="exact")
-    vals, vecs = np.linalg.eigh(eff.matrix)
-    want = (vecs * np.exp(-beta * (vals + 1.0) / 2.0)) @ vecs.conj().T
-    assert max_abs(oracle.block - want) < 1e-12
-    assert oracle.scale == 1.0
+    oracle = build_u_boltz(eff, 1.5, mode="gqsp")
+    assert oracle.spectrum.shape == (eff.matrix.shape[0],)
+    assert max_abs(oracle.spectrum - spectrum(eff)) < 1e-12
 
 
 def test_build_u_boltz_block_is_subnormalized_and_embedded():
     eff = syk_effective(8, beta_seed=3)
-    for mode in ("exact", "gqsp"):
+    for mode in MODES:
         oracle = build_u_boltz(eff, 1.0, mode=mode)
         svals = np.linalg.svd(oracle.block, compute_uv=False)
         assert svals.max() <= 1.0 + 1e-9
@@ -167,6 +245,8 @@ def test_build_u_boltz_rejects_bad_input():
         build_u_boltz(eff, -1.0)
     with pytest.raises(ValueError):
         build_u_boltz(eff, 1.0, mode="unknown")
+    with pytest.raises(ValueError):
+        build_u_boltz(eff, 1.0, mode="exact")
 
 
 def test_build_u_boltz_coarse_step_fails():
@@ -174,24 +254,24 @@ def test_build_u_boltz_coarse_step_fails():
     # spectrum inside the Fourier domain.
     eff = syk_effective(4, beta_seed=1, tau=3.0)
     with pytest.raises(OracleError):
-        build_u_boltz(eff, 4.0, mode="gqsp", base_step=3.0)
+        build_u_boltz(eff, 4.0, mode="gqsp")
 
 
 def test_gqsp_plan_certificate_window():
     eff = syk_effective(8, beta_seed=7)
-    plan = gqsp_plan_for(eff, 2.0)
-    assert 0.0 < plan.delta_cert <= 1.0
-    assert plan.max_edge <= 1.0 - plan.delta_cert + 1e-12
-    assert plan.q >= 1
-    assert plan.eps_lwf > 0
+    plan = build_u_boltz(eff, 2.0).diagnostics
+    assert 0.0 < plan["delta_cert"] <= 1.0
+    assert plan["max_edge"] <= 1.0 - plan["delta_cert"] + 1e-12
+    assert plan["q"] >= 1
+    assert plan["eps_lwf"] > 0
 
 
 def test_exact_p0_trivial_values():
     dim = 8
-    values = exact_p0(np.zeros((dim, dim)), 1.0)
+    values = exact_p0(np.zeros(dim), 1.0)
     assert values.p0 == pytest.approx(math.exp(-1.0), abs=1e-15)
     assert values.z_over_n == pytest.approx(1.0, abs=1e-15)
-    zero_beta = exact_p0(np.zeros((dim, dim)), 0.0)
+    zero_beta = exact_p0(np.zeros(dim), 0.0)
     assert zero_beta.p0 == 1.0
     assert zero_beta.z_over_n == 1.0
 
@@ -201,7 +281,7 @@ def test_exact_p0_shift_identity():
     for _ in range(10):
         eff = random_effective(rng, 8)
         beta = float(rng.uniform(0.1, 4.0))
-        values = exact_p0(eff, beta)
+        values = exact_p0(spectrum(eff), beta)
         assert values.p0 == pytest.approx(
             values.z_over_n * math.exp(-beta), rel=1e-12
         )
@@ -225,16 +305,14 @@ def test_amplitude_circuit_projection_equals_p0():
     # circuit is exactly the normalized shifted trace.
     eff = syk_effective(4, beta_seed=8)
     beta = 1.3
-    oracle = build_u_boltz(eff, beta, mode="exact")
-    a = amplitude_circuit(oracle)
-    want = exact_p0(eff, beta).p0
+    a = amplitude_circuit(exact_boltzmann_unitary(eff, beta))
+    want = exact_p0(spectrum(eff), beta).p0
     assert good_state_probability(a) == pytest.approx(want, abs=1e-12)
 
 
 def test_grover_operator_unitary():
     eff = syk_effective(4, beta_seed=9)
-    oracle = build_u_boltz(eff, 0.8, mode="exact")
-    a = amplitude_circuit(oracle)
+    a = amplitude_circuit(exact_boltzmann_unitary(eff, 0.8))
     q = grover_operator(a)
     assert max_abs(q @ q.conj().T - np.eye(q.shape[0])) < 1e-10
 
@@ -244,19 +322,17 @@ def test_grover_amplitude_reads_sqrt_p0():
     for seed in (10, 11, 12):
         eff = syk_effective(4, beta_seed=seed)
         beta = float(rng.uniform(0.3, 2.0))
-        oracle = build_u_boltz(eff, beta, mode="exact")
-        a = amplitude_circuit(oracle)
+        a = amplitude_circuit(exact_boltzmann_unitary(eff, beta))
         q = grover_operator(a)
         amp = grover_amplitude(q, a)
-        assert abs(amp - math.sqrt(exact_p0(eff, beta).p0)) <= 1e-8
+        assert abs(amp - math.sqrt(exact_p0(spectrum(eff), beta).p0)) <= 1e-8
 
 
 def test_grover_beta_zero_good_subspace_is_stationary():
     # With p0 = 1 the prepared state lies entirely in the good subspace and
     # Q acts on it as a phase.
     eff = syk_effective(4, beta_seed=13)
-    oracle = build_u_boltz(eff, 0.0, mode="exact")
-    a = amplitude_circuit(oracle)
+    a = amplitude_circuit(exact_boltzmann_unitary(eff, 0.0))
     q = grover_operator(a)
     psi = a[:, 0]
     overlap = abs(psi.conj() @ (q @ psi))
@@ -307,8 +383,12 @@ def test_amplitude_estimate_flags_exhausted_rounds():
 def test_exact_p0_accepts_a_spectrum():
     rng = np.random.default_rng(9)
     eff = random_effective(rng, 8)
-    vals = np.linalg.eigvalsh(eff.matrix)
-    assert exact_p0(vals, 1.3) == exact_p0(eff, 1.3)
+    gibbs = scipy.linalg.expm(-1.3 * (eff.matrix + np.eye(8)))
+    assert exact_p0(spectrum(eff), 1.3).p0 == pytest.approx(
+        float(np.trace(gibbs).real) / 8, rel=1e-12
+    )
+    with pytest.raises(ValueError):
+        exact_p0(eff.matrix, 1.3)
 
 
 def test_amplitude_estimate_domain():
