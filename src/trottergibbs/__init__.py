@@ -35,7 +35,7 @@ from .thermal import (
     BoltzmannOracle,
     TraceEstimate,
     amplitude_estimate,
-    beta_correction,
+    boltzmann_oracle,
     build_u_boltz,
     exact_p0,
     qubit_ledger,

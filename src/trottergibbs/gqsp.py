@@ -57,9 +57,6 @@ class LaurentPoly:
         if worst > 1.0 + ADMISSIBLE_SLACK:
             raise ValueError(f"not admissible: max |P| on circle = {worst:.12f} > 1")
 
-    def scaled(self, factor: float) -> "LaurentPoly":
-        return LaurentPoly(self.M, self.c * factor)
-
 
 def direct_poly_apply(p: LaurentPoly, u: np.ndarray) -> np.ndarray:
     """sum_m c_m U^m evaluated with explicit matrix powers."""
@@ -203,6 +200,24 @@ def gqsp_apply(angles: GqspAngles, u: np.ndarray) -> np.ndarray:
     for j in range(1, angles.degree + 1):
         full = np.kron(rotation(angles.theta[j], angles.phi[j]), eye) @ signal @ full
     return full
+
+
+def gqsp_cells(angles: GqspAngles, phases: np.ndarray, shift: int) -> np.ndarray:
+    """The ``gqsp_apply`` circuit on each eigenvector of a normal signal unitary.
+
+    On the eigenvector with eigenvalue z = e^{i phase}, A acts on the ancilla
+    as diag(z, 1): the circuit is one 2x2 product R_d diag(z, 1) ... R_0.
+    Its ancilla-0 row is then multiplied by z^-shift, undoing the monomial
+    shift of a Laurent target.  Returns shape (len(phases), 2, 2).
+    """
+    phases = np.asarray(phases, dtype=float)[:, None]
+    z = np.exp(1j * phases)
+    cells = np.tile(rotation(angles.theta[0], angles.phi[0], angles.lam), (len(z), 1, 1))
+    for j in range(1, angles.degree + 1):
+        cells[:, 0, :] *= z
+        cells = rotation(angles.theta[j], angles.phi[j]) @ cells
+    cells[:, 0, :] *= np.exp(-1j * shift * phases)
+    return cells
 
 
 def extract_block(full: np.ndarray) -> np.ndarray:

@@ -43,7 +43,8 @@ def assert_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "mat
 
 
 def assert_unitary(a: np.ndarray, tol: float = UNITARY_TOL, what: str = "matrix"):
-    dev = max_abs(a.conj().T @ a - np.eye(a.shape[0]))
+    """Checks one matrix, or each matrix of a stack along the leading axes."""
+    dev = max_abs(np.swapaxes(a, -1, -2).conj() @ a - np.eye(a.shape[-1]))
     if dev > tol:
         raise ToleranceError(f"{what} is not unitary: deviation {dev:.3e} > {tol:.3e}")
 

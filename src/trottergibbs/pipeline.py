@@ -28,7 +28,7 @@ from .thermal import (
     EstimationSchedule,
     TraceValues,
     amplitude_estimate,
-    build_u_boltz,
+    boltzmann_oracle,
     exact_p0,
 )
 from .trotter import (
@@ -174,18 +174,17 @@ def _node_traces(
 ) -> tuple[TraceValues, BoltzmannOracle | None]:
     """Exact node traces at s, plus the Boltzmann oracle in gqsp/ideal-w mode.
 
-    Exact and sampled runs need only the eigenphases of S_p(s t); the
-    synthesized block needs the effective Hamiltonian as a matrix, and its
-    oracle's spectrum then gives the exact trace.
+    Every mode reads its node from one spectrum, the eigenphases of
+    S_p(s t); no H_eff, matrix log or dense circuit is formed.  The block
+    modes evaluate their circuit on the same eigenvalues, one 2x2 cell each.
     """
-    if cfg.mode in MODES:
-        h_eff = effective_hamiltonian(
-            cfg.model, s, cfg.base_step, plan, grouped=cfg.grouped
-        )
-        oracle = build_u_boltz(h_eff, cfg.beta, mode=cfg.mode, eps_qsp=cfg.eps_qsp)
-        return exact_p0(oracle.spectrum, cfg.beta), oracle
     spectrum = node_spectrum(cfg.model, s, cfg.base_step, plan, grouped=cfg.grouped)
-    return exact_p0(spectrum, cfg.beta), None
+    oracle = None
+    if cfg.mode in MODES:
+        oracle = boltzmann_oracle(
+            spectrum, s * cfg.base_step, cfg.beta, cfg.mode, eps_qsp=cfg.eps_qsp
+        )
+    return exact_p0(spectrum, cfg.beta), oracle
 
 
 def run_pipeline(cfg: PipelineConfig) -> PartitionResult:
@@ -226,19 +225,15 @@ def run_pipeline(cfg: PipelineConfig) -> PartitionResult:
             queries = 0
             diagnostics: dict = {}
             if oracle is not None:
-                b = oracle.normalized_block
-                p0_hat = float(np.real(np.trace(b.conj().T @ b)) / b.shape[0])
+                # Tr(B^dag B)/N of the normalized block: the mean of |b_j|^2.
+                p0_hat = float(np.mean(np.abs(oracle.cells[:, 0, 0]) ** 2)) / oracle.scale**2
                 beta_k = oracle.beta_k
                 if cfg.beta > 0.0:
-                    depth = _stage_depth(
-                        plan.n_stages,
-                        max(1, oracle.diagnostics["q"]),
-                        oracle.diagnostics["fourier_m"],
-                    )
+                    q, fourier_m = oracle.diagnostics["q"], oracle.diagnostics["fourier_m"]
+                    depth = _stage_depth(plan.n_stages, max(1, q), fourier_m)
                 diagnostics = {
-                    "block_deviation": oracle.diagnostics["block_deviation"],
-                    "fourier_m": oracle.diagnostics["fourier_m"],
-                    "q": oracle.diagnostics["q"],
+                    key: oracle.diagnostics[key]
+                    for key in ("block_deviation", "fourier_m", "q")
                 }
             elif cfg.mode == "sampled":
                 est = amplitude_estimate(

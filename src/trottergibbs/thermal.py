@@ -9,6 +9,10 @@ then reads out quadratically faster than direct sampling.  Only the
 block and the estimate are simulated here; the dense thermofield circuit
 that ties them together is checked in the test suite.
 
+The block is built on W = S_p(tau)^q, which shares its eigenvectors with
+H_eff, so the rotation circuit splits into one 2x2 ancilla cell per
+eigenvalue and a node needs only the spectrum of H_eff.
+
 Register order is (C, A, B): the block ancilla C is the outermost
 tensor factor, the system register A next, and the trace copy B
 innermost.
@@ -17,12 +21,12 @@ innermost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .gqsp import LaurentPoly, gqsp_apply, synthesize_laurent
-from .linalg import assert_unitary, eigh_decompose, unitary_power
+from .gqsp import LaurentPoly, gqsp_cells, synthesize_laurent
+from .linalg import assert_unitary, eigh_decompose
 from .lwf import gibbs_fourier
 from .trotter import EffectiveHamiltonian
 
@@ -37,22 +41,6 @@ class OracleError(ValueError):
     """Raised when a Boltzmann oracle cannot be realized as requested."""
 
 
-def beta_correction(beta: float, s_k: float, t: float) -> float:
-    """Integer-query correction beta_k = beta * ceil(1/(s_k t)) / (1/(s_k t)).
-
-    Rounding 1/(s_k t) up to an integer query count slightly inflates the
-    inverse temperature instead of truncating the evolution; for s_k < 0
-    the floor plays the ceiling's role so the factor stays >= 1.
-    """
-    if s_k == 0.0:
-        raise ValueError("s_k = 0 has no finite query count")
-    if t <= 0.0:
-        raise ValueError("base step t must be positive")
-    inv = 1.0 / (s_k * t)
-    queries = math.ceil(inv) if s_k > 0 else math.floor(inv)
-    return beta * queries / inv
-
-
 @dataclass
 class GqspPlan:
     """Derived parameters mapping spec(H_eff) into the Fourier window."""
@@ -60,8 +48,7 @@ class GqspPlan:
     q: int  # integer power of the base step (0 means continuous time)
     time: float  # total signal time T; q * tau in integer mode
     beta_f: float  # inverse temperature handed to the Fourier builder
-    x0: float  # spectral shift delta'/(1 + delta')
-    delta_prime: float
+    x0: float  # spectral shift delta'/(1 + delta'), with delta' = 1/beta
     delta_cert: float  # window margin used for the certificate
     eps_lwf: float  # Fourier error budget after scale amplification
     scale: float  # known classical factor multiplying the target block
@@ -70,7 +57,7 @@ class GqspPlan:
 
 
 def _gqsp_plan(
-    h_eff: EffectiveHamiltonian,
+    tau: float,
     beta: float,
     eigenvalues: np.ndarray,
     mode: str,
@@ -94,19 +81,18 @@ def _gqsp_plan(
         t_sig = min(t_star, math.pi * budget / (2.0 * radius))
         q = 0
     else:
-        tau = abs(h_eff.tau)
-        q_cap = math.floor(math.pi * budget / (2.0 * tau * radius))
+        step = abs(tau)
+        q_cap = math.floor(math.pi * budget / (2.0 * step * radius))
         if q_cap < 1:
             raise OracleError(
-                f"base step tau={h_eff.tau} too coarse: even one application "
+                f"base step tau={tau} too coarse: even one application "
                 f"overshoots the Fourier window (|spec| <= {radius:.3f})"
             )
-        q = max(1, min(round(t_star / tau), q_cap))
-        t_sig = q * tau
+        q = max(1, min(round(t_star / step), q_cap))
+        t_sig = q * step
     beta_f = beta * math.pi / (4.0 * t_sig)
     slope = 2.0 * t_sig / math.pi
-    edges = (x0 + slope * lam_max, x0 + slope * lam_min)
-    max_edge = max(abs(edges[0]), abs(edges[1]))
+    max_edge = max(abs(x0 + slope * lam_max), abs(x0 + slope * lam_min))
     if max_edge > 1.0 - EDGE_GAP + 1e-12:
         raise OracleError(
             f"mapped spectrum edge {max_edge:.6f} breaches the gap {EDGE_GAP}"
@@ -119,7 +105,6 @@ def _gqsp_plan(
         time=t_sig,
         beta_f=beta_f,
         x0=x0,
-        delta_prime=dp,
         delta_cert=delta_cert,
         eps_lwf=eps_lwf,
         scale=scale,
@@ -130,35 +115,89 @@ def _gqsp_plan(
 
 @dataclass
 class BoltzmannOracle:
-    """Subnormalized block operator on the (C, A) registers.
+    """Subnormalized block operator on the (C, A) registers, per eigenvalue.
 
-    ``block`` is the realized A-register operator sitting in the C=0
-    corner of ``unitary``; it equals ``scale`` times e^{-beta(H_eff+1)/2}
-    up to the Fourier approximation error.  ``scale`` is a known classical
-    factor divided out downstream.  ``spectrum`` holds the eigenvalues of
-    H_eff from the one diagonalization the block is built on.
+    ``cells[j]`` is the 2x2 ancilla unitary the circuit applies on the
+    eigenvector of H_eff with eigenvalue ``spectrum[j]``.  Its C=0 entry b_j
+    is ``scale`` e^{-beta(lambda_j+1)/2} up to the Fourier error; ``scale``
+    is a known classical factor divided out downstream.  With eigenvectors
+    as the columns of ``basis``, ``unitary`` and its C=0 corner ``block``
+    are the cells rotated into the computational basis.
     """
 
     beta_k: float
-    block: np.ndarray
     scale: float
-    unitary: np.ndarray
     spectrum: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
+    cells: np.ndarray  # shape (N, 2, 2)
+    diagnostics: dict
+    basis: np.ndarray | None = None
+
+    @property
+    def unitary(self) -> np.ndarray:
+        v, c = self.basis, self.cells
+        return np.block([[(v * c[:, r, k]) @ v.conj().T for k in (0, 1)] for r in (0, 1)])
+
+    @property
+    def block(self) -> np.ndarray:
+        return (self.basis * self.cells[:, 0, 0]) @ self.basis.conj().T
 
     @property
     def normalized_block(self) -> np.ndarray:
         return self.block / self.scale
 
-    def check(self):
-        top = float(np.max(np.linalg.svd(self.block, compute_uv=False)))
-        if top > 1.0 + SUBNORMALIZATION_TOL:
-            raise OracleError(f"block singular value {top!r} breaks subnormalization")
-        assert_unitary(self.unitary)
-        dim = self.block.shape[0]
-        corner = self.unitary[:dim, :dim]
-        if np.max(np.abs(corner - self.block)) > 1e-12:
-            raise OracleError("unitary corner disagrees with the stored block")
+
+def boltzmann_oracle(
+    spectrum: np.ndarray,
+    tau: float,
+    beta: float,
+    mode: str = "gqsp",
+    *,
+    eps_qsp: float = 1e-6,
+) -> BoltzmannOracle:
+    """Realize the Boltzmann block from the spectrum of H_eff at step tau.
+
+    gqsp     -- Fourier polynomial of W = S_p(tau)^q evaluated through the
+                rotation circuit; q is rounded to an integer and the
+                residual folded into the Fourier inverse temperature.
+    ideal-w  -- same pipeline but with the signal time left continuous,
+                isolating the Fourier approximation error from rounding.
+
+    The circuit is evaluated on each eigenphase of W.  ``block_deviation``
+    is max_j |b_j/scale - e^{-beta(lambda_j+1)/2}|, the operator-norm gap
+    that ``eps_qsp`` budgets.  At beta = 0 the block is the identity and no
+    circuit is built: the diagnostics then report q = 0, fourier_m = 0 and
+    block_deviation 0.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if beta < 0.0:
+        raise ValueError("beta must be nonnegative")
+    spectrum = np.asarray(spectrum)
+    if beta == 0.0:
+        beta_k, scale = beta, 1.0
+        cells = np.tile(np.eye(2, dtype=complex), (spectrum.size, 1, 1))
+        diagnostics = {"q": 0, "fourier_m": 0, "block_deviation": 0.0}
+    else:
+        plan = _gqsp_plan(tau, beta, spectrum, mode, eps_qsp)
+        beta_k, scale = plan.beta_k, plan.scale
+        fa = gibbs_fourier(plan.beta_f, plan.delta_cert, plan.eps_lwf)
+        ms = np.arange(-fa.M, fa.M + 1)
+        coefs = fa.c * np.exp(1j * math.pi * ms * plan.x0 / 2.0) * COEF_RESCALE
+        angles = synthesize_laurent(LaurentPoly(fa.M, coefs))
+        cells = gqsp_cells(angles, plan.time * spectrum, fa.M)
+        gap = cells[:, 0, 0] / scale - np.exp(-beta * (spectrum + 1.0) / 2.0)
+        diagnostics = {
+            **asdict(plan),
+            "eps_qsp": eps_qsp,
+            "fourier_m": fa.M,
+            "block_deviation": float(np.max(np.abs(gap))),
+        }
+    # The block is normal, so its top singular value is max_j |b_j|.
+    top = float(np.max(np.abs(cells[:, 0, 0])))
+    if top > 1.0 + SUBNORMALIZATION_TOL:
+        raise OracleError(f"block singular value {top!r} breaks subnormalization")
+    assert_unitary(cells, what="Boltzmann cell")
+    return BoltzmannOracle(beta_k, scale, spectrum, cells, diagnostics)
 
 
 def build_u_boltz(
@@ -168,81 +207,10 @@ def build_u_boltz(
     *,
     eps_qsp: float = 1e-6,
 ) -> BoltzmannOracle:
-    """Realize the Boltzmann block for H_eff at inverse temperature beta.
-
-    gqsp     -- Fourier polynomial of W = S_p(tau)^q evaluated through the
-                rotation circuit; q is rounded to an integer and the
-                residual folded into the Fourier inverse temperature.
-    ideal-w  -- same pipeline but with the signal time left continuous,
-                isolating the Fourier approximation error from rounding.
-
-    At beta = 0 the block is the identity and no circuit is built: the
-    diagnostics then report q = 0, fourier_m = 0 and block_deviation 0.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
-    h = h_eff.matrix
-    dim = h.shape[0]
-    dec = eigh_decompose(h)
-    if beta == 0.0:
-        oracle = BoltzmannOracle(
-            beta,
-            np.eye(dim, dtype=complex),
-            1.0,
-            np.eye(2 * dim, dtype=complex),
-            dec.eigenvalues,
-            diagnostics={"q": 0, "fourier_m": 0, "block_deviation": 0.0},
-        )
-        oracle.check()
-        return oracle
-
-    exact_block = dec.apply(np.exp(-beta * (dec.eigenvalues + 1.0) / 2.0))
-    plan = _gqsp_plan(h_eff, beta, dec.eigenvalues, mode, eps_qsp)
-    fa = gibbs_fourier(plan.beta_f, plan.delta_cert, plan.eps_lwf)
-    ms = np.arange(-fa.M, fa.M + 1)
-    coefs = fa.c * np.exp(1j * math.pi * ms * plan.x0 / 2.0) * COEF_RESCALE
-    target = LaurentPoly(fa.M, coefs)
-    angles = synthesize_laurent(target)
-
-    w = dec.apply(np.exp(1j * plan.time * dec.eigenvalues))
-    circuit = gqsp_apply(angles, w)
-    # The monomial shift z^M is undone by M inverse signal applications on
-    # the C=0 branch, keeping the whole operator unitary.
-    w_back = unitary_power(w.conj().T, fa.M)
-    undo = np.block(
-        [
-            [w_back, np.zeros((dim, dim))],
-            [np.zeros((dim, dim)), np.eye(dim)],
-        ]
-    )
-    unitary = undo @ circuit
-    block = unitary[:dim, :dim]
-
-    oracle = BoltzmannOracle(
-        plan.beta_k,
-        block,
-        plan.scale,
-        unitary,
-        dec.eigenvalues,
-        diagnostics={
-            "q": plan.q,
-            "time": plan.time,
-            "beta_f": plan.beta_f,
-            "x0": plan.x0,
-            "delta_prime": plan.delta_prime,
-            "delta_cert": plan.delta_cert,
-            "eps_lwf": plan.eps_lwf,
-            "eps_qsp": eps_qsp,
-            "max_edge": plan.max_edge,
-            "fourier_m": fa.M,
-            "block_deviation": float(
-                np.max(np.abs(block / plan.scale - exact_block))
-            ),
-        },
-    )
-    oracle.check()
+    """``boltzmann_oracle`` on H_eff as a matrix; its eigenvectors become the ``basis``."""
+    dec = eigh_decompose(h_eff.matrix)
+    oracle = boltzmann_oracle(dec.eigenvalues, h_eff.tau, beta, mode, eps_qsp=eps_qsp)
+    oracle.basis = dec.eigenvectors
     return oracle
 
 

@@ -140,7 +140,6 @@ class EffectiveHamiltonian:
 
     matrix: np.ndarray
     tau: float
-    order: int
 
 
 def effective_hamiltonian(
@@ -163,7 +162,7 @@ def effective_hamiltonian(
     log_u = matrix_log_unitary(u)
     h_eff = log_u / (1j * tau)
     h_eff = hermitian_part(h_eff, max_discard=1e-10, what="effective Hamiltonian")
-    return EffectiveHamiltonian(h_eff, tau, plan.order)
+    return EffectiveHamiltonian(h_eff, tau)
 
 
 def node_spectrum(

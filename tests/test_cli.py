@@ -10,7 +10,10 @@ import pytest
 
 from trottergibbs.cli import COMMANDS, main
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
+PINNED_ARTIFACTS = ("pipeline_result.json", "pipeline_nodes.csv", "pipeline_nodes.jsonl")
 
 # Frozen regression value for the default pipeline document
 # (bundled n=8 seed=7 model, beta=2, four nodes, exact mode).
@@ -218,6 +221,51 @@ def test_shipped_config_runs(path, tmp_path, capsys):
     command = next(c for c in COMMANDS if path.stem.replace("_", "-").startswith(c))
     rc, _ = run_cli(capsys, command, "--config", str(path), "--out", str(tmp_path))
     assert rc == 0
+
+
+def _parsed(name, text):
+    if name.endswith(".json"):
+        return json.loads(text)
+    if name.endswith(".jsonl"):
+        return [json.loads(line) for line in text.splitlines()]
+    return list(csv.reader(text.splitlines()))
+
+
+def _assert_close(got, want, rel):
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want)
+        for key in want:
+            _assert_close(got[key], want[key], rel)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_close(g, w, rel)
+    elif isinstance(want, float) or (isinstance(want, str) and got != want):
+        # CSV cells are strings: unequal ones must still parse to close numbers.
+        assert float(got) == pytest.approx(float(want), rel=rel, abs=0.0)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize(
+    "config, exact",
+    [("pipeline_exact", True), ("pipeline_sampled", True), ("pipeline_gqsp", False)],
+)
+def test_pipeline_matches_golden_artifacts(config, exact, tmp_path, capsys):
+    # tests/golden/<config>/ pins the artifacts of configs/<config>.json.
+    # Exact and sampled runs reproduce them byte for byte; the synthesized
+    # block's last digits depend on how the circuit is evaluated, so gqsp
+    # numbers are compared at 1e-12 relative.
+    path = CONFIG_DIR / f"{config}.json"
+    rc, _ = run_cli(capsys, "pipeline", "--config", str(path), "--out", str(tmp_path))
+    assert rc == 0
+    for name in PINNED_ARTIFACTS:
+        got = (tmp_path / name).read_bytes()
+        want = (GOLDEN / config / name).read_bytes()
+        if exact:
+            assert got == want, name
+        else:
+            _assert_close(_parsed(name, got.decode()), _parsed(name, want.decode()), 1e-12)
 
 
 def test_lwf_convergence_artifacts(tmp_path, capsys):

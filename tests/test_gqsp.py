@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trottergibbs.gqsp import (
     CompletionError,
@@ -13,6 +15,7 @@ from trottergibbs.gqsp import (
     direct_poly_apply,
     extract_block,
     gqsp_apply,
+    gqsp_cells,
     rotation,
     synthesize_angles,
     synthesize_laurent,
@@ -233,3 +236,29 @@ def test_lwf_coefficients_drive_block_to_gibbs_weight():
     block = direct_poly_apply(p, u)
     want = np.exp(-beta * (xs + 1.0))
     assert np.max(np.abs(np.diag(block) - want)) < eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8))
+def test_cells_match_dense_circuit_in_eigenbasis(seed, m, dim):
+    # W = V diag(z) V^dag: the dense circuit with its shift undone, seen in
+    # the eigenbasis V, is diag(cells[:, r, c]) in each ancilla block, and
+    # the C=0 entries are the Laurent target on the eigenvalues.
+    rng = np.random.default_rng(seed)
+    p = random_laurent(rng, m)
+    angles = synthesize_laurent(p)
+    phases = rng.uniform(-math.pi, math.pi, size=dim)
+    z = np.exp(1j * phases)
+    v = _haar(rng, dim)
+    w = (v * z) @ v.conj().T
+    undo = np.eye(2 * dim, dtype=complex)
+    undo[:dim, :dim] = np.linalg.matrix_power(w.conj().T, m)
+    dense = undo @ gqsp_apply(angles, w)
+    cells = gqsp_cells(angles, phases, m)
+    for r in (0, 1):
+        for c in (0, 1):
+            part = dense[r * dim : (r + 1) * dim, c * dim : (c + 1) * dim]
+            rotated = v.conj().T @ part @ v
+            assert max_abs(rotated - np.diag(cells[:, r, c])) <= 1e-12
+    laurent = np.polynomial.polynomial.polyval(z, p.c) * z ** (-m)
+    assert max_abs(cells[:, 0, 0] - laurent) <= 1e-12

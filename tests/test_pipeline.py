@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from trottergibbs import pipeline, thermal, trotter
+from trottergibbs import gqsp, pipeline, thermal, trotter
 from trottergibbs.cheb import cheb_grid, exact_partition
 from trottergibbs.paulis import PauliString
 from trottergibbs.pipeline import (
@@ -28,7 +28,7 @@ from trottergibbs.syk import (
     sample_syk,
 )
 from trottergibbs.thermal import EstimationSchedule
-from trottergibbs.trotter import build_plan
+from trottergibbs.trotter import build_plan, effective_hamiltonian
 
 # Frozen convergence fixture: n=8 seed=11, beta=2, p=2, t=1, exact mode.
 RATE_FIXTURE = {2: 3.703948e-05, 4: 3.824680e-09}
@@ -156,23 +156,46 @@ def test_gqsp_mode_tracks_exact_mode():
     assert abs(synth.extrapolated - exact.extrapolated) < 1e-3
 
 
-def test_gqsp_node_diagonalizes_h_eff_once(monkeypatch):
+def test_block_node_reads_one_spectrum(monkeypatch):
     calls = []
 
-    def counted(fn):
+    def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
+            calls.append(name)
             return fn(*args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(thermal, "eigh_decompose", counted(thermal.eigh_decompose))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    for module, name in (
+        (pipeline, "effective_hamiltonian"),
+        (trotter, "effective_hamiltonian"),
+        (thermal, "eigh_decompose"),
+        (thermal, "gqsp_apply"),
+        (gqsp, "gqsp_apply"),
+        (pipeline, "node_spectrum"),
+    ):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     cfg = PipelineConfig(model=syk_model(8, seed=4), beta=1.0, m_cheb=4, order=2, mode="gqsp")
     run_pipeline(cfg)
-    # One diagonalization per mirror pair: the oracle's spectrum also gives
-    # the exact trace.
-    assert calls == ["eigh_decompose"] * 2
+    # One spectrum per mirror pair; no H_eff, eigenbasis or dense circuit.
+    assert calls == ["node_spectrum"] * 2
+
+
+@pytest.mark.parametrize("mode", thermal.MODES)
+def test_block_node_matches_dense_reference(mode):
+    # Each node's p0_hat equals Tr(B^dag B)/N of the dense block built from
+    # the matrix H_eff of the same node.
+    model = syk_model(8, seed=4)
+    cfg = PipelineConfig(model=model, beta=1.0, m_cheb=4, order=2, mode=mode)
+    res = run_pipeline(cfg)
+    plan = build_plan(model.n_terms, cfg.order)
+    for rec in res.nodes:
+        eff = effective_hamiltonian(model, rec.s_k, cfg.base_step, plan)
+        oracle = thermal.build_u_boltz(eff, cfg.beta, mode=mode, eps_qsp=cfg.eps_qsp)
+        b = oracle.normalized_block
+        dense = float(np.real(np.trace(b.conj().T @ b)) / b.shape[0])
+        assert rec.p0_hat == pytest.approx(dense, rel=1e-12)
 
 
 @pytest.mark.parametrize("mode", thermal.MODES)
@@ -228,7 +251,7 @@ def test_sampled_mode_deterministic_per_seed():
 )
 def test_mirror_nodes_share_one_formula(monkeypatch, order, mode, m_cheb):
     calls = {"formula": 0, "boltz": 0}
-    apply_formula, build_u_boltz = trotter.apply_formula, pipeline.build_u_boltz
+    apply_formula, boltzmann_oracle = trotter.apply_formula, pipeline.boltzmann_oracle
 
     def counted_formula(*args, **kwargs):
         calls["formula"] += 1
@@ -236,10 +259,10 @@ def test_mirror_nodes_share_one_formula(monkeypatch, order, mode, m_cheb):
 
     def counted_boltz(*args, **kwargs):
         calls["boltz"] += 1
-        return build_u_boltz(*args, **kwargs)
+        return boltzmann_oracle(*args, **kwargs)
 
     monkeypatch.setattr(trotter, "apply_formula", counted_formula)
-    monkeypatch.setattr(pipeline, "build_u_boltz", counted_boltz)
+    monkeypatch.setattr(pipeline, "boltzmann_oracle", counted_boltz)
     model = syk_model(8, seed=4)
     cfg = PipelineConfig(model=model, beta=1.0, m_cheb=m_cheb, order=order, mode=mode)
     res = run_pipeline(cfg)

@@ -20,7 +20,6 @@ from trottergibbs.thermal import (
     EstimationSchedule,
     OracleError,
     amplitude_estimate,
-    beta_correction,
     build_u_boltz,
     exact_p0,
     qubit_ledger,
@@ -34,11 +33,11 @@ def syk_effective(n_majorana, beta_seed, tau=0.3, order=2):
     return effective_hamiltonian(h, 1.0, tau, plan)
 
 
-def random_effective(rng, dim, tau=0.3, order=2):
+def random_effective(rng, dim, tau=0.3):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = 0.5 * (a + a.conj().T)
     h /= np.linalg.norm(h, 2) * 1.5
-    return EffectiveHamiltonian(h, tau, order)
+    return EffectiveHamiltonian(h, tau)
 
 
 @dataclass(frozen=True)
@@ -152,34 +151,6 @@ def test_thermofield_transfers_operators_to_trace():
     assert abs(got - np.trace(o) / dim) < 1e-12
 
 
-def test_beta_correction_integer_queries_exact():
-    # 1/(s t) = 2 exactly: no rounding, beta unchanged.
-    assert beta_correction(3.0, 1.0, 0.5) == pytest.approx(3.0, abs=1e-15)
-
-
-def test_beta_correction_rounds_up():
-    # s t = 0.3 -> ceil(10/3) = 4 queries -> beta * 1.2.
-    got = beta_correction(2.0, 1.0, 0.3)
-    assert got == pytest.approx(2.0 * 4.0 * 0.3, rel=1e-12)
-
-
-def test_beta_correction_ratio_bounds():
-    rng = np.random.default_rng(52)
-    for _ in range(200):
-        beta = float(rng.uniform(0.1, 8.0))
-        s = float(rng.uniform(0.05, 1.0)) * (1 if rng.random() < 0.5 else -1)
-        t = float(rng.uniform(0.05, 1.0))
-        ratio = beta_correction(beta, s, t) / beta
-        assert 1.0 - 1e-12 <= ratio <= 1.0 + abs(s) * t + 1e-12
-
-
-def test_beta_correction_domain():
-    with pytest.raises(ValueError):
-        beta_correction(1.0, 0.0, 0.3)
-    with pytest.raises(ValueError):
-        beta_correction(1.0, 0.5, 0.0)
-
-
 def test_build_u_boltz_beta_zero_identity_all_modes():
     eff = syk_effective(4, beta_seed=1)
     for mode in MODES:
@@ -219,6 +190,22 @@ def test_build_u_boltz_gqsp_tracks_exact_block():
             vals, vecs = np.linalg.eigh(eff.matrix)
             want = (vecs * np.exp(-beta * (vals + 1.0) / 2.0)) @ vecs.conj().T
             assert max_abs(oracle.normalized_block - want) <= eps + 1e-8
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_block_deviation_is_the_operator_norm_gap(mode):
+    # Criterion 4's models: the per-eigenphase gap stays within eps_qsp and
+    # bounds the element-wise deviation of the dense block from above.
+    eps_qsp = 1e-6
+    for n in (4, 8):
+        eff = syk_effective(n, beta_seed=7)
+        vals, vecs = np.linalg.eigh(eff.matrix)
+        for beta in (1.0, 2.0):
+            oracle = build_u_boltz(eff, beta, mode=mode, eps_qsp=eps_qsp)
+            want = (vecs * np.exp(-beta * (vals + 1.0) / 2.0)) @ vecs.conj().T
+            dense = max_abs(oracle.normalized_block - want)
+            gap = oracle.diagnostics["block_deviation"]
+            assert dense <= gap <= eps_qsp
 
 
 def test_build_u_boltz_ideal_w_isolates_rounding():
