@@ -27,6 +27,7 @@ from .linalg import unitary_power
 
 ADMISSIBLE_SLACK = 1e-9
 CIRCLE_SAMPLES = 4096
+COMPLETION_TOL = 1e-8
 
 
 class CompletionError(ValueError):
@@ -82,7 +83,7 @@ def rotation(theta: float, phi: float, lam: float = 0.0) -> np.ndarray:
     )
 
 
-def complete_polynomial(p_coefs: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def complete_polynomial(p_coefs: np.ndarray) -> np.ndarray:
     """Complementary Q with |P(z)|^2 + |Q(z)|^2 = 1 on the unit circle.
 
     Spectral (Fejer-Riesz) factorization of G = 1 - |P|^2 by the cepstral
@@ -96,7 +97,8 @@ def complete_polynomial(p_coefs: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     p_coefs = np.asarray(p_coefs, dtype=complex)
     d = len(p_coefs) - 1
     grid = 1 << max(13, (8 * (d + 1) - 1).bit_length())
-    g = 1.0 - np.abs(_circle_values(p_coefs, grid)) ** 2
+    p_sq = np.abs(_circle_values(p_coefs, grid)) ** 2
+    g = 1.0 - p_sq
     g_max = float(np.max(g))
     if g_max <= 4.0 * ADMISSIBLE_SLACK:
         # |P| = 1 identically (a pure monomial): Q vanishes.
@@ -113,18 +115,10 @@ def complete_polynomial(p_coefs: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     outer = np.fft.ifft(outer_vals)
     spill = float(np.max(np.abs(outer[d + 1 : grid - d])))
     q_coefs = np.conj(outer[d::-1])
-    residual = float(
-        np.max(
-            np.abs(
-                np.abs(_circle_values(p_coefs, grid)) ** 2
-                + np.abs(_circle_values(q_coefs, grid)) ** 2
-                - 1.0
-            )
-        )
-    )
-    if residual > tol:
+    residual = float(np.max(np.abs(p_sq + np.abs(_circle_values(q_coefs, grid)) ** 2 - 1.0)))
+    if residual > COMPLETION_TOL:
         raise CompletionError(
-            f"factorization residual {residual:.3e} exceeds {tol:.1e} "
+            f"factorization residual {residual:.3e} exceeds {COMPLETION_TOL:.1e} "
             f"(coefficient spill {spill:.3e}); the target grazes the circle"
         )
     return q_coefs

@@ -13,6 +13,10 @@ and sin^l is expanded into exponentials, keeping only frequencies |m| <= M:
 The payoff is the one-norm bound ||c||_1 <= ||a||_1, which certifies the
 coefficients as an admissible polynomial target for unitary processing on
 the whole unit circle, not just on the approximation window.
+
+Each arcsin order tried, doubled until the window tail is below eps/8,
+costs one pass that yields both B_l = sum_k a_k b_l^k and that tail; the
+collapse to frequencies then reads one log-factorial table.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ import numpy as np
 from scipy.special import gammaln
 
 LN2 = math.log(2.0)
+ARCSIN_START = 64  # first arcsin order tried; doubled up to ARCSIN_CAP
+ARCSIN_CAP = 4096
+CERT_GRID = 1000  # window points on which the certificate is checked
 
 
 class ApproximationError(ValueError):
@@ -152,49 +159,48 @@ class FourierApprox:
     def target(self, x: np.ndarray) -> np.ndarray:
         return np.exp(-self.beta * (np.asarray(x, dtype=float) + 1.0))
 
-    def sup_error(self, grid_size: int = 1000) -> float:
+    def sup_error(self, grid_size: int = CERT_GRID) -> float:
         grid = np.linspace(-1.0 + self.delta, 1.0 - self.delta, grid_size)
         return float(np.max(np.abs(self.target(grid) - self.reconstruct(grid))))
 
 
-def _combined_series(ts: TaylorSeries, order: int) -> np.ndarray:
-    """B_l = sum_k a_k b_l^k: the y-series of f pulled through arcsin."""
+def _arcsin_pass(ts: TaylorSeries, delta: float, order: int) -> tuple[np.ndarray, float]:
+    """One sweep over the arcsin powers (b^k)_l, k = 1..K, truncated at y^order.
+
+    Returns B_l = sum_k a_k b_l^k, the y-series of f pulled through arcsin,
+    and the l1 mass the truncation leaves behind on the window, where
+    y <= y_max = cos(pi delta / 2) and ((2/pi) arcsin(y_max))^k = (1 - delta)^k.
+    """
     base = arcsin_series(1, order)
+    damp = math.cos(math.pi * delta / 2.0) ** np.arange(order + 1)
     acc = np.zeros(order + 1)
     acc[0] = 1.0
     combined = ts.coeffs[0] * acc
+    tail = 0.0
+    full = 1.0
     for k in range(1, len(ts.coeffs)):
         acc = np.convolve(acc, base)[: order + 1]
         combined = combined + ts.coeffs[k] * acc
-    return combined
-
-
-def _mapped_tail(ts: TaylorSeries, delta: float, order: int) -> float:
-    """l1 mass the arcsin truncation at ``order`` leaves behind on the window."""
-    y_max = math.cos(math.pi * delta / 2.0)
-    base = arcsin_series(1, order)
-    damp = y_max ** np.arange(order + 1)
-    acc = np.zeros(order + 1)
-    acc[0] = 1.0
-    tail = 0.0
-    full = 1.0  # ((2/pi) arcsin(y_max))^k = (1 - delta)^k
-    for k in range(1, len(ts.coeffs)):
-        acc = np.convolve(acc, base)[: order + 1]
         full *= 1.0 - delta
         tail += abs(ts.coeffs[k]) * max(0.0, full - float(np.dot(acc, damp)))
-    return tail
+    return combined, tail
 
 
-def _choose_arcsin_order(ts: TaylorSeries, delta: float, eps: float, start: int = 64, cap: int = 4096) -> int:
-    order = start
-    while _mapped_tail(ts, delta, order) >= eps / 8.0:
-        if order >= cap:
+def _choose_arcsin_order(
+    ts: TaylorSeries, delta: float, eps: float
+) -> tuple[int, np.ndarray, float]:
+    """Double the arcsin order until its tail is below eps/8: (order, B_l, tail)."""
+    order = ARCSIN_START
+    while True:
+        combined, tail = _arcsin_pass(ts, delta, order)
+        if tail < eps / 8.0:
+            return order, combined, tail
+        if order >= ARCSIN_CAP:
             raise ApproximationError(
                 f"arcsin truncation at L={order} cannot reach eps={eps:.3e}",
-                split={"arcsin_tail": _mapped_tail(ts, delta, order)},
+                split={"arcsin_tail": tail},
             )
         order *= 2
-    return order
 
 
 def _assemble(combined: np.ndarray, m_cut: int) -> tuple[np.ndarray, float]:
@@ -207,34 +213,31 @@ def _assemble(combined: np.ndarray, m_cut: int) -> tuple[np.ndarray, float]:
     """
     order = len(combined) - 1
     ls = np.arange(order + 1)
+    log_fact = gammaln(ls + 1)
     i_pow = np.array([1, 1j, -1, -1j])  # exact powers of i
     c = np.zeros(2 * m_cut + 1, dtype=complex)
     dropped = 0.0
-    log_half = LN2
+
+    def pmf(l, j):  # binom(l, j) / 2^l
+        return np.exp(log_fact[l] - log_fact[j] - log_fact[l - j] - l * LN2)
+
     for m in range(-m_cut, m_cut + 1):
         lsub = ls[(ls >= abs(m)) & ((ls - m) % 2 == 0)]
         if lsub.size == 0:
             continue
         j = (lsub + m) // 2
-        log_pmf = gammaln(lsub + 1) - gammaln(j + 1) - gammaln(lsub - j + 1) - lsub * log_half
         signs = np.where(j % 2 == 0, 1.0, -1.0)
-        vals = combined[lsub] * i_pow[lsub % 4] * signs * np.exp(log_pmf)
+        vals = combined[lsub] * i_pow[lsub % 4] * signs * pmf(lsub, j)
         vals = vals[np.argsort(np.abs(vals))]
         c[m + m_cut] = np.sum(vals)
     # l1 mass of the dropped binomial tails, for the error report.
     for l in range(m_cut + 1, order + 1):
         j = np.arange(0, (l - m_cut - 1) // 2 + 1)
-        log_pmf = gammaln(l + 1) - gammaln(j + 1) - gammaln(l - j + 1) - l * log_half
-        dropped += 2.0 * abs(combined[l]) * float(np.sum(np.exp(log_pmf)))
+        dropped += 2.0 * abs(combined[l]) * float(np.sum(pmf(l, j)))
     return c, dropped
 
 
-def lwf_coefficients(
-    ts: TaylorSeries,
-    delta: float,
-    eps: float,
-    grid_size: int = 1000,
-) -> FourierApprox:
+def lwf_coefficients(ts: TaylorSeries, delta: float, eps: float) -> FourierApprox:
     """Assemble the Fourier coefficients and verify the error certificate.
 
     Raises ApproximationError, with the Taylor/arcsin/binomial error split,
@@ -249,16 +252,15 @@ def lwf_coefficients(
             "increase the Taylor order",
             split={"taylor_tail": taylor_tail, "eps": eps},
         )
-    order = _choose_arcsin_order(ts, delta, eps)
-    combined = _combined_series(ts, order)
+    order, combined, arcsin_tail = _choose_arcsin_order(ts, delta, eps)
     c, dropped = _assemble(combined, m_cut)
     approx = FourierApprox(ts.beta, delta, m_cut, c, eps)
-    sup_err = approx.sup_error(grid_size)
+    sup_err = approx.sup_error()
     approx.diagnostics = {
         "taylor_order": ts.order,
         "arcsin_order": order,
         "taylor_tail": taylor_tail,
-        "arcsin_tail": _mapped_tail(ts, delta, order),
+        "arcsin_tail": arcsin_tail,
         "binomial_dropped": dropped,
         "grid_sup_error": sup_err,
     }

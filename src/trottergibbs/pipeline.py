@@ -30,6 +30,7 @@ from .thermal import (
     amplitude_estimate,
     boltzmann_oracle,
     exact_p0,
+    fourier_window,
 )
 from .trotter import (
     FormulaPlan,
@@ -42,10 +43,6 @@ from .trotter import (
 PIPELINE_MODES = ("exact", *MODES, "sampled")
 EXTRAPOLATION_TOL = 1e-14
 TRACE_BOUND_SLACK = 1e-10
-
-# Sigma 1/|s_k| stays below this multiple of M log M for every M in
-# [2, 64]; the worst ratio is at M = 2 where the sum is 2 sqrt(2).
-NODE_SUM_CONSTANT = 2.5
 
 
 class PipelineError(RuntimeError):
@@ -95,6 +92,13 @@ class PipelineConfig:
             raise ValueError(
                 f"unknown mode {self.mode!r}; expected one of {PIPELINE_MODES}"
             )
+        if self.mode in MODES and self.beta > 0.0:
+            x0, budget = fourier_window(self.beta)
+            if budget <= 0.0:
+                raise ValueError(
+                    f"no Fourier window at beta={self.beta!r}: the shift x0={x0:.6g} "
+                    f"leaves no room below the edge gap; {self.mode} needs beta > 1/19"
+                )
         # Every eigenphase of S_p(s t) is at most |s| t ||H||_1 w_p; past
         # pi - BRANCH_GAP it may wrap around the principal branch unseen.
         phase_bound = (
@@ -348,17 +352,11 @@ def node_inverse_sum(m_cheb: int) -> float:
 
 @functools.cache
 def _node_sum_ratio_max() -> float:
-    """Worst Sigma 1/|s_k| / (M log M) over even M in [2, 64], checked once.
+    """Worst Sigma 1/|s_k| / (M log M) over even M in [2, 64], computed once.
 
     Odd M are left out: they have a node at s = 0 and the sum diverges.
     """
-    ratios = []
-    for m in range(2, 65, 2):
-        ratio = node_inverse_sum(m) / (m * math.log(m))
-        if ratio > NODE_SUM_CONSTANT:
-            raise PipelineError(f"node-sum identity fails at M={m}: ratio {ratio:.3f}")
-        ratios.append(ratio)
-    return max(ratios)
+    return max(node_inverse_sum(m) / (m * math.log(m)) for m in range(2, 65, 2))
 
 
 def cost_model(
@@ -372,9 +370,9 @@ def cost_model(
 
     Per-node depth follows M_k 5^p / (t |s_k|); the aggregate expression
     is (5^p/t) max_k(M_k sqrt(Z_k/N)/eps) M_cheb log M_cheb with the
-    leading constant exposed.  The ledger also verifies, once per process,
-    that Sigma 1/|s_k| stays below NODE_SUM_CONSTANT * M log M across
-    M in [2, 64], the node-sum identity the total depth rests on.
+    leading constant exposed.  The ledger also reports the worst ratio of
+    Sigma 1/|s_k| to M log M over even M in [2, 64]: the node-sum identity
+    the total depth rests on, whose constant the test suite checks.
     """
     p = cfg.order
     t = cfg.base_step

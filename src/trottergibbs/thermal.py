@@ -56,6 +56,17 @@ class GqspPlan:
     max_edge: float
 
 
+def fourier_window(beta: float) -> tuple[float, float]:
+    """Spectral shift x0 = delta'/(1 + delta'), delta' = 1/beta, and its window.
+
+    The window budget 1 - EDGE_GAP - x0 is the room left for the mapped
+    spectrum; it is <= 0 for every 0 < beta <= 1/19, where no block exists.
+    """
+    dp = 1.0 / beta
+    x0 = dp / (1.0 + dp)
+    return x0, 1.0 - EDGE_GAP - x0
+
+
 def _gqsp_plan(
     tau: float,
     beta: float,
@@ -67,9 +78,8 @@ def _gqsp_plan(
     lam_max = float(np.max(eigenvalues))
     radius = max(abs(lam_min), abs(lam_max))
     dp = 1.0 / beta
-    x0 = dp / (1.0 + dp)
+    x0, budget = fourier_window(beta)
     t_star = math.pi / (2.0 * (1.0 + dp))
-    budget = 1.0 - EDGE_GAP - x0
     if budget <= 0.0:
         raise OracleError(
             f"shift delta'={dp} leaves no window below the edge gap {EDGE_GAP}"

@@ -205,6 +205,15 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert "node" in payload["error"]["message"]
 
 
+def test_beta_without_fourier_window_is_config_error(tmp_path, capsys):
+    # Used to exit 3 from node 1 with "shift delta'=20.0 leaves no window".
+    cfg = write_config(tmp_path, "cfg.json", {"beta": 0.05, "mode": "gqsp"})
+    rc, payload = run_cli(capsys, "pipeline", "--config", cfg, "--out", str(tmp_path / "r"))
+    assert rc == 2
+    assert payload["error"]["type"] == "config"
+    assert "no Fourier window" in payload["error"]["message"]
+
+
 def test_block_mode_at_beta_zero_exits_zero(tmp_path, capsys):
     cfg = write_config(
         tmp_path, "cfg.json", {"beta": 0.0, "mode": "gqsp", "base_step": 0.3}
@@ -266,6 +275,17 @@ def test_pipeline_matches_golden_artifacts(config, exact, tmp_path, capsys):
             assert got == want, name
         else:
             _assert_close(_parsed(name, got.decode()), _parsed(name, want.decode()), 1e-12)
+
+
+def test_lwf_convergence_matches_golden_artifacts(tmp_path, capsys):
+    # tests/golden/lwf_convergence/ pins configs/lwf_convergence.json byte
+    # for byte: beta 1-8 and eps down to 1e-6 reach arcsin orders 64-1024.
+    path = CONFIG_DIR / "lwf_convergence.json"
+    rc, _ = run_cli(capsys, "lwf-convergence", "--config", str(path), "--out", str(tmp_path))
+    assert rc == 0
+    for name in ("lwf_convergence.csv", "lwf_fits.json"):
+        got = (tmp_path / name).read_bytes()
+        assert got == (GOLDEN / "lwf_convergence" / name).read_bytes(), name
 
 
 def test_lwf_convergence_artifacts(tmp_path, capsys):

@@ -9,12 +9,14 @@ import math
 import numpy as np
 import pytest
 
+from trottergibbs import lwf
 from trottergibbs.lwf import (
+    ARCSIN_CAP,
     ApproximationError,
     FourierApprox,
+    _arcsin_pass,
     _assemble,
     _choose_arcsin_order,
-    _combined_series,
     arcsin_series,
     gibbs_fourier,
     gibbs_taylor,
@@ -38,8 +40,8 @@ def truncation_scan(ts, delta, m_list, grid_size=1000, floor_eps=1e-12):
     if not m_list or any(m < 0 for m in m_list):
         raise ValueError("m_list must be non-empty with nonnegative entries")
     m_full = max(m_list)
-    order = _choose_arcsin_order(ts, delta, floor_eps)
-    c_full, _ = _assemble(_combined_series(ts, order), m_full)
+    _, combined, _ = _choose_arcsin_order(ts, delta, floor_eps)
+    c_full, _ = _assemble(combined, m_full)
     grid = np.linspace(-1.0 + delta, 1.0 - delta, grid_size)
     target = np.exp(-ts.beta * (grid + 1.0))
     out = []
@@ -222,3 +224,42 @@ def test_fourier_approx_dataclass_fields():
     assert len(f.c) == 2 * f.M + 1
     assert f.beta == 1.0 and f.delta == 0.5
     assert f.eps == 1e-3
+
+
+def counting(monkeypatch, name):
+    """Replace lwf.<name> by a wrapper that counts its calls."""
+    calls = []
+    real = getattr(lwf, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lwf, name, wrapper)
+    return calls
+
+
+def test_one_arcsin_pass_per_order_tried(monkeypatch):
+    # Orders 64, 128 and 256 are tried; the last pass also feeds the
+    # coefficients and the arcsin_tail diagnostic.
+    calls = counting(monkeypatch, "arcsin_series")
+    f = gibbs_fourier(4.0, 0.25, 1e-6)
+    assert f.diagnostics["arcsin_order"] == 256
+    assert [order for _, order in calls] == [64, 128, 256]
+
+
+def test_arcsin_cap_error_reports_the_last_pass(monkeypatch):
+    ts = gibbs_taylor(2.0, taylor_order(2.0, 1e-9))
+    calls = counting(monkeypatch, "arcsin_series")
+    with pytest.raises(ApproximationError) as exc_info:
+        lwf_coefficients(ts, 0.02, 1e-9)
+    assert [order for _, order in calls] == [64 * 2**i for i in range(7)]
+    assert exc_info.value.split["arcsin_tail"] == _arcsin_pass(ts, 0.02, ARCSIN_CAP)[1]
+
+
+def test_assemble_builds_one_factorial_table(monkeypatch):
+    _, combined, _ = _choose_arcsin_order(gibbs_taylor(2.0, 20), 0.5, 1e-6)
+    calls = counting(monkeypatch, "gammaln")
+    c, dropped = _assemble(combined, 12)
+    assert len(calls) == 1
+    assert len(c) == 25 and dropped > 0.0

@@ -10,7 +10,6 @@ from trottergibbs import gqsp, pipeline, thermal, trotter
 from trottergibbs.cheb import cheb_grid, exact_partition
 from trottergibbs.paulis import PauliString
 from trottergibbs.pipeline import (
-    NODE_SUM_CONSTANT,
     PartitionResult,
     PipelineConfig,
     PipelineError,
@@ -29,6 +28,10 @@ from trottergibbs.syk import (
 )
 from trottergibbs.thermal import EstimationSchedule
 from trottergibbs.trotter import build_plan, effective_hamiltonian
+
+# Sigma 1/|s_k| stays below this multiple of M log M for every even M in
+# [2, 64]; the worst ratio is at M = 2 where the sum is 2 sqrt(2).
+NODE_SUM_CONSTANT = 2.5
 
 # Frozen convergence fixture: n=8 seed=11, beta=2, p=2, t=1, exact mode.
 RATE_FIXTURE = {2: 3.703948e-05, 4: 3.824680e-09}
@@ -87,6 +90,19 @@ def test_config_refuses_strong_coupling_syk():
     model = HamiltonianTerms(h.n_qubits, [(c * 64.0 / h.one_norm, s) for c, s in h.terms])
     with pytest.raises(ValueError, match="branch bound"):
         PipelineConfig(model=model, beta=2.0, base_step=1.0, m_cheb=4)
+
+
+@pytest.mark.parametrize("mode", ["gqsp", "ideal-w"])
+def test_config_refuses_beta_without_fourier_window(mode):
+    # delta' = 1/beta shifts the spectrum by x0 = delta'/(1 + delta'), which
+    # leaves no room below the edge gap for any 0 < beta <= 1/19.
+    model = syk_model(4, seed=1)
+    with pytest.raises(ValueError, match="no Fourier window"):
+        PipelineConfig(model=model, beta=0.05, mode=mode)
+    PipelineConfig(model=model, beta=0.0, mode=mode)
+    PipelineConfig(model=model, beta=0.06, mode=mode)
+    for other in ("exact", "sampled"):
+        PipelineConfig(model=model, beta=0.05, mode=other)
 
 
 def test_single_term_model_is_exact():
