@@ -185,8 +185,12 @@ def exact_partition(h: HamiltonianTerms | np.ndarray, beta: float) -> float:
     """Tr(exp(-beta H)) / N by dense diagonalization.
 
     The ground-truth oracle: every estimated or extrapolated partition
-    value in the tests is compared against this number.
+    value in the tests is compared against this number.  The eigenvalues
+    of a ``HamiltonianTerms`` are kept on it, so a beta sweep diagonalizes
+    once.
     """
-    mat = h.dense() if isinstance(h, HamiltonianTerms) else np.asarray(h)
-    dec = eigh_decompose(mat)
-    return float(np.mean(np.exp(-beta * dec.eigenvalues)))
+    if isinstance(h, HamiltonianTerms):
+        vals = h.kept("reference", lambda: eigh_decompose(h.dense()).eigenvalues)
+    else:
+        vals = eigh_decompose(np.asarray(h)).eigenvalues
+    return float(np.mean(np.exp(-beta * vals)))

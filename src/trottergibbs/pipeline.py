@@ -122,6 +122,9 @@ class NodeRecord:
     ``depth`` counts elementary Trotter stages of the realized circuit;
     it is 0 for nodes evaluated by direct diagonalization and for
     beta = 0, where the block is the identity and no circuit exists.
+    ``diagnostics`` holds ``block_deviation``, ``fourier_m`` and ``q`` in
+    the block modes, and in sampled mode ``ae_clamped``: whether the
+    estimate was set to 0 or 1 because every shot missed or every shot hit.
     """
 
     index: int
@@ -250,6 +253,7 @@ def run_pipeline(cfg: PipelineConfig) -> PartitionResult:
                     )
                 p0_hat = est.p0_hat
                 queries = est.queries
+                diagnostics = {"ae_clamped": est.clamped}
         except PipelineError:
             raise
         except Exception as err:

@@ -93,14 +93,19 @@ class HamiltonianTerms:
     """A Hamiltonian as a list of (real coefficient, phase-free Pauli string).
 
     ``groups`` optionally partitions term indices into mutually commuting
-    sets; ``group_commuting`` fills it in.  ``pauli_masks`` is derived
-    from ``terms`` on first use and kept on the instance.
+    sets; ``group_commuting`` fills it in.  Data derived from ``terms`` and
+    ``groups`` is computed on first use and kept on the instance: the
+    ``pauli_masks``, and through ``kept`` the node spectra and reference
+    eigenvalues.  It assumes ``terms`` and ``groups`` are not mutated after
+    first use; build a new instance instead, as ``normalize_one_norm`` and
+    ``group_commuting`` do.
     """
 
     n_qubits: int
     terms: list[tuple[float, PauliString]]
     groups: list[list[int]] | None = None
     provenance: dict | None = None
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def one_norm(self) -> float:
@@ -119,6 +124,15 @@ class HamiltonianTerms:
             np.array([m[1] for m in masks], dtype=np.int64),
             np.array([m[2] for m in masks], dtype=complex),
         )
+
+    def kept(self, key, compute) -> np.ndarray:
+        """``compute()`` on the first call with ``key``, then the same read-only array."""
+        value = self._kept.get(key)
+        if value is None:
+            value = compute()
+            value.flags.writeable = False
+            self._kept[key] = value
+        return value
 
     def dense(self, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
         """Sum of c P scattered term by term, one entry per column per term."""

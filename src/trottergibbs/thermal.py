@@ -270,6 +270,7 @@ class TraceEstimate:
     rounds: int
     confidence: float
     converged: bool  # False when max_rounds ran out before the interval closed
+    clamped: bool  # True when every shot missed or every shot hit: a0_hat is set to 0 or 1
 
 
 def _find_next_k(
@@ -364,10 +365,9 @@ def amplitude_estimate(
     a_lo, a_hi = math.sin(theta_l), math.sin(theta_u)
     converged = a_hi - a_lo <= 2.0 * eps
     a0_hat = 0.5 * (a_lo + a_hi)
-    if total_hits == 0:
-        a0_hat = 0.0
-    elif total_hits == total_shots:
-        a0_hat = 1.0
+    clamped = total_hits in (0, total_shots)
+    if clamped:
+        a0_hat = float(total_hits > 0)
     return TraceEstimate(
         p0_hat=a0_hat**2,
         a0_hat=a0_hat,
@@ -377,6 +377,7 @@ def amplitude_estimate(
         rounds=rounds,
         confidence=1.0 - sched.alpha,
         converged=converged,
+        clamped=clamped,
     )
 
 

@@ -13,7 +13,8 @@ shrinks as O(|t|^p).
 
 Each stage exp(i theta c P) = cos(theta c) I + i sin(theta c) P acts on
 the running product as a signed permutation of its columns, so a formula
-costs O(d^2) per stage and never forms a term matrix.  Even-order
+costs O(d^2) per stage and never forms a term matrix; d^2/2 when every
+term keeps fermion parity, since only the two parity blocks are stored.  Even-order
 formulas are symmetric, S_p(-t) = S_p(t)^dag, so H_eff(-t) = H_eff(t).
 """
 
@@ -108,6 +109,13 @@ def apply_formula(
     transposed so that those columns are contiguous rows.  In grouped mode
     each stage generator is a whole commuting group, exponentiated exactly
     by applying its members one after another.
+
+    When every x mask has even popcount (every SYK term does), each term
+    keeps the fermion parity of b, so U is block-diagonal in the even and
+    odd popcount sectors.  The loop then holds only the two d/2 x d/2
+    blocks, stacked as a d x d/2 array with the even states first.  Within
+    a sector b is fixed by b >> 1, so row i mixes with row i ^ (x >> 1).
+    Any parity-flipping term leaves one block of size d.
     """
     if grouped and h.groups is None:
         raise ValueError("no commuting groups present; run group_commuting first")
@@ -120,18 +128,26 @@ def apply_formula(
     if any(s.phase.imag for _, s in h.terms):
         raise ValueError("every term must be Hermitian (string phase +1 or -1)")
     x, z, q = h.pauli_masks
-    coeffs = [c for c, _ in h.terms]
-    basis = np.arange(2**h.n_qubits)
     signs = parity_signs(h.n_qubits)
-    ut = np.eye(basis.size, dtype=complex)
+    split = int(h.n_qubits > 0 and np.all(signs[x] > 0))
+    states = np.argsort(-signs, kind="stable") if split else np.arange(signs.size)
+    blocks = states.reshape(1 + split, -1)
+    n_blocks, size = blocks.shape
+    shifted = x >> split
+    coeffs = [c for c, _ in h.terms]
+    rows = np.arange(states.size)
+    ut = np.tile(np.eye(size, dtype=complex), (n_blocks, 1))
     for idx, frac in plan.stages:
         for j in units[idx]:
             angle = frac * t * coeffs[j]
-            mixed = ut[basis ^ x[j]]
-            mixed *= (1j * math.sin(angle) * q[j] * signs[basis & z[j]])[:, None]
+            mixed = ut[rows ^ shifted[j]]
+            mixed *= (1j * math.sin(angle) * q[j] * signs[states & z[j]])[:, None]
             ut *= math.cos(angle)
             ut += mixed
-    return ut.T.copy()
+    # Row r of block k holds entries (blocks[k, r], blocks[k, c]) of U^T.
+    u = np.zeros((states.size, states.size), dtype=complex)
+    u[blocks[:, None, :], blocks[:, :, None]] = ut.reshape(n_blocks, size, size)
+    return u
 
 
 @dataclass
@@ -176,13 +192,19 @@ def node_spectrum(
 
     They are the principal eigenphases of S_p(tau) divided by tau, under
     the same unitarity, unit-circle and branch-cut checks as
-    ``effective_hamiltonian``.
+    ``effective_hamiltonian``.  The spectrum does not depend on beta, so it
+    is kept on ``h`` under (tau, plan, grouped) and returned read-only: a
+    beta sweep on one model builds each formula once.
     """
     tau = s * t
     if tau == 0.0:
         raise ValueError("tau = s*t must be nonzero")
-    u = apply_formula(h, tau, plan, grouped=grouped)
-    return np.sort(unitary_eigenphases(u) / tau)
+
+    def compute() -> np.ndarray:
+        u = apply_formula(h, tau, plan, grouped=grouped)
+        return np.sort(unitary_eigenphases(u) / tau)
+
+    return h.kept((tau, plan, grouped), compute)
 
 
 def trotter_error_norm(

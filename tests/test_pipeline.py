@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from trottergibbs import gqsp, pipeline, thermal, trotter
+from trottergibbs import cheb, gqsp, pipeline, thermal, trotter
 from trottergibbs.cheb import cheb_grid, exact_partition
 from trottergibbs.paulis import PauliString
 from trottergibbs.pipeline import (
@@ -298,6 +298,45 @@ def test_mirror_nodes_share_one_formula(monkeypatch, order, mode, m_cheb):
             assert pos.p0_exact != neg.p0_exact  # S_1(-t) is not S_1(t)^dag
     if mode == "sampled":
         assert len({r.p0_hat for r in res.nodes}) == m_cheb
+        assert all(r.diagnostics == {"ae_clamped": False} for r in res.nodes)
+
+
+def test_beta_sweep_reuses_spectra_of_one_model(monkeypatch):
+    calls = {"formula": 0, "eigh": 0}
+    apply_formula, eigh_decompose = trotter.apply_formula, cheb.eigh_decompose
+
+    def counted_formula(*args, **kwargs):
+        calls["formula"] += 1
+        return apply_formula(*args, **kwargs)
+
+    def counted_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh_decompose(*args, **kwargs)
+
+    monkeypatch.setattr(trotter, "apply_formula", counted_formula)
+    monkeypatch.setattr(cheb, "eigh_decompose", counted_eigh)
+    model = syk_model(8, seed=4)
+    m_cheb = 4
+    sweep = [
+        run_pipeline(PipelineConfig(model=model, beta=beta, m_cheb=m_cheb))
+        for beta in (1.0, 2.0, 4.0)
+    ]
+    assert calls == {"formula": m_cheb // 2, "eigh": 1}
+    assert len({r.oracle for r in sweep}) == 3
+
+    s_1 = float(cheb_grid(m_cheb).nodes[0])
+    spectrum = trotter.node_spectrum(model, s_1, 0.3, build_plan(model.n_terms, 2))
+    assert calls["formula"] == m_cheb // 2
+    with pytest.raises(ValueError):
+        spectrum[0] = 0.0
+
+    # A derived model is a new instance: it recomputes, it does not inherit.
+    for derived in (normalize_one_norm(model)[0], group_commuting(model)):
+        before = dict(calls)
+        res = run_pipeline(PipelineConfig(model=derived, beta=1.0, m_cheb=m_cheb))
+        assert calls["formula"] == before["formula"] + m_cheb // 2
+        assert calls["eigh"] == before["eigh"] + 1
+        assert res.extrapolated == pytest.approx(sweep[0].extrapolated, rel=1e-12)
 
 
 def test_unconverged_estimate_names_the_node():

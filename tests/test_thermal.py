@@ -367,6 +367,17 @@ def test_amplitude_estimate_flags_exhausted_rounds():
     assert not est.converged
 
 
+@pytest.mark.parametrize("p0_true, a0_hat", [(0.0, 0.0), (1.0, 1.0)])
+def test_amplitude_estimate_marks_clamped_outcomes(p0_true, a0_hat):
+    # Every shot misses at p0 = 0 and hits at p0 = 1; the estimate is then
+    # set to the end of the range, not read off the interval.
+    est = amplitude_estimate(p0_true, 0.01, seed=4)
+    assert est.clamped
+    assert est.a0_hat == a0_hat
+    assert est.rounds >= 1
+    assert not amplitude_estimate(0.3, 0.01, seed=4).clamped
+
+
 def test_exact_p0_accepts_a_spectrum():
     rng = np.random.default_rng(9)
     eff = random_effective(rng, 8)

@@ -1,5 +1,6 @@
 """Tests for product formulas, effective generators, and order fitting."""
 
+import itertools
 import math
 
 import numpy as np
@@ -86,6 +87,35 @@ def small_models(draw, max_terms=5, coeff=0.5):
         for v in labels
     ]
     return group_commuting(HamiltonianTerms(n, terms))
+
+
+@st.composite
+def parity_models(draw, max_terms=5, coeff=0.5):
+    """A random grouped Pauli model, and whether it keeps fermion parity.
+
+    A parity-keeping model has only labels with an even number of X/Y
+    letters; a parity-breaking one has at least one label with an odd number.
+    """
+    n = draw(st.integers(1, 4))
+    labels = ["".join(t) for t in itertools.product("IXYZ", repeat=n)][1:]
+    odd = [label for label in labels if sum(ch in "XY" for ch in label) % 2]
+    keeps = draw(st.booleans())
+    if keeps:
+        even = [label for label in labels if label not in odd]
+        picked = draw(
+            st.lists(st.sampled_from(even), min_size=1, max_size=max_terms, unique=True)
+        )
+    else:
+        first = draw(st.sampled_from(odd))
+        rest = [label for label in labels if label != first]
+        picked = [first] + draw(
+            st.lists(st.sampled_from(rest), max_size=max_terms - 1, unique=True)
+        )
+    coeffs = draw(
+        st.lists(st.floats(-coeff, coeff), min_size=len(picked), max_size=len(picked))
+    )
+    terms = [(c, PauliString.from_label(label)) for c, label in zip(coeffs, picked)]
+    return group_commuting(HamiltonianTerms(n, terms)), keeps
 
 
 def log_log_slope(taus, errs):
@@ -225,16 +255,20 @@ def test_apply_formula_grouped_matches_ungrouped_limit():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    small_models(),
+    parity_models(),
     st.sampled_from((1, 2, 4)),
     st.booleans(),
     st.floats(-0.6, 0.6, allow_nan=False),
 )
-def test_apply_formula_matches_product_oracle_property(h, order, grouped, t):
-    n_units = len(h.groups) if grouped else h.n_terms
-    plan = build_plan(n_units, order)
+def test_apply_formula_matches_product_oracle_property(model, order, grouped, t):
+    # Parity-keeping models run the two-block kernel, the others one block.
+    h, keeps = model
+    plan = build_plan(len(h.groups) if grouped else h.n_terms, order)
     got = apply_formula(h, t, plan, grouped=grouped)
     assert max_abs(got - product_oracle(h, t, plan, grouped=grouped)) < 1e-12
+    if keeps:
+        parity = np.array([bin(b).count("1") % 2 for b in range(2**h.n_qubits)])
+        assert np.all(got[parity[:, None] != parity[None, :]] == 0.0)
 
 
 @settings(max_examples=40, deadline=None)
