@@ -21,6 +21,7 @@ collapse to frequencies then reads one log-factorial table.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -99,6 +100,23 @@ def taylor_order(beta: float, eps: float) -> int:
     return k
 
 
+@functools.lru_cache(maxsize=2)
+def _arcsin_base(order: int) -> np.ndarray:
+    """Read-only series of (2/pi) arcsin(y) up to y^order; every order tried slices it.
+
+    The odd coefficient of y^(2j+1) is (2/pi) C(2j, j) / (4^j (2j+1)).  Its
+    log comes from one vectorized ``gammaln``; ``math.log`` and ``math.exp``
+    stay per element, since numpy's may differ from them in the last bit.
+    """
+    j = np.arange((order + 1) // 2)
+    odd = 2 * j + 1
+    log_c = gammaln(odd) - 2 * gammaln(j + 1) - j * 2 * LN2 - [math.log(v) for v in odd]
+    base = np.zeros(order + 1)
+    base[1::2] = [(2.0 / math.pi) * math.exp(v) for v in log_c]
+    base.flags.writeable = False
+    return base
+
+
 def arcsin_series(k: int, order: int) -> np.ndarray:
     """Coefficients b_l of ((2/pi) arcsin(y))^k up to y^order.
 
@@ -107,13 +125,7 @@ def arcsin_series(k: int, order: int) -> np.ndarray:
     """
     if k < 0 or order < 0:
         raise ValueError("k and order must be >= 0")
-    base = np.zeros(order + 1)
-    for j in range(0, (order - 1) // 2 + 1):
-        l = 2 * j + 1
-        if l > order:
-            break
-        log_c = gammaln(2 * j + 1) - 2 * gammaln(j + 1) - j * 2 * LN2 - math.log(2 * j + 1)
-        base[l] = (2.0 / math.pi) * math.exp(log_c)
+    base = _arcsin_base(max(order, ARCSIN_CAP))[: order + 1]
     out = np.zeros(order + 1)
     out[0] = 1.0
     for _ in range(k):

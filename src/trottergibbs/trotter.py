@@ -12,10 +12,15 @@ principal log of the realized unitary divided by (i t); its distance from H
 shrinks as O(|t|^p).
 
 Each stage exp(i theta c P) = cos(theta c) I + i sin(theta c) P acts on
-the running product as a signed permutation of its columns, so a formula
-costs O(d^2) per stage and never forms a term matrix; d^2/2 when every
-term keeps fermion parity, since only the two parity blocks are stored.  Even-order
-formulas are symmetric, S_p(-t) = S_p(t)^dag, so H_eff(-t) = H_eff(t).
+the running product as a signed permutation of its columns, so a stage
+costs O(d^2) and never forms a term matrix; d^2/2 when every term keeps
+fermion parity, since only the two parity blocks are stored.  Orders 1 and
+2 are one such stage loop.  Above that the recursion is evaluated with
+reuse: S_{2l-2}(u_l t) is built once and squared, so an order-2l formula
+costs 2^(l-1) order-2 stage loops plus a few block matmuls per recursion
+level, where its flat stage list (``FormulaPlan.stages``, the circuit that
+depth and cost count) has 5^(l-1) order-2 blocks.  Even-order formulas
+are symmetric, S_p(-t) = S_p(t)^dag, so H_eff(-t) = H_eff(t).
 """
 
 from __future__ import annotations
@@ -104,11 +109,15 @@ def apply_formula(
     """Dense unitary of the product formula at time t.
 
     Stages are multiplied left to right: the first stage is the leftmost
-    factor.  Right-multiplying U by cos(a) I + i sin(a) P mixes column b
-    of U with column b ^ x, signed by P's entry; the loop keeps U
-    transposed so that those columns are contiguous rows.  In grouped mode
-    each stage generator is a whole commuting group, exponentiated exactly
-    by applying its members one after another.
+    factor.  In grouped mode each stage generator is a whole commuting
+    group, exponentiated exactly by applying its members one after another.
+
+    Orders 1 and 2 run ``plan.stages`` in one stage loop (``_run_stages``).
+    Order 2l >= 4 reads only ``plan.order`` and ``plan.n_terms`` and runs
+    the Suzuki recursion with reuse (``_suzuki_blocks``): 2^(l-1) order-2
+    stage loops and a few block matmuls per level, instead of the
+    5^(l-1) order-2 blocks of the flat stage list.  It agrees with the flat
+    product to rounding.
 
     When every x mask has even popcount (every SYK term does), each term
     keeps the fermion parity of b, so U is block-diagonal in the even and
@@ -132,22 +141,60 @@ def apply_formula(
     split = int(h.n_qubits > 0 and np.all(signs[x] > 0))
     states = np.argsort(-signs, kind="stable") if split else np.arange(signs.size)
     blocks = states.reshape(1 + split, -1)
-    n_blocks, size = blocks.shape
-    shifted = x >> split
-    coeffs = [c for c, _ in h.terms]
+    loop = (units, [c for c, _ in h.terms], x >> split, z, q, signs, states, 1 + split)
+    leaf = plan.stages if plan.order <= 2 else build_plan(plan.n_terms, 2).stages
+    ut = _suzuki_blocks(loop, leaf, plan.order, t, None)
+    # Row r of block k holds entries (blocks[k, r], blocks[k, c]) of U^T.
+    u = np.zeros((states.size, states.size), dtype=complex)
+    u[blocks[:, None, :], blocks[:, :, None]] = ut
+    return u
+
+
+def _suzuki_blocks(
+    loop: tuple, leaf: tuple, order: int, t: float, start: np.ndarray | None
+) -> np.ndarray:
+    """Blocks of S_order(t)^T @ start, start None standing for the identity.
+
+    S_2l(t) = O^2 M O^2 with O = S_{2l-2}(u_l t) and M = S_{2l-2}((1-4u_l)t),
+    so S_2l(t)^T = Q M^T Q with Q = (O^T)^2: O is built once and squared,
+    and M's stages run on Q @ start.  Orders 1 and 2 run ``leaf``.  A
+    module-level function, so the recursion leaves no reference cycle.
+    """
+    if order <= 2:
+        return _run_stages(loop, leaf, t, start)
+    u = suzuki_u(order // 2)
+    outer = _suzuki_blocks(loop, leaf, order - 2, u * t, None)
+    square = outer @ outer
+    middle = square if start is None else square @ start
+    return square @ _suzuki_blocks(loop, leaf, order - 2, (1.0 - 4.0 * u) * t, middle)
+
+
+def _run_stages(
+    loop: tuple, stages: tuple, t: float, start: np.ndarray | None
+) -> np.ndarray:
+    """Blocks of S(t)^T @ start for one stage list S, start None the identity.
+
+    Right-multiplying U by cos(a) I + i sin(a) P mixes column b of U with
+    column b ^ x, signed by P's entry; the loop keeps U transposed so that
+    those columns are contiguous rows.  ``loop`` holds the stage
+    generators, coefficients, shifted x masks, z masks, phases, parity
+    signs, the basis state of each stacked row and the number of blocks.
+    """
+    units, coeffs, shifted, z, q, signs, states, n_blocks = loop
+    size = states.size // n_blocks
     rows = np.arange(states.size)
-    ut = np.tile(np.eye(size, dtype=complex), (n_blocks, 1))
-    for idx, frac in plan.stages:
+    if start is None:
+        ut = np.tile(np.eye(size, dtype=complex), (n_blocks, 1))
+    else:
+        ut = start.reshape(states.size, size).copy()
+    for idx, frac in stages:
         for j in units[idx]:
             angle = frac * t * coeffs[j]
             mixed = ut[rows ^ shifted[j]]
             mixed *= (1j * math.sin(angle) * q[j] * signs[states & z[j]])[:, None]
             ut *= math.cos(angle)
             ut += mixed
-    # Row r of block k holds entries (blocks[k, r], blocks[k, c]) of U^T.
-    u = np.zeros((states.size, states.size), dtype=complex)
-    u[blocks[:, None, :], blocks[:, :, None]] = ut.reshape(n_blocks, size, size)
-    return u
+    return ut.reshape(n_blocks, size, size)
 
 
 @dataclass

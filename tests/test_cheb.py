@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trottergibbs.cheb import (
     MIN_NODES,
@@ -86,6 +88,26 @@ def test_monomial_extrapolation_exact():
             got = float(g.weights @ g.nodes**deg)
             want = 1.0 if deg == 0 else 0.0
             assert abs(got - want) < 1e-12, f"m={m} deg={deg}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 16).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=m),
+        )
+    )
+)
+def test_extrapolation_is_exact_on_polynomials_property(case):
+    # A polynomial of degree < M is its own interpolant, so the weighted
+    # node sum returns its constant coefficient up to rounding.  Below the
+    # smallest normal float rounding is absolute, hence the 1e-300 floor.
+    m, coeffs = case
+    g = cheb_grid(m)
+    values = np.polynomial.polynomial.polyval(g.nodes, coeffs)
+    got = interpolate_to_zero(values, g)
+    assert abs(got - coeffs[0]) <= 1e-12 * float(np.sum(np.abs(coeffs))) + 1e-300
 
 
 def test_constant_function_extrapolates_exactly():

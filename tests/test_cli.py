@@ -4,11 +4,15 @@ import csv
 import hashlib
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trottergibbs.cli import COMMANDS, main
+from trottergibbs.cli import COMMANDS, SCHEMAS, main, validate_config, write_manifest
+from trottergibbs.pipeline import PIPELINE_MODES
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
@@ -37,6 +41,77 @@ def write_config(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+_numbers = st.one_of(st.integers(0, 10**6), st.floats(0.0, 1e3))
+_model_docs = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.just("syk")},
+        optional={
+            "n_majorana": st.integers(4, 16),
+            "seed": st.integers(0, 2**31),
+            "one_norm": _numbers,
+        },
+    ),
+    st.fixed_dictionaries(
+        {
+            "kind": st.just("pauli"),
+            "n_qubits": st.integers(1, 4),
+            "terms": st.lists(
+                st.tuples(st.floats(-1.0, 1.0), st.sampled_from(["XI", "ZZ", "YX"])).map(list),
+                max_size=3,
+            ),
+        }
+    ),
+)
+_pipeline_docs = st.fixed_dictionaries(
+    {},
+    optional={
+        "model": _model_docs,
+        "beta": _numbers,
+        "order": st.sampled_from([1, 2, 4, 6]),
+        "base_step": _numbers,
+        "m_cheb": st.integers(2, 64),
+        "eps_qsp": st.floats(1e-12, 0.5),
+        "eps_cheb": st.floats(1e-12, 0.5),
+        "eps_stat": st.floats(1e-12, 0.5),
+        "mode": st.sampled_from(PIPELINE_MODES),
+        "seed": st.integers(0, 2**63 - 1),
+    },
+)
+
+
+def _config_sha256(cfg):
+    with tempfile.TemporaryDirectory() as out:
+        manifest = write_manifest(Path(out), "pipeline", cfg, [])
+        return json.loads(manifest.read_text())["config_sha256"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pipeline_docs, st.randoms(use_true_random=False))
+def test_pipeline_config_round_trips_and_hashes_by_value(doc, rnd):
+    schema = SCHEMAS["pipeline"]
+    cfg = validate_config(doc, schema, "pipeline")
+    again = validate_config(json.loads(json.dumps(doc)), schema, "pipeline")
+    assert json.dumps(again, sort_keys=True) == json.dumps(cfg, sort_keys=True)
+    # The same config spelled differently: keys shuffled (in the model too),
+    # defaults left out or given as null.  It must hash to the same manifest digest.
+    keys = list(cfg)
+    rnd.shuffle(keys)
+    other = {}
+    for key in keys:
+        if json.dumps(cfg[key]) == json.dumps(schema[key][1]) and rnd.random() < 0.5:
+            if rnd.random() < 0.5:
+                other[key] = None
+            continue
+        other[key] = cfg[key]
+    if other.get("model") is not None:
+        items = list(other["model"].items())
+        rnd.shuffle(items)
+        other["model"] = dict(items)
+    other_cfg = validate_config(other, schema, "pipeline")
+    assert json.dumps(other_cfg, sort_keys=True) == json.dumps(cfg, sort_keys=True)
+    assert _config_sha256(other_cfg) == _config_sha256(cfg)
 
 
 def test_qubits_saved_default_table(tmp_path, capsys):

@@ -339,6 +339,32 @@ def test_beta_sweep_reuses_spectra_of_one_model(monkeypatch):
         assert res.extrapolated == pytest.approx(sweep[0].extrapolated, rel=1e-12)
 
 
+def test_order4_depth_and_cost_count_the_flat_circuit():
+    # The formula is simulated by the recursion with reuse, but depth and
+    # cost still count every stage of the flat order-4 circuit (700 stages
+    # here).  Values pinned from the flat stage loop; total_cost reads the
+    # node values Z_k, which move at rounding.
+    model = syk_model(8, seed=7)
+    res = run_pipeline(PipelineConfig(model=model, beta=1.0, order=4, mode="gqsp"))
+    assert build_plan(model.n_terms, 4).n_stages == 700
+    assert [r.depth for r in res.nodes] == [371700, 867300, 867300, 371700]
+    assert [r.diagnostics["q"] for r in res.nodes] == [3, 7, 7, 3]
+    assert all(r.diagnostics["fourier_m"] == 88 for r in res.nodes)
+    cost = dict(res.cost)
+    assert cost.pop("total_cost") == pytest.approx(201574936230.6867, rel=1e-12)
+    assert cost == {
+        "order": 4,
+        "base_step": 0.3,
+        "stage_factor": 625.0,
+        "depth_per_node": [
+            838177460.1014225, 4721591914.322005, 4721591914.322006, 838177460.1014225
+        ],
+        "node_inverse_sum": 7.391036260090294,
+        "node_sum_ratio_max": 2.040278893193579,
+        "total_queries": 0,
+    }
+
+
 def test_unconverged_estimate_names_the_node():
     model = syk_model(4, seed=5)
     cfg = PipelineConfig(

@@ -1,5 +1,6 @@
 """Tests for product formulas, effective generators, and order fitting."""
 
+import gc
 import itertools
 import math
 
@@ -9,6 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trottergibbs import trotter
 from trottergibbs.linalg import BranchCutError, max_abs, spectral_norm
 from trottergibbs.paulis import PauliString
 from trottergibbs.syk import (
@@ -256,12 +258,14 @@ def test_apply_formula_grouped_matches_ungrouped_limit():
 @settings(max_examples=60, deadline=None)
 @given(
     parity_models(),
-    st.sampled_from((1, 2, 4)),
+    st.sampled_from((1, 2, 4, 6)),
     st.booleans(),
     st.floats(-0.6, 0.6, allow_nan=False),
 )
 def test_apply_formula_matches_product_oracle_property(model, order, grouped, t):
     # Parity-keeping models run the two-block kernel, the others one block.
+    # Orders 4 and 6 run the recursion with reuse; the oracle multiplies
+    # the flat stage list.
     h, keeps = model
     plan = build_plan(len(h.groups) if grouped else h.n_terms, order)
     got = apply_formula(h, t, plan, grouped=grouped)
@@ -269,6 +273,39 @@ def test_apply_formula_matches_product_oracle_property(model, order, grouped, t)
     if keeps:
         parity = np.array([bin(b).count("1") % 2 for b in range(2**h.n_qubits)])
         assert np.all(got[parity[:, None] != parity[None, :]] == 0.0)
+
+
+@pytest.mark.parametrize("order, share", [(1, 1.0), (2, 1.0), (4, 2 / 5), (6, 4 / 25)])
+def test_recursion_runs_a_share_of_the_flat_stages(monkeypatch, order, share):
+    # S_2l reuses its outer factor: 2^(l-1) order-2 stage loops instead of
+    # the 5^(l-1) order-2 blocks in plan.stages, which stays the circuit.
+    run_stages = trotter._run_stages
+    updates = []
+
+    def counted(loop, stages, t, start):
+        updates.append(len(stages))
+        return run_stages(loop, stages, t, start)
+
+    monkeypatch.setattr(trotter, "_run_stages", counted)
+    h = random_model(np.random.default_rng(29), 3, 4, scale=0.3)
+    plan = build_plan(h.n_terms, order)
+    apply_formula(h, 0.4, plan)
+    assert sum(updates) == share * plan.n_stages
+    assert len(updates) == 2 ** max(0, order // 2 - 1)
+
+
+def test_apply_formula_leaves_no_reference_cycles():
+    h = build_syk_hamiltonian(sample_syk(8, seed=3))
+    plans = [build_plan(h.n_terms, order) for order in (2, 4)]
+    apply_formula(h, 0.2, plans[0])  # fill the model's lazily built masks
+    gc.collect()
+    gc.disable()
+    try:
+        for plan in plans:
+            apply_formula(h, 0.2, plan)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=40, deadline=None)
