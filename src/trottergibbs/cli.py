@@ -105,7 +105,11 @@ class ConfigError(ValueError):
 
 
 def validate_config(doc: dict, schema: dict, where: str) -> dict:
-    """Schema-check one document level; unknown keys are rejected."""
+    """Schema-check one document level; unknown keys are rejected.
+
+    Values of number keys come back as floats and a ``model`` as a checked
+    model document, so documents equal by value validate to the same JSON.
+    """
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - set(schema))
@@ -121,37 +125,50 @@ def validate_config(doc: dict, schema: dict, where: str) -> dict:
                 raise ConfigError(
                     f"{where}: key {key!r} has type {type(value).__name__}"
                 )
-            out[key] = value
+            out[key] = float(value) if types is _num else value
         elif required:
             raise ConfigError(f"{where}: missing required key {key!r}")
         else:
             out[key] = default
+    if "model" in out:
+        out["model"] = validate_model(out["model"])
     return out
 
 
-def build_model(doc: dict) -> HamiltonianTerms:
-    """Hamiltonian from a model sub-document (SYK draw or literal terms)."""
+def validate_model(doc: dict) -> dict:
+    """Schema-check a model sub-document; term coefficients become floats."""
     kind = doc.get("kind")
     if kind not in MODEL_SCHEMAS:
         raise ConfigError(f"model.kind must be one of {sorted(MODEL_SCHEMAS)}")
     spec = validate_config(doc, MODEL_SCHEMAS[kind], f"model[{kind}]")
-    if kind == "syk":
+    if kind == "pauli":
+        terms = []
+        for entry in spec["terms"]:
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise ConfigError("model.terms entries must be [coefficient, label] pairs")
+            coef, label = entry
+            if isinstance(coef, bool) or not isinstance(coef, _num):
+                raise ConfigError("model.terms coefficients must be numbers")
+            terms.append([float(coef), label])
+        spec["terms"] = terms
+    return spec
+
+
+def build_model(doc: dict) -> HamiltonianTerms:
+    """Hamiltonian from a model sub-document (SYK draw or literal terms)."""
+    spec = validate_model(doc)
+    if spec["kind"] == "syk":
         h = build_syk_hamiltonian(sample_syk(spec["n_majorana"], seed=spec["seed"]))
         if spec["one_norm"] is not None:
-            factor = float(spec["one_norm"]) / h.one_norm
+            factor = spec["one_norm"] / h.one_norm
             h = HamiltonianTerms(
                 h.n_qubits, [(c * factor, s) for c, s in h.terms], provenance=h.provenance
             )
         return h
     terms = []
-    for entry in spec["terms"]:
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise ConfigError("model.terms entries must be [coefficient, label] pairs")
-        coef, label = entry
-        if isinstance(coef, bool) or not isinstance(coef, _num):
-            raise ConfigError("model.terms coefficients must be numbers")
+    for coef, label in spec["terms"]:
         try:
-            terms.append((float(coef), PauliString.from_label(str(label))))
+            terms.append((coef, PauliString.from_label(str(label))))
         except ValueError as err:
             raise ConfigError(f"model.terms label {label!r}: {err}") from err
     return HamiltonianTerms(spec["n_qubits"], terms)
@@ -221,7 +238,7 @@ def cmd_lwf_convergence(cfg: dict, out_dir: Path) -> list[Path]:
     fits = []
     for beta in cfg["betas"]:
         beta = float(beta)
-        delta = float(cfg["delta"]) if cfg["delta"] is not None else 1.0 / beta
+        delta = cfg["delta"] if cfg["delta"] is not None else 1.0 / beta
         orders = {"taylor": [], "lwf": []}
         for eps in eps_grid:
             if cfg["include_taylor"]:
@@ -261,13 +278,13 @@ def cmd_pipeline(cfg: dict, out_dir: Path) -> list[Path]:
     try:
         pipe_cfg = PipelineConfig(
             model=model,
-            beta=float(cfg["beta"]),
+            beta=cfg["beta"],
             order=cfg["order"],
-            base_step=float(cfg["base_step"]),
+            base_step=cfg["base_step"],
             m_cheb=cfg["m_cheb"],
-            eps_qsp=float(cfg["eps_qsp"]),
-            eps_cheb=float(cfg["eps_cheb"]),
-            eps_stat=float(cfg["eps_stat"]),
+            eps_qsp=cfg["eps_qsp"],
+            eps_cheb=cfg["eps_cheb"],
+            eps_stat=cfg["eps_stat"],
             mode=cfg["mode"],
             seed=cfg["seed"],
         )
@@ -303,7 +320,7 @@ def cmd_pipeline(cfg: dict, out_dir: Path) -> list[Path]:
 
 def cmd_trotter_order(cfg: dict, out_dir: Path) -> list[Path]:
     model = build_model(cfg["model"])
-    taus = np.geomspace(float(cfg["tau_min"]), float(cfg["tau_max"]), cfg["tau_points"])
+    taus = np.geomspace(cfg["tau_min"], cfg["tau_max"], cfg["tau_points"])
     rows = []
     fits = []
     for p in cfg["orders"]:

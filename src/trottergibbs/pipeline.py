@@ -69,7 +69,6 @@ class PipelineConfig:
     eps_stat: float = 0.05
     mode: str = "exact"
     seed: int = 0
-    grouped: bool = False
     schedule: EstimationSchedule | None = None
 
     def __post_init__(self):
@@ -185,7 +184,7 @@ def _node_traces(
     S_p(s t); no H_eff, matrix log or dense circuit is formed.  The block
     modes evaluate their circuit on the same eigenvalues, one 2x2 cell each.
     """
-    spectrum = node_spectrum(cfg.model, s, cfg.base_step, plan, grouped=cfg.grouped)
+    spectrum = node_spectrum(cfg.model, s, cfg.base_step, plan)
     oracle = None
     if cfg.mode in MODES:
         oracle = boltzmann_oracle(
@@ -205,13 +204,7 @@ def run_pipeline(cfg: PipelineConfig) -> PartitionResult:
     seed.  Failures carry the offending node in the message.
     """
     grid = cheb_grid(cfg.m_cheb)
-    if cfg.grouped:
-        if not cfg.model.groups:
-            raise PipelineError("grouped mode requires a model with commuting groups")
-        n_units = len(cfg.model.groups)
-    else:
-        n_units = cfg.model.n_terms
-    plan = build_plan(n_units, cfg.order)
+    plan = build_plan(cfg.model.n_terms, cfg.order)
     fold = cfg.order % 2 == 0
     evaluated: dict[int, tuple[TraceValues, BoltzmannOracle | None]] = {}
     records: list[NodeRecord | None] = [None] * cfg.m_cheb
@@ -298,11 +291,7 @@ def run_pipeline(cfg: PipelineConfig) -> PartitionResult:
 
 
 def trace_bound_check(
-    h: HamiltonianTerms,
-    beta: float,
-    order: int,
-    tau_grid,
-    grouped: bool = False,
+    h: HamiltonianTerms, beta: float, order: int, tau_grid
 ) -> list[dict]:
     """Per-tau check |Tr e^{-beta H_eff}|/N <= e^{beta ||H_eff - H||} Z(beta)/N.
 
@@ -317,7 +306,7 @@ def trace_bound_check(
     z_ref = exact_partition(h_dense, beta)
     rows = []
     for tau in np.asarray(tau_grid, dtype=float):
-        eff = effective_hamiltonian(h, 1.0, float(tau), plan, grouped=grouped)
+        eff = effective_hamiltonian(h, 1.0, float(tau), plan)
         err_norm = spectral_norm(eff.matrix - h_dense)
         lhs = abs(exact_partition(eff.matrix, beta))
         rhs = math.exp(beta * err_norm) * z_ref

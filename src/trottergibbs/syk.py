@@ -16,7 +16,6 @@ rescaled so the one-norm is 1 before any product-formula work.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -92,18 +91,16 @@ def jordan_wigner_majorana(index: int, n_majorana: int) -> tuple[float, PauliStr
 class HamiltonianTerms:
     """A Hamiltonian as a list of (real coefficient, phase-free Pauli string).
 
-    ``groups`` optionally partitions term indices into mutually commuting
-    sets; ``group_commuting`` fills it in.  Data derived from ``terms`` and
-    ``groups`` is computed on first use and kept on the instance: the
-    ``pauli_masks``, and through ``kept`` the node spectra and reference
-    eigenvalues.  It assumes ``terms`` and ``groups`` are not mutated after
-    first use; build a new instance instead, as ``normalize_one_norm`` and
-    ``group_commuting`` do.
+    The list order is the stage order of every product formula built on
+    the model.  Data derived from ``terms`` is computed on first use and
+    kept on the instance: the ``pauli_masks``, and through ``kept`` the node
+    spectra and reference eigenvalues.  It assumes ``terms`` is not mutated
+    after first use; build a new instance instead, as ``normalize_one_norm``
+    and ``group_commuting`` do.
     """
 
     n_qubits: int
     terms: list[tuple[float, PauliString]]
-    groups: list[list[int]] | None = None
     provenance: dict | None = None
     _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -186,40 +183,26 @@ def normalize_one_norm(h: HamiltonianTerms) -> tuple[HamiltonianTerms, float]:
     if scale == 0.0:
         raise ValueError("cannot normalize a zero Hamiltonian")
     terms = [(c / scale, s) for c, s in h.terms]
-    out = HamiltonianTerms(h.n_qubits, terms, groups=h.groups, provenance=h.provenance)
-    return out, scale
+    return HamiltonianTerms(h.n_qubits, terms, provenance=h.provenance), scale
 
 
 def group_commuting(h: HamiltonianTerms) -> HamiltonianTerms:
-    """Greedy first-fit partition of terms into mutually commuting groups."""
-    groups: list[list[int]] = []
-    for idx, (_, string) in enumerate(h.terms):
+    """The same terms reordered group by group.
+
+    Groups come from a greedy first-fit partition into mutually commuting
+    sets, each keeping the original index order.  A product formula applies
+    a group's members one after another, which is the exact exponential of
+    their sum.  Splitting the result into maximal mutually commuting runs
+    recovers the groups: each group's first term failed to join the group
+    before it.
+    """
+    groups: list[list[tuple[float, PauliString]]] = []
+    for term in h.terms:
         for group in groups:
-            if all(pauli_commutes(string, h.terms[i][1]) for i in group):
-                group.append(idx)
+            if all(pauli_commutes(term[1], s) for _, s in group):
+                group.append(term)
                 break
         else:
-            groups.append([idx])
-    return HamiltonianTerms(h.n_qubits, list(h.terms), groups=groups, provenance=h.provenance)
-
-
-def to_json(h: HamiltonianTerms) -> str:
-    """Serialize with full float round-trip fidelity."""
-    doc = {
-        "n_qubits": h.n_qubits,
-        "terms": [{"coeff": c, "pauli": s.letters} for c, s in h.terms],
-        "groups": h.groups,
-        "provenance": h.provenance,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def from_json(text: str) -> HamiltonianTerms:
-    doc = json.loads(text)
-    terms = [
-        (float(t["coeff"]), PauliString(doc["n_qubits"], t["pauli"]))
-        for t in doc["terms"]
-    ]
-    return HamiltonianTerms(
-        doc["n_qubits"], terms, groups=doc.get("groups"), provenance=doc.get("provenance")
-    )
+            groups.append([term])
+    terms = [term for group in groups for term in group]
+    return HamiltonianTerms(h.n_qubits, terms, provenance=h.provenance)

@@ -100,17 +100,13 @@ def stage_weight(order: int) -> float:
     return weight
 
 
-def apply_formula(
-    h: HamiltonianTerms,
-    t: float,
-    plan: FormulaPlan,
-    grouped: bool = False,
-) -> np.ndarray:
+def apply_formula(h: HamiltonianTerms, t: float, plan: FormulaPlan) -> np.ndarray:
     """Dense unitary of the product formula at time t.
 
     Stages are multiplied left to right: the first stage is the leftmost
-    factor.  In grouped mode each stage generator is a whole commuting
-    group, exponentiated exactly by applying its members one after another.
+    factor.  The stage order is the term order of ``h``; a model from
+    ``syk.group_commuting`` applies each commuting group's members one
+    after another, which is the group's exact exponential.
 
     Orders 1 and 2 run ``plan.stages`` in one stage loop (``_run_stages``).
     Order 2l >= 4 reads only ``plan.order`` and ``plan.n_terms`` and runs
@@ -126,13 +122,8 @@ def apply_formula(
     a sector b is fixed by b >> 1, so row i mixes with row i ^ (x >> 1).
     Any parity-flipping term leaves one block of size d.
     """
-    if grouped and h.groups is None:
-        raise ValueError("no commuting groups present; run group_commuting first")
-    units = h.groups if grouped else [[j] for j in range(h.n_terms)]
-    if plan.n_terms != len(units):
-        raise ValueError(
-            f"plan built for {plan.n_terms} stage generators, model has {len(units)}"
-        )
+    if plan.n_terms != h.n_terms:
+        raise ValueError(f"plan built for {plan.n_terms} terms, model has {h.n_terms}")
     check_dense_cap(h.n_qubits)
     if any(s.phase.imag for _, s in h.terms):
         raise ValueError("every term must be Hermitian (string phase +1 or -1)")
@@ -141,7 +132,7 @@ def apply_formula(
     split = int(h.n_qubits > 0 and np.all(signs[x] > 0))
     states = np.argsort(-signs, kind="stable") if split else np.arange(signs.size)
     blocks = states.reshape(1 + split, -1)
-    loop = (units, [c for c, _ in h.terms], x >> split, z, q, signs, states, 1 + split)
+    loop = ([c for c, _ in h.terms], x >> split, z, q, signs, states, 1 + split)
     leaf = plan.stages if plan.order <= 2 else build_plan(plan.n_terms, 2).stages
     ut = _suzuki_blocks(loop, leaf, plan.order, t, None)
     # Row r of block k holds entries (blocks[k, r], blocks[k, c]) of U^T.
@@ -176,24 +167,23 @@ def _run_stages(
 
     Right-multiplying U by cos(a) I + i sin(a) P mixes column b of U with
     column b ^ x, signed by P's entry; the loop keeps U transposed so that
-    those columns are contiguous rows.  ``loop`` holds the stage
-    generators, coefficients, shifted x masks, z masks, phases, parity
-    signs, the basis state of each stacked row and the number of blocks.
+    those columns are contiguous rows.  ``loop`` holds the term
+    coefficients, shifted x masks, z masks, phases, parity signs, the basis
+    state of each stacked row and the number of blocks.
     """
-    units, coeffs, shifted, z, q, signs, states, n_blocks = loop
+    coeffs, shifted, z, q, signs, states, n_blocks = loop
     size = states.size // n_blocks
     rows = np.arange(states.size)
     if start is None:
         ut = np.tile(np.eye(size, dtype=complex), (n_blocks, 1))
     else:
         ut = start.reshape(states.size, size).copy()
-    for idx, frac in stages:
-        for j in units[idx]:
-            angle = frac * t * coeffs[j]
-            mixed = ut[rows ^ shifted[j]]
-            mixed *= (1j * math.sin(angle) * q[j] * signs[states & z[j]])[:, None]
-            ut *= math.cos(angle)
-            ut += mixed
+    for j, frac in stages:
+        angle = frac * t * coeffs[j]
+        mixed = ut[rows ^ shifted[j]]
+        mixed *= (1j * math.sin(angle) * q[j] * signs[states & z[j]])[:, None]
+        ut *= math.cos(angle)
+        ut += mixed
     return ut.reshape(n_blocks, size, size)
 
 
@@ -206,11 +196,7 @@ class EffectiveHamiltonian:
 
 
 def effective_hamiltonian(
-    h: HamiltonianTerms,
-    s: float,
-    t: float,
-    plan: FormulaPlan,
-    grouped: bool = False,
+    h: HamiltonianTerms, s: float, t: float, plan: FormulaPlan
 ) -> EffectiveHamiltonian:
     """Effective Hamiltonian of the formula at tau = s * t.
 
@@ -221,7 +207,7 @@ def effective_hamiltonian(
     tau = s * t
     if tau == 0.0:
         raise ValueError("tau = s*t must be nonzero")
-    u = apply_formula(h, tau, plan, grouped=grouped)
+    u = apply_formula(h, tau, plan)
     log_u = matrix_log_unitary(u)
     h_eff = log_u / (1j * tau)
     h_eff = hermitian_part(h_eff, max_discard=1e-10, what="effective Hamiltonian")
@@ -229,48 +215,35 @@ def effective_hamiltonian(
 
 
 def node_spectrum(
-    h: HamiltonianTerms,
-    s: float,
-    t: float,
-    plan: FormulaPlan,
-    grouped: bool = False,
+    h: HamiltonianTerms, s: float, t: float, plan: FormulaPlan
 ) -> np.ndarray:
     """Sorted eigenvalues of H_eff at tau = s * t, without forming H_eff.
 
     They are the principal eigenphases of S_p(tau) divided by tau, under
     the same unitarity, unit-circle and branch-cut checks as
     ``effective_hamiltonian``.  The spectrum does not depend on beta, so it
-    is kept on ``h`` under (tau, plan, grouped) and returned read-only: a
-    beta sweep on one model builds each formula once.
+    is kept on ``h`` under (tau, plan) and returned read-only: a beta
+    sweep on one model builds each formula once.
     """
     tau = s * t
     if tau == 0.0:
         raise ValueError("tau = s*t must be nonzero")
 
     def compute() -> np.ndarray:
-        u = apply_formula(h, tau, plan, grouped=grouped)
+        u = apply_formula(h, tau, plan)
         return np.sort(unitary_eigenphases(u) / tau)
 
-    return h.kept((tau, plan, grouped), compute)
+    return h.kept((tau, plan), compute)
 
 
-def trotter_error_norm(
-    h: HamiltonianTerms,
-    tau: float,
-    plan: FormulaPlan,
-    grouped: bool = False,
-) -> float:
+def trotter_error_norm(h: HamiltonianTerms, tau: float, plan: FormulaPlan) -> float:
     """Spectral norm of H_eff(tau) - H."""
-    eff = effective_hamiltonian(h, 1.0, tau, plan, grouped=grouped)
+    eff = effective_hamiltonian(h, 1.0, tau, plan)
     return spectral_norm(eff.matrix - h.dense())
 
 
 def fit_alpha(
-    h: HamiltonianTerms,
-    plan: FormulaPlan,
-    tau_grid: np.ndarray,
-    slope_tol: float = 0.2,
-    grouped: bool = False,
+    h: HamiltonianTerms, plan: FormulaPlan, tau_grid: np.ndarray, slope_tol: float = 0.2
 ) -> float:
     """Least-squares commutator constant in ||H_eff - H|| = alpha |tau|^p / (p+1)!.
 
@@ -281,7 +254,7 @@ def fit_alpha(
     if tau_grid.size < 4:
         raise ValueError("need at least 4 grid points")
     p = plan.order
-    errors = np.array([trotter_error_norm(h, tau, plan, grouped=grouped) for tau in tau_grid])
+    errors = np.array([trotter_error_norm(h, tau, plan) for tau in tau_grid])
     if np.any(errors <= 0.0):
         raise ValueError("zero Trotter error on the grid; model may be commuting")
     slope = np.polyfit(np.log(np.abs(tau_grid)), np.log(errors), 1)[0]

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trottergibbs.cli import COMMANDS, SCHEMAS, main, validate_config, write_manifest
+from trottergibbs.cli import (
+    COMMANDS,
+    MODEL_SCHEMAS,
+    SCHEMAS,
+    main,
+    validate_config,
+    write_manifest,
+)
 from trottergibbs.pipeline import PIPELINE_MODES
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -58,7 +65,10 @@ _model_docs = st.one_of(
             "kind": st.just("pauli"),
             "n_qubits": st.integers(1, 4),
             "terms": st.lists(
-                st.tuples(st.floats(-1.0, 1.0), st.sampled_from(["XI", "ZZ", "YX"])).map(list),
+                st.tuples(
+                    st.one_of(st.floats(-1.0, 1.0), st.integers(-3, 3)),
+                    st.sampled_from(["XI", "ZZ", "YX"]),
+                ).map(list),
                 max_size=3,
             ),
         }
@@ -94,8 +104,30 @@ def test_pipeline_config_round_trips_and_hashes_by_value(doc, rnd):
     cfg = validate_config(doc, schema, "pipeline")
     again = validate_config(json.loads(json.dumps(doc)), schema, "pipeline")
     assert json.dumps(again, sort_keys=True) == json.dumps(cfg, sort_keys=True)
-    # The same config spelled differently: keys shuffled (in the model too),
-    # defaults left out or given as null.  It must hash to the same manifest digest.
+    # The same config spelled differently: keys shuffled, defaults left out or
+    # given as null, whole numbers spelled as int or float, at top level and
+    # in the model (pauli coefficients too).  It must hash to the same digest.
+    other = _respell(cfg, schema, rnd)
+    if other.get("model") is not None:
+        model = other["model"]
+        other["model"] = _respell(model, MODEL_SCHEMAS[model["kind"]], rnd)
+        if "terms" in model:
+            other["model"]["terms"] = [[_spell(c, rnd), label] for c, label in model["terms"]]
+    other_cfg = validate_config(other, schema, "pipeline")
+    assert json.dumps(other_cfg, sort_keys=True) == json.dumps(cfg, sort_keys=True)
+    assert _config_sha256(other_cfg) == _config_sha256(cfg)
+
+
+def _spell(value, rnd):
+    """A whole float spelled as an int half of the time (-0.0 has no int spelling)."""
+    whole = isinstance(value, float) and value.is_integer()
+    if whole and str(float(int(value))) == str(value) and rnd.random() < 0.5:
+        return int(value)
+    return value
+
+
+def _respell(cfg, schema, rnd):
+    """``cfg`` with keys shuffled, defaults left out or null, numbers respelled."""
     keys = list(cfg)
     rnd.shuffle(keys)
     other = {}
@@ -104,14 +136,8 @@ def test_pipeline_config_round_trips_and_hashes_by_value(doc, rnd):
             if rnd.random() < 0.5:
                 other[key] = None
             continue
-        other[key] = cfg[key]
-    if other.get("model") is not None:
-        items = list(other["model"].items())
-        rnd.shuffle(items)
-        other["model"] = dict(items)
-    other_cfg = validate_config(other, schema, "pipeline")
-    assert json.dumps(other_cfg, sort_keys=True) == json.dumps(cfg, sort_keys=True)
-    assert _config_sha256(other_cfg) == _config_sha256(cfg)
+        other[key] = _spell(cfg[key], rnd)
+    return other
 
 
 def test_qubits_saved_default_table(tmp_path, capsys):

@@ -14,12 +14,10 @@ from trottergibbs.syk import (
     HamiltonianTerms,
     VarianceRule,
     build_syk_hamiltonian,
-    from_json,
     group_commuting,
     jordan_wigner_majorana,
     normalize_one_norm,
     sample_syk,
-    to_json,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -158,11 +156,23 @@ def test_normalize_identity_when_already_unit():
     assert max_abs(hn.dense() - hn2.dense()) < 1e-14
 
 
+def commuting_runs(h):
+    """Term indices split into maximal runs of mutually commuting terms."""
+    runs = []
+    for j, (_, string) in enumerate(h.terms):
+        if runs and all(pauli_commutes(string, h.terms[i][1]) for i in runs[-1]):
+            runs[-1].append(j)
+        else:
+            runs.append([j])
+    return runs
+
+
 def test_group_commuting_all_commuting_single_group():
     terms = [(0.5, PauliString.from_label("ZZ")), (0.25, PauliString.from_label("ZI"))]
     h = HamiltonianTerms(2, terms)
     g = group_commuting(h)
-    assert len(g.groups) == 1
+    assert g.terms == h.terms
+    assert commuting_runs(g) == [[0, 1]]
 
 
 def test_group_commuting_splits_anticommuting():
@@ -172,43 +182,42 @@ def test_group_commuting_splits_anticommuting():
         (1.0, PauliString.from_label("IX")),
     ]
     g = group_commuting(HamiltonianTerms(2, terms))
-    assert len(g.groups) == 2
+    assert g.terms == [terms[0], terms[2], terms[1]]
+    assert commuting_runs(g) == [[0, 1], [2]]
 
 
 def test_group_commuting_is_valid_partition():
+    # The reordered model is a permutation of the terms, groups are runs of
+    # mutually commuting terms, and each run keeps the original index order.
     for seed in (11, 12, 13):
         h = build_syk_hamiltonian(sample_syk(8, seed=seed))
         g = group_commuting(h)
-        seen = sorted(i for grp in g.groups for i in grp)
-        assert seen == list(range(h.n_terms))
-        for grp in g.groups:
-            for a in grp:
-                for b in grp:
-                    assert pauli_commutes(h.terms[a][1], h.terms[b][1])
+        position = {s.letters: i for i, (_, s) in enumerate(h.terms)}
+        assert sorted(position[s.letters] for _, s in g.terms) == list(range(h.n_terms))
+        assert all(h.terms[position[s.letters]] == (c, s) for c, s in g.terms)
+        for run in commuting_runs(g):
+            indices = [position[g.terms[i][1].letters] for i in run]
+            assert indices == sorted(indices)
+            for a in run:
+                for b in run:
+                    assert pauli_commutes(g.terms[a][1], g.terms[b][1])
 
 
 def test_group_commuting_reference_count():
     h = build_syk_hamiltonian(sample_syk(8, seed=7))
-    g = group_commuting(h)
-    assert len(g.groups) == REFERENCE_GROUPS
-    assert len(g.groups) < h.n_terms
+    runs = commuting_runs(group_commuting(h))
+    assert len(runs) == REFERENCE_GROUPS
+    assert len(runs) < h.n_terms
 
 
 def test_group_sum_matches_full_hamiltonian():
-    h = group_commuting(build_syk_hamiltonian(sample_syk(8, seed=7)))
+    h = build_syk_hamiltonian(sample_syk(8, seed=7))
+    g = group_commuting(h)
     total = np.zeros_like(h.dense())
-    for group in h.groups:
-        total = total + HamiltonianTerms(h.n_qubits, [h.terms[i] for i in group]).dense()
+    for run in commuting_runs(g):
+        total = total + HamiltonianTerms(g.n_qubits, [g.terms[i] for i in run]).dense()
     assert max_abs(total - h.dense()) < 1e-12
-
-
-def test_json_round_trip():
-    h = group_commuting(build_syk_hamiltonian(sample_syk(8, seed=7)))
-    h2 = from_json(to_json(h))
-    assert h2.n_qubits == h.n_qubits
-    assert h2.groups == h.groups
-    assert h2.terms == h.terms
-    assert max_abs(h.dense() - h2.dense()) == 0.0
+    assert max_abs(g.dense() - h.dense()) < 1e-12
 
 
 def kron_sum(h):

@@ -7,16 +7,17 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trottergibbs import trotter
 from trottergibbs.linalg import BranchCutError, max_abs, spectral_norm
-from trottergibbs.paulis import PauliString
+from trottergibbs.paulis import PauliString, pauli_commutes
 from trottergibbs.syk import (
     HamiltonianTerms,
     build_syk_hamiltonian,
     group_commuting,
+    normalize_one_norm,
     sample_syk,
 )
 from trottergibbs.trotter import (
@@ -50,11 +51,9 @@ def random_model(rng, n_qubits, n_terms, scale=1.0):
     return HamiltonianTerms(n_qubits, terms)
 
 
-def product_oracle(h, t, plan, grouped=False):
+def product_oracle(h, t, plan):
     """Left-to-right product of stage exponentials, built independently."""
     mats = [c * _dense(p) for c, p in h.terms]
-    if grouped:
-        mats = [sum(mats[i] for i in group) for group in h.groups]
     u = np.eye(2**h.n_qubits, dtype=complex)
     for idx, frac in plan.stages:
         u = u @ scipy.linalg.expm(1j * mats[idx] * frac * t)
@@ -74,6 +73,17 @@ def _dense(p):
     return m
 
 
+def commuting_runs(h):
+    """Term indices split into maximal runs of mutually commuting terms."""
+    runs = []
+    for j, (_, string) in enumerate(h.terms):
+        if runs and all(pauli_commutes(string, h.terms[i][1]) for i in runs[-1]):
+            runs[-1].append(j)
+        else:
+            runs.append([j])
+    return runs
+
+
 @st.composite
 def small_models(draw, max_terms=5, coeff=0.5):
     """A random Pauli model (distinct non-identity labels, |c| <= coeff)."""
@@ -88,12 +98,12 @@ def small_models(draw, max_terms=5, coeff=0.5):
         )
         for v in labels
     ]
-    return group_commuting(HamiltonianTerms(n, terms))
+    return HamiltonianTerms(n, terms)
 
 
 @st.composite
 def parity_models(draw, max_terms=5, coeff=0.5):
-    """A random grouped Pauli model, and whether it keeps fermion parity.
+    """A random Pauli model, and whether it keeps fermion parity.
 
     A parity-keeping model has only labels with an even number of X/Y
     letters; a parity-breaking one has at least one label with an odd number.
@@ -117,7 +127,7 @@ def parity_models(draw, max_terms=5, coeff=0.5):
         st.lists(st.floats(-coeff, coeff), min_size=len(picked), max_size=len(picked))
     )
     terms = [(c, PauliString.from_label(label)) for c, label in zip(coeffs, picked)]
-    return group_commuting(HamiltonianTerms(n, terms)), keeps
+    return HamiltonianTerms(n, terms), keeps
 
 
 def log_log_slope(taus, errs):
@@ -238,23 +248,6 @@ def test_apply_formula_even_order_time_reversal():
         assert max_abs(bwd - fwd.conj().T) < 1e-12
 
 
-def test_apply_formula_grouped_matches_ungrouped_limit():
-    # Grouped stages exponentiate commuting sums exactly; on a model whose
-    # groups are singletons the two paths agree stage by stage.
-    rng = np.random.default_rng(24)
-    h = random_model(rng, 2, 2)
-    from trottergibbs.syk import group_commuting
-
-    hg = group_commuting(h)
-    n_units = len(hg.groups)
-    plan = build_plan(n_units, 2)
-    ug = apply_formula(hg, 0.3, plan, grouped=True)
-    exact = scipy.linalg.expm(1j * 0.3 * h.dense())
-    # Second-order error bound, just a sanity envelope here.
-    assert max_abs(ug - exact) < 0.1
-    assert max_abs(ug @ ug.conj().T - np.eye(4)) < 1e-10
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     parity_models(),
@@ -262,17 +255,38 @@ def test_apply_formula_grouped_matches_ungrouped_limit():
     st.booleans(),
     st.floats(-0.6, 0.6, allow_nan=False),
 )
-def test_apply_formula_matches_product_oracle_property(model, order, grouped, t):
+def test_apply_formula_matches_product_oracle_property(model, order, reorder, t):
     # Parity-keeping models run the two-block kernel, the others one block.
     # Orders 4 and 6 run the recursion with reuse; the oracle multiplies
-    # the flat stage list.
+    # the flat stage list.  A reordered model is the same check on another
+    # term order.
     h, keeps = model
-    plan = build_plan(len(h.groups) if grouped else h.n_terms, order)
-    got = apply_formula(h, t, plan, grouped=grouped)
-    assert max_abs(got - product_oracle(h, t, plan, grouped=grouped)) < 1e-12
+    if reorder:
+        h = group_commuting(h)
+    plan = build_plan(h.n_terms, order)
+    got = apply_formula(h, t, plan)
+    assert max_abs(got - product_oracle(h, t, plan)) < 1e-12
     if keeps:
         parity = np.array([bin(b).count("1") % 2 for b in range(2**h.n_qubits)])
         assert np.all(got[parity[:, None] != parity[None, :]] == 0.0)
+
+
+SYK8 = normalize_one_norm(build_syk_hamiltonian(sample_syk(8, seed=7)))[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(parity_models(), st.floats(-0.6, 0.6, allow_nan=False))
+@example((SYK8, True), 0.3)
+def test_order1_on_reordered_model_is_product_of_group_exponentials(model, t):
+    # Applying a commuting group's members one after another is the exact
+    # exponential of their sum, so order 1 on the reordered model is the
+    # product over groups of expm(i t sum_{j in g} c_j P_j).
+    h = group_commuting(model[0])
+    mats = [c * _dense(p) for c, p in h.terms]
+    want = np.eye(2**h.n_qubits, dtype=complex)
+    for run in commuting_runs(h):
+        want = want @ scipy.linalg.expm(1j * t * sum(mats[j] for j in run))
+    assert max_abs(apply_formula(h, t, build_plan(h.n_terms, 1)) - want) < 1e-12
 
 
 @pytest.mark.parametrize("order, share", [(1, 1.0), (2, 1.0), (4, 2 / 5), (6, 4 / 25)])
