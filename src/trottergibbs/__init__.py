@@ -46,6 +46,5 @@ from .trotter import (
     apply_formula,
     build_plan,
     effective_hamiltonian,
-    fit_alpha,
     trotter_error_norm,
 )

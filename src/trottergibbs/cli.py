@@ -42,6 +42,7 @@ FLOAT_FMT = ".17g"
 COMMANDS = ("lwf-convergence", "qubits-saved", "pipeline", "trotter-order")
 
 _num = (int, float)
+_num_list = (list,)  # a list whose entries are numbers; they validate to floats
 
 MODEL_SCHEMAS = {
     "syk": {
@@ -66,9 +67,9 @@ DEFAULT_TROTTER_MODEL = {"kind": "syk", "n_majorana": 8, "seed": 7, "one_norm": 
 
 SCHEMAS = {
     "lwf-convergence": {
-        "betas": (list, [1.0, 2.0, 4.0, 8.0], False),
+        "betas": (_num_list, [1.0, 2.0, 4.0, 8.0], False),
         "delta": (_num, None, False),
-        "eps_grid": (list, [1e-2, 1e-3, 1e-4, 1e-5, 1e-6], False),
+        "eps_grid": (_num_list, [1e-2, 1e-3, 1e-4, 1e-5, 1e-6], False),
         "grid_points": (int, 1000, False),
         "include_taylor": (bool, True, False),
         "seed": (int, 0, False),
@@ -107,8 +108,9 @@ class ConfigError(ValueError):
 def validate_config(doc: dict, schema: dict, where: str) -> dict:
     """Schema-check one document level; unknown keys are rejected.
 
-    Values of number keys come back as floats and a ``model`` as a checked
-    model document, so documents equal by value validate to the same JSON.
+    Values of number keys and entries of number-list keys come back as
+    floats and a ``model`` as a checked model document, so documents equal
+    by value validate to the same JSON.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected a JSON object, got {type(doc).__name__}")
@@ -125,6 +127,10 @@ def validate_config(doc: dict, schema: dict, where: str) -> dict:
                 raise ConfigError(
                     f"{where}: key {key!r} has type {type(value).__name__}"
                 )
+            if types is _num_list:
+                if any(isinstance(v, bool) or not isinstance(v, _num) for v in value):
+                    raise ConfigError(f"{where}: entries of {key!r} must be numbers")
+                value = [float(v) for v in value]
             out[key] = float(value) if types is _num else value
         elif required:
             raise ConfigError(f"{where}: missing required key {key!r}")
@@ -233,11 +239,10 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> dict:
 
 def cmd_lwf_convergence(cfg: dict, out_dir: Path) -> list[Path]:
     grid = np.linspace(-1.0, 1.0, cfg["grid_points"])
-    eps_grid = [float(e) for e in cfg["eps_grid"]]
+    eps_grid = cfg["eps_grid"]
     rows = []
     fits = []
     for beta in cfg["betas"]:
-        beta = float(beta)
         delta = cfg["delta"] if cfg["delta"] is not None else 1.0 / beta
         orders = {"taylor": [], "lwf": []}
         for eps in eps_grid:

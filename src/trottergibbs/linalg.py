@@ -3,6 +3,10 @@
 Everything here works through explicit spectral decompositions rather than
 Pade-style approximants, so eigenvalues and eigenvectors stay available to
 callers and branch-cut handling in the matrix logarithm is explicit.
+
+SciPy is imported only inside ``unitary_decompose`` and
+``matrix_log_unitary``: the pipeline never calls them, so importing the
+package does not load it.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -89,6 +92,8 @@ def unitary_decompose(u: np.ndarray, tol: float = UNITARY_TOL) -> SpectralDecomp
     is diagonal and the basis is orthonormal even with degenerate
     eigenvalues, which plain nonsymmetric eig does not guarantee.
     """
+    import scipy.linalg
+
     assert_unitary(u, tol)
     t, z = scipy.linalg.schur(u, output="complex")
     dec = SpectralDecomposition(np.diag(t).copy(), z)
@@ -143,6 +148,8 @@ def matrix_log_unitary(
     rejects any within ``branch_gap`` of the cut: the log would be
     meaningless downstream.
     """
+    import scipy.linalg
+
     dec = unitary_decompose(u, tol)
     phases = _principal_phases(dec.eigenvalues, tol, branch_gap)
     log_u = dec.apply(1j * phases)

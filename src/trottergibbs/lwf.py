@@ -26,12 +26,22 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 LN2 = math.log(2.0)
 ARCSIN_START = 64  # first arcsin order tried; doubled up to ARCSIN_CAP
 ARCSIN_CAP = 4096
 CERT_GRID = 1000  # window points on which the certificate is checked
+
+
+def gammaln(x):
+    """SciPy's log-gamma, loaded on first use so that importing the package skips SciPy.
+
+    ``math.lgamma`` differs from it in the last bit on many integers, and the
+    coefficients depend on those bits.
+    """
+    from scipy.special import gammaln as scipy_gammaln
+
+    return scipy_gammaln(x)
 
 
 class ApproximationError(ValueError):

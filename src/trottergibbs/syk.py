@@ -148,16 +148,20 @@ def build_syk_hamiltonian(c: SykCouplings) -> HamiltonianTerms:
 
     The product of four distinct Majoranas is Hermitian, so each reduced
     string carries a real coefficient; the 1/(4*4!) prefactor and the four
-    1/sqrt(2) factors are folded into it.
+    1/sqrt(2) factors are folded into it.  Each Majorana's Jordan-Wigner
+    string is built once and shared by every coupling that contains it.
     """
     n_qubits = c.n_majorana // 2
     prefactor = 1.0 / (4.0 * math.factorial(4))
+    majoranas = [
+        jordan_wigner_majorana(idx, c.n_majorana) for idx in range(1, c.n_majorana + 1)
+    ]
     merged: dict[str, float] = {}
     for (i, j, k, l), jval in c.couplings.items():
         coeff = prefactor * jval
         string = PauliString.identity(n_qubits)
         for idx in (i, j, k, l):
-            w, gamma = jordan_wigner_majorana(idx, c.n_majorana)
+            w, gamma = majoranas[idx - 1]
             coeff *= w
             string = pauli_multiply(string, gamma)
         if abs(string.phase.imag) > 1e-12:

@@ -60,13 +60,6 @@ class FormulaPlan:
     def n_stages(self) -> int:
         return len(self.stages)
 
-    def fraction_sums(self) -> np.ndarray:
-        """Per-term sums of stage fractions; each must be 1."""
-        sums = np.zeros(self.n_terms)
-        for idx, frac in self.stages:
-            sums[idx] += frac
-        return sums
-
 
 def build_plan(n_terms: int, order: int) -> FormulaPlan:
     """Stage list for the given order (1, 2, or any even order)."""
@@ -240,28 +233,3 @@ def trotter_error_norm(h: HamiltonianTerms, tau: float, plan: FormulaPlan) -> fl
     """Spectral norm of H_eff(tau) - H."""
     eff = effective_hamiltonian(h, 1.0, tau, plan)
     return spectral_norm(eff.matrix - h.dense())
-
-
-def fit_alpha(
-    h: HamiltonianTerms, plan: FormulaPlan, tau_grid: np.ndarray, slope_tol: float = 0.2
-) -> float:
-    """Least-squares commutator constant in ||H_eff - H|| = alpha |tau|^p / (p+1)!.
-
-    Rejects grids whose log-log slope strays more than ``slope_tol`` from
-    the order, since alpha is only meaningful in the asymptotic regime.
-    """
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    if tau_grid.size < 4:
-        raise ValueError("need at least 4 grid points")
-    p = plan.order
-    errors = np.array([trotter_error_norm(h, tau, plan) for tau in tau_grid])
-    if np.any(errors <= 0.0):
-        raise ValueError("zero Trotter error on the grid; model may be commuting")
-    slope = np.polyfit(np.log(np.abs(tau_grid)), np.log(errors), 1)[0]
-    if abs(slope - p) > slope_tol:
-        raise ValueError(
-            f"non-asymptotic grid: log-log slope {slope:.3f} deviates from p={p} "
-            f"by more than {slope_tol}"
-        )
-    basis = np.abs(tau_grid) ** p / math.factorial(p + 1)
-    return float(np.dot(errors, basis) / np.dot(basis, basis))

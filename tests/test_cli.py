@@ -422,6 +422,35 @@ def test_lwf_convergence_artifacts(tmp_path, capsys):
         assert abs(taylor_fits[beta]["slope"] - lwf_fits[beta]["slope"]) > 1.0
 
 
+@pytest.mark.parametrize("key", ["betas", "eps_grid"])
+@pytest.mark.parametrize("entry", ["a", True, None, [1.0]], ids=repr)
+def test_number_list_entry_of_another_type_is_config_error(key, entry, tmp_path, capsys):
+    # ["a"] used to exit 3 from inside the command; [true] ran as 1.0.
+    cfg = write_config(tmp_path, "cfg.json", {key: [0.5, entry]})
+    out = tmp_path / "r"
+    rc, payload = run_cli(capsys, "lwf-convergence", "--config", cfg, "--out", str(out))
+    assert rc == 2
+    assert payload["error"]["type"] == "config"
+    assert key in payload["error"]["message"]
+    assert not (out / "lwf_convergence.csv").exists()
+
+
+def test_number_list_entries_hash_by_value(tmp_path, capsys):
+    # {"betas": [1]} and {"betas": [1.0]} used to get different config_sha256.
+    digests = set()
+    for spelling in ({"betas": [1, 2], "eps_grid": [0.01, 0.001]},
+                     {"betas": [1.0, 2.0], "eps_grid": [1e-2, 1e-3]}):
+        cfg = write_config(tmp_path, "cfg.json", {**spelling, "include_taylor": False})
+        out = tmp_path / "r"
+        rc, _ = run_cli(capsys, "lwf-convergence", "--config", cfg, "--out", str(out))
+        assert rc == 0
+        digests.add(json.loads((out / "manifest.json").read_text())["config_sha256"])
+    assert len(digests) == 1
+    cfg = validate_config({"betas": [1, 2.5]}, SCHEMAS["lwf-convergence"], "lwf")
+    assert cfg["betas"] == [1.0, 2.5]
+    assert all(type(b) is float for b in cfg["betas"])
+
+
 def test_trotter_order_slopes(tmp_path, capsys):
     cfg = write_config(
         tmp_path, "cfg.json",

