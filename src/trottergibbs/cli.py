@@ -101,6 +101,15 @@ SCHEMAS = {
 }
 
 
+# Value ranges, checked wherever the key appears: (test of the validated value, its meaning).
+RANGES = {
+    "betas": (lambda v: all(0 < b < math.inf for b in v), "finite and > 0"),
+    "delta": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "eps_grid": (lambda v: len(set(v)) > 1 and all(0 < e < 1 for e in v), "2+ distinct, in (0, 1)"),
+    "grid_points": (lambda v: v >= 2, ">= 2"),
+}
+
+
 class ConfigError(ValueError):
     """A config document failed validation."""
 
@@ -136,6 +145,9 @@ def validate_config(doc: dict, schema: dict, where: str) -> dict:
             raise ConfigError(f"{where}: missing required key {key!r}")
         else:
             out[key] = default
+    for key, (ok, bound) in RANGES.items():
+        if out.get(key) is not None and not ok(out[key]):
+            raise ConfigError(f"{where}: {key!r} must be {bound}, got {out[key]}")
     if "model" in out:
         out["model"] = validate_model(out["model"])
     return out
@@ -238,6 +250,8 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> dict:
 
 
 def cmd_lwf_convergence(cfg: dict, out_dir: Path) -> list[Path]:
+    if cfg["delta"] is None and min(cfg["betas"], default=1.0) < 1.0:
+        raise ConfigError("lwf-convergence: delta defaults to 1/beta; betas below 1 need a delta")
     grid = np.linspace(-1.0, 1.0, cfg["grid_points"])
     eps_grid = cfg["eps_grid"]
     rows = []

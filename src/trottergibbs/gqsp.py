@@ -73,14 +73,12 @@ def direct_poly_apply(p: LaurentPoly, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def rotation(theta: float, phi: float, lam: float = 0.0) -> np.ndarray:
-    """The SU(2)-style interleaving rotation used by the synthesis."""
-    return np.array(
-        [
-            [np.exp(1j * (lam + phi)) * math.cos(theta), np.exp(1j * phi) * math.sin(theta)],
-            [np.exp(1j * lam) * math.sin(theta), -math.cos(theta)],
-        ]
-    )
+def rotation(theta, phi, lam=0.0) -> np.ndarray:
+    """The SU(2)-style interleaving rotation; array angles broadcast to shape (..., 2, 2)."""
+    theta, phi, lam = np.broadcast_arrays(theta, phi, lam)
+    cos, sin = np.cos(theta), np.sin(theta)
+    entries = [np.exp(1j * (lam + phi)) * cos, np.exp(1j * phi) * sin, np.exp(1j * lam) * sin]
+    return np.stack([*entries, -cos], axis=-1).reshape(theta.shape + (2, 2))
 
 
 def complete_polynomial(p_coefs: np.ndarray) -> np.ndarray:
@@ -145,23 +143,20 @@ def synthesize_angles(p_coefs: np.ndarray, q_coefs: np.ndarray) -> GqspAngles:
     at a time: theta from the magnitudes of the leading pair, phi from
     their relative phase, and lam from the final degree-0 remainder.
     """
-    p_coefs = np.asarray(p_coefs, dtype=complex)
-    q_coefs = np.asarray(q_coefs, dtype=complex)
-    if p_coefs.shape != q_coefs.shape:
+    p_row, q_row = (np.asarray(v, dtype=complex) for v in (p_coefs, q_coefs))
+    if p_row.shape != q_row.shape:
         raise ValueError("P and Q must share a coefficient length")
-    s = np.vstack([p_coefs, q_coefs])
     # Strip exactly-padded top degrees (e.g. a completion of lower degree).
     # Only exact zeros: a tiny leading coefficient still fixes a rotation.
-    while s.shape[1] > 1 and np.all(s[:, -1] == 0):
-        s = s[:, :-1]
-    d = s.shape[1] - 1
+    while len(p_row) > 1 and p_row[-1] == 0 and q_row[-1] == 0:
+        p_row, q_row = p_row[:-1], q_row[:-1]
+    d = len(p_row) - 1
     theta = np.zeros(d + 1)
     phi = np.zeros(d + 1)
     lam = 0.0
     for step in range(d, -1, -1):
-        a, b = s[0, step], s[1, step]
-        mag = math.hypot(abs(a), abs(b))
-        if mag == 0.0:
+        a, b = complex(p_row[step]), complex(q_row[step])
+        if a == 0 and b == 0:
             raise SynthesisError(
                 f"peeling unstable at degree {step}: leading coefficients vanish"
             )
@@ -169,13 +164,16 @@ def synthesize_angles(p_coefs: np.ndarray, q_coefs: np.ndarray) -> GqspAngles:
         # Relative phase; the completion can leave |b| astronomically small
         # (products of in-disk roots), but its phase is still exact, so no
         # magnitude threshold here.  angle(0) == 0 keeps exact zeros benign.
-        phi[step] = float(np.angle(a)) - float(np.angle(b))
+        phi[step] = math.atan2(a.imag, a.real) - math.atan2(b.imag, b.real)
         if step == 0:
-            lam = float(np.angle(b))
+            lam = math.atan2(b.imag, b.real)
             break
-        r = rotation(theta[step], phi[step])
-        s = r.conj().T @ s
-        s = np.vstack([s[0, 1 : step + 1], s[1, 0:step]])
+        # The rows of R(theta, phi)^dag [P; Q], shifted: row 0 drops its
+        # lowest degree and row 1 its top degree, which now vanishes.
+        cos, sin = math.cos(theta[step]), math.sin(theta[step])
+        turn = complex(math.cos(phi[step]), -math.sin(phi[step]))  # exp(-i phi)
+        p_row, q_row = (turn * cos * p_row[1:] + sin * q_row[1:],
+                        turn * sin * p_row[:-1] - cos * q_row[:-1])
     return GqspAngles(theta, phi, lam)
 
 
@@ -206,10 +204,11 @@ def gqsp_cells(angles: GqspAngles, phases: np.ndarray, shift: int) -> np.ndarray
     """
     phases = np.asarray(phases, dtype=float)[:, None]
     z = np.exp(1j * phases)
-    cells = np.tile(rotation(angles.theta[0], angles.phi[0], angles.lam), (len(z), 1, 1))
-    for j in range(1, angles.degree + 1):
+    rots = rotation(angles.theta, angles.phi, np.r_[angles.lam, np.zeros(angles.degree)])
+    cells = np.tile(rots[0], (len(z), 1, 1))
+    for r in rots[1:]:
         cells[:, 0, :] *= z
-        cells = rotation(angles.theta[j], angles.phi[j]) @ cells
+        cells = r @ cells
     cells[:, 0, :] *= np.exp(-1j * shift * phases)
     return cells
 

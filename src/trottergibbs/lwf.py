@@ -174,16 +174,14 @@ class FourierApprox:
         return np.arange(-self.M, self.M + 1)
 
     def reconstruct(self, x: np.ndarray) -> np.ndarray:
+        """sum_m c_m exp(i pi m x / 2); the columns of -m are the exact conjugates of those of m."""
         x = np.asarray(x, dtype=float)
-        phases = np.exp(1j * (math.pi / 2.0) * np.outer(x, self.frequencies))
-        return phases @ self.c
-
-    def target(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(-self.beta * (np.asarray(x, dtype=float) + 1.0))
+        half = np.exp(1j * (math.pi / 2.0) * np.outer(x, np.arange(self.M + 1)))
+        return np.concatenate([half[:, :0:-1].conj(), half], axis=1) @ self.c
 
     def sup_error(self, grid_size: int = CERT_GRID) -> float:
         grid = np.linspace(-1.0 + self.delta, 1.0 - self.delta, grid_size)
-        return float(np.max(np.abs(self.target(grid) - self.reconstruct(grid))))
+        return float(np.max(np.abs(np.exp(-self.beta * (grid + 1.0)) - self.reconstruct(grid))))
 
 
 def _arcsin_pass(ts: TaylorSeries, delta: float, order: int) -> tuple[np.ndarray, float]:
@@ -229,34 +227,36 @@ def _assemble(combined: np.ndarray, m_cut: int) -> tuple[np.ndarray, float]:
     """Collapse the triple sum to coefficients c_m, |m| <= m_cut.
 
     For fixed l the frequency is m = 2j - l with binomial index j, so each
-    (l, m) pair contributes B_l i^l (-1)^j binom(l, j) / 2^l.  Contributions
-    per frequency are summed in ascending magnitude to control round-off.
-    Returns the coefficients and the l1 mass dropped outside the window.
+    (l, m) pair contributes B_l i^l (-1)^j binom(l, j) / 2^l.  All pairs are
+    built at once, in runs by frequency with l ascending; each run is summed
+    in ascending magnitude to control round-off.  Returns the coefficients
+    and the l1 mass dropped outside the window.
     """
     order = len(combined) - 1
-    ls = np.arange(order + 1)
-    log_fact = gammaln(ls + 1)
+    log_fact = gammaln(np.arange(order + 1) + 1)
     i_pow = np.array([1, 1j, -1, -1j])  # exact powers of i
-    c = np.zeros(2 * m_cut + 1, dtype=complex)
-    dropped = 0.0
 
     def pmf(l, j):  # binom(l, j) / 2^l
         return np.exp(log_fact[l] - log_fact[j] - log_fact[l - j] - l * LN2)
 
-    for m in range(-m_cut, m_cut + 1):
-        lsub = ls[(ls >= abs(m)) & ((ls - m) % 2 == 0)]
-        if lsub.size == 0:
-            continue
-        j = (lsub + m) // 2
-        signs = np.where(j % 2 == 0, 1.0, -1.0)
-        vals = combined[lsub] * i_pow[lsub % 4] * signs * pmf(lsub, j)
-        vals = vals[np.argsort(np.abs(vals))]
-        c[m + m_cut] = np.sum(vals)
-    # l1 mass of the dropped binomial tails, for the error report.
-    for l in range(m_cut + 1, order + 1):
-        j = np.arange(0, (l - m_cut - 1) // 2 + 1)
-        dropped += 2.0 * abs(combined[l]) * float(np.sum(pmf(l, j)))
-    return c, dropped
+    # Entry k of the run of frequency m has l = |m| + 2k.  A `sum` per run and a
+    # sequential `cumsum` over the tails give the bits of a loop per frequency.
+    keep = np.abs(np.arange(-m_cut, m_cut + 1))[:, None] + 2 * np.arange(order // 2 + 1) <= order
+    run, k = np.nonzero(keep)
+    m = run - m_cut
+    lsub = np.abs(m) + 2 * k
+    j = (lsub + m) // 2
+    signs = np.where(j % 2 == 0, 1.0, -1.0)
+    vals = combined[lsub] * i_pow[lsub % 4] * signs * pmf(lsub, j)
+    vals = vals[np.lexsort((np.abs(vals), run))]
+    c = np.array([v.sum() for v in np.split(vals, np.cumsum(keep.sum(axis=1))[:-1])])
+    # l1 mass of the dropped binomial tails, j <= (l - m_cut - 1) // 2, for the error report.
+    ls = np.arange(m_cut + 1, order + 1)
+    keep = np.arange((order - m_cut + 1) // 2) <= ((ls - m_cut - 1) // 2)[:, None]
+    row, j = np.nonzero(keep)
+    tails = [v.sum() for v in np.split(pmf(ls[row], j), np.cumsum(keep.sum(axis=1))[:-1])]
+    dropped = np.cumsum(np.concatenate([[0.0], 2.0 * np.abs(combined[ls]) * tails]))[-1]
+    return c, float(dropped)
 
 
 def lwf_coefficients(ts: TaylorSeries, delta: float, eps: float) -> FourierApprox:

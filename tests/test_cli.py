@@ -471,3 +471,53 @@ def test_trotter_order_slopes(tmp_path, capsys):
 def test_entry_point_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"betas": [0.0]}, "betas"),  # exited 3 with ZeroDivisionError
+        ({"betas": [-1.0]}, "betas"),  # exited 3
+        ({"betas": [1.0, float("inf")]}, "betas"),  # exited 3
+        ({"betas": [float("nan")]}, "betas"),  # exited 3
+        ({"eps_grid": [1.5, 0.01]}, "eps_grid"),  # exited 3
+        ({"eps_grid": [0.0, 0.01]}, "eps_grid"),  # exited 3
+        ({"eps_grid": [1.5]}, "eps_grid"),  # exited 3
+        ({"delta": 0.0}, "delta"),  # exited 3
+        ({"delta": 1.5}, "delta"),  # exited 3
+        ({"grid_points": 0}, "grid_points"),  # exited 3
+        ({"grid_points": 1}, "grid_points"),  # exited 0
+        ({"betas": [0.5]}, "delta"),  # exited 3: delta defaulted to 1/beta = 2
+    ],
+    ids=repr,
+)
+def test_lwf_convergence_out_of_range_value_is_config_error(doc, key, tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    out = tmp_path / "r"
+    rc, payload = run_cli(capsys, "lwf-convergence", "--config", cfg, "--out", str(out))
+    assert rc == 2
+    assert payload["error"]["type"] == "config"
+    assert key in payload["error"]["message"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("eps_grid", [[0.01], [0.01, 0.01]])
+def test_lwf_convergence_needs_two_distinct_eps(eps_grid, tmp_path, capsys):
+    # One distinct eps used to exit 0 and write r2 1.0 with an arbitrary
+    # slope from a rank-deficient fit.
+    cfg = write_config(tmp_path, "cfg.json", {"betas": [1.0], "eps_grid": eps_grid})
+    out = tmp_path / "r"
+    rc, payload = run_cli(capsys, "lwf-convergence", "--config", cfg, "--out", str(out))
+    assert rc == 2
+    assert payload["error"]["type"] == "config"
+    assert "eps_grid" in payload["error"]["message"]
+    assert not (out / "lwf_fits.json").exists()
+
+
+def test_lwf_convergence_accepts_range_edges(tmp_path, capsys):
+    # delta = 1, grid_points = 2, beta below 1 with a delta, eps near 1.
+    for doc in ({"betas": [1.0], "delta": 1.0, "grid_points": 2, "eps_grid": [0.5, 0.01]},
+                {"betas": [0.5], "delta": 0.5, "eps_grid": [0.01, 0.001]}):
+        cfg = write_config(tmp_path, "cfg.json", {**doc, "include_taylor": False})
+        rc, _ = run_cli(capsys, "lwf-convergence", "--config", cfg, "--out", str(tmp_path / "r"))
+        assert rc == 0, doc

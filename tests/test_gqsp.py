@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trottergibbs.gqsp import (
     CompletionError,
     GqspAngles,
+    SynthesisError,
     LaurentPoly,
     complete_polynomial,
     direct_poly_apply,
@@ -22,6 +23,7 @@ from trottergibbs.gqsp import (
     verify_block,
 )
 from trottergibbs.linalg import max_abs
+from trottergibbs.lwf import gibbs_fourier
 
 CIRCLE = np.exp(2j * np.pi * np.arange(4096) / 4096)
 
@@ -42,6 +44,34 @@ def random_laurent(rng, m, head=0.9):
     return LaurentPoly(m, c * head / np.max(np.abs(vals)))
 
 
+def peel_reference(p_coefs, q_coefs):
+    """``synthesize_angles`` as one 2x2 rotation matmul per degree: the kernel the row peeling replaced."""
+    s = np.vstack([np.asarray(p_coefs, complex), np.asarray(q_coefs, complex)])
+    while s.shape[1] > 1 and np.all(s[:, -1] == 0):
+        s = s[:, :-1]
+    d = s.shape[1] - 1
+    theta = np.zeros(d + 1)
+    phi = np.zeros(d + 1)
+    lam = 0.0
+    for step in range(d, -1, -1):
+        a, b = s[0, step], s[1, step]
+        if math.hypot(abs(a), abs(b)) == 0.0:
+            raise SynthesisError(f"peeling unstable at degree {step}")
+        theta[step] = math.atan2(abs(b), abs(a))
+        phi[step] = float(np.angle(a)) - float(np.angle(b))
+        if step == 0:
+            lam = float(np.angle(b))
+            break
+        s = rotation(theta[step], phi[step]).conj().T @ s
+        s = np.vstack([s[0, 1 : step + 1], s[1, 0:step]])
+    return GqspAngles(theta, phi, lam)
+
+
+def angle_gap(a, b):
+    """Largest gap between two angle arrays, modulo 2 pi."""
+    return float(np.max(np.abs(np.angle(np.exp(1j * (np.asarray(a) - np.asarray(b)))))))
+
+
 def test_rotation_at_zero_angles():
     assert np.allclose(rotation(0.0, 0.0, 0.0), np.diag([1.0, -1.0]), atol=1e-15)
 
@@ -56,6 +86,19 @@ def test_rotation_unitary():
     for _ in range(20):
         r = rotation(*rng.uniform(-math.pi, math.pi, size=3))
         assert max_abs(r @ r.conj().T - np.eye(2)) < 1e-14
+
+
+def test_rotation_of_arrays_is_rotation_of_each_entry():
+    rng = np.random.default_rng(38)
+    theta = rng.uniform(-math.pi, math.pi, size=(3, 5))
+    phi = rng.uniform(-math.pi, math.pi, size=5)
+    lam = rng.uniform(-math.pi, math.pi, size=(3, 1))
+    rots = rotation(theta, phi, lam)
+    assert rots.shape == (3, 5, 2, 2)
+    for i in range(3):
+        for j in range(5):
+            assert np.array_equal(rots[i, j], rotation(theta[i, j], phi[j], lam[i, 0]))
+    assert rotation(0.3, 0.4).shape == (2, 2)
 
 
 def circle_block(p):
@@ -151,6 +194,44 @@ def test_synthesize_angle_count_matches_degree():
     assert len(angles.phi) == len(angles.theta)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 150))
+@example(seed=1, m=130)
+@example(seed=2, m=150)
+def test_synthesize_angles_matches_matmul_peeling(seed, m):
+    # Random admissible targets up to degree 300 (the disorder workload
+    # reaches about 260): row peeling and the 2x2-matmul reference agree.
+    p = random_laurent(np.random.default_rng(seed), m)
+    q = complete_polynomial(p.c)
+    got, want = synthesize_angles(p.c, q), peel_reference(p.c, q)
+    assert got.degree == want.degree
+    assert np.max(np.abs(got.theta - want.theta)) <= 1e-12
+    assert angle_gap(got.phi, want.phi) <= 1e-12
+    assert angle_gap(got.lam, want.lam) <= 1e-12
+
+
+@pytest.mark.parametrize("beta, delta, eps", [(4.0, 0.25, 1e-6), (8.0, 0.125, 1e-8)])
+def test_synthesize_angles_matches_matmul_peeling_on_gibbs_targets(beta, delta, eps):
+    # A Gibbs target's completion has leading coefficients whose phase is
+    # rounding noise, so single angles may differ at 1e-10; the circuits the
+    # two angle sets build agree.
+    f = gibbs_fourier(beta, delta, eps)
+    q = complete_polynomial(f.c)
+    got, want = synthesize_angles(f.c, q), peel_reference(f.c, q)
+    assert got.degree == want.degree == 2 * f.M
+    phases = np.linspace(-math.pi, math.pi, 257)
+    assert max_abs(gqsp_cells(got, phases, f.M) - gqsp_cells(want, phases, f.M)) <= 1e-12
+
+
+@pytest.mark.parametrize("length", [1, 2, 5])
+def test_synthesize_angles_refuses_vanishing_leading_pair(length):
+    zeros = np.zeros(length, dtype=complex)
+    with pytest.raises(SynthesisError):
+        synthesize_angles(zeros, zeros)
+    with pytest.raises(SynthesisError):
+        peel_reference(zeros, zeros)
+
+
 def test_gqsp_apply_unitary():
     rng = np.random.default_rng(37)
     p = random_laurent(rng, 3)
@@ -226,8 +307,6 @@ def test_lwf_coefficients_drive_block_to_gibbs_weight():
     # End-to-end: a Fourier approximation of exp(-beta (x+1)) applied as a
     # Laurent polynomial of the diagonal signal exp(i pi x / 2) reproduces
     # the scalar function on the spectrum.
-    from trottergibbs.lwf import gibbs_fourier
-
     beta, delta, eps = 1.0, 0.5, 1e-4
     f = gibbs_fourier(beta, delta, eps)
     xs = np.linspace(-1 + delta, 1 - delta, 7)
@@ -239,7 +318,12 @@ def test_lwf_coefficients_drive_block_to_gibbs_weight():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8))
+@given(
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.integers(1, 8), st.integers(100, 130)),
+    st.integers(1, 8),
+)
+@example(seed=3, m=130, dim=8)
 def test_cells_match_dense_circuit_in_eigenbasis(seed, m, dim):
     # W = V diag(z) V^dag: the dense circuit with its shift undone, seen in
     # the eigenbasis V, is diag(cells[:, r, c]) in each ancilla block, and

@@ -8,22 +8,60 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trottergibbs import lwf
 from trottergibbs.lwf import (
     ARCSIN_CAP,
+    CERT_GRID,
+    LN2,
     ApproximationError,
     FourierApprox,
     _arcsin_pass,
     _assemble,
     _choose_arcsin_order,
     arcsin_series,
+    gammaln,
     gibbs_fourier,
     gibbs_taylor,
     lwf_coefficients,
     lwf_order,
     taylor_order,
 )
+
+
+def assemble_reference(combined, m_cut):
+    """``_assemble`` as one loop per frequency: the kernel the flat-array version replaced."""
+    order = len(combined) - 1
+    ls = np.arange(order + 1)
+    log_fact = gammaln(ls + 1)
+    i_pow = np.array([1, 1j, -1, -1j])
+    c = np.zeros(2 * m_cut + 1, dtype=complex)
+    dropped = 0.0
+
+    def pmf(l, j):
+        return np.exp(log_fact[l] - log_fact[j] - log_fact[l - j] - l * LN2)
+
+    for m in range(-m_cut, m_cut + 1):
+        lsub = ls[(ls >= abs(m)) & ((ls - m) % 2 == 0)]
+        if lsub.size == 0:
+            continue
+        j = (lsub + m) // 2
+        signs = np.where(j % 2 == 0, 1.0, -1.0)
+        vals = combined[lsub] * i_pow[lsub % 4] * signs * pmf(lsub, j)
+        vals = vals[np.argsort(np.abs(vals))]
+        c[m + m_cut] = np.sum(vals)
+    for l in range(m_cut + 1, order + 1):
+        j = np.arange(0, (l - m_cut - 1) // 2 + 1)
+        dropped += 2.0 * abs(combined[l]) * float(np.sum(pmf(l, j)))
+    return c, dropped
+
+
+def reconstruct_reference(approx, x):
+    """``FourierApprox.reconstruct`` with one exponential per grid point and frequency."""
+    phases = np.exp(1j * (math.pi / 2.0) * np.outer(x, approx.frequencies))
+    return phases @ approx.c
 
 
 def fit_slope(xs, ys):
@@ -263,3 +301,40 @@ def test_assemble_builds_one_factorial_table(monkeypatch):
     c, dropped = _assemble(combined, 12)
     assert len(calls) == 1
     assert len(c) == 25 and dropped > 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(0.0, 10.0, exclude_min=True),
+    st.floats(0.1, 1.0),
+    st.floats(1e-8, 1e-2),
+    st.sampled_from([64, 128, 256, 512, 1024]),
+)
+def test_assemble_and_reconstruct_match_loop_references_bit_for_bit(beta, delta, eps, order):
+    # Flat-array _assemble and the half-exponential reconstruct against the
+    # per-frequency loops they replaced: every byte of c, dropped and the
+    # certificate-grid values.  The Taylor order and window are sized as
+    # gibbs_fourier sizes them; the arcsin order is drawn, so that orders
+    # the doubling rarely reaches are covered too.
+    ts = gibbs_taylor(beta, taylor_order(beta, eps))
+    m_cut = lwf_order(ts.one_norm, delta, eps)
+    combined, _ = _arcsin_pass(ts, delta, order)
+    c, dropped = _assemble(combined, m_cut)
+    c_ref, dropped_ref = assemble_reference(combined, m_cut)
+    assert c.tobytes() == c_ref.tobytes()
+    assert dropped == dropped_ref
+    approx = FourierApprox(beta, delta, m_cut, c, eps)
+    grid = np.linspace(-1.0 + delta, 1.0 - delta, CERT_GRID)
+    assert approx.reconstruct(grid).tobytes() == reconstruct_reference(approx, grid).tobytes()
+
+
+@pytest.mark.parametrize("order", [64, 256, 1024])
+@pytest.mark.parametrize("m_cut", [0, 1, 40, 200, 1100])
+def test_assemble_matches_loop_reference_at_every_window(order, m_cut):
+    # Windows narrower and wider than the arcsin order, including m_cut >= order
+    # (no dropped tail, empty frequency runs) and m_cut = 0 (one run).
+    combined, _ = _arcsin_pass(gibbs_taylor(3.0, 40), 0.3, order)
+    c, dropped = _assemble(combined, m_cut)
+    c_ref, dropped_ref = assemble_reference(combined, m_cut)
+    assert c.tobytes() == c_ref.tobytes()
+    assert dropped == dropped_ref
