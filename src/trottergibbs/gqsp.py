@@ -199,18 +199,21 @@ def gqsp_cells(angles: GqspAngles, phases: np.ndarray, shift: int) -> np.ndarray
 
     On the eigenvector with eigenvalue z = e^{i phase}, A acts on the ancilla
     as diag(z, 1): the circuit is one 2x2 product R_d diag(z, 1) ... R_0.
-    Its ancilla-0 row is then multiplied by z^-shift, undoing the monomial
-    shift of a Laurent target.  Returns shape (len(phases), 2, 2).
+    All cells are folded at once as one 2 x 2N row pair X, X[r, 2j+k] =
+    cell_j[r, k]: each degree scales row 0 by z and left-multiplies by R.
+    The ancilla-0 row is then multiplied by z^-shift, undoing the monomial
+    shift of a Laurent target.  Returns a C-contiguous (len(phases), 2, 2).
     """
-    phases = np.asarray(phases, dtype=float)[:, None]
-    z = np.exp(1j * phases)
+    phases = np.asarray(phases, dtype=float)
+    n = len(phases)
+    z2 = np.repeat(np.exp(1j * phases), 2)
     rots = rotation(angles.theta, angles.phi, np.r_[angles.lam, np.zeros(angles.degree)])
-    cells = np.tile(rots[0], (len(z), 1, 1))
+    x = np.tile(rots[0], (1, n))
     for r in rots[1:]:
-        cells[:, 0, :] *= z
-        cells = r @ cells
-    cells[:, 0, :] *= np.exp(-1j * shift * phases)
-    return cells
+        x[0] *= z2
+        x = r @ x
+    x[0] *= np.repeat(np.exp(-1j * shift * phases), 2)
+    return np.ascontiguousarray(x.reshape(2, n, 2).transpose(1, 0, 2))
 
 
 def extract_block(full: np.ndarray) -> np.ndarray:

@@ -174,10 +174,17 @@ class FourierApprox:
         return np.arange(-self.M, self.M + 1)
 
     def reconstruct(self, x: np.ndarray) -> np.ndarray:
-        """sum_m c_m exp(i pi m x / 2); the columns of -m are the exact conjugates of those of m."""
-        x = np.asarray(x, dtype=float)
-        half = np.exp(1j * (math.pi / 2.0) * np.outer(x, np.arange(self.M + 1)))
-        return np.concatenate([half[:, :0:-1].conj(), half], axis=1) @ self.c
+        """sum_m c_m exp(i pi m x / 2), from one (x.size, 2M+1) table filled in place.
+
+        Frequencies 0..M are exponentiated into the right half; the left half
+        takes their conjugates, which are exactly the columns of -m.
+        """
+        x = np.asarray(x, dtype=float).ravel()
+        m = self.M
+        table = np.empty((len(x), 2 * m + 1), dtype=complex)
+        np.exp(1j * ((math.pi / 2.0) * np.outer(x, np.arange(m + 1))), out=table[:, m:])
+        np.conjugate(table[:, : m : -1], out=table[:, :m])
+        return table @ self.c
 
     def sup_error(self, grid_size: int = CERT_GRID) -> float:
         grid = np.linspace(-1.0 + self.delta, 1.0 - self.delta, grid_size)
@@ -223,14 +230,32 @@ def _choose_arcsin_order(
         order *= 2
 
 
+def _row_sums(pad: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sum of the first lengths[r] entries of each row r of ``pad``.
+
+    Rows of equal length are summed together along axis 1, which runs the
+    same pairwise tree as a 1-D ``.sum()`` on each row's prefix.
+    """
+    by_length = np.argsort(lengths)
+    sorted_lengths = lengths[by_length]
+    starts = np.flatnonzero(np.diff(sorted_lengths, prepend=-1)).tolist()
+    out = np.empty(len(lengths), dtype=pad.dtype)
+    for start, end in zip(starts, starts[1:] + [len(lengths)]):
+        rows = by_length[start:end]
+        out[rows] = pad[rows, : sorted_lengths[start]].sum(axis=1)
+    return out
+
+
 def _assemble(combined: np.ndarray, m_cut: int) -> tuple[np.ndarray, float]:
     """Collapse the triple sum to coefficients c_m, |m| <= m_cut.
 
     For fixed l the frequency is m = 2j - l with binomial index j, so each
-    (l, m) pair contributes B_l i^l (-1)^j binom(l, j) / 2^l.  All pairs are
-    built at once, in runs by frequency with l ascending; each run is summed
-    in ascending magnitude to control round-off.  Returns the coefficients
-    and the l1 mass dropped outside the window.
+    (l, m) pair contributes B_l i^l (-1)^j binom(l, j) / 2^l.  The pairs are
+    laid out padded, one row per frequency with l = |m| + 2k ascending along
+    the row.  One stable sort of the +inf-padded magnitudes orders every run
+    by ascending magnitude, to control round-off, and runs of equal length
+    are summed together.  Returns the coefficients and the l1 mass dropped
+    outside the window.
     """
     order = len(combined) - 1
     log_fact = gammaln(np.arange(order + 1) + 1)
@@ -239,8 +264,8 @@ def _assemble(combined: np.ndarray, m_cut: int) -> tuple[np.ndarray, float]:
     def pmf(l, j):  # binom(l, j) / 2^l
         return np.exp(log_fact[l] - log_fact[j] - log_fact[l - j] - l * LN2)
 
-    # Entry k of the run of frequency m has l = |m| + 2k.  A `sum` per run and a
-    # sequential `cumsum` over the tails give the bits of a loop per frequency.
+    # Entry k of the row of frequency m has l = |m| + 2k.  Row sums of the sorted
+    # rows and a sequential `cumsum` over the tails give the bits of a loop per frequency.
     keep = np.abs(np.arange(-m_cut, m_cut + 1))[:, None] + 2 * np.arange(order // 2 + 1) <= order
     run, k = np.nonzero(keep)
     m = run - m_cut
@@ -248,13 +273,19 @@ def _assemble(combined: np.ndarray, m_cut: int) -> tuple[np.ndarray, float]:
     j = (lsub + m) // 2
     signs = np.where(j % 2 == 0, 1.0, -1.0)
     vals = combined[lsub] * i_pow[lsub % 4] * signs * pmf(lsub, j)
-    vals = vals[np.lexsort((np.abs(vals), run))]
-    c = np.array([v.sum() for v in np.split(vals, np.cumsum(keep.sum(axis=1))[:-1])])
+    pad = np.zeros(keep.shape, dtype=complex)
+    pad[keep] = vals
+    mag = np.full(keep.shape, np.inf)
+    mag[keep] = np.abs(vals)
+    pad = np.take_along_axis(pad, np.argsort(mag, axis=1, kind="stable"), axis=1)
+    c = _row_sums(pad, keep.sum(axis=1))
     # l1 mass of the dropped binomial tails, j <= (l - m_cut - 1) // 2, for the error report.
     ls = np.arange(m_cut + 1, order + 1)
     keep = np.arange((order - m_cut + 1) // 2) <= ((ls - m_cut - 1) // 2)[:, None]
     row, j = np.nonzero(keep)
-    tails = [v.sum() for v in np.split(pmf(ls[row], j), np.cumsum(keep.sum(axis=1))[:-1])]
+    pad = np.zeros(keep.shape)
+    pad[keep] = pmf(ls[row], j)
+    tails = _row_sums(pad, keep.sum(axis=1))
     dropped = np.cumsum(np.concatenate([[0.0], 2.0 * np.abs(combined[ls]) * tails]))[-1]
     return c, float(dropped)
 

@@ -19,6 +19,7 @@ from trottergibbs.cli import (
     validate_config,
     write_manifest,
 )
+from trottergibbs.lwf import CERT_GRID, FourierApprox, gibbs_fourier
 from trottergibbs.pipeline import PIPELINE_MODES
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -387,6 +388,43 @@ def test_lwf_convergence_matches_golden_artifacts(tmp_path, capsys):
     for name in ("lwf_convergence.csv", "lwf_fits.json"):
         got = (tmp_path / name).read_bytes()
         assert got == (GOLDEN / "lwf_convergence" / name).read_bytes(), name
+
+
+def count_sup_error_calls(monkeypatch):
+    """Wrap FourierApprox.sup_error so that each call records its grid size."""
+    calls = []
+    real = FourierApprox.sup_error
+
+    def counted(self, grid_size=CERT_GRID):
+        calls.append(grid_size)
+        return real(self, grid_size)
+
+    monkeypatch.setattr(FourierApprox, "sup_error", counted)
+    return calls
+
+
+def test_lwf_convergence_reuses_the_certificate_on_its_grid(tmp_path, capsys, monkeypatch):
+    # At grid_points == CERT_GRID the CSV takes the certificate that
+    # gibbs_fourier already computed: one sup_error per target (20), not two.
+    calls = count_sup_error_calls(monkeypatch)
+    path = CONFIG_DIR / "lwf_convergence.json"
+    rc, _ = run_cli(capsys, "lwf-convergence", "--config", str(path), "--out", str(tmp_path))
+    assert rc == 0
+    assert calls == [CERT_GRID] * 20
+
+
+def test_lwf_convergence_other_grid_evaluates_its_own_error(tmp_path, capsys, monkeypatch):
+    calls = count_sup_error_calls(monkeypatch)
+    betas, eps_grid = [1.0, 2.0], [1e-2, 1e-3]
+    doc = {"betas": betas, "eps_grid": eps_grid, "grid_points": 999, "include_taylor": False}
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    rc, _ = run_cli(capsys, "lwf-convergence", "--config", cfg, "--out", str(tmp_path / "r"))
+    assert rc == 0
+    assert calls == [CERT_GRID, 999] * 4
+    _, rows = read_csv(tmp_path / "r" / "lwf_convergence.csv")
+    monkeypatch.undo()
+    want = [gibbs_fourier(b, 1.0 / b, e).sup_error(999) for b in betas for e in eps_grid]
+    assert [float(row[3]) for row in rows] == want
 
 
 def test_lwf_convergence_artifacts(tmp_path, capsys):

@@ -67,6 +67,19 @@ def peel_reference(p_coefs, q_coefs):
     return GqspAngles(theta, phi, lam)
 
 
+def cells_reference(angles, phases, shift):
+    """``gqsp_cells`` as a batched (N, 2, 2) matmul per degree: the fold the 2 x 2N row pair replaced."""
+    phases = np.asarray(phases, dtype=float)[:, None]
+    z = np.exp(1j * phases)
+    rots = rotation(angles.theta, angles.phi, np.r_[angles.lam, np.zeros(angles.degree)])
+    cells = np.tile(rots[0], (len(z), 1, 1))
+    for r in rots[1:]:
+        cells[:, 0, :] *= z
+        cells = r @ cells
+    cells[:, 0, :] *= np.exp(-1j * shift * phases)
+    return cells
+
+
 def angle_gap(a, b):
     """Largest gap between two angle arrays, modulo 2 pi."""
     return float(np.max(np.abs(np.angle(np.exp(1j * (np.asarray(a) - np.asarray(b)))))))
@@ -346,3 +359,21 @@ def test_cells_match_dense_circuit_in_eigenbasis(seed, m, dim):
             assert max_abs(rotated - np.diag(cells[:, r, c])) <= 1e-12
     laurent = np.polynomial.polynomial.polyval(z, p.c) * z ** (-m)
     assert max_abs(cells[:, 0, 0] - laurent) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 1, 16])
+@pytest.mark.parametrize("degree", [0, 1, 260])
+def test_cells_match_batched_fold_reference(degree, n):
+    # The 2 x 2N row-pair fold against the per-degree batched matmul it
+    # replaced, on random angles; 260 is the degree of the disorder workload.
+    rng = np.random.default_rng(1000 * degree + n)
+    angles = GqspAngles(
+        rng.uniform(0, math.pi, degree + 1),
+        rng.uniform(-math.pi, math.pi, degree + 1),
+        float(rng.uniform(-math.pi, math.pi)),
+    )
+    phases = rng.uniform(-math.pi, math.pi, n)
+    cells = gqsp_cells(angles, phases, degree // 2)
+    assert cells.shape == (n, 2, 2)
+    assert cells.flags.c_contiguous
+    assert max_abs(cells - cells_reference(angles, phases, degree // 2)) <= 1e-14

@@ -338,3 +338,49 @@ def test_assemble_matches_loop_reference_at_every_window(order, m_cut):
     c_ref, dropped_ref = assemble_reference(combined, m_cut)
     assert c.tobytes() == c_ref.tobytes()
     assert dropped == dropped_ref
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 64, 129])
+def test_assemble_matches_loop_reference_with_every_run_length(order):
+    # m_cut = order puts runs of every length 1..order//2+1 into one call, and
+    # m_cut = order + 7 adds rows of length 0; odd orders pair the lengths
+    # differently from the powers of two the arcsin doubling produces.
+    rng = np.random.default_rng(order)
+    combined = rng.standard_normal(order + 1) * np.exp(-0.05 * np.arange(order + 1))
+    for m_cut, shortest in ((order, 1), (order + 7, 0)):
+        lengths = {len(range(abs(m), order + 1, 2)) for m in range(-m_cut, m_cut + 1)}
+        assert lengths == set(range(shortest, order // 2 + 2))
+        c, dropped = _assemble(combined, m_cut)
+        c_ref, dropped_ref = assemble_reference(combined, m_cut)
+        assert c.tobytes() == c_ref.tobytes()
+        assert dropped == dropped_ref
+
+
+def sup_error_reference(approx, grid_size):
+    grid = np.linspace(-1.0 + approx.delta, 1.0 - approx.delta, grid_size)
+    target = np.exp(-approx.beta * (grid + 1.0))
+    return float(np.max(np.abs(target - reconstruct_reference(approx, grid))))
+
+
+@pytest.mark.parametrize("grid_size", [2, 999, 1000, 1001])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gibbs_fourier(2.0, 0.5, 1e-6),
+        lambda: gibbs_fourier(4.0, 0.25, 1e-6),
+        # M = 0: the conjugate half of the table has zero width.
+        lambda: FourierApprox(1.0, 0.5, 0, np.array([0.3 - 0.2j]), 1e-3),
+    ],
+    ids=["beta2", "beta4", "M0"],
+)
+def test_certificate_matches_dense_reference_bit_for_bit(make, grid_size):
+    # The CLI writes sup_error to the lwf-convergence CSV, so the certificate
+    # itself is pinned, not only reconstruct on the default grid.
+    approx = make()
+    grid = np.linspace(-1.0 + approx.delta, 1.0 - approx.delta, grid_size)
+    want = reconstruct_reference(approx, grid)
+    assert approx.reconstruct(grid).tobytes() == want.tobytes()
+    assert approx.sup_error(grid_size) == sup_error_reference(approx, grid_size)
+    # Like np.outer in the reference, any input shape is read flattened.
+    assert approx.reconstruct(grid.reshape(-1, 1)).tobytes() == want.tobytes()
+    assert approx.reconstruct(grid[0]).tobytes() == reconstruct_reference(approx, grid[0]).tobytes()
