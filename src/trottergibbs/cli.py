@@ -25,13 +25,13 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
 from . import __version__
-from .cheb import exact_partition
 from .lwf import CERT_GRID, gibbs_fourier, gibbs_taylor, taylor_order
-from .paulis import PauliString
+from .paulis import LETTERS, PauliString
 from .pipeline import PIPELINE_MODES, PipelineConfig, ancilla_savings, run_pipeline
 from .syk import HamiltonianTerms, build_syk_hamiltonian, sample_syk
 from .trotter import build_plan, trotter_error_norm
@@ -41,8 +41,11 @@ FLOAT_FMT = ".17g"
 
 COMMANDS = ("lwf-convergence", "qubits-saved", "pipeline", "trotter-order")
 
-_num = (int, float)
-_num_list = (list,)  # a list whose entries are numbers; they validate to floats
+_num = (int, float)  # validates to a float
+# List keys name their entry type; entries of a float list may be ints and
+# validate to floats.
+_num_list = list[float]
+_int_list = list[int]
 
 MODEL_SCHEMAS = {
     "syk": {
@@ -75,7 +78,7 @@ SCHEMAS = {
         "seed": (int, 0, False),
     },
     "qubits-saved": {
-        "n_majorana": (list, [8, 10, 12, 14, 16], False),
+        "n_majorana": (_int_list, [8, 10, 12, 14, 16], False),
         "seed": (int, 0, False),
     },
     "pipeline": {
@@ -92,7 +95,7 @@ SCHEMAS = {
     },
     "trotter-order": {
         "model": (dict, DEFAULT_TROTTER_MODEL, False),
-        "orders": (list, [1, 2, 4], False),
+        "orders": (_int_list, [1, 2, 4], False),
         "tau_min": (_num, 1e-3, False),
         "tau_max": (_num, 1e-1, False),
         "tau_points": (int, 7, False),
@@ -107,6 +110,12 @@ RANGES = {
     "delta": (lambda v: 0 < v <= 1, "in (0, 1]"),
     "eps_grid": (lambda v: len(set(v)) > 1 and all(0 < e < 1 for e in v), "2+ distinct, in (0, 1)"),
     "grid_points": (lambda v: v >= 2, ">= 2"),
+    # An SYK model's count, or each entry of the qubits-saved list.
+    "n_majorana": (lambda v: all(n >= 4 and n % 2 == 0 for n in np.atleast_1d(v)), "even and >= 4"),
+    "terms": (lambda v: len(v) > 0, "non-empty"),
+    "orders": (lambda v: all(p == 1 or (p >= 2 and p % 2 == 0) for p in v), "1 or even"),
+    "tau_min": (lambda v: v > 0, "> 0"),
+    "tau_points": (lambda v: v >= 2, ">= 2"),
 }
 
 
@@ -130,16 +139,19 @@ def validate_config(doc: dict, schema: dict, where: str) -> dict:
     for key, (types, default, required) in schema.items():
         if key in doc and doc[key] is not None:
             value = doc[key]
+            entry = get_args(types)[0] if get_args(types) else None  # of a list key
+            types = get_origin(types) or types
             if isinstance(value, bool) and types is not bool:
                 raise ConfigError(f"{where}: key {key!r} must not be a boolean")
             if not isinstance(value, types):
                 raise ConfigError(
                     f"{where}: key {key!r} has type {type(value).__name__}"
                 )
-            if types is _num_list:
-                if any(isinstance(v, bool) or not isinstance(v, _num) for v in value):
-                    raise ConfigError(f"{where}: entries of {key!r} must be numbers")
-                value = [float(v) for v in value]
+            if entry is not None:
+                allowed, noun = (_num, "numbers") if entry is float else (int, "integers")
+                if any(isinstance(v, bool) or not isinstance(v, allowed) for v in value):
+                    raise ConfigError(f"{where}: entries of {key!r} must be {noun}")
+                value = [entry(v) for v in value]
             out[key] = float(value) if types is _num else value
         elif required:
             raise ConfigError(f"{where}: missing required key {key!r}")
@@ -154,7 +166,11 @@ def validate_config(doc: dict, schema: dict, where: str) -> dict:
 
 
 def validate_model(doc: dict) -> dict:
-    """Schema-check a model sub-document; term coefficients become floats."""
+    """Schema-check a model sub-document; term coefficients become floats.
+
+    A pauli label must spell one of I, X, Y, Z per qubit: a shorter string
+    would act on the wrong qubits of the register.
+    """
     kind = doc.get("kind")
     if kind not in MODEL_SCHEMAS:
         raise ConfigError(f"model.kind must be one of {sorted(MODEL_SCHEMAS)}")
@@ -167,6 +183,9 @@ def validate_model(doc: dict) -> dict:
             coef, label = entry
             if isinstance(coef, bool) or not isinstance(coef, _num):
                 raise ConfigError("model.terms coefficients must be numbers")
+            n = spec["n_qubits"]
+            if not (isinstance(label, str) and len(label) == n and set(label) <= set(LETTERS)):
+                raise ConfigError(f"model.terms label {label!r} must be {n} letters from {LETTERS}")
             terms.append([float(coef), label])
         spec["terms"] = terms
     return spec
@@ -183,12 +202,7 @@ def build_model(doc: dict) -> HamiltonianTerms:
                 h.n_qubits, [(c * factor, s) for c, s in h.terms], provenance=h.provenance
             )
         return h
-    terms = []
-    for coef, label in spec["terms"]:
-        try:
-            terms.append((coef, PauliString.from_label(str(label))))
-        except ValueError as err:
-            raise ConfigError(f"model.terms label {label!r}: {err}") from err
+    terms = [(coef, PauliString.from_label(label)) for coef, label in spec["terms"]]
     return HamiltonianTerms(spec["n_qubits"], terms)
 
 
@@ -287,11 +301,7 @@ def cmd_lwf_convergence(cfg: dict, out_dir: Path) -> list[Path]:
 
 
 def cmd_qubits_saved(cfg: dict, out_dir: Path) -> list[Path]:
-    rows = []
-    for n in cfg["n_majorana"]:
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ConfigError("n_majorana entries must be integers")
-        rows.append((n, math.comb(n, 4), ancilla_savings(n), 1))
+    rows = [(n, math.comb(n, 4), ancilla_savings(n), 1) for n in cfg["n_majorana"]]
     csv_path = out_dir / "qubits_saved.csv"
     write_csv(csv_path, ["n_majorana", "gamma", "saved", "this_method_ancillas"], rows)
     return [csv_path]
@@ -300,18 +310,7 @@ def cmd_qubits_saved(cfg: dict, out_dir: Path) -> list[Path]:
 def cmd_pipeline(cfg: dict, out_dir: Path) -> list[Path]:
     model = build_model(cfg["model"])
     try:
-        pipe_cfg = PipelineConfig(
-            model=model,
-            beta=cfg["beta"],
-            order=cfg["order"],
-            base_step=cfg["base_step"],
-            m_cheb=cfg["m_cheb"],
-            eps_qsp=cfg["eps_qsp"],
-            eps_cheb=cfg["eps_cheb"],
-            eps_stat=cfg["eps_stat"],
-            mode=cfg["mode"],
-            seed=cfg["seed"],
-        )
+        pipe_cfg = PipelineConfig(**{**cfg, "model": model})
     except ValueError as err:
         raise ConfigError(str(err)) from err
     result = run_pipeline(pipe_cfg)
@@ -343,13 +342,13 @@ def cmd_pipeline(cfg: dict, out_dir: Path) -> list[Path]:
 
 
 def cmd_trotter_order(cfg: dict, out_dir: Path) -> list[Path]:
+    if not cfg["tau_min"] < cfg["tau_max"] < math.inf:
+        raise ConfigError("trotter-order: 'tau_max' must be finite and > 'tau_min'")
     model = build_model(cfg["model"])
     taus = np.geomspace(cfg["tau_min"], cfg["tau_max"], cfg["tau_points"])
     rows = []
     fits = []
     for p in cfg["orders"]:
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise ConfigError("orders entries must be integers")
         plan = build_plan(model.n_terms, p)
         errs = np.array([trotter_error_norm(model, float(t), plan) for t in taus])
         rows.extend((p, float(t), float(e)) for t, e in zip(taus, errs))

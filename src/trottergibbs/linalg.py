@@ -68,24 +68,24 @@ class SpectralDecomposition:
         v = self.eigenvectors
         return (v * fvals) @ v.conj().T
 
-    def check(self, original: np.ndarray, tol: float = RECONSTRUCTION_TOL):
+    def check(self, original: np.ndarray):
         dev = max_abs(self.reconstruct() - original)
-        if dev > tol:
+        if dev > RECONSTRUCTION_TOL:
             raise ToleranceError(
-                f"spectral reconstruction off by {dev:.3e} > {tol:.3e}"
+                f"spectral reconstruction off by {dev:.3e} > {RECONSTRUCTION_TOL:.3e}"
             )
 
 
-def eigh_decompose(h: np.ndarray, tol: float = HERMITIAN_TOL) -> SpectralDecomposition:
+def eigh_decompose(h: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix (checked)."""
-    assert_hermitian(h, tol)
+    assert_hermitian(h)
     vals, vecs = np.linalg.eigh(h)
     dec = SpectralDecomposition(vals, vecs)
     dec.check(h)
     return dec
 
 
-def unitary_decompose(u: np.ndarray, tol: float = UNITARY_TOL) -> SpectralDecomposition:
+def unitary_decompose(u: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition of a unitary matrix (checked).
 
     Uses a complex Schur decomposition: for a normal matrix the Schur factor
@@ -94,64 +94,52 @@ def unitary_decompose(u: np.ndarray, tol: float = UNITARY_TOL) -> SpectralDecomp
     """
     import scipy.linalg
 
-    assert_unitary(u, tol)
+    assert_unitary(u)
     t, z = scipy.linalg.schur(u, output="complex")
     dec = SpectralDecomposition(np.diag(t).copy(), z)
     dec.check(u)
     return dec
 
 
-def _principal_phases(
-    eigenvalues: np.ndarray,
-    tol: float = UNITARY_TOL,
-    branch_gap: float = BRANCH_GAP,
-) -> np.ndarray:
+def _principal_phases(eigenvalues: np.ndarray) -> np.ndarray:
     """Eigenphases in (-pi, pi] of eigenvalues that must lie on the unit circle.
 
-    Any eigenphase within ``branch_gap`` of the -pi cut is rejected, because
+    Any eigenphase within BRANCH_GAP of the -pi cut is rejected, because
     the principal branch is discontinuous there.
     """
     mods = np.abs(eigenvalues)
-    if max_abs(mods - 1.0) > max(tol, 1e-10):
+    if max_abs(mods - 1.0) > UNITARY_TOL:
         raise ToleranceError("eigenvalues are not on the unit circle")
     phases = np.angle(eigenvalues)
-    if np.any(np.pi - np.abs(phases) < branch_gap):
+    if np.any(np.pi - np.abs(phases) < BRANCH_GAP):
         worst = float(np.min(np.pi - np.abs(phases)))
         raise BranchCutError(
-            f"eigenphase within {worst:.3e} of the -pi branch cut (gap {branch_gap:.0e})"
+            f"eigenphase within {worst:.3e} of the -pi branch cut (gap {BRANCH_GAP:.0e})"
         )
     return phases
 
 
-def unitary_eigenphases(
-    u: np.ndarray,
-    tol: float = UNITARY_TOL,
-    branch_gap: float = BRANCH_GAP,
-) -> np.ndarray:
+def unitary_eigenphases(u: np.ndarray) -> np.ndarray:
     """Principal eigenphases of a unitary; no eigenvectors are formed.
 
     The eigenvalues of a normal matrix are well conditioned, so plain
     ``eigvals`` gives them to rounding even where eigenvectors would not be.
     """
-    assert_unitary(u, tol)
-    return _principal_phases(np.linalg.eigvals(u), tol, branch_gap)
+    assert_unitary(u)
+    return _principal_phases(np.linalg.eigvals(u))
 
 
-def matrix_log_unitary(
-    u: np.ndarray,
-    tol: float = UNITARY_TOL,
-    branch_gap: float = BRANCH_GAP,
-) -> np.ndarray:
+def matrix_log_unitary(u: np.ndarray) -> np.ndarray:
     """Principal logarithm of a unitary: anti-Hermitian L with exp(L) = u.
 
     Eigenphases are taken in (-pi, pi] by ``_principal_phases``, which
-    rejects any within ``branch_gap`` of the cut: the log would be
+    rejects any within BRANCH_GAP of the cut: the log would be
     meaningless downstream.
     """
     import scipy.linalg
 
-    dec = unitary_decompose(u, tol)
-    phases = _principal_phases(dec.eigenvalues, tol, branch_gap)
+    dec = unitary_decompose(u)
+    phases = _principal_phases(dec.eigenvalues)
     log_u = dec.apply(1j * phases)
     # Principal log of a unitary is anti-Hermitian; enforce it exactly.
     log_u = 0.5 * (log_u - log_u.conj().T)

@@ -169,10 +169,6 @@ class FourierApprox:
     def one_norm(self) -> float:
         return float(np.sum(np.abs(self.c)))
 
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.arange(-self.M, self.M + 1)
-
     def reconstruct(self, x: np.ndarray) -> np.ndarray:
         """sum_m c_m exp(i pi m x / 2), from one (x.size, 2M+1) table filled in place.
 

@@ -1,4 +1,4 @@
-"""Phased Pauli strings, their bitmask action, and their dense matrix forms.
+"""Phased Pauli strings: products, commutation and their bitmask action.
 
 A Pauli string is a tensor product of single-qubit operators from
 {I, X, Y, Z} together with a phase from {+1, -1, +i, -i}.  Products of
@@ -81,18 +81,6 @@ class PauliString:
     def from_label(cls, label: str, phase: complex = 1 + 0j) -> "PauliString":
         return cls(len(label), label, phase)
 
-    @property
-    def weight(self) -> int:
-        """Number of non-identity sites."""
-        return sum(ch != "I" for ch in self.letters)
-
-    def unsigned(self) -> "PauliString":
-        """The same string with phase +1."""
-        return PauliString(self.n_qubits, self.letters)
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return pauli_multiply(self, other)
-
 
 def pauli_multiply(a: PauliString, b: PauliString) -> PauliString:
     """Product of two Pauli strings, phases tracked exactly."""
@@ -123,19 +111,10 @@ def pauli_commutes(a: PauliString, b: PauliString) -> bool:
     return clashes % 2 == 0
 
 
-def check_dense_cap(n_qubits: int, cap: int = DENSE_QUBIT_CAP) -> None:
-    """Refuse to materialize more than ``cap`` qubits, keeping memory at desk scale."""
-    if n_qubits > cap:
-        raise DimensionCapError(f"{n_qubits} qubits exceeds dense cap of {cap}")
-
-
-def to_dense(p: PauliString, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of the string, phase included."""
-    check_dense_cap(p.n_qubits, cap)
-    mat = np.array([[p.phase]], dtype=complex)
-    for ch in p.letters:
-        mat = np.kron(mat, PAULI_MATS[ch])
-    return mat
+def check_dense_cap(n_qubits: int) -> None:
+    """Refuse to materialize more than DENSE_QUBIT_CAP qubits, keeping memory at desk scale."""
+    if n_qubits > DENSE_QUBIT_CAP:
+        raise DimensionCapError(f"{n_qubits} qubits exceeds dense cap of {DENSE_QUBIT_CAP}")
 
 
 def pauli_masks(p: PauliString) -> tuple[int, int, complex]:

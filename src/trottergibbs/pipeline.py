@@ -118,9 +118,10 @@ class PipelineConfig:
 class NodeRecord:
     """One node's trace evaluation, in both shift conventions.
 
-    ``depth`` counts elementary Trotter stages of the realized circuit;
-    it is 0 for nodes evaluated by direct diagonalization and for
-    beta = 0, where the block is the identity and no circuit exists.
+    ``depth`` counts elementary Trotter stages of the realized circuit,
+    the plan's stages times the oracle's ``trotter_steps``; it is 0 for
+    nodes evaluated by direct diagonalization and for beta = 0, where the
+    block is the identity and no circuit exists.
     ``diagnostics`` holds ``block_deviation``, ``fourier_m`` and ``q`` in
     the block modes, and in sampled mode ``ae_clamped``: whether the
     estimate was set to 0 or 1 because every shot missed or every shot hit.
@@ -168,11 +169,6 @@ class PartitionResult:
 
     def node_json_lines(self) -> str:
         return "\n".join(json.dumps(r.json_record()) for r in self.nodes)
-
-
-def _stage_depth(n_stages: int, plan_q: int, fourier_m: int) -> int:
-    """Trotter stages of one synthesized block: (2M+1) powers of W = S_p^q."""
-    return n_stages * plan_q * (2 * fourier_m + 1)
 
 
 def _node_traces(
@@ -228,9 +224,7 @@ def run_pipeline(cfg: PipelineConfig) -> PartitionResult:
                 # Tr(B^dag B)/N of the normalized block: the mean of |b_j|^2.
                 p0_hat = float(np.mean(np.abs(oracle.cells[:, 0, 0]) ** 2)) / oracle.scale**2
                 beta_k = oracle.beta_k
-                if cfg.beta > 0.0:
-                    q, fourier_m = oracle.diagnostics["q"], oracle.diagnostics["fourier_m"]
-                    depth = _stage_depth(plan.n_stages, max(1, q), fourier_m)
+                depth = plan.n_stages * oracle.diagnostics["trotter_steps"]
                 diagnostics = {
                     key: oracle.diagnostics[key]
                     for key in ("block_deviation", "fourier_m", "q")
@@ -352,18 +346,12 @@ def _node_sum_ratio_max() -> float:
     return max(node_inverse_sum(m) / (m * math.log(m)) for m in range(2, 65, 2))
 
 
-def cost_model(
-    cfg: PipelineConfig,
-    grid: ChebGrid,
-    m_k: list[int],
-    z_nodes=None,
-    constant: float = 1.0,
-) -> dict:
+def cost_model(cfg: PipelineConfig, grid: ChebGrid, m_k: list[int], z_nodes=None) -> dict:
     """Analytic cost ledger for one run.
 
     Per-node depth follows M_k 5^p / (t |s_k|); the aggregate expression
-    is (5^p/t) max_k(M_k sqrt(Z_k/N)/eps) M_cheb log M_cheb with the
-    leading constant exposed.  The ledger also reports the worst ratio of
+    is (5^p/t) max_k(M_k sqrt(Z_k/N)/eps) M_cheb log M_cheb, with leading
+    constant 1.  The ledger also reports the worst ratio of
     Sigma 1/|s_k| to M log M over even M in [2, 64]: the node-sum identity
     the total depth rests on, whose constant the test suite checks.
     """
@@ -373,14 +361,14 @@ def cost_model(
     m_arr = np.asarray(m_k, dtype=float)
     if m_arr.shape != (grid.m_cheb,):
         raise ValueError("need one M_k per node")
-    depth_per_node = constant * m_arr * stage_factor / (t * np.abs(grid.nodes))
+    depth_per_node = m_arr * stage_factor / (t * np.abs(grid.nodes))
     if z_nodes is None:
         z_arr = np.ones(grid.m_cheb)
     else:
         z_arr = np.clip(np.asarray(z_nodes, dtype=float), 0.0, None)
     query_factor = m_arr * np.sqrt(z_arr) / cfg.eps_stat
     log_m = math.log(grid.m_cheb)
-    total = constant * stage_factor / t * float(np.max(query_factor))
+    total = stage_factor / t * float(np.max(query_factor))
     total *= grid.m_cheb * max(log_m, math.log(2.0))
     return {
         "order": p,

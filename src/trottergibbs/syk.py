@@ -24,7 +24,6 @@ from itertools import combinations
 import numpy as np
 
 from .paulis import (
-    DENSE_QUBIT_CAP,
     PauliString,
     check_dense_cap,
     parity_signs,
@@ -34,17 +33,6 @@ from .paulis import (
 )
 
 
-@dataclass(frozen=True)
-class VarianceRule:
-    """Coupling variance convention: Var J = 3! J^2 / n^3."""
-
-    name: str = "standard"
-    j: float = 1.0
-
-    def variance(self, n_majorana: int) -> float:
-        return math.factorial(3) * self.j**2 / n_majorana**3
-
-
 @dataclass
 class SykCouplings:
     """Antisymmetric couplings, stored once per ordered index tuple i<j<k<l."""
@@ -52,25 +40,23 @@ class SykCouplings:
     n_majorana: int
     couplings: dict[tuple[int, int, int, int], float]
     seed: int | None = None
-    rule: VarianceRule = field(default_factory=VarianceRule)
 
 
-def sample_syk(n_majorana: int, seed: int, rule: VarianceRule | None = None) -> SykCouplings:
-    """Draw i.i.d. Gaussian couplings for every ordered 4-tuple.
+def sample_syk(n_majorana: int, seed: int) -> SykCouplings:
+    """Draw i.i.d. Gaussian couplings for every ordered 4-tuple, Var J = 3!/n^3.
 
     Tuples are enumerated lexicographically, so a fixed seed gives the same
     couplings on every platform.
     """
     if n_majorana < 4 or n_majorana % 2:
         raise ValueError("n_majorana must be an even integer >= 4")
-    rule = rule or VarianceRule()
     rng = np.random.default_rng(seed)
-    sigma = math.sqrt(rule.variance(n_majorana))
+    sigma = math.sqrt(math.factorial(3) / n_majorana**3)
     couplings = {
         idx: float(rng.normal(0.0, sigma))
         for idx in combinations(range(1, n_majorana + 1), 4)
     }
-    return SykCouplings(n_majorana, couplings, seed=seed, rule=rule)
+    return SykCouplings(n_majorana, couplings, seed=seed)
 
 
 def jordan_wigner_majorana(index: int, n_majorana: int) -> tuple[float, PauliString]:
@@ -131,9 +117,9 @@ class HamiltonianTerms:
             self._kept[key] = value
         return value
 
-    def dense(self, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+    def dense(self) -> np.ndarray:
         """Sum of c P scattered term by term, one entry per column per term."""
-        check_dense_cap(self.n_qubits, cap)
+        check_dense_cap(self.n_qubits)
         dim = 2**self.n_qubits
         basis = np.arange(dim)
         signs = parity_signs(self.n_qubits)

@@ -174,9 +174,11 @@ def boltzmann_oracle(
 
     The circuit is evaluated on each eigenphase of W.  ``block_deviation``
     is max_j |b_j/scale - e^{-beta(lambda_j+1)/2}|, the operator-norm gap
-    that ``eps_qsp`` budgets.  At beta = 0 the block is the identity and no
-    circuit is built: the diagnostics then report q = 0, fourier_m = 0 and
-    block_deviation 0.
+    that ``eps_qsp`` budgets.  ``trotter_steps`` counts the product-formula
+    steps S_p(tau) the circuit applies: 2M+1 powers of W, each q steps
+    (one in continuous time, where q = 0).  At beta = 0 the block is the
+    identity and no circuit is built: the diagnostics then report q = 0,
+    fourier_m = 0, trotter_steps = 0 and block_deviation 0.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -186,7 +188,7 @@ def boltzmann_oracle(
     if beta == 0.0:
         beta_k, scale = beta, 1.0
         cells = np.tile(np.eye(2, dtype=complex), (spectrum.size, 1, 1))
-        diagnostics = {"q": 0, "fourier_m": 0, "block_deviation": 0.0}
+        diagnostics = {"q": 0, "fourier_m": 0, "trotter_steps": 0, "block_deviation": 0.0}
     else:
         plan = _gqsp_plan(tau, beta, spectrum, mode, eps_qsp)
         beta_k, scale = plan.beta_k, plan.scale
@@ -200,6 +202,7 @@ def boltzmann_oracle(
             **asdict(plan),
             "eps_qsp": eps_qsp,
             "fourier_m": fa.M,
+            "trotter_steps": max(1, plan.q) * (2 * fa.M + 1),
             "block_deviation": float(np.max(np.abs(gap))),
         }
     # The block is normal, so its top singular value is max_j |b_j|.
@@ -230,7 +233,6 @@ class TraceValues:
 
     p0: float  # Tr(e^{-beta(H_eff+1)})/N
     z_over_n: float  # Tr(e^{-beta H_eff})/N = e^{beta} * p0
-    shift_factor: float  # e^{-beta}, the known classical factor
 
 
 def exact_p0(spectrum: np.ndarray, beta: float) -> TraceValues:
@@ -241,7 +243,7 @@ def exact_p0(spectrum: np.ndarray, beta: float) -> TraceValues:
     n = vals.shape[0]
     p0 = float(np.sum(np.exp(-beta * (vals + 1.0))) / n)
     z = float(np.sum(np.exp(-beta * vals)) / n)
-    return TraceValues(p0, z, math.exp(-beta))
+    return TraceValues(p0, z)
 
 
 @dataclass

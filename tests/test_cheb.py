@@ -1,4 +1,4 @@
-"""Tests for Chebyshev interpolation to zero and the node-count model."""
+"""Tests for Chebyshev interpolation to zero and its error bound."""
 
 import math
 
@@ -8,18 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trottergibbs.cheb import (
-    MIN_NODES,
-    SCHEDULE_FLOOR,
-    ChebGrid,
     basis_matrix,
-    bernstein_bound,
     cheb_grid,
     exact_partition,
     interpolate_to_zero,
-    mcheb_size,
     node_angles,
-    rho_from_radius,
-    scaling_schedule,
 )
 from trottergibbs.syk import build_syk_hamiltonian, normalize_one_norm, sample_syk
 
@@ -160,11 +153,16 @@ def test_grid_rejects_bad_sizes():
         interpolate_to_zero(np.ones(3), cheb_grid(4))
 
 
-def test_rho_from_radius():
-    assert rho_from_radius(1.0) == pytest.approx(1.0, abs=1e-15)
-    assert rho_from_radius(1.25) == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        rho_from_radius(0.5)
+def bernstein_bound(c: float, rho: float, m_cheb: int) -> float:
+    """Sup-norm interpolation error bound 4 C rho^-(M-1) / (rho - 1).
+
+    C bounds |f| on the Bernstein ellipse with parameter rho > 1.
+    """
+    if c <= 0.0:
+        raise ValueError("ellipse bound C must be positive")
+    if rho <= 1.0:
+        raise ValueError("rho must exceed 1; the degenerate ellipse has no interior")
+    return 4.0 * c * rho ** (-(m_cheb - 1)) / (rho - 1.0)
 
 
 def test_bernstein_bound_value():
@@ -185,73 +183,6 @@ def test_bernstein_bound_dominates_observed_error():
             g = cheb_grid(m)
             err = abs(interpolate_to_zero(np.exp(-beta * g.nodes), g) - 1.0)
             assert err <= bernstein_bound(c, rho, m), f"rho={rho} m={m}"
-
-
-def test_mcheb_size_log_term():
-    # With no step-error tail the size is log(z/eps)/log(r), rounded up.
-    m = mcheb_size(beta=2.0, alpha=0.0, r=math.e, t=0.5, p=2, eps_cheb=1e-6)
-    assert m == math.ceil(math.log(1e6))
-    # Shrinking eps by e adds exactly one node.
-    m2 = mcheb_size(beta=2.0, alpha=0.0, r=math.e, t=0.5, p=2, eps_cheb=1e-6 / math.e)
-    assert m2 == m + 1
-
-
-def test_mcheb_size_clamps_to_minimum():
-    assert mcheb_size(beta=1.0, alpha=0.0, r=2.0, t=0.3, p=2, eps_cheb=0.9) == MIN_NODES
-
-
-def test_mcheb_size_monotone_in_precision():
-    sizes = [
-        mcheb_size(beta=4.0, alpha=1.0, r=2.0, t=0.25, p=2, eps_cheb=eps)
-        for eps in (1e-2, 1e-4, 1e-6, 1e-8)
-    ]
-    assert all(a <= b for a, b in zip(sizes, sizes[1:]))
-
-
-def test_mcheb_size_monotone_in_beta_with_schedule():
-    # Under the matched schedule the node count grows with beta in the
-    # regime where the schedule is active (beta >= 2).
-    sizes = []
-    for beta in (2.0, 5.0, 25.0, 125.0, 625.0):
-        p, t, r = scaling_schedule(beta)
-        sizes.append(mcheb_size(beta=beta, alpha=1.0, r=r, t=t, p=p, eps_cheb=1e-4))
-    assert all(a <= b for a, b in zip(sizes, sizes[1:]))
-
-
-def test_mcheb_size_domain():
-    with pytest.raises(ValueError):
-        mcheb_size(beta=1.0, alpha=0.0, r=1.0, t=0.3, p=2, eps_cheb=1e-4)
-    with pytest.raises(ValueError):
-        mcheb_size(beta=1.0, alpha=0.0, r=2.0, t=0.3, p=2, eps_cheb=0.0)
-
-
-def test_scaling_schedule_reference_points():
-    p, t, r = scaling_schedule(5.0)
-    assert p == 2
-    assert t == pytest.approx(0.2, abs=1e-12)
-    assert r == pytest.approx(math.e, rel=1e-12)
-    p, t, r = scaling_schedule(625.0)
-    assert p == 2
-    assert t == pytest.approx(0.04, rel=1e-12)
-    assert r == pytest.approx(math.sqrt(math.e), rel=1e-12)
-
-
-def test_scaling_schedule_floor():
-    assert scaling_schedule(0.5) == SCHEDULE_FLOOR
-    assert scaling_schedule(1.0) == SCHEDULE_FLOOR
-    with pytest.raises(ValueError):
-        scaling_schedule(0.0)
-
-
-def test_scaling_schedule_trends():
-    betas = np.geomspace(1.5, 5**6, 12)
-    plans = [scaling_schedule(float(b)) for b in betas]
-    orders = [p for p, _, _ in plans]
-    steps = [t for _, t, _ in plans]
-    assert all(a <= b for a, b in zip(orders, orders[1:]))
-    assert all(a >= b - 1e-12 for a, b in zip(steps, steps[1:]))
-    assert all(p % 2 == 0 and p >= 2 for p in orders)
-    assert all(r > 1.0 for _, _, r in plans)
 
 
 def test_exact_partition_trivial_values():

@@ -3,7 +3,6 @@
 import csv
 import hashlib
 import json
-import math
 import tempfile
 from pathlib import Path
 
@@ -56,7 +55,7 @@ _model_docs = st.one_of(
     st.fixed_dictionaries(
         {"kind": st.just("syk")},
         optional={
-            "n_majorana": st.integers(4, 16),
+            "n_majorana": st.integers(2, 8).map(lambda k: 2 * k),
             "seed": st.integers(0, 2**31),
             "one_norm": _numbers,
         },
@@ -64,12 +63,13 @@ _model_docs = st.one_of(
     st.fixed_dictionaries(
         {
             "kind": st.just("pauli"),
-            "n_qubits": st.integers(1, 4),
+            "n_qubits": st.just(2),
             "terms": st.lists(
                 st.tuples(
                     st.one_of(st.floats(-1.0, 1.0), st.integers(-3, 3)),
                     st.sampled_from(["XI", "ZZ", "YX"]),
                 ).map(list),
+                min_size=1,
                 max_size=3,
             ),
         }
@@ -390,6 +390,24 @@ def test_lwf_convergence_matches_golden_artifacts(tmp_path, capsys):
         assert got == (GOLDEN / "lwf_convergence" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize(
+    "command, config, names",
+    [
+        ("trotter-order", "trotter_order", ("trotter_errors.csv", "trotter_fits.json")),
+        ("qubits-saved", "qubits_saved", ("qubits_saved.csv",)),
+    ],
+)
+def test_command_matches_golden_artifacts(command, config, names, tmp_path, capsys):
+    # tests/golden/<config>/ pins configs/<config>.json byte for byte;
+    # trotter-order runs through the Schur decomposition and expm of linalg.
+    path = CONFIG_DIR / f"{config}.json"
+    rc, _ = run_cli(capsys, command, "--config", str(path), "--out", str(tmp_path))
+    assert rc == 0
+    for name in names:
+        got = (tmp_path / name).read_bytes()
+        assert got == (GOLDEN / config / name).read_bytes(), name
+
+
 def count_sup_error_calls(monkeypatch):
     """Wrap FourierApprox.sup_error so that each call records its grid size."""
     calls = []
@@ -559,3 +577,36 @@ def test_lwf_convergence_accepts_range_edges(tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", {**doc, "include_taylor": False})
         rc, _ = run_cli(capsys, "lwf-convergence", "--config", cfg, "--out", str(tmp_path / "r"))
         assert rc == 0, doc
+
+
+@pytest.mark.parametrize(
+    "command, doc, key",
+    [
+        # Each exited 3 from inside the command unless noted.
+        ("pipeline", {"model": {"kind": "syk", "n_majorana": 7}}, "n_majorana"),
+        ("pipeline", {"model": {"kind": "syk", "n_majorana": 2}}, "n_majorana"),
+        ("trotter-order", {"model": {"kind": "syk", "n_majorana": 7}}, "n_majorana"),
+        ("qubits-saved", {"n_majorana": [8, 7]}, "n_majorana"),
+        ("qubits-saved", {"n_majorana": [2]}, "n_majorana"),
+        ("trotter-order", {"orders": [3]}, "orders"),
+        ("pipeline", {"model": {"kind": "pauli", "n_qubits": 2, "terms": []}}, "terms"),
+        # Exited 0: a 2-letter label on 3 qubits acted on the wrong qubits.
+        ("pipeline", {"model": {"kind": "pauli", "n_qubits": 3, "terms": [[1.0, "XI"]]}}, "label"),
+        ("pipeline", {"model": {"kind": "pauli", "n_qubits": 2, "terms": [[1.0, "XQ"]]}},
+         "label"),  # exited 2 already, from inside the command
+        ("trotter-order", {"tau_points": 1}, "tau_points"),  # exited 0: rank-deficient fit
+        ("trotter-order", {"tau_min": 0.01, "tau_max": 0.01}, "tau_max"),  # exited 0
+        ("trotter-order", {"tau_min": 0.1, "tau_max": 0.01}, "tau_max"),  # exited 0
+        ("trotter-order", {"tau_min": 0.0}, "tau_min"),
+        ("trotter-order", {"tau_min": -0.01}, "tau_min"),
+    ],
+    ids=repr,
+)
+def test_out_of_range_value_is_config_error(command, doc, key, tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    out = tmp_path / "r"
+    rc, payload = run_cli(capsys, command, "--config", cfg, "--out", str(out))
+    assert rc == 2
+    assert payload["error"]["type"] == "config"
+    assert key in payload["error"]["message"]
+    assert not out.exists() or not any(out.iterdir())

@@ -1,7 +1,10 @@
-"""Which modules a run loads: SciPy stays off the exact and sampled paths."""
+"""What the package exports, and which modules a run loads: SciPy stays off
+the exact and sampled paths."""
 
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import trottergibbs
 
 SRC = Path(trottergibbs.__file__).resolve().parent.parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # Runs in a fresh interpreter and prints the SciPy modules loaded after the
 # imports and after each mode's run, in that order.
@@ -44,3 +48,17 @@ def test_only_fourier_targets_load_scipy():
     assert loaded["sampled"] == []
     assert "scipy.special" in loaded["gqsp"]
     assert "scipy.linalg" not in loaded["gqsp"]
+
+
+def test_public_names_are_the_readme_quick_start():
+    # Submodules aside, the package exports the names the README's quick
+    # start imports, plus __version__.
+    block = re.search(r"from trottergibbs import \(([^)]*)\)", README.read_text()).group(1)
+    quick_start = {name.strip() for name in block.split(",") if name.strip()}
+    public = {
+        name
+        for name, value in vars(trottergibbs).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == quick_start
+    assert isinstance(trottergibbs.__version__, str)

@@ -1,4 +1,4 @@
-"""Tests for the Pauli-string algebra: products, commutation, dense forms."""
+"""Tests for the Pauli-string algebra: products, commutation, bitmask action."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,11 @@ from trottergibbs.paulis import (
     VALID_PHASES,
     DimensionCapError,
     PauliString,
+    check_dense_cap,
     parity_signs,
     pauli_commutes,
     pauli_masks,
     pauli_multiply,
-    to_dense,
 )
 
 SINGLE = {
@@ -27,12 +27,17 @@ SINGLE = {
 LETTERS = "IXYZ"
 
 
-def dense_oracle(p: PauliString) -> np.ndarray:
-    """Independent Kronecker build, qubit 0 as the first factor."""
+def to_dense(p: PauliString) -> np.ndarray:
+    """Dense matrix of the string, phase included: one Kronecker factor per letter."""
     m = np.array([[p.phase]], dtype=complex)
     for ch in p.letters:
         m = np.kron(m, SINGLE[ch])
     return m
+
+
+def unsigned(p: PauliString) -> PauliString:
+    """The same string with phase +1."""
+    return PauliString(p.n_qubits, p.letters)
 
 
 @st.composite
@@ -79,7 +84,7 @@ def test_multiply_self_gives_identity():
 def test_multiply_unsigned_involution():
     rng = np.random.default_rng(102)
     for _ in range(30):
-        p = random_string(rng, 5).unsigned()
+        p = unsigned(random_string(rng, 5))
         sq = pauli_multiply(p, p)
         assert sq == PauliString.identity(5)
 
@@ -89,8 +94,8 @@ def test_multiply_matches_dense_products():
     for _ in range(40):
         a = random_string(rng, 4)
         b = random_string(rng, 4)
-        lhs = dense_oracle(pauli_multiply(a, b))
-        rhs = dense_oracle(a) @ dense_oracle(b)
+        lhs = to_dense(pauli_multiply(a, b))
+        rhs = to_dense(a) @ to_dense(b)
         assert np.array_equal(lhs, rhs)
 
 
@@ -107,9 +112,9 @@ def test_commutes_examples():
 def test_commutes_matches_dense_commutator():
     rng = np.random.default_rng(104)
     for _ in range(60):
-        a = random_string(rng, 5).unsigned()
-        b = random_string(rng, 5).unsigned()
-        da, db = dense_oracle(a), dense_oracle(b)
+        a = unsigned(random_string(rng, 5))
+        b = unsigned(random_string(rng, 5))
+        da, db = to_dense(a), to_dense(b)
         comm = da @ db - db @ da
         assert pauli_commutes(a, b) == (np.max(np.abs(comm)) == 0.0)
 
@@ -120,7 +125,7 @@ def test_commutes_exhaustive_two_qubits():
         for lb in labels:
             a = PauliString.from_label(la)
             b = PauliString.from_label(lb)
-            da, db = dense_oracle(a), dense_oracle(b)
+            da, db = to_dense(a), to_dense(b)
             comm = da @ db - db @ da
             assert pauli_commutes(a, b) == (np.max(np.abs(comm)) == 0.0)
 
@@ -148,18 +153,23 @@ def test_to_dense_phase():
 
 
 def test_to_dense_random_against_oracle():
+    # Entry (r, c) of a tensor product is the phase times the product of
+    # the single-site entries at the bits of r and c, qubit 0 the top bit.
     rng = np.random.default_rng(105)
+    n = 6
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     for _ in range(25):
-        p = random_string(rng, 6)
-        assert np.array_equal(to_dense(p), dense_oracle(p))
+        p = random_string(rng, n)
+        want = np.full((2**n, 2**n), p.phase)
+        for site, ch in enumerate(p.letters):
+            want = want * SINGLE[ch][bits[:, site][:, None], bits[:, site][None, :]]
+        assert np.array_equal(to_dense(p), want)
 
 
-def test_to_dense_cap():
+def test_dense_cap():
+    check_dense_cap(DENSE_QUBIT_CAP)
     with pytest.raises(DimensionCapError):
-        to_dense(PauliString.identity(DENSE_QUBIT_CAP + 1))
-    # A raised cap admits the same string.
-    m = to_dense(PauliString.identity(13), cap=13)
-    assert m.shape == (2**13, 2**13)
+        check_dense_cap(DENSE_QUBIT_CAP + 1)
 
 
 def test_trace_identity_and_nonidentity():
@@ -168,14 +178,8 @@ def test_trace_identity_and_nonidentity():
     rng = np.random.default_rng(106)
     for _ in range(20):
         p = random_string(rng, 4)
-        expected = p.phase * 16 if p.weight == 0 else 0
+        expected = p.phase * 16 if p.letters == "IIII" else 0
         assert np.trace(to_dense(p)) == expected
-        assert np.isclose(np.trace(dense_oracle(p)), expected)
-
-
-def test_weight():
-    assert PauliString.identity(4).weight == 0
-    assert PauliString.from_label("XIYZ").weight == 3
 
 
 def test_invalid_letters_and_phase():

@@ -1,7 +1,6 @@
 """Tests for the four-body random-coupling model and its qubit encoding."""
 
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,11 +13,9 @@ from trottergibbs.paulis import (
     PauliString,
     pauli_commutes,
     pauli_multiply,
-    to_dense,
 )
 from trottergibbs.syk import (
     HamiltonianTerms,
-    VarianceRule,
     build_syk_hamiltonian,
     group_commuting,
     jordan_wigner_majorana,
@@ -29,11 +26,20 @@ from trottergibbs.syk import (
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
+SINGLE = {"I": np.eye(2, dtype=complex), "X": X, "Y": Y, "Z": Z}
 
 # Frozen regression values for the bundled reference instance (n=8, seed=7).
 REFERENCE_N_TERMS = 70
 REFERENCE_GROUPS = 8
 REFERENCE_SCALE = 0.01373721163593696
+
+
+def to_dense(p: PauliString) -> np.ndarray:
+    """Kronecker oracle: one factor per letter, qubit 0 first, phase included."""
+    mat = np.array([[p.phase]], dtype=complex)
+    for ch in p.letters:
+        mat = np.kron(mat, SINGLE[ch])
+    return mat
 
 
 def majorana_dense(index: int, n_majorana: int) -> np.ndarray:
@@ -63,13 +69,10 @@ def test_sample_rejects_bad_sizes():
 
 
 def test_sample_variance_scaling():
-    # Var J = 3! j^2 / n^3; check the empirical variance across seeds.
-    rule = VarianceRule(j=2.0)
-    draws = [
-        list(sample_syk(8, seed=s, rule=rule).couplings.values()) for s in range(40)
-    ]
+    # Var J = 3! / n^3; check the empirical variance across seeds.
+    draws = [list(sample_syk(8, seed=s).couplings.values()) for s in range(40)]
     flat = np.concatenate(draws)
-    target = rule.variance(8)
+    target = math.factorial(3) / 8**3
     assert abs(np.var(flat) / target - 1.0) < 0.1
 
 

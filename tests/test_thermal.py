@@ -158,7 +158,9 @@ def test_build_u_boltz_beta_zero_identity_all_modes():
         assert max_abs(oracle.normalized_block - np.eye(eff.matrix.shape[0])) < 1e-12
         assert oracle.scale == 1.0
         # No circuit is built, and the oracle still carries the spectrum.
-        assert oracle.diagnostics == {"q": 0, "fourier_m": 0, "block_deviation": 0.0}
+        assert oracle.diagnostics == {
+            "q": 0, "fourier_m": 0, "trotter_steps": 0, "block_deviation": 0.0
+        }
         assert max_abs(oracle.spectrum - spectrum(eff)) < 1e-12
 
 
@@ -226,6 +228,15 @@ def test_build_u_boltz_gqsp_beta_k_reflects_rounding():
     assert oracle.diagnostics["q"] >= 1
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_trotter_steps_count_the_circuit(mode):
+    # 2M+1 powers of W = S_p^q; continuous time (ideal-w, q = 0) counts as
+    # one step per power, so only beta = 0 reports no steps.
+    diag = build_u_boltz(syk_effective(8, beta_seed=6), 2.0, mode=mode).diagnostics
+    assert (diag["q"] == 0) == (mode == "ideal-w")
+    assert diag["trotter_steps"] == max(1, diag["q"]) * (2 * diag["fourier_m"] + 1)
+
+
 def test_build_u_boltz_rejects_bad_input():
     eff = syk_effective(4, beta_seed=1)
     with pytest.raises(ValueError):
@@ -272,7 +283,6 @@ def test_exact_p0_shift_identity():
         assert values.p0 == pytest.approx(
             values.z_over_n * math.exp(-beta), rel=1e-12
         )
-        assert values.shift_factor == pytest.approx(math.exp(-beta), rel=1e-15)
 
 
 def test_householder_prepare_sends_e0_to_target():
