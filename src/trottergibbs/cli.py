@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .lwf import CERT_GRID, gibbs_fourier, gibbs_taylor, taylor_order
-from .paulis import LETTERS, PauliString
+from .paulis import DENSE_QUBIT_CAP, LETTERS, PauliString
 from .pipeline import PIPELINE_MODES, PipelineConfig, ancilla_savings, run_pipeline
 from .syk import HamiltonianTerms, build_syk_hamiltonian, sample_syk
 from .trotter import build_plan, trotter_error_norm
@@ -169,12 +169,15 @@ def validate_model(doc: dict) -> dict:
     """Schema-check a model sub-document; term coefficients become floats.
 
     A pauli label must spell one of I, X, Y, Z per qubit: a shorter string
-    would act on the wrong qubits of the register.
+    would act on the wrong qubits of the register.  Sizes past the dense cap are refused.
     """
     kind = doc.get("kind")
     if kind not in MODEL_SCHEMAS:
         raise ConfigError(f"model.kind must be one of {sorted(MODEL_SCHEMAS)}")
     spec = validate_config(doc, MODEL_SCHEMAS[kind], f"model[{kind}]")
+    n_qubits = spec["n_qubits"] if kind == "pauli" else spec["n_majorana"] // 2
+    if n_qubits > DENSE_QUBIT_CAP:
+        raise ConfigError(f"model[{kind}]: {n_qubits} qubits exceeds dense cap {DENSE_QUBIT_CAP}")
     if kind == "pauli":
         terms = []
         for entry in spec["terms"]:
@@ -281,10 +284,8 @@ def cmd_lwf_convergence(cfg: dict, out_dir: Path) -> list[Path]:
                 rows.append(("taylor", beta, k, sup))
                 orders["taylor"].append(k)
             fa = gibbs_fourier(beta, delta, eps)
-            # On the certificate's own grid, gibbs_fourier has already measured the error.
-            if cfg["grid_points"] == CERT_GRID:
-                sup = fa.diagnostics["grid_sup_error"]
-            else:
+            sup = fa.certify()  # measured on CERT_GRID points, so reused there
+            if cfg["grid_points"] != CERT_GRID:
                 sup = fa.sup_error(cfg["grid_points"])
             rows.append(("lwf", beta, fa.M, sup))
             orders["lwf"].append(fa.M)
@@ -351,6 +352,8 @@ def cmd_trotter_order(cfg: dict, out_dir: Path) -> list[Path]:
     for p in cfg["orders"]:
         plan = build_plan(model.n_terms, p)
         errs = np.array([trotter_error_norm(model, float(t), plan) for t in taus])
+        if np.any(errs == 0.0):
+            raise ValueError(f"trotter-order: order {p} is exact on this model; nothing to fit")
         rows.extend((p, float(t), float(e)) for t, e in zip(taus, errs))
         fits.append({"order": p, **_linear_fit(np.log(taus), np.log(errs))})
     csv_path = out_dir / "trotter_errors.csv"
@@ -392,9 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
 def load_document(path: str | None) -> dict:
     if path is None:
         return {}
+
+    def refuse(constant: str):
+        raise ConfigError(f"config {path} holds {constant}; numbers must be finite")
+
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=refuse)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:

@@ -39,17 +39,17 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def assert_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix"):
+def assert_hermitian(a: np.ndarray, what: str = "matrix"):
     dev = max_abs(a - a.conj().T)
-    if dev > tol:
-        raise ToleranceError(f"{what} is not Hermitian: deviation {dev:.3e} > {tol:.3e}")
+    if dev > HERMITIAN_TOL:
+        raise ToleranceError(f"{what} is not Hermitian: deviation {dev:.3e} > {HERMITIAN_TOL:.3e}")
 
 
-def assert_unitary(a: np.ndarray, tol: float = UNITARY_TOL, what: str = "matrix"):
+def assert_unitary(a: np.ndarray, what: str = "matrix"):
     """Checks one matrix, or each matrix of a stack along the leading axes."""
     dev = max_abs(np.swapaxes(a, -1, -2).conj() @ a - np.eye(a.shape[-1]))
-    if dev > tol:
-        raise ToleranceError(f"{what} is not unitary: deviation {dev:.3e} > {tol:.3e}")
+    if dev > UNITARY_TOL:
+        raise ToleranceError(f"{what} is not unitary: deviation {dev:.3e} > {UNITARY_TOL:.3e}")
 
 
 @dataclass

@@ -30,7 +30,7 @@ import numpy as np
 LN2 = math.log(2.0)
 ARCSIN_START = 64  # first arcsin order tried; doubled up to ARCSIN_CAP
 ARCSIN_CAP = 4096
-CERT_GRID = 1000  # window points on which the certificate is checked
+CERT_GRID = 1000  # window points on which FourierApprox.certify checks the series
 
 
 def gammaln(x):
@@ -156,7 +156,7 @@ def lwf_order(one_norm_a: float, delta: float, eps: float) -> int:
 
 @dataclass
 class FourierApprox:
-    """Assembled coefficients c_m, m = -M..M, with their error certificate."""
+    """Assembled coefficients c_m, m = -M..M, and the a-priori error split."""
 
     beta: float
     delta: float
@@ -185,6 +185,16 @@ class FourierApprox:
     def sup_error(self, grid_size: int = CERT_GRID) -> float:
         grid = np.linspace(-1.0 + self.delta, 1.0 - self.delta, grid_size)
         return float(np.max(np.abs(np.exp(-self.beta * (grid + 1.0)) - self.reconstruct(grid))))
+
+    def certify(self) -> float:
+        """Sup error on CERT_GRID window points; past eps, ApproximationError with the split."""
+        sup_err = self.sup_error()
+        if sup_err > self.eps:
+            raise ApproximationError(
+                f"certificate failed: grid error {sup_err:.3e} > eps {self.eps:.3e}",
+                split={**self.diagnostics, "grid_sup_error": sup_err},
+            )
+        return sup_err
 
 
 def _arcsin_pass(ts: TaylorSeries, delta: float, order: int) -> tuple[np.ndarray, float]:
@@ -287,11 +297,11 @@ def _assemble(combined: np.ndarray, m_cut: int) -> tuple[np.ndarray, float]:
 
 
 def lwf_coefficients(ts: TaylorSeries, delta: float, eps: float) -> FourierApprox:
-    """Assemble the Fourier coefficients and verify the error certificate.
+    """Assemble the Fourier coefficients; ``FourierApprox.certify`` checks them on the window.
 
-    Raises ApproximationError, with the Taylor/arcsin/binomial error split,
-    when the requested eps is out of reach for the given Taylor order or
-    when the assembled coefficients miss the certificate on the grid.
+    Raises ApproximationError, with the Taylor/arcsin error split, when the
+    requested eps is out of reach for the given Taylor order or arcsin cap,
+    or when the assembled one-norm exceeds the Taylor one-norm.
     """
     m_cut = lwf_order(ts.one_norm, delta, eps)
     taylor_tail = ts.tail_bound
@@ -304,20 +314,13 @@ def lwf_coefficients(ts: TaylorSeries, delta: float, eps: float) -> FourierAppro
     order, combined, arcsin_tail = _choose_arcsin_order(ts, delta, eps)
     c, dropped = _assemble(combined, m_cut)
     approx = FourierApprox(ts.beta, delta, m_cut, c, eps)
-    sup_err = approx.sup_error()
     approx.diagnostics = {
         "taylor_order": ts.order,
         "arcsin_order": order,
         "taylor_tail": taylor_tail,
         "arcsin_tail": arcsin_tail,
         "binomial_dropped": dropped,
-        "grid_sup_error": sup_err,
     }
-    if sup_err > eps:
-        raise ApproximationError(
-            f"certificate failed: grid error {sup_err:.3e} > eps {eps:.3e}",
-            split=approx.diagnostics,
-        )
     if approx.one_norm > ts.one_norm + 1e-12:
         raise ApproximationError(
             f"one-norm grew: ||c||_1 = {approx.one_norm:.6f} > ||a||_1 = {ts.one_norm:.6f}"

@@ -72,8 +72,9 @@ class PipelineConfig:
     schedule: EstimationSchedule | None = None
 
     def __post_init__(self):
-        if self.beta < 0.0:
-            raise ValueError("beta must be nonnegative")
+        # Node traces are scaled by e^beta, which must stay a finite float.
+        if not 0.0 <= self.beta <= math.log(np.finfo(float).max):
+            raise ValueError(f"beta must be nonnegative with e^beta finite, got {self.beta!r}")
         if not 0.0 < self.base_step <= math.pi:
             raise ValueError("base step t must lie in (0, pi]")
         if self.m_cheb < 2:

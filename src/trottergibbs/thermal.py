@@ -30,7 +30,6 @@ from .linalg import assert_unitary, eigh_decompose
 from .lwf import gibbs_fourier
 from .trotter import EffectiveHamiltonian
 
-SUBNORMALIZATION_TOL = 1e-9
 EDGE_GAP = 0.05
 COEF_RESCALE = 1.0 - 1e-6
 
@@ -49,7 +48,7 @@ class GqspPlan:
     time: float  # total signal time T; q * tau in integer mode
     beta_f: float  # inverse temperature handed to the Fourier builder
     x0: float  # spectral shift delta'/(1 + delta'), with delta' = 1/beta
-    delta_cert: float  # window margin used for the certificate
+    delta_cert: float  # window margin handed to the Fourier builder
     eps_lwf: float  # Fourier error budget after scale amplification
     scale: float  # known classical factor multiplying the target block
     beta_k: float  # beta rescaled by the time-rounding ratio
@@ -174,11 +173,12 @@ def boltzmann_oracle(
 
     The circuit is evaluated on each eigenphase of W.  ``block_deviation``
     is max_j |b_j/scale - e^{-beta(lambda_j+1)/2}|, the operator-norm gap
-    that ``eps_qsp`` budgets.  ``trotter_steps`` counts the product-formula
-    steps S_p(tau) the circuit applies: 2M+1 powers of W, each q steps
-    (one in continuous time, where q = 0).  At beta = 0 the block is the
-    identity and no circuit is built: the diagnostics then report q = 0,
-    fourier_m = 0, trotter_steps = 0 and block_deviation 0.
+    that ``eps_qsp`` budgets; a block past it raises OracleError.
+    ``trotter_steps`` counts the product-formula steps S_p(tau) the circuit
+    applies: 2M+1 powers of W, each q steps (one in continuous time, where
+    q = 0).  At beta = 0 the block is the identity and no circuit is built:
+    the diagnostics then report q = 0, fourier_m = 0, trotter_steps = 0 and
+    block_deviation 0.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -205,11 +205,10 @@ def boltzmann_oracle(
             "trotter_steps": max(1, plan.q) * (2 * fa.M + 1),
             "block_deviation": float(np.max(np.abs(gap))),
         }
-    # The block is normal, so its top singular value is max_j |b_j|.
-    top = float(np.max(np.abs(cells[:, 0, 0])))
-    if top > 1.0 + SUBNORMALIZATION_TOL:
-        raise OracleError(f"block singular value {top!r} breaks subnormalization")
+    # Unitary cells keep the normal block subnormalized: |b_j| <= 1 + 5e-11.
     assert_unitary(cells, what="Boltzmann cell")
+    if (deviation := diagnostics["block_deviation"]) > eps_qsp:
+        raise OracleError(f"block_deviation {deviation:.3e} exceeds eps_qsp {eps_qsp:.3e}")
     return BoltzmannOracle(beta_k, scale, spectrum, cells, diagnostics)
 
 

@@ -1,6 +1,9 @@
-"""Shared test plumbing: per-criterion result lines in the final summary."""
+"""Shared test plumbing: per-criterion result lines in the final summary,
+and a Boltzmann oracle fed spoiled Fourier coefficients."""
 
 import pytest
+
+from trottergibbs import thermal
 
 _CRITERION_LINES: list[str] = []
 
@@ -20,6 +23,25 @@ def criterion_report():
         print(line)
 
     return _record
+
+
+@pytest.fixture
+def shrunk_fourier(monkeypatch):
+    """Scale every coefficient that gibbs_fourier hands the oracle by 1 - 1e-4.
+
+    A uniform shrink keeps the target admissible (|P| <= 1 on the circle),
+    so synthesis still succeeds and only the block's accuracy changes: its
+    block_deviation lands near 1e-4 times the Gibbs weight, past an eps_qsp
+    of 1e-6 and within one of 1e-3.
+    """
+    real = thermal.gibbs_fourier
+
+    def shrunk(*args):
+        fa = real(*args)
+        fa.c = fa.c * (1.0 - 1e-4)
+        return fa
+
+    monkeypatch.setattr(thermal, "gibbs_fourier", shrunk)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trottergibbs import cli
 from trottergibbs.cli import (
     COMMANDS,
     MODEL_SCHEMAS,
@@ -316,6 +317,31 @@ def test_beta_without_fourier_window_is_config_error(tmp_path, capsys):
     assert "no Fourier window" in payload["error"]["message"]
 
 
+def test_beta_with_overflowing_shift_is_config_error(tmp_path, capsys):
+    # Used to exit 3 with a bare "OverflowError: math range error".
+    cfg = write_config(tmp_path, "cfg.json", {"beta": 1e6})
+    out = tmp_path / "r"
+    rc, payload = run_cli(capsys, "pipeline", "--config", cfg, "--out", str(out))
+    assert rc == 2
+    assert payload["error"]["type"] == "config"
+    assert "e^beta finite" in payload["error"]["message"]
+    assert not any(out.iterdir())
+
+
+def test_block_past_eps_qsp_exits_3_naming_the_node(tmp_path, capsys, shrunk_fourier):
+    # Coefficients spoiled after assembly reach the block; the gate on
+    # block_deviation refuses the node and nothing is written.
+    out = tmp_path / "r"
+    rc, payload = run_cli(
+        capsys, "pipeline", "--config", str(CONFIG_DIR / "pipeline_gqsp.json"), "--out", str(out)
+    )
+    assert rc == 3
+    assert payload["error"]["type"] == "PipelineError"
+    assert payload["error"]["message"].startswith("node ")
+    assert "exceeds eps_qsp 1.000e-06" in payload["error"]["message"]
+    assert not any(out.iterdir())
+
+
 def test_block_mode_at_beta_zero_exits_zero(tmp_path, capsys):
     cfg = write_config(
         tmp_path, "cfg.json", {"beta": 0.0, "mode": "gqsp", "base_step": 0.3}
@@ -422,8 +448,8 @@ def count_sup_error_calls(monkeypatch):
 
 
 def test_lwf_convergence_reuses_the_certificate_on_its_grid(tmp_path, capsys, monkeypatch):
-    # At grid_points == CERT_GRID the CSV takes the certificate that
-    # gibbs_fourier already computed: one sup_error per target (20), not two.
+    # At grid_points == CERT_GRID the CSV takes the error that certify
+    # measured on that grid: one sup_error per target (20), not two.
     calls = count_sup_error_calls(monkeypatch)
     path = CONFIG_DIR / "lwf_convergence.json"
     rc, _ = run_cli(capsys, "lwf-convergence", "--config", str(path), "--out", str(tmp_path))
@@ -524,6 +550,33 @@ def test_trotter_order_slopes(tmp_path, capsys):
     assert abs(fits[2]["slope"] - 2.0) < 0.1
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"kind": "pauli", "n_qubits": 1, "terms": [[0.5, "Z"]]},
+        {"kind": "pauli", "n_qubits": 2, "terms": [[0.5, "ZI"], [0.3, "ZZ"]]},
+    ],
+)
+def test_trotter_order_on_an_exact_formula_exits_3(model, tmp_path, capsys):
+    # Commuting terms make every error norm 0: this used to exit 0 with a
+    # NaN slope and intercept from the log of zero.
+    cfg = write_config(tmp_path, "cfg.json", {"model": model, "orders": [2, 1]})
+    out = tmp_path / "r"
+    rc, payload = run_cli(capsys, "trotter-order", "--config", cfg, "--out", str(out))
+    assert rc == 3
+    assert "order 2 is exact on this model" in payload["error"]["message"]
+    assert not any(out.iterdir())
+
+
+def test_qubits_saved_accepts_sizes_past_the_dense_cap(tmp_path, capsys):
+    # The table needs no dense matrix, so the model cap does not apply.
+    cfg = write_config(tmp_path, "cfg.json", {"n_majorana": [26, 40]})
+    rc, _ = run_cli(capsys, "qubits-saved", "--config", cfg, "--out", str(tmp_path / "r"))
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "r" / "qubits_saved.csv")
+    assert [row[0] for row in rows] == ["26", "40"]
+
+
 def test_entry_point_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])
@@ -534,8 +587,6 @@ def test_entry_point_requires_subcommand(capsys):
     [
         ({"betas": [0.0]}, "betas"),  # exited 3 with ZeroDivisionError
         ({"betas": [-1.0]}, "betas"),  # exited 3
-        ({"betas": [1.0, float("inf")]}, "betas"),  # exited 3
-        ({"betas": [float("nan")]}, "betas"),  # exited 3
         ({"eps_grid": [1.5, 0.01]}, "eps_grid"),  # exited 3
         ({"eps_grid": [0.0, 0.01]}, "eps_grid"),  # exited 3
         ({"eps_grid": [1.5]}, "eps_grid"),  # exited 3
@@ -555,6 +606,50 @@ def test_lwf_convergence_out_of_range_value_is_config_error(doc, key, tmp_path, 
     assert payload["error"]["type"] == "config"
     assert key in payload["error"]["message"]
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_lwf_convergence_missed_certificate_exits_3(tmp_path, capsys, monkeypatch):
+    # Assembly does not check the window; the command runs the certificate
+    # itself and writes nothing when a target misses it.
+    real = cli.gibbs_fourier
+
+    def spoiled(*args):
+        fa = real(*args)
+        fa.c[fa.M] += 1.0
+        return fa
+
+    monkeypatch.setattr(cli, "gibbs_fourier", spoiled)
+    cfg = write_config(tmp_path, "cfg.json", {"betas": [1.0], "eps_grid": [1e-2, 1e-3]})
+    out = tmp_path / "r"
+    rc, payload = run_cli(capsys, "lwf-convergence", "--config", cfg, "--out", str(out))
+    assert rc == 3
+    assert payload["error"]["type"] == "ApproximationError"
+    assert "certificate failed" in payload["error"]["message"]
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("lwf-convergence", '{"betas": [1.0, Infinity]}'),  # exited 2 from the range check
+        ("lwf-convergence", '{"betas": [NaN]}'),  # exited 2 from the range check
+        ("pipeline", '{"beta": NaN}'),  # exited 0 with NaN results
+        ("pipeline", '{"beta": Infinity}'),  # exited 0 with a NaN estimate
+        ("trotter-order", '{"tau_min": -Infinity}'),  # exited 2 from the range check
+        ("qubits-saved", '{"n_majorana": [8, NaN]}'),  # exited 2 from the type check
+    ],
+    ids=repr,
+)
+def test_non_finite_number_is_config_error(command, text, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "r"
+    rc, payload = run_cli(capsys, command, "--config", str(path), "--out", str(out))
+    assert rc == 2
+    assert payload["error"]["type"] == "config"
+    constant = next(c for c in ("-Infinity", "Infinity", "NaN") if c in text)
+    assert f"holds {constant}; numbers must be finite" in payload["error"]["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("eps_grid", [[0.01], [0.01, 0.01]])
@@ -599,6 +694,11 @@ def test_lwf_convergence_accepts_range_edges(tmp_path, capsys):
         ("trotter-order", {"tau_min": 0.1, "tau_max": 0.01}, "tau_max"),  # exited 0
         ("trotter-order", {"tau_min": 0.0}, "tau_min"),
         ("trotter-order", {"tau_min": -0.01}, "tau_min"),
+        # Past the dense cap: exited 3 from inside node 1 or the first formula.
+        ("pipeline", {"model": {"kind": "pauli", "n_qubits": 13, "terms": [[1.0, "Z" * 13]]}},
+         "13 qubits exceeds dense cap 12"),
+        ("pipeline", {"model": {"kind": "syk", "n_majorana": 26}}, "13 qubits exceeds dense cap"),
+        ("trotter-order", {"model": {"kind": "syk", "n_majorana": 26}}, "dense cap"),
     ],
     ids=repr,
 )

@@ -215,6 +215,23 @@ def test_fourier_certificates_across_beta():
         assert f.sup_error(1000) <= 1e-4, f"beta={beta}"
 
 
+def test_certify_returns_the_window_sup_error():
+    f = gibbs_fourier(4.0, 0.25, 1e-6)
+    assert f.certify() == f.sup_error(CERT_GRID) <= 1e-6
+    # Assembly leaves the check to certify: the split carries no grid error.
+    assert "grid_sup_error" not in f.diagnostics
+
+
+def test_certify_refuses_a_series_past_eps_with_the_split():
+    f = gibbs_fourier(2.0, 0.5, 1e-6)
+    f.c[f.M] += 1e-5
+    with pytest.raises(ApproximationError, match="certificate failed") as exc_info:
+        f.certify()
+    split = exc_info.value.split
+    assert split["grid_sup_error"] == f.sup_error() > 1e-6
+    assert split["taylor_tail"] == f.diagnostics["taylor_tail"]
+
+
 def test_lwf_coefficients_reports_budget_split_on_failure():
     with pytest.raises(ApproximationError) as exc_info:
         lwf_coefficients(gibbs_taylor(4.0, 2), 0.25, 1e-8)

@@ -2,11 +2,12 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from trottergibbs import cheb, gqsp, pipeline, thermal, trotter
+from trottergibbs import cheb, gqsp, lwf, pipeline, thermal, trotter
 from trottergibbs.cheb import cheb_grid, exact_partition
 from trottergibbs.paulis import PauliString
 from trottergibbs.pipeline import (
@@ -68,6 +69,22 @@ def test_config_validation():
         PipelineConfig(model=model, beta=1.0, mode="teleport")
     with pytest.raises(ValueError):
         PipelineConfig(model=model, beta=1.0, eps_stat=0.0)
+
+
+@pytest.mark.parametrize(
+    "beta", [math.nan, math.inf, 1e6, math.nextafter(math.log(sys.float_info.max), math.inf)]
+)
+def test_config_refuses_beta_without_finite_shift(beta):
+    # Each node trace is scaled by e^beta: 1e6 used to fail with a bare
+    # OverflowError after the nodes ran, and NaN or inf ran through to NaN results.
+    with pytest.raises(ValueError, match="e\\^beta finite"):
+        PipelineConfig(model=syk_model(4, seed=1), beta=beta)
+
+
+def test_config_accepts_the_largest_beta_with_finite_shift():
+    beta = math.log(sys.float_info.max)
+    assert math.isfinite(math.exp(beta))
+    assert PipelineConfig(model=syk_model(4, seed=1), beta=beta).beta == beta
 
 
 def test_config_refuses_branch_wrap():
@@ -368,6 +385,30 @@ def test_order4_depth_and_cost_count_the_flat_circuit():
         "node_sum_ratio_max": 2.040278893193579,
         "total_queries": 0,
     }
+
+
+def test_gqsp_run_never_evaluates_the_fourier_series(monkeypatch):
+    # The node is gated on block_deviation; the window certificate's grid
+    # evaluation stays off the node path.
+    calls = []
+    for name in ("sup_error", "reconstruct"):
+        real = getattr(lwf.FourierApprox, name)
+
+        def counted(self, *args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(lwf.FourierApprox, name, counted)
+    for mode in thermal.MODES:
+        cfg = PipelineConfig(model=syk_model(8, seed=4), beta=1.0, m_cheb=4, mode=mode)
+        assert run_pipeline(cfg).nodes[0].diagnostics["fourier_m"] > 0
+    assert calls == []
+
+
+def test_block_past_eps_qsp_names_the_node(shrunk_fourier):
+    cfg = PipelineConfig(model=syk_model(8, seed=4), beta=1.0, m_cheb=4, mode="gqsp")
+    with pytest.raises(PipelineError, match=r"node \d+ \(s_k=.*block_deviation .* exceeds eps_qsp"):
+        run_pipeline(cfg)
 
 
 def test_unconverged_estimate_names_the_node():

@@ -8,23 +8,40 @@ whose eigenphases carry sqrt(p0).  Register order is (C, A, B).
 
 import math
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from trottergibbs.linalg import assert_unitary, eigh_decompose, max_abs
-from trottergibbs.syk import build_syk_hamiltonian, normalize_one_norm, sample_syk
+from trottergibbs import thermal
+from trottergibbs.linalg import ToleranceError, assert_unitary, eigh_decompose, max_abs
+from trottergibbs.lwf import ApproximationError, gibbs_fourier
+from trottergibbs.paulis import PauliString
+from trottergibbs.syk import (
+    HamiltonianTerms,
+    build_syk_hamiltonian,
+    normalize_one_norm,
+    sample_syk,
+)
 from trottergibbs.thermal import (
     MODES,
     EstimationSchedule,
     OracleError,
     amplitude_estimate,
+    boltzmann_oracle,
     build_u_boltz,
     exact_p0,
     qubit_ledger,
 )
-from trottergibbs.trotter import EffectiveHamiltonian, build_plan, effective_hamiltonian
+from trottergibbs.trotter import (
+    EffectiveHamiltonian,
+    build_plan,
+    effective_hamiltonian,
+    node_spectrum,
+)
 
 
 def syk_effective(n_majorana, beta_seed, tau=0.3, order=2):
@@ -253,6 +270,85 @@ def test_build_u_boltz_coarse_step_fails():
     eff = syk_effective(4, beta_seed=1, tau=3.0)
     with pytest.raises(OracleError):
         build_u_boltz(eff, 4.0, mode="gqsp")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_block_past_eps_qsp_is_refused(mode, shrunk_fourier):
+    # Coefficients spoiled after assembly never meet the window certificate
+    # on this path, so the gate on the node's own eigenvalues must catch them.
+    eff = syk_effective(8, beta_seed=7)
+    with pytest.raises(OracleError, match=r"block_deviation \S+ exceeds eps_qsp 1\.000e-06"):
+        build_u_boltz(eff, 1.0, mode=mode, eps_qsp=1e-6)
+    # Within a looser budget the same block is accepted.
+    oracle = build_u_boltz(eff, 1.0, mode=mode, eps_qsp=1e-3)
+    assert 1e-6 < oracle.diagnostics["block_deviation"] <= 1e-3
+
+
+def test_cell_past_unit_norm_fails_the_unitarity_check(monkeypatch):
+    # |b| = 1 + 1e-6 breaks subnormalization; the unitarity check refuses it
+    # (C^dag C - I has a 2e-6 entry), before any gate on the block's accuracy.
+    real = thermal.gqsp_cells
+
+    def spoiled(*args):
+        cells = real(*args)
+        cells[0] = np.diag([1.0 + 1e-6, 1.0])
+        return cells
+
+    monkeypatch.setattr(thermal, "gqsp_cells", spoiled)
+    with pytest.raises(ToleranceError, match="Boltzmann cell is not unitary"):
+        build_u_boltz(syk_effective(4, beta_seed=1), 1.0, mode="gqsp")
+
+
+def small_model(kind, seed):
+    """A one-norm-1 SYK draw on 2-4 qubits or a random Pauli sum on 1-3 qubits."""
+    if kind == "syk":
+        n_majorana = 4 + 2 * (seed % 3)
+        return normalize_one_norm(build_syk_hamiltonian(sample_syk(n_majorana, seed=seed)))[0]
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 3
+    labels = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(1 + seed % 4)]
+    terms = [(float(rng.normal()), PauliString.from_label(l)) for l in labels if l != "I" * n]
+    assume(terms)
+    return normalize_one_norm(HamiltonianTerms(n, terms))[0]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(["syk", "pauli"]),
+    st.integers(0, 2**16),
+    st.floats(1.0, 8.0),
+    st.sampled_from([1e-3, 1e-4, 1e-6]),
+    st.sampled_from(MODES),
+    st.sampled_from([2, 4]),
+    st.floats(0.05, 1.0),
+)
+def test_gate_never_refuses_a_certified_target_property(kind, seed, beta, eps_qsp, mode, order, s):
+    # Wherever the node's own Fourier target passes the window certificate,
+    # its block meets eps_qsp on the node's eigenvalues.  The target is the
+    # one the oracle builds, recorded rather than built twice.
+    model = small_model(kind, seed)
+    tau = 0.3 * s
+    spectrum = node_spectrum(model, s, 0.3, build_plan(model.n_terms, order))
+    targets = []
+
+    def recording(*args):
+        targets.append(gibbs_fourier(*args))
+        return targets[-1]
+
+    with mock.patch.object(thermal, "gibbs_fourier", recording):
+        try:
+            oracle = boltzmann_oracle(spectrum, tau, beta, mode, eps_qsp=eps_qsp)
+            deviation = oracle.diagnostics["block_deviation"]
+        except OracleError:
+            deviation = math.inf
+        except ApproximationError:
+            pass  # no target was built: the Taylor or arcsin budget is out of reach
+    assume(targets)  # an empty list also means the spectrum left no Fourier window
+    try:
+        targets[0].certify()
+    except ApproximationError:
+        assume(False)
+    assert deviation <= eps_qsp
 
 
 def test_gqsp_plan_certificate_window():
