@@ -113,6 +113,7 @@ RANGES = {
     # An SYK model's count, or each entry of the qubits-saved list.
     "n_majorana": (lambda v: all(n >= 4 and n % 2 == 0 for n in np.atleast_1d(v)), "even and >= 4"),
     "terms": (lambda v: len(v) > 0, "non-empty"),
+    "one_norm": (lambda v: v >= 0, ">= 0"),  # 0 is the zero Hamiltonian
     "orders": (lambda v: all(p == 1 or (p >= 2 and p % 2 == 0) for p in v), "1 or even"),
     "tau_min": (lambda v: v > 0, "> 0"),
     "tau_points": (lambda v: v >= 2, ">= 2"),
@@ -224,9 +225,9 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
 
 
 def write_json(path: Path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Serialize first, so a non-finite number raises before the file is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def sha256_of(path: Path) -> str:

@@ -17,6 +17,7 @@ import numpy as np
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
+DISCARD_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-10
 BRANCH_GAP = 1e-8
 
@@ -59,17 +60,13 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns are eigenvectors
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
     def apply(self, fvals: np.ndarray) -> np.ndarray:
         """V diag(fvals) V^dag for a function evaluated on the eigenvalues."""
         v = self.eigenvectors
         return (v * fvals) @ v.conj().T
 
     def check(self, original: np.ndarray):
-        dev = max_abs(self.reconstruct() - original)
+        dev = max_abs(self.apply(self.eigenvalues) - original)
         if dev > RECONSTRUCTION_TOL:
             raise ToleranceError(
                 f"spectral reconstruction off by {dev:.3e} > {RECONSTRUCTION_TOL:.3e}"
@@ -149,20 +146,10 @@ def matrix_log_unitary(u: np.ndarray) -> np.ndarray:
     return log_u
 
 
-def hermitian_part(a: np.ndarray, max_discard: float | None = None, what: str = "matrix") -> np.ndarray:
-    """(a + a^dag)/2, optionally asserting the discarded part is small."""
+def hermitian_part(a: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """(a + a^dag)/2, asserting the discarded anti-Hermitian part is within DISCARD_TOL."""
     herm = 0.5 * (a + a.conj().T)
-    if max_discard is not None:
-        dev = max_abs(a - herm)
-        if dev > max_discard:
-            raise ToleranceError(
-                f"anti-Hermitian part of {what} is {dev:.3e} > {max_discard:.3e}"
-            )
+    dev = max_abs(a - herm)
+    if dev > DISCARD_TOL:
+        raise ToleranceError(f"anti-Hermitian part of {what} is {dev:.3e} > {DISCARD_TOL:.3e}")
     return herm
-
-
-def unitary_power(u: np.ndarray, k: int) -> np.ndarray:
-    """u**k for integer k, using the adjoint for negative powers."""
-    if k < 0:
-        return np.linalg.matrix_power(u.conj().T, -k)
-    return np.linalg.matrix_power(u, k)

@@ -24,9 +24,7 @@ from .seeding import split_seed
 from .syk import HamiltonianTerms
 from .thermal import (
     MODES,
-    BoltzmannOracle,
     EstimationSchedule,
-    TraceValues,
     amplitude_estimate,
     boltzmann_oracle,
     exact_p0,
@@ -41,7 +39,6 @@ from .trotter import (
 )
 
 PIPELINE_MODES = ("exact", *MODES, "sampled")
-EXTRAPOLATION_TOL = 1e-14
 TRACE_BOUND_SLACK = 1e-10
 
 
@@ -172,104 +169,90 @@ class PartitionResult:
         return "\n".join(json.dumps(r.json_record()) for r in self.nodes)
 
 
-def _node_traces(
-    cfg: PipelineConfig, plan: FormulaPlan, s: float
-) -> tuple[TraceValues, BoltzmannOracle | None]:
-    """Exact node traces at s, plus the Boltzmann oracle in gqsp/ideal-w mode.
+def _node_fields(cfg: PipelineConfig, plan: FormulaPlan, s: float) -> dict:
+    """The record fields node s shares with its mirror -s under an even order.
 
     Every mode reads its node from one spectrum, the eigenphases of
     S_p(s t); no H_eff, matrix log or dense circuit is formed.  The block
-    modes evaluate their circuit on the same eigenvalues, one 2x2 cell each.
+    modes evaluate their circuit on the same eigenvalues, one 2x2 cell each,
+    and read p0_hat off the block.
     """
     spectrum = node_spectrum(cfg.model, s, cfg.base_step, plan)
-    oracle = None
+    exact = exact_p0(spectrum, cfg.beta)
+    fields = {"p0_exact": exact.p0, "z_exact": exact.z_over_n}
     if cfg.mode in MODES:
         oracle = boltzmann_oracle(
             spectrum, s * cfg.base_step, cfg.beta, cfg.mode, eps_qsp=cfg.eps_qsp
         )
-    return exact_p0(spectrum, cfg.beta), oracle
+        keys = ("block_deviation", "fourier_m", "q")
+        return {
+            **fields,
+            "beta_k": oracle.beta_k,
+            "p0_hat": oracle.p0,
+            "depth": plan.n_stages * oracle.diagnostics["trotter_steps"],
+            "diagnostics": {key: oracle.diagnostics[key] for key in keys},
+        }
+    return {**fields, "beta_k": cfg.beta, "p0_hat": exact.p0, "depth": 0, "diagnostics": {}}
 
 
 def run_pipeline(cfg: PipelineConfig) -> PartitionResult:
-    """Evaluate all node traces and extrapolate to the zero-step limit.
+    """Evaluate all node traces in one pass and extrapolate to the zero-step limit.
 
-    Nodes are visited in descending |s_k| (cheapest circuits first) and
-    aggregated by node index, so the result does not depend on evaluation
-    order.  For even orders node M-1-k mirrors node k; the pair is matched
-    by index, since the two cosines need not be exact negatives in floating
-    point.  Sampled mode still draws each node's estimate with its own
-    seed.  Failures carry the offending node in the message.
+    For even orders node M-1-k mirrors node k and reuses its fields; the
+    pair is matched by index, since the two cosines need not be exact
+    negatives in floating point.  Sampled mode still draws each node's
+    estimate with its own seed.  Failures carry the offending node, or the
+    stage, in the message; a trace, extrapolation or cost that is not a
+    finite float is one.
     """
     grid = cheb_grid(cfg.m_cheb)
     plan = build_plan(cfg.model.n_terms, cfg.order)
-    fold = cfg.order % 2 == 0
-    evaluated: dict[int, tuple[TraceValues, BoltzmannOracle | None]] = {}
-    records: list[NodeRecord | None] = [None] * cfg.m_cheb
     shift = math.exp(cfg.beta)
-
-    for k in np.argsort(-np.abs(grid.nodes), kind="stable"):
-        k = int(k)
-        s_k = float(grid.nodes[k])
+    shared: list[dict] = []
+    nodes: list[NodeRecord] = []
+    for k, s_k in enumerate(grid.nodes.tolist()):
+        mirror = cfg.m_cheb - 1 - k
         seed_k = split_seed(cfg.seed, "node", k)
-        source = min(k, cfg.m_cheb - 1 - k) if fold else k
         try:
-            if source not in evaluated:
-                evaluated[source] = _node_traces(cfg, plan, float(grid.nodes[source]))
-            tv, oracle = evaluated[source]
-            beta_k = cfg.beta
-            p0_hat = tv.p0
-            depth = 0
-            queries = 0
-            diagnostics: dict = {}
-            if oracle is not None:
-                # Tr(B^dag B)/N of the normalized block: the mean of |b_j|^2.
-                p0_hat = float(np.mean(np.abs(oracle.cells[:, 0, 0]) ** 2)) / oracle.scale**2
-                beta_k = oracle.beta_k
-                depth = plan.n_stages * oracle.diagnostics["trotter_steps"]
-                diagnostics = {
-                    key: oracle.diagnostics[key]
-                    for key in ("block_deviation", "fourier_m", "q")
-                }
-            elif cfg.mode == "sampled":
+            if cfg.order % 2 == 0 and mirror < k:
+                shared.append(shared[mirror])
+            else:
+                shared.append(_node_fields(cfg, plan, s_k))
+            record = {**shared[k], "queries": 0}
+            if cfg.mode == "sampled":
                 est = amplitude_estimate(
-                    tv.p0, cfg.eps_stat, seed=seed_k, schedule=cfg.schedule
+                    record["p0_exact"], cfg.eps_stat, seed=seed_k, schedule=cfg.schedule
                 )
                 if not est.converged:
-                    raise PipelineError(
-                        f"node {k + 1} (s_k={s_k:+.6f}): amplitude estimation "
-                        f"stopped unconverged after {est.rounds} rounds"
+                    raise RuntimeError(
+                        f"amplitude estimation stopped unconverged after {est.rounds} rounds"
                     )
-                p0_hat = est.p0_hat
-                queries = est.queries
-                diagnostics = {"ae_clamped": est.clamped}
-        except PipelineError:
-            raise
+                record.update(
+                    p0_hat=est.p0_hat, queries=est.queries, diagnostics={"ae_clamped": est.clamped}
+                )
+            record["z_hat"] = record["p0_hat"] * shift
+            if not (math.isfinite(record["z_exact"]) and math.isfinite(record["z_hat"])):
+                raise OverflowError(f"trace Z/N is not a finite float at beta={cfg.beta!r}")
         except Exception as err:
             raise PipelineError(f"node {k + 1} (s_k={s_k:+.6f}): {err}") from err
-        records[k] = NodeRecord(
-            index=k + 1,
-            s_k=s_k,
-            d_k=float(grid.weights[k]),
-            beta_k=beta_k,
-            mode=cfg.mode,
-            p0_exact=tv.p0,
-            p0_hat=p0_hat,
-            z_exact=tv.z_over_n,
-            z_hat=p0_hat * shift,
-            depth=depth,
-            queries=queries,
-            seed=seed_k,
-            diagnostics=diagnostics,
+        nodes.append(
+            NodeRecord(
+                index=k + 1, s_k=s_k, d_k=float(grid.weights[k]), mode=cfg.mode, seed=seed_k,
+                **record,
+            )
         )
 
-    nodes = [r for r in records if r is not None]
     z_hat = np.array([r.z_hat for r in nodes])
     z_exact = np.array([r.z_exact for r in nodes])
     extrapolated = interpolate_to_zero(z_hat, grid)
     extrapolated_exact = interpolate_to_zero(z_exact, grid)
-    if abs(extrapolated - float(np.dot(grid.weights, z_hat))) > EXTRAPOLATION_TOL:
-        raise PipelineError("extrapolation drifted from the weighted node sum")
     oracle_value = exact_partition(cfg.model, cfg.beta)
+    realized = abs(extrapolated_exact - oracle_value)
+    if not all(map(math.isfinite, (extrapolated, extrapolated_exact, oracle_value, realized))):
+        raise PipelineError(
+            f"extrapolation: estimate {extrapolated!r}, exact {extrapolated_exact!r}, reference "
+            f"{oracle_value!r} or the gap between the last two is not a finite float"
+        )
     cost = cost_model(cfg, grid, [r.depth for r in nodes], z_exact)
     cost["total_queries"] = int(sum(r.queries for r in nodes))
     return PartitionResult(
@@ -280,7 +263,7 @@ def run_pipeline(cfg: PipelineConfig) -> PartitionResult:
         extrapolated=extrapolated,
         extrapolated_exact=extrapolated_exact,
         oracle=oracle_value,
-        eps_cheb_realized=abs(extrapolated_exact - oracle_value),
+        eps_cheb_realized=realized,
         cost=cost,
     )
 
@@ -371,6 +354,8 @@ def cost_model(cfg: PipelineConfig, grid: ChebGrid, m_k: list[int], z_nodes=None
     log_m = math.log(grid.m_cheb)
     total = stage_factor / t * float(np.max(query_factor))
     total *= grid.m_cheb * max(log_m, math.log(2.0))
+    if not math.isfinite(total):
+        raise PipelineError(f"cost ledger: total cost {total!r} is not finite")
     return {
         "order": p,
         "base_step": t,

@@ -32,6 +32,10 @@ from .trotter import EffectiveHamiltonian
 
 EDGE_GAP = 0.05
 COEF_RESCALE = 1.0 - 1e-6
+SHOTS = 32  # shots per round of amplitude estimation
+LADDER_RATIO = 2.0  # least growth of the amplification between rounds
+# Finest estimate: _find_next_k scans up to pi/(16 eps) candidates a round.
+EPS_FLOOR = 1e-6
 
 MODES = ("gqsp", "ideal-w")
 
@@ -154,6 +158,11 @@ class BoltzmannOracle:
     def normalized_block(self) -> np.ndarray:
         return self.block / self.scale
 
+    @property
+    def p0(self) -> float:
+        """Tr(B^dag B)/N of the normalized block: the mean of |b_j|^2 / scale^2."""
+        return float(np.mean(np.abs(self.cells[:, 0, 0]) ** 2)) / self.scale**2
+
 
 def boltzmann_oracle(
     spectrum: np.ndarray,
@@ -207,7 +216,7 @@ def boltzmann_oracle(
         }
     # Unitary cells keep the normal block subnormalized: |b_j| <= 1 + 5e-11.
     assert_unitary(cells, what="Boltzmann cell")
-    if (deviation := diagnostics["block_deviation"]) > eps_qsp:
+    if not (deviation := diagnostics["block_deviation"]) <= eps_qsp:  # NaN is refused too
         raise OracleError(f"block_deviation {deviation:.3e} exceeds eps_qsp {eps_qsp:.3e}")
     return BoltzmannOracle(beta_k, scale, spectrum, cells, diagnostics)
 
@@ -247,16 +256,14 @@ def exact_p0(spectrum: np.ndarray, beta: float) -> TraceValues:
 
 @dataclass
 class EstimationSchedule:
-    """Knobs of the iterative estimation loop."""
+    """Knobs of the iterative estimation loop: failure probability and round cap."""
 
-    shots: int = 32
     alpha: float = 0.05
-    ratio: float = 2.0
     max_rounds: int = 100_000
 
     def __post_init__(self):
-        if self.shots < 1 or not 0.0 < self.alpha < 1.0 or self.ratio <= 1.0:
-            raise ValueError("invalid estimation schedule")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
 
 
 @dataclass
@@ -274,9 +281,7 @@ class TraceEstimate:
     clamped: bool  # True when every shot missed or every shot hit: a0_hat is set to 0 or 1
 
 
-def _find_next_k(
-    k: int, up: bool, theta_l: float, theta_u: float, ratio: float
-) -> tuple[int, bool]:
+def _find_next_k(k: int, up: bool, theta_l: float, theta_u: float) -> tuple[int, bool]:
     """Largest admissible amplification keeping K*(theta interval) in one semicircle."""
     width = theta_u - theta_l
     if width <= 0.0:
@@ -284,7 +289,7 @@ def _find_next_k(
     k_cur = 4 * k + 2
     k_max_num = int(math.floor(math.pi / width))
     k_next = ((k_max_num - 2) // 4) * 4 + 2
-    while k_next >= ratio * k_cur:
+    while k_next >= LADDER_RATIO * k_cur:
         om_l = (k_next * theta_l) % (2.0 * math.pi)
         om_u = (k_next * theta_u) % (2.0 * math.pi)
         if om_u >= om_l:
@@ -312,8 +317,8 @@ def amplitude_estimate(
     """
     if not 0.0 <= p0_true <= 1.0:
         raise ValueError("p0 must lie in [0, 1]")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    if not EPS_FLOOR <= eps < 1.0:
+        raise ValueError(f"eps must lie in [{EPS_FLOOR:g}, 1), got {eps!r}")
     sched = schedule or EstimationSchedule()
     rng = np.random.default_rng(seed)
     theta_true = math.asin(min(1.0, math.sqrt(p0_true)))
@@ -323,7 +328,6 @@ def amplitude_estimate(
     pooled: dict[int, list[int]] = {}
     queries = 0
     rounds = 0
-    total_shots = 0
     total_hits = 0
     # Union-bound budget over the geometric ladder of amplification levels.
     levels = max(1, math.ceil(math.log2(math.pi / (4.0 * eps))) + 1)
@@ -332,14 +336,13 @@ def amplitude_estimate(
     while math.sin(theta_u) - math.sin(theta_l) > 2.0 * eps:
         if rounds >= sched.max_rounds:
             break  # reported through TraceEstimate.converged
-        k, up = _find_next_k(k, up, theta_l, theta_u, sched.ratio)
+        k, up = _find_next_k(k, up, theta_l, theta_u)
         p_shot = math.sin((2 * k + 1) * theta_true) ** 2
-        hits = int(rng.binomial(sched.shots, p_shot))
+        hits = int(rng.binomial(SHOTS, p_shot))
         bucket = pooled.setdefault(k, [0, 0])
-        bucket[0] += sched.shots
+        bucket[0] += SHOTS
         bucket[1] += hits
-        queries += sched.shots * (2 * k + 1)
-        total_shots += sched.shots
+        queries += SHOTS * (2 * k + 1)
         total_hits += hits
         rounds += 1
 
@@ -366,7 +369,7 @@ def amplitude_estimate(
     a_lo, a_hi = math.sin(theta_l), math.sin(theta_u)
     converged = a_hi - a_lo <= 2.0 * eps
     a0_hat = 0.5 * (a_lo + a_hi)
-    clamped = total_hits in (0, total_shots)
+    clamped = total_hits in (0, rounds * SHOTS)
     if clamped:
         a0_hat = float(total_hits > 0)
     return TraceEstimate(

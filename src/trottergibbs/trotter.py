@@ -203,7 +203,7 @@ def effective_hamiltonian(
     u = apply_formula(h, tau, plan)
     log_u = matrix_log_unitary(u)
     h_eff = log_u / (1j * tau)
-    h_eff = hermitian_part(h_eff, max_discard=1e-10, what="effective Hamiltonian")
+    h_eff = hermitian_part(h_eff, what="effective Hamiltonian")
     return EffectiveHamiltonian(h_eff, tau)
 
 

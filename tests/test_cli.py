@@ -1,13 +1,17 @@
 """Tests for the command-line entry point and its artifact contracts."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import math
+import re
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from trottergibbs import cli
@@ -340,6 +344,40 @@ def test_block_past_eps_qsp_exits_3_naming_the_node(tmp_path, capsys, shrunk_fou
     assert payload["error"]["message"].startswith("node ")
     assert "exceeds eps_qsp 1.000e-06" in payload["error"]["message"]
     assert not any(out.iterdir())
+
+
+def test_non_finite_total_cost_exits_3_naming_the_ledger(tmp_path, capsys):
+    # Used to exit 0 with "total_cost": Infinity in pipeline_result.json.
+    cfg = write_config(
+        tmp_path, "cfg.json",
+        {"mode": "gqsp", "beta": 1.0, "base_step": 0.3, "order": 4, "eps_stat": 1e-300},
+    )
+    out = tmp_path / "r"
+    rc, payload = run_cli(capsys, "pipeline", "--config", cfg, "--out", str(out))
+    assert rc == 3
+    assert payload["error"]["type"] == "PipelineError"
+    assert payload["error"]["message"].startswith("cost ledger: total cost inf")
+    assert not any(out.iterdir())
+
+
+def test_write_json_refuses_a_non_finite_number_before_opening_the_file(tmp_path):
+    path = tmp_path / "result.json"
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli.write_json(path, {"nested": [1.0, value]})
+        assert not path.exists()
+
+
+def test_zero_one_norm_is_the_zero_hamiltonian(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, "cfg.json", {"model": {"kind": "syk", "n_majorana": 8, "one_norm": 0.0}}
+    )
+    out = tmp_path / "r"
+    rc, _ = run_cli(capsys, "pipeline", "--config", cfg, "--out", str(out))
+    assert rc == 0
+    result = json.loads((out / "pipeline_result.json").read_text())
+    assert result["oracle"] == 1.0  # Tr e^0 / N
+    assert result["extrapolated"] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_block_mode_at_beta_zero_exits_zero(tmp_path, capsys):
@@ -699,6 +737,10 @@ def test_lwf_convergence_accepts_range_edges(tmp_path, capsys):
          "13 qubits exceeds dense cap 12"),
         ("pipeline", {"model": {"kind": "syk", "n_majorana": 26}}, "13 qubits exceeds dense cap"),
         ("trotter-order", {"model": {"kind": "syk", "n_majorana": 26}}, "dense cap"),
+        # Exited 0: the run solved -H/||H||_1 while the manifest recorded -1.
+        ("pipeline", {"model": {"kind": "syk", "n_majorana": 8, "seed": 7, "one_norm": -1.0}},
+         "'one_norm' must be >= 0"),
+        ("trotter-order", {"model": {"kind": "syk", "one_norm": -64.0}}, "'one_norm' must be >= 0"),
     ],
     ids=repr,
 )
@@ -710,3 +752,85 @@ def test_out_of_range_value_is_config_error(command, doc, key, tmp_path, capsys)
     assert payload["error"]["type"] == "config"
     assert key in payload["error"]["message"]
     assert not out.exists() or not any(out.iterdir())
+
+
+# Documents across the regimes `pipeline` must either run or refuse: SYK and
+# pauli models (a one-norm of 0 is the zero Hamiltonian), beta up to 700,
+# tiny and edge budgets.
+_outcome_models = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.just("syk"), "n_majorana": st.sampled_from([4, 6, 8]),
+         "seed": st.integers(0, 99)},
+        optional={"one_norm": st.one_of(st.just(0.0), st.floats(0.0, 4.0))},
+    ),
+    st.integers(1, 3).flatmap(
+        lambda n: st.fixed_dictionaries(
+            {
+                "kind": st.just("pauli"),
+                "n_qubits": st.just(n),
+                "terms": st.lists(
+                    st.tuples(st.floats(-2.0, 2.0), st.text("IXYZ", min_size=n, max_size=n)).map(
+                        list
+                    ),
+                    min_size=1,
+                    max_size=4,
+                ),
+            }
+        )
+    ),
+)
+_budgets = st.one_of(
+    st.floats(1e-9, 0.5),
+    st.floats(1e-9, 0.5),
+    st.sampled_from([0.0, 1e-300, 1e-12, 1.0 - 2.0**-53, 1.0]),
+)
+_outcome_docs = st.fixed_dictionaries(
+    {
+        "model": _outcome_models,
+        "beta": st.one_of(
+            st.floats(0.0, 8.0), st.floats(0.0, 700.0), st.sampled_from([0.0, 1.0 / 19.0, 700.0])
+        ),
+        "order": st.sampled_from([1, 2, 4]),
+        "base_step": st.one_of(st.floats(1e-3, 1.0), st.sampled_from([1e-3, math.pi])),
+        "m_cheb": st.one_of(st.sampled_from([2, 4, 6]), st.integers(1, 6)),
+        "eps_qsp": _budgets,
+        "eps_cheb": _budgets,
+        "eps_stat": _budgets,
+        "mode": st.sampled_from(PIPELINE_MODES),
+        "seed": st.integers(0, 2**32),
+    }
+)
+
+
+def _refuse_constant(constant):
+    raise ValueError(f"artifact holds {constant}")
+
+
+@settings(max_examples=30, deadline=None)
+@given(_outcome_docs)
+@example({"mode": "gqsp", "beta": 1.0, "base_step": 0.3, "order": 4, "eps_stat": 1e-300})
+@example({"model": {"kind": "syk", "n_majorana": 8, "seed": 7, "one_norm": -1.0}})
+def test_pipeline_ends_in_one_of_three_outcomes(doc):
+    # Exit 0 with every number of the pinned artifacts finite; exit 2 with
+    # nothing written; or exit 3 with nothing written and a message naming
+    # the node or the stage that failed.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = Path(tmp) / "r"
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            rc = main(["pipeline", "--config", str(path), "--out", str(out)])
+        payload = json.loads(stdout.getvalue().splitlines()[-1])
+        event(f"exit {rc}")
+        if rc == 0:
+            json.loads((out / "pipeline_result.json").read_text(), parse_constant=_refuse_constant)
+            for line in (out / "pipeline_nodes.jsonl").read_text().splitlines():
+                json.loads(line, parse_constant=_refuse_constant)
+            _, rows = read_csv(out / "pipeline_nodes.csv")
+            assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+            return
+        assert rc in (2, 3), payload
+        assert not out.exists() or not any(out.iterdir())
+        if rc == 3:
+            assert re.match(r"node \d+ \(s_k=|cost ledger: |extrapolation: ",
+                            payload["error"]["message"]), payload

@@ -435,6 +435,24 @@ def test_pipeline_error_names_the_failing_node():
         run_pipeline(cfg)
 
 
+def test_overflowing_node_trace_names_the_node():
+    # ||H|| = 2.5 at beta 700: Tr e^{-beta H_eff}/N is e^1750, past the
+    # largest float.  It used to fail unnamed in the cost ledger.
+    model = HamiltonianTerms(
+        1, [(2.0, PauliString.from_label("Z")), (1.5, PauliString.from_label("X"))]
+    )
+    cfg = PipelineConfig(model=model, beta=700.0, m_cheb=2, mode="exact", base_step=0.01)
+    with pytest.raises(PipelineError, match=r"node 1 \(s_k=\+0\.707107\): "):
+        run_pipeline(cfg)
+
+
+def test_non_finite_extrapolation_names_the_stage(monkeypatch):
+    monkeypatch.setattr(pipeline, "exact_partition", lambda *args: math.inf)
+    cfg = PipelineConfig(model=syk_model(4, seed=2), beta=1.0, m_cheb=2, mode="exact")
+    with pytest.raises(PipelineError, match=r"extrapolation: .* reference inf or the gap "):
+        run_pipeline(cfg)
+
+
 def test_grouped_mode_runs_and_converges():
     model = group_commuting(build_syk_hamiltonian(sample_syk(8, seed=7)))
     model, _ = normalize_one_norm(model)

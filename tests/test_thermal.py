@@ -27,6 +27,7 @@ from trottergibbs.syk import (
     sample_syk,
 )
 from trottergibbs.thermal import (
+    EPS_FLOOR,
     MODES,
     EstimationSchedule,
     OracleError,
@@ -299,6 +300,28 @@ def test_cell_past_unit_norm_fails_the_unitarity_check(monkeypatch):
         build_u_boltz(syk_effective(4, beta_seed=1), 1.0, mode="gqsp")
 
 
+def test_nan_block_is_refused(monkeypatch):
+    # A NaN cell passes the unitarity check (NaN compares false to its bound);
+    # the gate on block_deviation must still refuse it.
+    real = thermal.gqsp_cells
+
+    def spoiled(*args):
+        cells = real(*args)
+        cells[0] = np.nan
+        return cells
+
+    monkeypatch.setattr(thermal, "gqsp_cells", spoiled)
+    with pytest.raises(OracleError, match="block_deviation nan exceeds eps_qsp"):
+        build_u_boltz(syk_effective(4, beta_seed=1), 1.0, mode="gqsp")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_p0_is_the_trace_of_the_normalized_block(mode):
+    oracle = build_u_boltz(syk_effective(8, beta_seed=7), 1.0, mode=mode)
+    b = oracle.normalized_block
+    assert oracle.p0 == pytest.approx(float(np.trace(b.conj().T @ b).real) / b.shape[0], rel=1e-12)
+
+
 def small_model(kind, seed):
     """A one-norm-1 SYK draw on 2-4 qubits or a random Pauli sum on 1-3 qubits."""
     if kind == "syk":
@@ -500,8 +523,13 @@ def test_amplitude_estimate_domain():
         amplitude_estimate(1.5, 0.05, seed=0)
     with pytest.raises(ValueError):
         amplitude_estimate(0.5, 0.0, seed=0)
-    with pytest.raises(ValueError):
-        EstimationSchedule(shots=0)
+    # The candidate scan of _find_next_k grows like 1/eps; EPS_FLOOR bounds it.
+    with pytest.raises(ValueError, match=r"eps must lie in \[1e-06, 1\)"):
+        amplitude_estimate(0.5, 1e-7, seed=0)
+    assert amplitude_estimate(9.3e-11, EPS_FLOOR, seed=1).converged
+    for alpha in (0.0, 1.0):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            EstimationSchedule(alpha=alpha)
 
 
 def test_qubit_ledger_widths():
