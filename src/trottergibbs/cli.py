@@ -34,7 +34,7 @@ from .lwf import CERT_GRID, gibbs_fourier, gibbs_taylor, taylor_order
 from .paulis import DENSE_QUBIT_CAP, LETTERS, PauliString
 from .pipeline import PIPELINE_MODES, PipelineConfig, ancilla_savings, run_pipeline
 from .syk import HamiltonianTerms, build_syk_hamiltonian, sample_syk
-from .trotter import build_plan, trotter_error_norm
+from .trotter import FormulaPlan, build_plan, trotter_error_norm
 
 FORMAT_VERSION = 1
 FLOAT_FMT = ".17g"
@@ -352,7 +352,7 @@ def cmd_trotter_order(cfg: dict, out_dir: Path) -> list[Path]:
     fits = []
     for p in cfg["orders"]:
         plan = build_plan(model.n_terms, p)
-        errs = np.array([trotter_error_norm(model, float(t), plan) for t in taus])
+        errs = np.array([_error_norm(model, float(t), plan) for t in taus])
         if np.any(errs == 0.0):
             raise ValueError(f"trotter-order: order {p} is exact on this model; nothing to fit")
         rows.extend((p, float(t), float(e)) for t, e in zip(taus, errs))
@@ -362,6 +362,14 @@ def cmd_trotter_order(cfg: dict, out_dir: Path) -> list[Path]:
     fits_path = out_dir / "trotter_fits.json"
     write_json(fits_path, {"format_version": FORMAT_VERSION, "fits": fits})
     return [csv_path, fits_path]
+
+
+def _error_norm(model: HamiltonianTerms, tau: float, plan: FormulaPlan) -> float:
+    """``trotter_error_norm``, a failure named by the order and tau it came from."""
+    try:
+        return trotter_error_norm(model, tau, plan)
+    except ValueError as err:
+        raise ValueError(f"trotter-order: order {plan.order} at tau={tau!r}: {err}") from err
 
 
 HANDLERS = {

@@ -113,6 +113,11 @@ def _gqsp_plan(
     delta_cert = min(1.0, 1.0 / beta, 1.0 - max_edge)
     scale = COEF_RESCALE * math.exp(beta / 2.0 - beta_f * (1.0 + x0))
     eps_lwf = 0.9 * eps_qsp * scale / COEF_RESCALE
+    if not 0.0 < eps_lwf < 1.0:  # also refuses a scale of 0 or inf, and NaN
+        raise OracleError(
+            f"Boltzmann scale e^(beta/2 - beta_f (1 + x0)) = {scale:.3e} at beta={beta!r}, "
+            f"beta_f={beta_f:.6g} puts the Fourier budget eps_lwf={eps_lwf:.3e} outside (0, 1)"
+        )
     return GqspPlan(
         q=q,
         time=t_sig,

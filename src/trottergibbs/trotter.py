@@ -14,13 +14,15 @@ shrinks as O(|t|^p).
 Each stage exp(i theta c P) = cos(theta c) I + i sin(theta c) P acts on
 the running product as a signed permutation of its columns, so a stage
 costs O(d^2) and never forms a term matrix; d^2/2 when every term keeps
-fermion parity, since only the two parity blocks are stored.  Orders 1 and
-2 are one such stage loop.  Above that the recursion is evaluated with
-reuse: S_{2l-2}(u_l t) is built once and squared, so an order-2l formula
-costs 2^(l-1) order-2 stage loops plus a few block matmuls per recursion
-level, where its flat stage list (``FormulaPlan.stages``, the circuit that
-depth and cost count) has 5^(l-1) order-2 blocks.  Even-order formulas
-are symmetric, S_p(-t) = S_p(t)^dag, so H_eff(-t) = H_eff(t).
+fermion parity, since only the two parity blocks are stored.  The row
+indices and factors of STAGE_CHUNK stages are built together, so a stage
+makes four numpy calls.  Orders 1 and 2 are one such stage loop.  Above
+that the recursion is evaluated with reuse: S_{2l-2}(u_l t) is built once
+and squared, so an order-2l formula costs 2^(l-1) order-2 stage loops plus
+a few block matmuls per recursion level, where its flat stage list
+(``FormulaPlan.stages``, the circuit that depth and cost count) has
+5^(l-1) order-2 blocks.  Even-order formulas are symmetric,
+S_p(-t) = S_p(t)^dag, so H_eff(-t) = H_eff(t).
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ from .linalg import (  # noqa: F401  (eigh_decompose: perfbench probes it here)
 )
 from .paulis import check_dense_cap, parity_signs
 from .syk import HamiltonianTerms
+
+# Stages per chunk of precomputed row indices and factors: with int64
+# indices and complex factors a chunk holds 24 * STAGE_CHUNK * d bytes,
+# about 100 KB at 6 qubits and 1.5 MB at 10.
+STAGE_CHUNK = 64
 
 
 def suzuki_u(l: int) -> float:
@@ -163,6 +170,13 @@ def _run_stages(
     those columns are contiguous rows.  ``loop`` holds the term
     coefficients, shifted x masks, z masks, phases, parity signs, the basis
     state of each stacked row and the number of blocks.
+
+    The stages run in chunks of ``STAGE_CHUNK``.  Each chunk's row indices
+    b ^ x and factors i sin(a) q (-1)^{|b & z|} are built in a few
+    vectorized calls, with sin and cos from ``math``; a stage itself is
+    then one gather, two scalings and one sum.  Every element goes through
+    the same operations, in the same order, as in a loop that builds each
+    stage's vectors on its own, so the result is the same bit for bit.
     """
     coeffs, shifted, z, q, signs, states, n_blocks = loop
     size = states.size // n_blocks
@@ -171,12 +185,18 @@ def _run_stages(
         ut = np.tile(np.eye(size, dtype=complex), (n_blocks, 1))
     else:
         ut = start.reshape(states.size, size).copy()
-    for j, frac in stages:
-        angle = frac * t * coeffs[j]
-        mixed = ut[rows ^ shifted[j]]
-        mixed *= (1j * math.sin(angle) * q[j] * signs[states & z[j]])[:, None]
-        ut *= math.cos(angle)
-        ut += mixed
+    for first in range(0, len(stages), STAGE_CHUNK):
+        chunk = stages[first : first + STAGE_CHUNK]
+        js = [j for j, _ in chunk]
+        angles = [frac * t * coeffs[j] for j, frac in chunk]
+        sines = np.array([math.sin(angle) for angle in angles])
+        gathers = rows ^ shifted[js][:, None]
+        factors = (1j * sines * q[js])[:, None] * signs[states & z[js][:, None]]
+        for index, factor, angle in zip(gathers, factors[:, :, None], angles):
+            mixed = ut[index]
+            mixed *= factor
+            ut *= math.cos(angle)
+            ut += mixed
     return ut.reshape(n_blocks, size, size)
 
 

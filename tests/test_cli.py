@@ -346,6 +346,22 @@ def test_block_past_eps_qsp_exits_3_naming_the_node(tmp_path, capsys, shrunk_fou
     assert not any(out.iterdir())
 
 
+def test_boltzmann_scale_past_the_fourier_budget_exits_3_naming_it(tmp_path, capsys):
+    # At beta 700 the rounded signal time leaves beta_f < beta/2, so the
+    # scale grows to 1.7e8 and eps_lwf to 150; this used to exit with the
+    # Taylor builder's bare "eps must be in (0, 1)".
+    doc = json.loads((CONFIG_DIR / "pipeline_gqsp.json").read_text())
+    cfg = write_config(tmp_path, "cfg.json", {**doc, "beta": 700.0, "base_step": 0.3})
+    out = tmp_path / "r"
+    rc, payload = run_cli(capsys, "pipeline", "--config", cfg, "--out", str(out))
+    assert rc == 3
+    message = payload["error"]["message"]
+    assert message.startswith("node 1 (s_k=")
+    for name in ("Boltzmann scale", "beta=700.0", "beta_f=", "eps_lwf="):
+        assert name in message
+    assert not any(out.iterdir())
+
+
 def test_non_finite_total_cost_exits_3_naming_the_ledger(tmp_path, capsys):
     # Used to exit 0 with "total_cost": Infinity in pipeline_result.json.
     cfg = write_config(
@@ -834,3 +850,50 @@ def test_pipeline_ends_in_one_of_three_outcomes(doc):
         if rc == 3:
             assert re.match(r"node \d+ \(s_k=|cost ledger: |extrapolation: ",
                             payload["error"]["message"]), payload
+
+
+# Documents across the regimes `trotter-order` must either run or refuse:
+# the same models, tau grids from 1e-300 to past the branch cut of the log,
+# and a ratio of 1 that leaves no grid.
+_trotter_order_docs = st.builds(
+    lambda doc, tau, ratio: {**doc, "tau_min": tau, "tau_max": tau * ratio},
+    st.fixed_dictionaries(
+        {
+            "model": _outcome_models,
+            "orders": st.lists(st.sampled_from([1, 2, 4]), min_size=1, max_size=3),
+            "tau_points": st.integers(2, 4),
+        }
+    ),
+    st.one_of(st.floats(1e-12, 10.0), st.sampled_from([1e-300, 1e-12, math.pi, 1e3])),
+    st.floats(1.0, 1e4),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_trotter_order_docs)
+@example(
+    {"model": {"kind": "pauli", "n_qubits": 1, "terms": [[1.0, "Z"]]}, "orders": [1],
+     "tau_min": 1.0, "tau_max": math.pi, "tau_points": 2}
+)
+def test_trotter_order_ends_in_one_of_three_outcomes(doc):
+    # Exit 0 with every number of both artifacts finite; exit 2 with nothing
+    # written; or exit 3 with nothing written and a message naming the
+    # order that failed.  The example puts e^{i pi Z} = -I on the branch
+    # cut; it used to exit 3 with a message naming neither order nor tau.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = Path(tmp) / "r"
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            rc = main(["trotter-order", "--config", str(path), "--out", str(out)])
+        payload = json.loads(stdout.getvalue().splitlines()[-1])
+        event(f"exit {rc}")
+        if rc == 0:
+            json.loads((out / "trotter_fits.json").read_text(), parse_constant=_refuse_constant)
+            _, rows = read_csv(out / "trotter_errors.csv")
+            assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+            return
+        assert rc in (2, 3), payload
+        assert not out.exists() or not any(out.iterdir())
+        if rc == 3:
+            assert re.match(r"trotter-order: order \d+ ", payload["error"]["message"]), payload

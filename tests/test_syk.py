@@ -11,10 +11,12 @@ from trottergibbs.linalg import max_abs, spectral_norm
 from trottergibbs.paulis import (
     VALID_PHASES,
     PauliString,
+    parity_signs,
     pauli_commutes,
     pauli_multiply,
 )
 from trottergibbs.syk import (
+    TERM_CHUNK,
     HamiltonianTerms,
     build_syk_hamiltonian,
     group_commuting,
@@ -285,3 +287,36 @@ def test_dense_of_empty_model_is_zero():
 def test_dense_is_bit_identical_to_kron_sum_on_syk():
     h = build_syk_hamiltonian(sample_syk(10, seed=3))
     assert h.dense().tobytes() == kron_sum(h).tobytes()
+
+
+def per_term_dense(h):
+    """The signed-permutation scatter one term at a time, in term order."""
+    dim = 2**h.n_qubits
+    basis = np.arange(dim)
+    signs = parity_signs(h.n_qubits)
+    mat = np.zeros((dim, dim), dtype=complex)
+    for (coeff, _), x, z, q in zip(h.terms, *h.pauli_masks):
+        mat[basis ^ x, basis] += coeff * (q * signs[basis & z])
+    return mat
+
+
+def test_dense_is_bit_identical_to_per_term_scatter_past_one_chunk():
+    h = build_syk_hamiltonian(sample_syk(12, seed=1))
+    assert h.n_terms == 495 > TERM_CHUNK
+    assert h.dense().tobytes() == per_term_dense(h).tobytes()
+
+
+def test_dense_adds_a_repeated_label_in_term_order():
+    # Coefficients of mixed magnitude make the sum depend on its order, and
+    # the repeats straddle a chunk boundary.
+    rng = np.random.default_rng(5)
+    labels = ["XY", "ZZ", "XY", "YI", "XY"]
+    terms = [
+        (float(rng.normal() * 10.0 ** rng.integers(-8, 8)), PauliString.from_label(labels[k % 5]))
+        for k in range(2 * TERM_CHUNK + 3)
+    ]
+    h = HamiltonianTerms(2, terms)
+    got = h.dense()
+    assert got.tobytes() == per_term_dense(h).tobytes()
+    shuffled = HamiltonianTerms(2, terms[::-1])
+    assert not np.array_equal(shuffled.dense(), got)  # the order shows in the bits

@@ -383,6 +383,13 @@ def test_gqsp_plan_certificate_window():
     assert plan["eps_lwf"] > 0
 
 
+def test_boltzmann_scale_underflow_is_refused_by_name():
+    # A wide spectrum caps the signal time, so beta_f(1 + x0) outgrows
+    # beta/2 and e^(beta/2 - beta_f(1 + x0)) underflows to 0 at beta 700.
+    with pytest.raises(OracleError, match=r"scale .* = 0\.000e\+00 at beta=700\.0, beta_f="):
+        boltzmann_oracle(np.array([-3.0, 3.0]), 0.01, 700.0, "gqsp")
+
+
 def test_exact_p0_trivial_values():
     dim = 8
     values = exact_p0(np.zeros(dim), 1.0)

@@ -281,6 +281,48 @@ def test_apply_formula_matches_product_oracle_property(model, order, reorder, t)
 SYK8 = normalize_one_norm(build_syk_hamiltonian(sample_syk(8, seed=7)))[0]
 
 
+def per_stage_run_stages(loop, stages, t, start):
+    """``trotter._run_stages`` with each stage building its own row index and factor."""
+    coeffs, shifted, z, q, signs, states, n_blocks = loop
+    size = states.size // n_blocks
+    rows = np.arange(states.size)
+    if start is None:
+        ut = np.tile(np.eye(size, dtype=complex), (n_blocks, 1))
+    else:
+        ut = start.reshape(states.size, size).copy()
+    for j, frac in stages:
+        angle = frac * t * coeffs[j]
+        mixed = ut[rows ^ shifted[j]]
+        mixed *= (1j * math.sin(angle) * q[j] * signs[states & z[j]])[:, None]
+        ut *= math.cos(angle)
+        ut += mixed
+    return ut.reshape(n_blocks, size, size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    parity_models(max_terms=40),
+    st.sampled_from((1, 2, 4, 6)),
+    st.sampled_from((1, 3, trotter.STAGE_CHUNK)),
+    st.floats(-0.6, 0.6, allow_nan=False),
+)
+@example((SYK8, True), 2, trotter.STAGE_CHUNK, 0.3)
+@example((SYK8, True), 4, trotter.STAGE_CHUNK, -0.45)
+def test_apply_formula_is_bit_identical_to_the_per_stage_loop(model, order, chunk, t):
+    # Parity-keeping models run two blocks, the others one; orders 4 and 6
+    # run stage loops on a start matrix.  Up to 80 stages per loop (140 for
+    # SYK-8 at order 2) put stage counts on both sides of a chunk boundary.
+    h, _ = model
+    plan = build_plan(h.n_terms, order)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trotter, "_run_stages", per_stage_run_stages)
+        want = apply_formula(h, t, plan)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trotter, "STAGE_CHUNK", chunk)
+        got = apply_formula(h, t, plan)
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(parity_models(), st.floats(-0.6, 0.6, allow_nan=False))
 @example((SYK8, True), 0.3)
