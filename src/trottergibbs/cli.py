@@ -30,7 +30,7 @@ from typing import get_args, get_origin
 import numpy as np
 
 from . import __version__
-from .lwf import CERT_GRID, gibbs_fourier, gibbs_taylor, taylor_order
+from .lwf import CERT_GRID, ApproximationError, gibbs_fourier, gibbs_taylor, taylor_order
 from .paulis import DENSE_QUBIT_CAP, LETTERS, PauliString
 from .pipeline import PIPELINE_MODES, PipelineConfig, ancilla_savings, run_pipeline
 from .syk import HamiltonianTerms, build_syk_hamiltonian, sample_syk
@@ -108,7 +108,7 @@ SCHEMAS = {
 RANGES = {
     "betas": (lambda v: all(0 < b < math.inf for b in v), "finite and > 0"),
     "delta": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "eps_grid": (lambda v: len(set(v)) > 1 and all(0 < e < 1 for e in v), "2+ distinct, in (0, 1)"),
+    "eps_grid": (lambda v: all(0 < e < 1 for e in v), "in (0, 1)"),
     "grid_points": (lambda v: v >= 2, ">= 2"),
     # An SYK model's count, or each entry of the qubits-saved list.
     "n_majorana": (lambda v: all(n >= 4 and n % 2 == 0 for n in np.atleast_1d(v)), "even and >= 4"),
@@ -217,11 +217,15 @@ def format_value(value) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+    """Format every row first, so a value that cannot be written raises before the file opens."""
+    try:
+        cells = [[format_value(v) for v in row] for row in rows]
+    except ValueError as err:  # an integer past Python's int-to-str digit limit
+        raise ValueError(f"{path.name}: {err}") from err
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_value(v) for v in row])
+        writer.writerows(cells)
 
 
 def write_json(path: Path, payload) -> None:
@@ -258,6 +262,11 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, artifacts: list[Path]
     return path
 
 
+def _fit_rank(x: np.ndarray) -> int:
+    """Rank of ``np.polyfit``'s line fit on abscissae x; below 2 it fits an arbitrary line."""
+    return int(np.polyfit(x, np.zeros_like(x), 1, full=True)[2])
+
+
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> dict:
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
@@ -270,27 +279,36 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> dict:
 def cmd_lwf_convergence(cfg: dict, out_dir: Path) -> list[Path]:
     if cfg["delta"] is None and min(cfg["betas"], default=1.0) < 1.0:
         raise ConfigError("lwf-convergence: delta defaults to 1/beta; betas below 1 need a delta")
-    grid = np.linspace(-1.0, 1.0, cfg["grid_points"])
     eps_grid = cfg["eps_grid"]
+    log_inv_eps = np.log(1.0 / np.asarray(eps_grid))
+    if _fit_rank(log_inv_eps) < 2:
+        raise ConfigError(
+            "lwf-convergence: 'eps_grid' needs 2+ values that a line fit tells apart in log(1/eps)"
+        )
+    grid = np.linspace(-1.0, 1.0, cfg["grid_points"])
     rows = []
     fits = []
     for beta in cfg["betas"]:
         delta = cfg["delta"] if cfg["delta"] is not None else 1.0 / beta
         orders = {"taylor": [], "lwf": []}
         for eps in eps_grid:
-            if cfg["include_taylor"]:
-                k = taylor_order(beta, eps)
-                ts = gibbs_taylor(beta, k)
-                sup = float(np.max(np.abs(ts.evaluate(grid) - np.exp(-beta * (grid + 1.0)))))
-                rows.append(("taylor", beta, k, sup))
-                orders["taylor"].append(k)
-            fa = gibbs_fourier(beta, delta, eps)
-            sup = fa.certify()  # measured on CERT_GRID points, so reused there
+            try:
+                if cfg["include_taylor"]:
+                    k = taylor_order(beta, eps)
+                    ts = gibbs_taylor(beta, k)
+                    sup = float(np.max(np.abs(ts.evaluate(grid) - np.exp(-beta * (grid + 1.0)))))
+                    rows.append(("taylor", beta, k, sup))
+                    orders["taylor"].append(k)
+                fa = gibbs_fourier(beta, delta, eps)
+                sup = fa.certify()  # measured on CERT_GRID points, so reused there
+            except ApproximationError as err:
+                raise ApproximationError(
+                    f"lwf-convergence: beta={beta!r}, eps={eps!r}: {err}", err.split
+                ) from err
             if cfg["grid_points"] != CERT_GRID:
                 sup = fa.sup_error(cfg["grid_points"])
             rows.append(("lwf", beta, fa.M, sup))
             orders["lwf"].append(fa.M)
-        log_inv_eps = np.log(1.0 / np.asarray(eps_grid))
         for kind, ms in orders.items():
             if ms:
                 fit = _linear_fit(log_inv_eps, np.asarray(ms, dtype=float))
@@ -346,8 +364,14 @@ def cmd_pipeline(cfg: dict, out_dir: Path) -> list[Path]:
 def cmd_trotter_order(cfg: dict, out_dir: Path) -> list[Path]:
     if not cfg["tau_min"] < cfg["tau_max"] < math.inf:
         raise ConfigError("trotter-order: 'tau_max' must be finite and > 'tau_min'")
-    model = build_model(cfg["model"])
     taus = np.geomspace(cfg["tau_min"], cfg["tau_max"], cfg["tau_points"])
+    log_taus = np.log(taus)
+    if _fit_rank(log_taus) < 2:
+        raise ConfigError(
+            f"trotter-order: the tau grid [{cfg['tau_min']!r}, {cfg['tau_max']!r}] is too "
+            "narrow in log(tau) for a line fit"
+        )
+    model = build_model(cfg["model"])
     rows = []
     fits = []
     for p in cfg["orders"]:
@@ -356,7 +380,7 @@ def cmd_trotter_order(cfg: dict, out_dir: Path) -> list[Path]:
         if np.any(errs == 0.0):
             raise ValueError(f"trotter-order: order {p} is exact on this model; nothing to fit")
         rows.extend((p, float(t), float(e)) for t, e in zip(taus, errs))
-        fits.append({"order": p, **_linear_fit(np.log(taus), np.log(errs))})
+        fits.append({"order": p, **_linear_fit(log_taus, np.log(errs))})
     csv_path = out_dir / "trotter_errors.csv"
     write_csv(csv_path, ["order", "tau", "error"], rows)
     fits_path = out_dir / "trotter_fits.json"
@@ -413,7 +437,9 @@ def load_document(path: str | None) -> dict:
             doc = json.load(fh, parse_constant=refuse)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except ConfigError:
+        raise
+    except ValueError as err:  # JSONDecodeError, or an integer past the int-to-str digit limit
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must hold a JSON object")

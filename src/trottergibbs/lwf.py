@@ -16,7 +16,11 @@ the whole unit circle, not just on the approximation window.
 
 Each arcsin order tried, doubled until the window tail is below eps/8,
 costs one pass that yields both B_l = sum_k a_k b_l^k and that tail; the
-collapse to frequencies then reads one log-factorial table.
+collapse to frequencies then reads one log-factorial table.  That table,
+log n! for n = 0..ARCSIN_CAP, is built once per process in scalar Python
+from Cephes' ``lgam`` recurrence, which matches SciPy's ``gammaln`` bit for
+bit on these integers; the coefficients depend on those last bits, and the
+module needs nothing beyond NumPy.
 """
 
 from __future__ import annotations
@@ -33,15 +37,45 @@ ARCSIN_CAP = 4096
 CERT_GRID = 1000  # window points on which FourierApprox.certify checks the series
 
 
-def gammaln(x):
-    """SciPy's log-gamma, loaded on first use so that importing the package skips SciPy.
+# Cephes lgam: Stirling correction polynomial for 13 <= x < 1000, highest power first.
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LOG_SQRT_2PI = 0.91893853320467274178
 
-    ``math.lgamma`` differs from it in the last bit on many integers, and the
-    coefficients depend on those bits.
+
+def _lgam(x: float) -> float:
+    """log Gamma(x) at an integer x >= 1, by Cephes' ``lgam`` with ``math.log``.
+
+    This is the branch SciPy's ``gammaln`` takes at positive integers, so the
+    bits agree.  ``math.lgamma`` differs from it in the last bit on many
+    integers, and numpy's ``log`` may differ from libm's.
     """
-    from scipy.special import gammaln as scipy_gammaln
+    if x < 13.0:
+        return math.log(math.factorial(int(x) - 1))
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + (
+            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+            + 0.0833333333333333333333
+        ) / x
+    poly = 0.0
+    for a in _LGAM_A:
+        poly = poly * p + a
+    return q + poly / x
 
-    return scipy_gammaln(x)
+
+@functools.lru_cache(maxsize=2)
+def _log_factorials(order: int) -> np.ndarray:
+    """Read-only table of log n!, n = 0..order; callers pass max(order, ARCSIN_CAP)."""
+    table = np.array([_lgam(n + 1.0) for n in range(order + 1)])
+    table.flags.writeable = False
+    return table
 
 
 class ApproximationError(ValueError):
@@ -115,12 +149,14 @@ def _arcsin_base(order: int) -> np.ndarray:
     """Read-only series of (2/pi) arcsin(y) up to y^order; every order tried slices it.
 
     The odd coefficient of y^(2j+1) is (2/pi) C(2j, j) / (4^j (2j+1)).  Its
-    log comes from one vectorized ``gammaln``; ``math.log`` and ``math.exp``
-    stay per element, since numpy's may differ from them in the last bit.
+    log reads log (2j)! and log j! from the ``_log_factorials`` table;
+    ``math.log`` and ``math.exp`` stay per element, since numpy's may differ
+    from them in the last bit.
     """
+    log_fact = _log_factorials(order)
     j = np.arange((order + 1) // 2)
     odd = 2 * j + 1
-    log_c = gammaln(odd) - 2 * gammaln(j + 1) - j * 2 * LN2 - [math.log(v) for v in odd]
+    log_c = log_fact[2 * j] - 2 * log_fact[j] - j * 2 * LN2 - [math.log(v) for v in odd]
     base = np.zeros(order + 1)
     base[1::2] = [(2.0 / math.pi) * math.exp(v) for v in log_c]
     base.flags.writeable = False
@@ -264,7 +300,7 @@ def _assemble(combined: np.ndarray, m_cut: int) -> tuple[np.ndarray, float]:
     outside the window.
     """
     order = len(combined) - 1
-    log_fact = gammaln(np.arange(order + 1) + 1)
+    log_fact = _log_factorials(max(order, ARCSIN_CAP))
     i_pow = np.array([1, 1j, -1, -1j])  # exact powers of i
 
     def pmf(l, j):  # binom(l, j) / 2^l

@@ -308,11 +308,12 @@ def ancilla_savings(n_majorana: int) -> int:
     """Selection-register width a block-encoding would need: ceil(log2 C(n, 4)).
 
     The interpolation circuit keeps a single rotation ancilla instead, so
-    this is the number of qubits saved.
+    this is the number of qubits saved.  Computed in integers: a float log2
+    rounds C(n, 4) just above a power of two down to it once n passes ~1e14.
     """
     if n_majorana < 4 or n_majorana % 2:
         raise ValueError("n_majorana must be an even integer >= 4")
-    return math.ceil(math.log2(math.comb(n_majorana, 4)))
+    return (math.comb(n_majorana, 4) - 1).bit_length()
 
 
 def node_inverse_sum(m_cheb: int) -> float:

@@ -111,12 +111,17 @@ def _gqsp_plan(
             f"mapped spectrum edge {max_edge:.6f} breaches the gap {EDGE_GAP}"
         )
     delta_cert = min(1.0, 1.0 / beta, 1.0 - max_edge)
-    scale = COEF_RESCALE * math.exp(beta / 2.0 - beta_f * (1.0 + x0))
+    exponent = beta / 2.0 - beta_f * (1.0 + x0)
+    try:
+        scale = COEF_RESCALE * math.exp(exponent)
+    except OverflowError:
+        scale = math.inf
     eps_lwf = 0.9 * eps_qsp * scale / COEF_RESCALE
     if not 0.0 < eps_lwf < 1.0:  # also refuses a scale of 0 or inf, and NaN
         raise OracleError(
-            f"Boltzmann scale e^(beta/2 - beta_f (1 + x0)) = {scale:.3e} at beta={beta!r}, "
-            f"beta_f={beta_f:.6g} puts the Fourier budget eps_lwf={eps_lwf:.3e} outside (0, 1)"
+            f"Boltzmann scale e^(beta/2 - beta_f (1 + x0)) = e^{exponent:.6g} = {scale:.3e} "
+            f"at beta={beta!r}, beta_f={beta_f:.6g} puts the Fourier budget "
+            f"eps_lwf={eps_lwf:.3e} outside (0, 1)"
         )
     return GqspPlan(
         q=q,

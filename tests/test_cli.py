@@ -7,6 +7,7 @@ import io
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -382,6 +383,16 @@ def test_write_json_refuses_a_non_finite_number_before_opening_the_file(tmp_path
         with pytest.raises(ValueError, match="not JSON compliant"):
             cli.write_json(path, {"nested": [1.0, value]})
         assert not path.exists()
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_write_csv_refuses_an_unwritable_value_before_opening_the_file(tmp_path):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match=r"^table\.csv: Exceeds the limit"):
+        cli.write_csv(path, ["n"], [(8,), (10**5000,)])
+    assert not path.exists()
 
 
 def test_zero_one_norm_is_the_zero_hamiltonian(tmp_path, capsys):
@@ -852,6 +863,38 @@ def test_pipeline_ends_in_one_of_three_outcomes(doc):
                             payload["error"]["message"]), payload
 
 
+# Two tau values two ulps apart: np.polyfit's line through them is rank-deficient.
+ULP_WIDE_TAU_GRID = {
+    "model": {"kind": "syk", "n_majorana": 8, "seed": 86},
+    "orders": [4],
+    "tau_points": 2,
+    "tau_min": 3.141592653589793,
+    "tau_max": 3.141592653589794,
+}
+
+
+@pytest.mark.filterwarnings("error::numpy.exceptions.RankWarning")
+@pytest.mark.parametrize(
+    "command, doc, key",
+    [
+        # Exited 0 with slope -13.4 and r2 2.4e-12.
+        ("trotter-order", ULP_WIDE_TAU_GRID, "the tau grid [3.141592653589793, 3.141592653589794]"),
+        # Two distinct eps whose log(1/eps) round to one value: exited 0 with slope 0.
+        ("lwf-convergence", {"betas": [1.0], "eps_grid": [0.01, math.nextafter(0.01, 1.0)]},
+         "'eps_grid' needs 2+ values"),
+    ],
+    ids=["trotter-order", "lwf-convergence"],
+)
+def test_grid_too_narrow_for_a_line_fit_is_config_error(command, doc, key, tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    out = tmp_path / "r"
+    rc, payload = run_cli(capsys, command, "--config", cfg, "--out", str(out))
+    assert rc == 2, payload
+    assert payload["error"]["type"] == "config"
+    assert key in payload["error"]["message"]
+    assert not any(out.iterdir())
+
+
 # Documents across the regimes `trotter-order` must either run or refuse:
 # the same models, tau grids from 1e-300 to past the branch cut of the log,
 # and a ratio of 1 that leaves no grid.
@@ -869,17 +912,20 @@ _trotter_order_docs = st.builds(
 )
 
 
+@pytest.mark.filterwarnings("error::numpy.exceptions.RankWarning")
 @settings(max_examples=30, deadline=None)
 @given(_trotter_order_docs)
 @example(
     {"model": {"kind": "pauli", "n_qubits": 1, "terms": [[1.0, "Z"]]}, "orders": [1],
      "tau_min": 1.0, "tau_max": math.pi, "tau_points": 2}
 )
+@example(ULP_WIDE_TAU_GRID)
 def test_trotter_order_ends_in_one_of_three_outcomes(doc):
     # Exit 0 with every number of both artifacts finite; exit 2 with nothing
     # written; or exit 3 with nothing written and a message naming the
-    # order that failed.  The example puts e^{i pi Z} = -I on the branch
-    # cut; it used to exit 3 with a message naming neither order nor tau.
+    # order that failed.  The first example puts e^{i pi Z} = -I on the
+    # branch cut; it used to exit 3 with a message naming neither order nor
+    # tau.  The second used to exit 0 from a rank-deficient fit.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(doc))
@@ -897,3 +943,112 @@ def test_trotter_order_ends_in_one_of_three_outcomes(doc):
         assert not out.exists() or not any(out.iterdir())
         if rc == 3:
             assert re.match(r"trotter-order: order \d+ ", payload["error"]["message"]), payload
+
+
+# Documents across the regimes `lwf-convergence` must either run or refuse:
+# windows down to delta 0.02, where the arcsin order reaches ARCSIN_CAP and
+# the log-factorial table is read to its last entry, eps from 1e-12 to just
+# below 1, and a beta past the Taylor builder's reach.  Betas stop at 8
+# otherwise, since a refusal at the cap costs seconds once beta is large.
+_lwf_convergence_docs = st.fixed_dictionaries(
+    {
+        "betas": st.lists(
+            st.one_of(
+                st.floats(1.0, 8.0),
+                st.floats(0.01, 8.0),
+                st.sampled_from([1e-300, 1.0, 8.0, 1000.0]),
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+        "eps_grid": st.lists(
+            st.one_of(st.floats(1e-9, 0.5), st.sampled_from([1e-12, 1e-2, 1.0 - 2.0**-53])),
+            min_size=2,
+            max_size=3,
+        ),
+    },
+    optional={
+        "delta": st.one_of(st.floats(0.02, 1.0), st.sampled_from([0.02, 0.03, 0.05, 1.0])),
+        "grid_points": st.sampled_from([2, 3, 999, 1000, 1001]),
+        "include_taylor": st.booleans(),
+    },
+)
+
+
+@pytest.mark.filterwarnings("error::numpy.exceptions.RankWarning")
+@settings(max_examples=20, deadline=None)
+@given(_lwf_convergence_docs)
+@example({"betas": [2.0], "delta": 0.02, "eps_grid": [0.05, 0.01]})  # arcsin order 4096
+@example({"betas": [2.0], "delta": 0.02, "eps_grid": [0.01, 1e-4]})  # refused at the cap
+def test_lwf_convergence_ends_in_one_of_three_outcomes(doc):
+    # Exit 0 with every number of both artifacts finite; exit 2 with nothing
+    # written; or exit 3 with nothing written and a message naming the beta
+    # and eps that failed.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = Path(tmp) / "r"
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            rc = main(["lwf-convergence", "--config", str(path), "--out", str(out)])
+        payload = json.loads(stdout.getvalue().splitlines()[-1])
+        event(f"exit {rc}")
+        if rc == 0:
+            json.loads((out / "lwf_fits.json").read_text(), parse_constant=_refuse_constant)
+            _, rows = read_csv(out / "lwf_convergence.csv")
+            assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:])
+            return
+        assert rc in (2, 3), payload
+        assert not out.exists() or not any(out.iterdir())
+        if rc == 3:
+            assert payload["error"]["message"].startswith("lwf-convergence: beta="), payload
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(-4, 40),
+            st.integers(0, 2**64),
+            st.sampled_from([0, 2, 4, 5, 10**1100]),
+        ),
+        max_size=5,
+    )
+)
+@example([311503267573754])  # C(n, 4) just above 2^188: a float log2 said 188
+@example([8, 10**1100])  # C(n, 4) has 4400 digits: a header and one row were left behind
+def test_qubits_saved_ends_in_one_of_three_outcomes(sizes):
+    # Exit 0 with a table whose saved width w satisfies 2^(w-1) < C(n, 4) <= 2^w;
+    # exit 2 with nothing written; or exit 3 with nothing written and a
+    # message naming the artifact that could not be written.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps({"n_majorana": sizes}))
+        out = Path(tmp) / "r"
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            rc = main(["qubits-saved", "--config", str(path), "--out", str(out)])
+        payload = json.loads(stdout.getvalue().splitlines()[-1])
+        event(f"exit {rc}")
+        if rc == 0:
+            _, rows = read_csv(out / "qubits_saved.csv")
+            assert [int(row[0]) for row in rows] == sizes
+            for n, gamma, saved, ancillas in (map(int, row) for row in rows):
+                assert gamma == math.comb(n, 4)
+                assert 2 ** (saved - 1) < gamma <= 2**saved
+                assert ancillas == 1
+            return
+        assert rc in (2, 3), payload
+        assert not out.exists() or not any(out.iterdir())
+        if rc == 3:
+            assert payload["error"]["message"].startswith("qubits_saved.csv: "), payload
+
+
+def test_config_with_an_integer_past_the_digit_limit_is_config_error(tmp_path, capsys):
+    # json.load raises a plain ValueError here, which used to exit 3.
+    path = tmp_path / "cfg.json"
+    path.write_text('{"n_majorana": [1' + "0" * 5000 + "]}")
+    out = tmp_path / "r"
+    rc, payload = run_cli(capsys, "qubits-saved", "--config", str(path), "--out", str(out))
+    assert rc == 2
+    assert payload["error"]["type"] == "config"
+    assert "is not valid JSON" in payload["error"]["message"]
+    assert not out.exists()

@@ -1,5 +1,5 @@
 """What the package exports, and which modules a run loads: SciPy stays off
-the exact and sampled paths."""
+every path but ``trotter-order``."""
 
 import inspect
 import json
@@ -12,13 +12,15 @@ from pathlib import Path
 import trottergibbs
 
 SRC = Path(trottergibbs.__file__).resolve().parent.parent
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 # Runs in a fresh interpreter and prints the SciPy modules loaded after the
-# imports and after each mode's run, in that order.
+# imports, after each mode's run and after an lwf-convergence run, in that order.
 SCRIPT = """
 import json
 import sys
+import tempfile
 
 import trottergibbs
 import trottergibbs.cli
@@ -28,26 +30,29 @@ def scipy_modules():
 
 loaded = {"import": scipy_modules()}
 model = trottergibbs.cli.build_model({"kind": "syk", "n_majorana": 8, "seed": 7})
-for mode in ("exact", "sampled", "gqsp"):
+for mode in ("exact", "sampled", "gqsp", "ideal-w"):
     cfg = trottergibbs.PipelineConfig(model=model, beta=1.0, mode=mode)
     trottergibbs.run_pipeline(cfg)
     loaded[mode] = scipy_modules()
+with tempfile.TemporaryDirectory() as out:
+    argv = ["lwf-convergence", "--config", sys.argv[1], "--out", out]
+    assert trottergibbs.cli.main(argv) == 0
+loaded["lwf-convergence"] = scipy_modules()
 print(json.dumps(loaded))
 """
 
 
-def test_only_fourier_targets_load_scipy():
+def test_no_run_but_trotter_order_loads_scipy():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
+    config = ROOT / "configs" / "lwf_convergence.json"
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", SCRIPT, str(config)],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded["import"] == []
-    assert loaded["exact"] == []
-    assert loaded["sampled"] == []
-    assert "scipy.special" in loaded["gqsp"]
-    assert "scipy.linalg" not in loaded["gqsp"]
+    assert list(loaded) == ["import", "exact", "sampled", "gqsp", "ideal-w", "lwf-convergence"]
+    assert all(modules == [] for modules in loaded.values()), loaded
 
 
 def test_public_names_are_the_readme_quick_start():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from trottergibbs import lwf
 from trottergibbs.lwf import (
@@ -22,7 +23,6 @@ from trottergibbs.lwf import (
     _assemble,
     _choose_arcsin_order,
     arcsin_series,
-    gammaln,
     gibbs_fourier,
     gibbs_taylor,
     lwf_coefficients,
@@ -32,7 +32,10 @@ from trottergibbs.lwf import (
 
 
 def assemble_reference(combined, m_cut):
-    """``_assemble`` as one loop per frequency: the kernel the flat-array version replaced."""
+    """``_assemble`` as one loop per frequency: the kernel the flat-array version replaced.
+
+    Its log-factorials come from SciPy's ``gammaln``, not from the module's table.
+    """
     order = len(combined) - 1
     ls = np.arange(order + 1)
     log_fact = gammaln(ls + 1)
@@ -305,11 +308,28 @@ def test_arcsin_cap_error_reports_the_last_pass(monkeypatch):
     assert exc_info.value.split["arcsin_tail"] == _arcsin_pass(ts, 0.02, ARCSIN_CAP)[1]
 
 
-def test_assemble_builds_one_factorial_table(monkeypatch):
+def test_factorial_table_is_scipy_gammaln_to_the_bit():
+    # Entry n is log n! = gammaln(n + 1): every integer 1..ARCSIN_CAP + 1.
+    table = lwf._log_factorials(ARCSIN_CAP)
+    want = gammaln(np.arange(1, ARCSIN_CAP + 2, dtype=float))
+    assert table.tobytes() == want.tobytes()
+    assert not table.flags.writeable
+    # A larger order grows the table past the cap, on the same recurrence.
+    wide = lwf._log_factorials(2 * ARCSIN_CAP)
+    assert wide.tobytes() == gammaln(np.arange(1, 2 * ARCSIN_CAP + 2, dtype=float)).tobytes()
+
+
+def test_factorial_table_is_built_once_per_process(monkeypatch):
     _, combined, _ = _choose_arcsin_order(gibbs_taylor(2.0, 20), 0.5, 1e-6)
-    calls = counting(monkeypatch, "gammaln")
+    lwf._log_factorials.cache_clear()
+    lwf._arcsin_base.cache_clear()
+    calls = counting(monkeypatch, "_lgam")
     c, dropped = _assemble(combined, 12)
-    assert len(calls) == 1
+    _assemble(combined, 20)
+    _choose_arcsin_order(gibbs_taylor(3.0, 30), 0.25, 1e-6)  # rebuilds the arcsin base
+    # One entry per n = 0..ARCSIN_CAP, for the first _assemble only.
+    assert len(calls) == ARCSIN_CAP + 1
+    assert lwf._log_factorials.cache_info().misses == 1
     assert len(c) == 25 and dropped > 0.0
 
 
@@ -348,6 +368,16 @@ def test_assemble_matches_loop_reference_at_every_window(order, m_cut):
     c_ref, dropped_ref = assemble_reference(combined, m_cut)
     assert c.tobytes() == c_ref.tobytes()
     assert dropped == dropped_ref
+
+
+def test_assemble_matches_loop_reference_at_the_arcsin_cap():
+    # Only an arcsin order of ARCSIN_CAP reads the last entry of the table.
+    combined, _ = _arcsin_pass(gibbs_taylor(3.0, 20), 0.3, ARCSIN_CAP)
+    for m_cut in (0, 200):
+        c, dropped = _assemble(combined, m_cut)
+        c_ref, dropped_ref = assemble_reference(combined, m_cut)
+        assert c.tobytes() == c_ref.tobytes()
+        assert dropped == dropped_ref
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 7, 64, 129])

@@ -390,6 +390,15 @@ def test_boltzmann_scale_underflow_is_refused_by_name():
         boltzmann_oracle(np.array([-3.0, 3.0]), 0.01, 700.0, "gqsp")
 
 
+def test_boltzmann_scale_overflow_is_refused_by_name():
+    # Past the CLI's beta cap the exponent beta/2 - beta_f(1 + x0) = 714 overflows
+    # math.exp; this used to raise a bare OverflowError.
+    with pytest.raises(
+        OracleError, match=r"= e\^714\.34 = inf at beta=3000\.0, beta_f=785\.398 "
+    ):
+        boltzmann_oracle(np.array([-0.1, 0.1]), 3.0, 3000.0, "gqsp")
+
+
 def test_exact_p0_trivial_values():
     dim = 8
     values = exact_p0(np.zeros(dim), 1.0)
