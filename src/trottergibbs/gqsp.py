@@ -57,20 +57,6 @@ class LaurentPoly:
             raise ValueError(f"not admissible: max |P| on circle = {worst:.12f} > 1")
 
 
-def direct_poly_apply(p: LaurentPoly, u: np.ndarray) -> np.ndarray:
-    """sum_m c_m U^m evaluated with explicit matrix powers."""
-    dim = u.shape[0]
-    out = p.c[p.M] * np.eye(dim, dtype=complex)
-    fwd = np.eye(dim, dtype=complex)
-    bwd = np.eye(dim, dtype=complex)
-    udag = u.conj().T
-    for m in range(1, p.M + 1):
-        fwd = fwd @ u
-        bwd = bwd @ udag
-        out += p.c[p.M + m] * fwd + p.c[p.M - m] * bwd
-    return out
-
-
 def rotation(theta, phi, lam=0.0) -> np.ndarray:
     """The SU(2)-style interleaving rotation; array angles broadcast to shape (..., 2, 2)."""
     theta, phi, lam = np.broadcast_arrays(theta, phi, lam)
@@ -214,12 +200,6 @@ def gqsp_cells(angles: GqspAngles, phases: np.ndarray, shift: int) -> np.ndarray
     return np.ascontiguousarray(x.reshape(2, n, 2).transpose(1, 0, 2))
 
 
-def extract_block(full: np.ndarray) -> np.ndarray:
-    """Top-left (ancilla 0 -> 0) block."""
-    dim = full.shape[0] // 2
-    return full[:dim, :dim]
-
-
 def synthesize_laurent(p: LaurentPoly) -> GqspAngles:
     """Angles for a Laurent target: shift to plain powers, complete, peel.
 
@@ -240,9 +220,3 @@ def synthesize_laurent(p: LaurentPoly) -> GqspAngles:
     )
     return angles
 
-
-def verify_block(angles: GqspAngles, u: np.ndarray, p: LaurentPoly) -> float:
-    """Max elementwise gap between the circuit block and U^M sum_m c_m U^m."""
-    block = extract_block(gqsp_apply(angles, u))
-    target = np.linalg.matrix_power(u, p.M) @ direct_poly_apply(p, u)
-    return float(np.max(np.abs(block - target)))

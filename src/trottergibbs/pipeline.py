@@ -5,8 +5,8 @@ s_k * t; the rescaled traces Z(beta, s_k)/N are evaluated (exactly,
 through the synthesized block, or by simulated amplitude estimation) and
 extrapolated to s = 0.  Even-order formulas give the mirror nodes s_k and
 -s_k the same effective Hamiltonian, so each mirror pair shares one
-spectrum and one Boltzmann oracle.  The trace bound, the ancilla ledger,
-and the analytic cost model live here too.
+spectrum and one Boltzmann oracle.  The ancilla savings and the analytic
+cost model live here too.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cheb import ChebGrid, cheb_grid, exact_partition, interpolate_to_zero
-from .linalg import BRANCH_GAP, spectral_norm
+from .linalg import BRANCH_GAP
 from .seeding import split_seed
 from .syk import HamiltonianTerms
 from .thermal import (
@@ -30,7 +30,7 @@ from .thermal import (
     exact_p0,
     fourier_window,
 )
-from .trotter import (
+from .trotter import (  # noqa: F401  (effective_hamiltonian: perfbench probes it here)
     FormulaPlan,
     build_plan,
     effective_hamiltonian,
@@ -39,7 +39,6 @@ from .trotter import (
 )
 
 PIPELINE_MODES = ("exact", *MODES, "sampled")
-TRACE_BOUND_SLACK = 1e-10
 
 
 class PipelineError(RuntimeError):
@@ -266,42 +265,6 @@ def run_pipeline(cfg: PipelineConfig) -> PartitionResult:
         eps_cheb_realized=realized,
         cost=cost,
     )
-
-
-def trace_bound_check(
-    h: HamiltonianTerms, beta: float, order: int, tau_grid
-) -> list[dict]:
-    """Per-tau check |Tr e^{-beta H_eff}|/N <= e^{beta ||H_eff - H||} Z(beta)/N.
-
-    The effective Hamiltonian is a norm-||L|| perturbation of H, so every
-    eigenvalue moves by at most ||L|| and the trace gains at most e^{beta
-    ||L||}; commuting models have L = 0 and saturate the bound exactly.
-    Each row carries (tau, lhs, rhs, error norm, tightness ratio); a
-    violated inequality raises.
-    """
-    plan = build_plan(h.n_terms, order)
-    h_dense = h.dense()
-    z_ref = exact_partition(h_dense, beta)
-    rows = []
-    for tau in np.asarray(tau_grid, dtype=float):
-        eff = effective_hamiltonian(h, 1.0, float(tau), plan)
-        err_norm = spectral_norm(eff.matrix - h_dense)
-        lhs = abs(exact_partition(eff.matrix, beta))
-        rhs = math.exp(beta * err_norm) * z_ref
-        if lhs > rhs * (1.0 + TRACE_BOUND_SLACK):
-            raise PipelineError(
-                f"trace bound violated at tau={tau}: {lhs!r} > {rhs!r}"
-            )
-        rows.append(
-            {
-                "tau": float(tau),
-                "lhs": lhs,
-                "rhs": rhs,
-                "error_norm": err_norm,
-                "tightness": lhs / rhs,
-            }
-        )
-    return rows
 
 
 def ancilla_savings(n_majorana: int) -> int:

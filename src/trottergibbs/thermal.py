@@ -6,8 +6,9 @@ thermofield double: for any operator B on the system register,
 carrying e^{-beta(H_eff + 1)/2} turns that trace into the success
 probability of a single ancilla, which iterative amplitude estimation
 then reads out quadratically faster than direct sampling.  Only the
-block and the estimate are simulated here; the dense thermofield circuit
-that ties them together is checked in the test suite.
+block's cells and the estimate are simulated here.  The dense block, its
+unitary and the thermofield circuit that ties them together are built in
+the test suite (``tests/oracles.py``, ``tests/test_thermal.py``).
 
 The block is built on W = S_p(tau)^q, which shares its eigenvectors with
 H_eff, so the rotation circuit splits into one 2x2 ancilla cell per
@@ -26,9 +27,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .gqsp import LaurentPoly, gqsp_cells, synthesize_laurent
-from .linalg import assert_unitary, eigh_decompose
+from .linalg import assert_unitary
 from .lwf import gibbs_fourier
-from .trotter import EffectiveHamiltonian
 
 EDGE_GAP = 0.05
 COEF_RESCALE = 1.0 - 1e-6
@@ -136,16 +136,14 @@ def _gqsp_plan(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoltzmannOracle:
     """Subnormalized block operator on the (C, A) registers, per eigenvalue.
 
     ``cells[j]`` is the 2x2 ancilla unitary the circuit applies on the
     eigenvector of H_eff with eigenvalue ``spectrum[j]``.  Its C=0 entry b_j
     is ``scale`` e^{-beta(lambda_j+1)/2} up to the Fourier error; ``scale``
-    is a known classical factor divided out downstream.  With eigenvectors
-    as the columns of ``basis``, ``unitary`` and its C=0 corner ``block``
-    are the cells rotated into the computational basis.
+    is a known classical factor divided out downstream.
     """
 
     beta_k: float
@@ -153,20 +151,6 @@ class BoltzmannOracle:
     spectrum: np.ndarray
     cells: np.ndarray  # shape (N, 2, 2)
     diagnostics: dict
-    basis: np.ndarray | None = None
-
-    @property
-    def unitary(self) -> np.ndarray:
-        v, c = self.basis, self.cells
-        return np.block([[(v * c[:, r, k]) @ v.conj().T for k in (0, 1)] for r in (0, 1)])
-
-    @property
-    def block(self) -> np.ndarray:
-        return (self.basis * self.cells[:, 0, 0]) @ self.basis.conj().T
-
-    @property
-    def normalized_block(self) -> np.ndarray:
-        return self.block / self.scale
 
     @property
     def p0(self) -> float:
@@ -229,20 +213,6 @@ def boltzmann_oracle(
     if not (deviation := diagnostics["block_deviation"]) <= eps_qsp:  # NaN is refused too
         raise OracleError(f"block_deviation {deviation:.3e} exceeds eps_qsp {eps_qsp:.3e}")
     return BoltzmannOracle(beta_k, scale, spectrum, cells, diagnostics)
-
-
-def build_u_boltz(
-    h_eff: EffectiveHamiltonian,
-    beta: float,
-    mode: str = "gqsp",
-    *,
-    eps_qsp: float = 1e-6,
-) -> BoltzmannOracle:
-    """``boltzmann_oracle`` on H_eff as a matrix; its eigenvectors become the ``basis``."""
-    dec = eigh_decompose(h_eff.matrix)
-    oracle = boltzmann_oracle(dec.eigenvalues, h_eff.tau, beta, mode, eps_qsp=eps_qsp)
-    oracle.basis = dec.eigenvectors
-    return oracle
 
 
 @dataclass(frozen=True)
@@ -394,13 +364,3 @@ def amplitude_estimate(
         clamped=clamped,
     )
 
-
-def qubit_ledger(n: int) -> dict:
-    """Simulated register widths: system, trace copy, and two ancillas."""
-    return {
-        "system": n,
-        "trace_copy": n,
-        "gqsp_ancilla": 1,
-        "estimation_ancilla": 1,
-        "total": 2 * n + 2,
-    }

@@ -9,35 +9,28 @@ import json
 import math
 
 import numpy as np
-import pytest
 
 from trottergibbs.cheb import basis_matrix, cheb_grid, exact_partition, node_angles
 from trottergibbs.cli import main as cli_main
-from trottergibbs.gqsp import LaurentPoly, synthesize_laurent, verify_block
+from trottergibbs.gqsp import synthesize_laurent
 from trottergibbs.lwf import gibbs_fourier
-from trottergibbs.paulis import PauliString
-from trottergibbs.pipeline import (
-    PipelineConfig,
-    ancilla_savings,
-    run_pipeline,
-    trace_bound_check,
-)
-from trottergibbs.syk import (
-    HamiltonianTerms,
-    build_syk_hamiltonian,
-    normalize_one_norm,
-    sample_syk,
-)
-from trottergibbs.thermal import (
-    amplitude_estimate,
+from trottergibbs.pipeline import PipelineConfig, ancilla_savings, run_pipeline
+from trottergibbs.syk import HamiltonianTerms, build_syk_hamiltonian, normalize_one_norm, sample_syk
+from trottergibbs.thermal import amplitude_estimate
+from trottergibbs.trotter import build_plan, trotter_error_norm
+
+from oracles import (
     build_u_boltz,
+    fit_slope,
+    haar_unitary,
+    pauli_model,
     qubit_ledger,
+    random_laurent,
+    random_pauli_model,
+    syk_effective,
+    trace_bound_check,
+    verify_block,
 )
-from trottergibbs.trotter import build_plan, effective_hamiltonian, trotter_error_norm
-
-
-def _slope(x, y):
-    return float(np.polyfit(np.asarray(x, float), np.asarray(y, float), 1)[0])
 
 
 def _r2(x, y):
@@ -57,12 +50,6 @@ def _syk_rescaled(n, seed, one_norm):
     )
 
 
-def _haar(rng, dim):
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(a)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def test_criterion_01_trotter_order_law(criterion_report):
     # Fitted log-log slopes of ||H_eff(tau) - H|| must match the formula
     # order: within 0.1 for p in {1, 2} and 0.2 for p = 4.  Strong
@@ -71,10 +58,7 @@ def test_criterion_01_trotter_order_law(criterion_report):
     syk = _syk_rescaled(8, seed=7, one_norm=64.0)
     rng = np.random.default_rng(5)
     labels = ["XZI", "IYX", "ZIY", "XXZ", "IZZ"]
-    rand3 = HamiltonianTerms(
-        3,
-        [(float(rng.normal(0.0, 2.0)), PauliString.from_label(s)) for s in labels],
-    )
+    rand3 = pauli_model(labels, [float(rng.normal(0.0, 2.0)) for _ in labels])
     failures = []
     slopes = {}
     try:
@@ -82,7 +66,7 @@ def test_criterion_01_trotter_order_law(criterion_report):
             for order, tol in ((1, 0.1), (2, 0.1), (4, 0.2)):
                 plan = build_plan(model.n_terms, order)
                 errs = [trotter_error_norm(model, float(t), plan) for t in taus]
-                s = _slope(np.log(taus), np.log(errs))
+                s = fit_slope(np.log(taus), np.log(errs))
                 slopes[f"{name}/p{order}"] = round(s, 3)
                 if abs(s - order) > tol:
                     failures.append(f"{name} p={order}: slope {s:.3f}")
@@ -114,7 +98,7 @@ def test_criterion_02_fourier_certificate_and_scaling(criterion_report):
                     failures.append(f"beta={beta} eps={eps:.0e}: sup {sup:.2e}")
                 ms.append(fa.M)
             r2 = _r2(log_inv, ms)
-            slopes[beta] = _slope(log_inv, ms)
+            slopes[beta] = fit_slope(log_inv, ms)
             if r2 < 0.95:
                 failures.append(f"beta={beta}: R^2 {r2:.3f}")
         for lo, hi in ((1.0, 2.0), (2.0, 4.0), (4.0, 8.0)):
@@ -145,12 +129,9 @@ def test_criterion_03_block_synthesis_fidelity(criterion_report):
         for trial in range(50):
             m = int(rng.integers(1, 9))
             dim = int(rng.integers(2, 17))
-            c = rng.standard_normal(2 * m + 1) + 1j * rng.standard_normal(2 * m + 1)
-            z = np.exp(2j * np.pi * np.arange(4096) / 4096)
-            vals = np.polynomial.polynomial.polyval(z, c)
-            target = LaurentPoly(m, c * 0.9 / float(np.max(np.abs(vals))))
+            target = random_laurent(rng, m)
             angles = synthesize_laurent(target)
-            u = _haar(rng, dim)
+            u = haar_unitary(rng, dim)
             res_block = verify_block(angles, u, target)
             res_comp = angles.diagnostics["completion_residual"]
             worst_block = max(worst_block, res_block)
@@ -181,9 +162,7 @@ def test_criterion_04_boltzmann_block_accuracy(criterion_report):
     worst = 0.0
     try:
         for n in (4, 8):
-            model, _ = normalize_one_norm(build_syk_hamiltonian(sample_syk(n, seed=7)))
-            plan = build_plan(model.n_terms, 2)
-            eff = effective_hamiltonian(model, 1.0, 0.3, plan)
+            eff = syk_effective(n, beta_seed=7)
             vals, vecs = np.linalg.eigh(eff.matrix)
             for beta in (1.0, 2.0):
                 oracle = build_u_boltz(eff, beta, mode="gqsp", eps_qsp=eps_qsp)
@@ -264,7 +243,7 @@ def test_criterion_06_end_to_end_convergence(criterion_report):
             failures.append(f"M=8 error {errs[-1]:.2e} > 1e-6")
         # Geometric envelope C rho^-M fitted on the pre-floor points.
         log_e = np.log(errs[:3])
-        rho_hat = math.exp(-_slope(ms[:3], log_e))
+        rho_hat = math.exp(-fit_slope(ms[:3], log_e))
         r2 = _r2(ms[:3], log_e)
         if rho_hat < 1.5:
             failures.append(f"fitted rate {rho_hat:.2f} < 1.5")
@@ -308,7 +287,7 @@ def test_criterion_07_estimation_accuracy_and_cost(criterion_report):
             )
             for eps in eps_grid
         ]
-        exponent = _slope(np.log(1.0 / np.asarray(eps_grid)), np.log(medians))
+        exponent = fit_slope(np.log(1.0 / np.asarray(eps_grid)), np.log(medians))
         if not 0.8 <= exponent <= 1.2:
             failures.append(f"query exponent {exponent:.3f} outside [0.8, 1.2]")
         ok = not failures
@@ -354,24 +333,13 @@ def test_criterion_09_perturbed_trace_bound(criterion_report):
     # |Tr exp(-beta H_eff)|/N <= exp(beta ||H_eff - H||) Z(beta)/N on
     # random models for p in {1, 2}; commuting models saturate it exactly.
     rng = np.random.default_rng(909)
-    letters = "IXYZ"
     failures = []
     worst_tightness = 0.0
     try:
         taus = np.geomspace(0.05, 0.4, 4)
         for order in (1, 2):
             for _ in range(3):
-                terms = []
-                seen = set()
-                while len(terms) < 4:
-                    label = "".join(rng.choice(list(letters)) for _ in range(3))
-                    if label == "III" or label in seen:
-                        continue
-                    seen.add(label)
-                    terms.append(
-                        (float(rng.normal(0, 0.5)), PauliString.from_label(label))
-                    )
-                h = HamiltonianTerms(3, terms)
+                h = random_pauli_model(rng, 3, 4, scale=0.5)
                 for beta in (0.5, 2.0):
                     rows = trace_bound_check(h, beta=beta, order=order, tau_grid=taus)
                     for row in rows:
@@ -380,14 +348,7 @@ def test_criterion_09_perturbed_trace_bound(criterion_report):
                                 f"p={order} beta={beta} tau={row['tau']:.3f}"
                             )
                         worst_tightness = max(worst_tightness, row["tightness"])
-        commuting = HamiltonianTerms(
-            3,
-            [
-                (0.7, PauliString.from_label("ZII")),
-                (-0.4, PauliString.from_label("IZI")),
-                (0.2, PauliString.from_label("ZZZ")),
-            ],
-        )
+        commuting = pauli_model(["ZII", "IZI", "ZZZ"], [0.7, -0.4, 0.2])
         for row in trace_bound_check(commuting, beta=2.0, order=2, tau_grid=[0.1, 0.3]):
             if abs(row["tightness"] - 1.0) > 1e-10:
                 failures.append(f"commuting tightness {row['tightness']!r}")

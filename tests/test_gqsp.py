@@ -13,35 +13,26 @@ from trottergibbs.gqsp import (
     SynthesisError,
     LaurentPoly,
     complete_polynomial,
-    direct_poly_apply,
-    extract_block,
     gqsp_apply,
     gqsp_cells,
     rotation,
     synthesize_angles,
     synthesize_laurent,
-    verify_block,
 )
 from trottergibbs.linalg import max_abs
 from trottergibbs.lwf import gibbs_fourier
 
-CIRCLE = np.exp(2j * np.pi * np.arange(4096) / 4096)
-
+from oracles import (
+    CIRCLE,
+    direct_poly_apply,
+    extract_block,
+    haar_unitary,
+    random_laurent,
+    verify_block,
+)
 
 def circle_values(coefs):
     return np.polynomial.polynomial.polyval(CIRCLE, np.asarray(coefs, complex))
-
-
-def _haar(rng, dim):
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(a)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_laurent(rng, m, head=0.9):
-    c = rng.standard_normal(2 * m + 1) + 1j * rng.standard_normal(2 * m + 1)
-    vals = np.polynomial.polynomial.polyval(CIRCLE, c)
-    return LaurentPoly(m, c * head / np.max(np.abs(vals)))
 
 
 def peel_reference(p_coefs, q_coefs):
@@ -183,7 +174,7 @@ def test_synthesize_identity_signal_polynomial():
     assert angles.degree == 1
     assert np.allclose(angles.theta, 0.0, atol=1e-12)
     rng = np.random.default_rng(34)
-    u = _haar(rng, 4)
+    u = haar_unitary(rng, 4)
     block = extract_block(gqsp_apply(angles, u))
     assert max_abs(block - u) < 1e-12
 
@@ -193,7 +184,7 @@ def test_synthesize_constant_target():
     q = complete_polynomial(np.array([c + 0j]))
     angles = synthesize_angles(np.array([c + 0j]), q)
     assert angles.degree == 0
-    u = _haar(np.random.default_rng(35), 3)
+    u = haar_unitary(np.random.default_rng(35), 3)
     block = extract_block(gqsp_apply(angles, u))
     assert max_abs(block - c * np.eye(3)) < 1e-12
 
@@ -249,14 +240,14 @@ def test_gqsp_apply_unitary():
     rng = np.random.default_rng(37)
     p = random_laurent(rng, 3)
     angles = synthesize_laurent(p)
-    u = _haar(rng, 4)
+    u = haar_unitary(rng, 4)
     full = gqsp_apply(angles, u)
     assert max_abs(full @ full.conj().T - np.eye(8)) < 1e-10
 
 
 def test_gqsp_apply_degree_zero_is_single_rotation():
     angles = GqspAngles(np.array([0.3]), np.array([0.4]), 0.2)
-    u = _haar(np.random.default_rng(38), 3)
+    u = haar_unitary(np.random.default_rng(38), 3)
     full = gqsp_apply(angles, u)
     assert max_abs(full - np.kron(rotation(0.3, 0.4, 0.2), np.eye(3))) < 1e-14
 
@@ -269,7 +260,7 @@ def test_extract_block_shape():
 
 
 def test_direct_poly_apply_identity_and_signal():
-    u = _haar(np.random.default_rng(39), 4)
+    u = haar_unitary(np.random.default_rng(39), 4)
     ident = direct_poly_apply(LaurentPoly(0, [1.0]), u)
     assert max_abs(ident - np.eye(4)) < 1e-14
     shifted = direct_poly_apply(LaurentPoly(1, [0.0, 0.0, 1.0]), u)
@@ -294,7 +285,7 @@ def test_verify_block_random_targets():
         dim = int(rng.integers(2, 9))
         p = random_laurent(rng, m)
         angles = synthesize_laurent(p)
-        u = _haar(rng, dim)
+        u = haar_unitary(rng, dim)
         assert verify_block(angles, u, p) <= 1e-8, f"trial {trial}"
 
 
@@ -302,7 +293,7 @@ def test_verify_block_detects_corruption():
     rng = np.random.default_rng(42)
     p = random_laurent(rng, 3)
     angles = synthesize_laurent(p)
-    u = _haar(rng, 4)
+    u = haar_unitary(rng, 4)
     baseline = verify_block(angles, u, p)
     corrupted = GqspAngles(angles.theta.copy(), angles.phi.copy(), angles.lam)
     corrupted.theta[1] += 0.05
@@ -346,7 +337,7 @@ def test_cells_match_dense_circuit_in_eigenbasis(seed, m, dim):
     angles = synthesize_laurent(p)
     phases = rng.uniform(-math.pi, math.pi, size=dim)
     z = np.exp(1j * phases)
-    v = _haar(rng, dim)
+    v = haar_unitary(rng, dim)
     w = (v * z) @ v.conj().T
     undo = np.eye(2 * dim, dtype=complex)
     undo[:dim, :dim] = np.linalg.matrix_power(w.conj().T, m)

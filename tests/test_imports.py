@@ -1,6 +1,8 @@
-"""What the package exports, and which modules a run loads: SciPy stays off
-every path but ``trotter-order``."""
+"""What the package exports, which modules a run loads (SciPy stays off every
+path but ``trotter-order``), that no library code is there only for the tests,
+and that no two test modules define the same helper."""
 
+import ast
 import inspect
 import json
 import os
@@ -14,6 +16,8 @@ import trottergibbs
 SRC = Path(trottergibbs.__file__).resolve().parent.parent
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+PACKAGE = Path(trottergibbs.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 # Runs in a fresh interpreter and prints the SciPy modules loaded after the
 # imports, after each mode's run and after an lwf-convergence run, in that order.
@@ -67,3 +71,45 @@ def test_public_names_are_the_readme_quick_start():
     }
     assert public == quick_start
     assert isinstance(trottergibbs.__version__, str)
+
+
+# Top-level functions and classes that no other library code names, and why each stays.
+UNREFERENCED = {
+    ("gqsp", "gqsp_apply"): "perfbench's smoke test requires the name in gqsp",
+    ("syk", "group_commuting"): "a model transform users call; the README documents it",
+    ("cli", "main"): "the console entry point in pyproject.toml",
+}
+DEFS = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+
+
+def _named(node) -> set[str]:
+    """Names a node's code refers to; docstrings and other strings do not count."""
+    fields = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    return {getattr(sub, fields[type(sub)]) for sub in ast.walk(node) if type(sub) in fields}
+
+
+def test_every_library_function_and_class_is_named_by_other_library_code():
+    # Code that only the tests call belongs in tests/oracles.py.
+    named = [
+        (path.stem, stmt, _named(stmt))
+        for path in PACKAGE.glob("*.py")
+        for stmt in ast.parse(path.read_text()).body
+    ]
+    defs = {(module, stmt.name): stmt for module, stmt, _ in named if isinstance(stmt, DEFS)}
+    unreferenced = {
+        key for key, stmt in defs.items()
+        if not any(key[1] in names for _, other, names in named if other is not stmt)
+    }
+    assert unreferenced - set(UNREFERENCED) == set()
+    assert set(UNREFERENCED) <= set(defs)
+
+
+def test_no_two_test_modules_define_the_same_helper():
+    # A helper two modules need is defined once, in tests/oracles.py.
+    sites: dict[str, list[tuple[str, str]]] = {}
+    for path in TESTS.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.FunctionDef):
+                body = stmt.body[ast.get_docstring(stmt) is not None :]
+                sites.setdefault(ast.dump(ast.Module(body, [])), []).append((path.name, stmt.name))
+    assert [found for found in sites.values() if len({name for name, _ in found}) > 1] == []

@@ -30,6 +30,8 @@ from trottergibbs.lwf import (
     taylor_order,
 )
 
+from oracles import fit_slope
+
 
 def assemble_reference(combined, m_cut):
     """``_assemble`` as one loop per frequency: the kernel the flat-array version replaced.
@@ -66,10 +68,6 @@ def reconstruct_reference(approx, x):
     frequencies = np.arange(-approx.M, approx.M + 1)
     phases = np.exp(1j * (math.pi / 2.0) * np.outer(x, frequencies))
     return phases @ approx.c
-
-
-def fit_slope(xs, ys):
-    return float(np.polyfit(np.asarray(xs, float), np.asarray(ys, float), 1)[0])
 
 
 def truncation_scan(ts, delta, m_list, grid_size=1000, floor_eps=1e-12):

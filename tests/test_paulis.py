@@ -17,22 +17,9 @@ from trottergibbs.paulis import (
     pauli_multiply,
 )
 
-SINGLE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+from oracles import SINGLE, to_dense
 
 LETTERS = "IXYZ"
-
-
-def to_dense(p: PauliString) -> np.ndarray:
-    """Dense matrix of the string, phase included: one Kronecker factor per letter."""
-    m = np.array([[p.phase]], dtype=complex)
-    for ch in p.letters:
-        m = np.kron(m, SINGLE[ch])
-    return m
 
 
 def unsigned(p: PauliString) -> PauliString:

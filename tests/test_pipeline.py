@@ -9,7 +9,6 @@ import pytest
 
 from trottergibbs import cheb, gqsp, lwf, pipeline, thermal, trotter
 from trottergibbs.cheb import cheb_grid, exact_partition
-from trottergibbs.paulis import PauliString
 from trottergibbs.pipeline import (
     PartitionResult,
     PipelineConfig,
@@ -18,7 +17,6 @@ from trottergibbs.pipeline import (
     cost_model,
     node_inverse_sum,
     run_pipeline,
-    trace_bound_check,
 )
 from trottergibbs.syk import (
     HamiltonianTerms,
@@ -30,6 +28,8 @@ from trottergibbs.syk import (
 from trottergibbs.thermal import EstimationSchedule
 from trottergibbs.trotter import build_plan, effective_hamiltonian
 
+from oracles import build_u_boltz, pauli_model, random_pauli_model, trace_bound_check
+
 # Sigma 1/|s_k| stays below this multiple of M log M for every even M in
 # [2, 64]; the worst ratio is at M = 2 where the sum is 2 sqrt(2).
 NODE_SUM_CONSTANT = 2.5
@@ -40,19 +40,6 @@ RATE_FIXTURE = {2: 3.703948e-05, 4: 3.824680e-09}
 
 def syk_model(n, seed):
     return normalize_one_norm(build_syk_hamiltonian(sample_syk(n, seed=seed)))[0]
-
-
-def random_pauli_model(rng, n_qubits, n_terms, scale=0.4):
-    letters = "IXYZ"
-    terms = []
-    seen = set()
-    while len(terms) < n_terms:
-        label = "".join(rng.choice(list(letters)) for _ in range(n_qubits))
-        if label == "I" * n_qubits or label in seen:
-            continue
-        seen.add(label)
-        terms.append((float(rng.normal(0, scale)), PauliString.from_label(label)))
-    return HamiltonianTerms(n_qubits, terms)
 
 
 def test_config_validation():
@@ -90,7 +77,7 @@ def test_config_accepts_the_largest_beta_with_finite_shift():
 def test_config_refuses_branch_wrap():
     # S_2 phases are bounded by |s_k| t ||H||_1; the outer node of M = 2
     # sits at cos(pi/4), so with one-norm 2 the bound crosses pi near t = 2.22.
-    model = HamiltonianTerms(1, [(2.0, PauliString.from_label("Z"))])
+    model = pauli_model(["Z"], [2.0])
     PipelineConfig(model=model, beta=1.0, m_cheb=2, base_step=2.2)
     with pytest.raises(ValueError, match="branch bound"):
         PipelineConfig(model=model, beta=1.0, m_cheb=2, base_step=2.25)
@@ -125,7 +112,7 @@ def test_config_refuses_beta_without_fourier_window(mode):
 def test_single_term_model_is_exact():
     # One term: the product formula is the evolution itself, so every node
     # trace equals the true Gibbs trace and the extrapolation is exact.
-    model = HamiltonianTerms(2, [(0.6, PauliString.from_label("ZZ"))])
+    model = pauli_model(["ZZ"], [0.6])
     cfg = PipelineConfig(model=model, beta=1.5, m_cheb=4, mode="exact")
     res = run_pipeline(cfg)
     want = exact_partition(model, 1.5)
@@ -225,7 +212,7 @@ def test_block_node_matches_dense_reference(mode):
     plan = build_plan(model.n_terms, cfg.order)
     for rec in res.nodes:
         eff = effective_hamiltonian(model, rec.s_k, cfg.base_step, plan)
-        oracle = thermal.build_u_boltz(eff, cfg.beta, mode=mode, eps_qsp=cfg.eps_qsp)
+        oracle = build_u_boltz(eff, cfg.beta, mode=mode, eps_qsp=cfg.eps_qsp)
         b = oracle.normalized_block
         dense = float(np.real(np.trace(b.conj().T @ b)) / b.shape[0])
         assert rec.p0_hat == pytest.approx(dense, rel=1e-12)
@@ -438,9 +425,7 @@ def test_pipeline_error_names_the_failing_node():
 def test_overflowing_node_trace_names_the_node():
     # ||H|| = 2.5 at beta 700: Tr e^{-beta H_eff}/N is e^1750, past the
     # largest float.  It used to fail unnamed in the cost ledger.
-    model = HamiltonianTerms(
-        1, [(2.0, PauliString.from_label("Z")), (1.5, PauliString.from_label("X"))]
-    )
+    model = pauli_model(["Z", "X"], [2.0, 1.5])
     cfg = PipelineConfig(model=model, beta=700.0, m_cheb=2, mode="exact", base_step=0.01)
     with pytest.raises(PipelineError, match=r"node 1 \(s_k=\+0\.707107\): "):
         run_pipeline(cfg)
@@ -475,7 +460,7 @@ def test_trace_bound_holds_on_random_models():
     taus = np.geomspace(0.05, 0.4, 4)
     for order in (1, 2):
         for _ in range(3):
-            h = random_pauli_model(rng, 3, 4)
+            h = random_pauli_model(rng, 3, 4, scale=0.4)
             rows = trace_bound_check(h, beta=1.5, order=order, tau_grid=taus)
             assert len(rows) == len(taus)
             for row in rows:
@@ -496,12 +481,7 @@ def test_trace_bound_holds_on_reordered_model():
 
 
 def test_trace_bound_commuting_is_equality():
-    terms = [
-        (0.7, PauliString.from_label("ZII")),
-        (-0.4, PauliString.from_label("IZI")),
-        (0.2, PauliString.from_label("ZZZ")),
-    ]
-    h = HamiltonianTerms(3, terms)
+    h = pauli_model(["ZII", "IZI", "ZZZ"], [0.7, -0.4, 0.2])
     rows = trace_bound_check(h, beta=2.0, order=2, tau_grid=[0.1, 0.3])
     for row in rows:
         assert row["error_norm"] < 1e-10

@@ -25,23 +25,12 @@ from trottergibbs.syk import (
     sample_syk,
 )
 
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-SINGLE = {"I": np.eye(2, dtype=complex), "X": X, "Y": Y, "Z": Z}
+from oracles import commuting_runs, to_dense
 
 # Frozen regression values for the bundled reference instance (n=8, seed=7).
 REFERENCE_N_TERMS = 70
 REFERENCE_GROUPS = 8
 REFERENCE_SCALE = 0.01373721163593696
-
-
-def to_dense(p: PauliString) -> np.ndarray:
-    """Kronecker oracle: one factor per letter, qubit 0 first, phase included."""
-    mat = np.array([[p.phase]], dtype=complex)
-    for ch in p.letters:
-        mat = np.kron(mat, SINGLE[ch])
-    return mat
 
 
 def majorana_dense(index: int, n_majorana: int) -> np.ndarray:
@@ -189,17 +178,6 @@ def test_normalize_identity_when_already_unit():
     hn2, scale2 = normalize_one_norm(hn)
     assert scale2 == pytest.approx(1.0, abs=1e-12)
     assert max_abs(hn.dense() - hn2.dense()) < 1e-14
-
-
-def commuting_runs(h):
-    """Term indices split into maximal runs of mutually commuting terms."""
-    runs = []
-    for j, (_, string) in enumerate(h.terms):
-        if runs and all(pauli_commutes(string, h.terms[i][1]) for i in runs[-1]):
-            runs[-1].append(j)
-        else:
-            runs.append([j])
-    return runs
 
 
 def test_group_commuting_all_commuting_single_group():

@@ -7,7 +7,7 @@ whose eigenphases carry sqrt(p0).  Register order is (C, A, B).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from unittest import mock
 
 import numpy as np
@@ -33,22 +33,15 @@ from trottergibbs.thermal import (
     OracleError,
     amplitude_estimate,
     boltzmann_oracle,
-    build_u_boltz,
     exact_p0,
-    qubit_ledger,
 )
 from trottergibbs.trotter import (
     EffectiveHamiltonian,
     build_plan,
-    effective_hamiltonian,
     node_spectrum,
 )
 
-
-def syk_effective(n_majorana, beta_seed, tau=0.3, order=2):
-    h, _ = normalize_one_norm(build_syk_hamiltonian(sample_syk(n_majorana, seed=beta_seed)))
-    plan = build_plan(h.n_terms, order)
-    return effective_hamiltonian(h, 1.0, tau, plan)
+from oracles import build_u_boltz, qubit_ledger, syk_effective
 
 
 def random_effective(rng, dim, tau=0.3):
@@ -187,6 +180,13 @@ def test_build_u_boltz_keeps_the_spectrum():
     oracle = build_u_boltz(eff, 1.5, mode="gqsp")
     assert oracle.spectrum.shape == (eff.matrix.shape[0],)
     assert max_abs(oracle.spectrum - spectrum(eff)) < 1e-12
+
+
+def test_boltzmann_oracle_fields_cannot_be_reassigned():
+    oracle = build_u_boltz(syk_effective(4, beta_seed=1), 1.0)
+    for target, name in ((boltzmann_oracle(oracle.spectrum, 0.3, 1.0), "scale"), (oracle, "basis")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(target, name, None)
 
 
 def test_build_u_boltz_block_is_subnormalized_and_embedded():

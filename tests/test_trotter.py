@@ -30,57 +30,16 @@ from trottergibbs.trotter import (
     trotter_error_norm,
 )
 
-
-def two_term_model(labels, coeffs):
-    n = len(labels[0])
-    terms = [(c, PauliString.from_label(s)) for c, s in zip(coeffs, labels)]
-    return HamiltonianTerms(n, terms)
-
-
-def random_model(rng, n_qubits, n_terms, scale=1.0):
-    letters = "IXYZ"
-    terms = []
-    seen = set()
-    while len(terms) < n_terms:
-        label = "".join(rng.choice(list(letters)) for _ in range(n_qubits))
-        if label == "I" * n_qubits or label in seen:
-            continue
-        seen.add(label)
-        terms.append((float(rng.normal(0, scale)), PauliString.from_label(label)))
-    return HamiltonianTerms(n_qubits, terms)
+from oracles import commuting_runs, fit_slope, pauli_model, random_pauli_model, to_dense
 
 
 def product_oracle(h, t, plan):
     """Left-to-right product of stage exponentials, built independently."""
-    mats = [c * _dense(p) for c, p in h.terms]
+    mats = [c * to_dense(p) for c, p in h.terms]
     u = np.eye(2**h.n_qubits, dtype=complex)
     for idx, frac in plan.stages:
         u = u @ scipy.linalg.expm(1j * mats[idx] * frac * t)
     return u
-
-
-def _dense(p):
-    single = {
-        "I": np.eye(2, dtype=complex),
-        "X": np.array([[0, 1], [1, 0]], dtype=complex),
-        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
-    m = np.array([[p.phase]], dtype=complex)
-    for ch in p.letters:
-        m = np.kron(m, single[ch])
-    return m
-
-
-def commuting_runs(h):
-    """Term indices split into maximal runs of mutually commuting terms."""
-    runs = []
-    for j, (_, string) in enumerate(h.terms):
-        if runs and all(pauli_commutes(string, h.terms[i][1]) for i in runs[-1]):
-            runs[-1].append(j)
-        else:
-            runs.append([j])
-    return runs
 
 
 @st.composite
@@ -127,10 +86,6 @@ def parity_models(draw, max_terms=5, coeff=0.5):
     )
     terms = [(c, PauliString.from_label(label)) for c, label in zip(coeffs, picked)]
     return HamiltonianTerms(n, terms), keeps
-
-
-def log_log_slope(taus, errs):
-    return float(np.polyfit(np.log(taus), np.log(errs), 1)[0])
 
 
 def test_suzuki_u_values():
@@ -205,7 +160,7 @@ def test_build_plan_rejects_bad_orders():
 
 
 def test_apply_formula_single_term_is_exact():
-    h = two_term_model(["ZZ"], [0.7])
+    h = pauli_model(["ZZ"], [0.7])
     for order in (1, 2, 4):
         plan = build_plan(1, order)
         u = apply_formula(h, 0.9, plan)
@@ -214,13 +169,13 @@ def test_apply_formula_single_term_is_exact():
 
 
 def test_apply_formula_zero_time():
-    h = two_term_model(["XI", "ZZ"], [0.3, 0.4])
+    h = pauli_model(["XI", "ZZ"], [0.3, 0.4])
     u = apply_formula(h, 0.0, build_plan(2, 2))
     assert max_abs(u - np.eye(4)) < 1e-14
 
 
 def test_apply_formula_commuting_terms_exact():
-    h = two_term_model(["ZI", "ZZ"], [0.8, -0.5])
+    h = pauli_model(["ZI", "ZZ"], [0.8, -0.5])
     exact = scipy.linalg.expm(1j * 0.6 * h.dense())
     for order in (1, 2, 4):
         u = apply_formula(h, 0.6, build_plan(2, order))
@@ -230,7 +185,7 @@ def test_apply_formula_commuting_terms_exact():
 def test_apply_formula_matches_stage_product_oracle():
     rng = np.random.default_rng(21)
     for _ in range(6):
-        h = random_model(rng, 3, 4)
+        h = random_pauli_model(rng, 3, 4, scale=1.0)
         plan = build_plan(4, 2)
         t = rng.uniform(-0.5, 0.5)
         assert max_abs(apply_formula(h, t, plan) - product_oracle(h, t, plan)) < 1e-12
@@ -238,7 +193,7 @@ def test_apply_formula_matches_stage_product_oracle():
 
 def test_apply_formula_unitary():
     rng = np.random.default_rng(22)
-    h = random_model(rng, 3, 5)
+    h = random_pauli_model(rng, 3, 5, scale=1.0)
     for order in (1, 2, 4):
         u = apply_formula(h, 0.37, build_plan(5, order))
         assert max_abs(u @ u.conj().T - np.eye(8)) < 1e-10
@@ -247,7 +202,7 @@ def test_apply_formula_unitary():
 def test_apply_formula_even_order_time_reversal():
     # S_p(-t) = S_p(t)^dag for even p.
     rng = np.random.default_rng(23)
-    h = random_model(rng, 2, 3)
+    h = random_pauli_model(rng, 2, 3, scale=1.0)
     for order in (2, 4):
         plan = build_plan(3, order)
         fwd = apply_formula(h, 0.41, plan)
@@ -331,7 +286,7 @@ def test_order1_on_reordered_model_is_product_of_group_exponentials(model, t):
     # exponential of their sum, so order 1 on the reordered model is the
     # product over groups of expm(i t sum_{j in g} c_j P_j).
     h = group_commuting(model[0])
-    mats = [c * _dense(p) for c, p in h.terms]
+    mats = [c * to_dense(p) for c, p in h.terms]
     want = np.eye(2**h.n_qubits, dtype=complex)
     for run in commuting_runs(h):
         want = want @ scipy.linalg.expm(1j * t * sum(mats[j] for j in run))
@@ -350,7 +305,7 @@ def test_recursion_runs_a_share_of_the_flat_stages(monkeypatch, order, share):
         return run_stages(loop, stages, t, start)
 
     monkeypatch.setattr(trotter, "_run_stages", counted)
-    h = random_model(np.random.default_rng(29), 3, 4, scale=0.3)
+    h = random_pauli_model(np.random.default_rng(29), 3, 4, scale=0.3)
     plan = build_plan(h.n_terms, order)
     apply_formula(h, 0.4, plan)
     assert sum(updates) == share * plan.n_stages
@@ -387,7 +342,7 @@ def test_node_spectrum_matches_effective_hamiltonian(h, order, s, sign):
 
 
 def test_node_spectrum_refuses_branch_cut():
-    h = two_term_model(["ZI", "IZ"], [math.pi / 2, math.pi / 2])
+    h = pauli_model(["ZI", "IZ"], [math.pi / 2, math.pi / 2])
     with pytest.raises(BranchCutError):
         node_spectrum(h, 1.0, 1.0, build_plan(2, 2))
 
@@ -407,7 +362,7 @@ def test_stage_weight_is_absolute_fraction_sum():
 
 
 def test_effective_hamiltonian_single_term():
-    h = two_term_model(["XX"], [0.6])
+    h = pauli_model(["XX"], [0.6])
     eff = effective_hamiltonian(h, 1.0, 0.2, build_plan(1, 2))
     assert max_abs(eff.matrix - h.dense()) < 1e-10
     assert eff.tau == pytest.approx(0.2)
@@ -415,7 +370,7 @@ def test_effective_hamiltonian_single_term():
 
 def test_effective_hamiltonian_exp_reconstructs_formula():
     rng = np.random.default_rng(25)
-    h = random_model(rng, 3, 4, scale=0.3)
+    h = random_pauli_model(rng, 3, 4, scale=0.3)
     plan = build_plan(4, 2)
     tau = 0.17
     eff = effective_hamiltonian(h, 1.0, tau, plan)
@@ -425,7 +380,7 @@ def test_effective_hamiltonian_exp_reconstructs_formula():
 
 def test_effective_hamiltonian_even_order_is_even_in_tau():
     rng = np.random.default_rng(26)
-    h = random_model(rng, 2, 3, scale=0.4)
+    h = random_pauli_model(rng, 2, 3, scale=0.4)
     plan = build_plan(3, 2)
     plus = effective_hamiltonian(h, 1.0, 0.3, plan)
     minus = effective_hamiltonian(h, -1.0, 0.3, plan)
@@ -433,7 +388,7 @@ def test_effective_hamiltonian_even_order_is_even_in_tau():
 
 
 def test_effective_hamiltonian_rejects_zero_tau():
-    h = two_term_model(["XI", "IZ"], [0.2, 0.3])
+    h = pauli_model(["XI", "IZ"], [0.2, 0.3])
     with pytest.raises(ValueError):
         effective_hamiltonian(h, 0.0, 0.5, build_plan(2, 2))
 
@@ -441,13 +396,13 @@ def test_effective_hamiltonian_rejects_zero_tau():
 def test_effective_hamiltonian_branch_cut_at_large_tau():
     # Commuting terms make the formula exact, so eigenphases land exactly
     # on +/-(pi) when tau * eigenvalue does.
-    h = two_term_model(["ZI", "IZ"], [math.pi / 2, math.pi / 2])
+    h = pauli_model(["ZI", "IZ"], [math.pi / 2, math.pi / 2])
     with pytest.raises(BranchCutError):
         effective_hamiltonian(h, 1.0, 1.0, build_plan(2, 2))
 
 
 def test_error_norm_commuting_is_zero():
-    h = two_term_model(["ZI", "ZZ"], [0.8, -0.5])
+    h = pauli_model(["ZI", "ZZ"], [0.8, -0.5])
     for order in (1, 2):
         err = trotter_error_norm(h, 0.3, build_plan(2, order))
         assert err < 1e-10
@@ -460,14 +415,14 @@ def test_error_norm_slopes_match_order():
     taus = np.geomspace(3e-3, 3e-2, 5)
     done = 0
     while done < 3:
-        h = random_model(rng, 3, 2, scale=1.0)
+        h = random_pauli_model(rng, 3, 2, scale=1.0)
         if pauli_commutes(h.terms[0][1], h.terms[1][1]):
             continue  # commuting draws have no formula error to fit
         done += 1
         for order, tol in ((1, 0.1), (2, 0.1)):
             plan = build_plan(2, order)
             errs = [trotter_error_norm(h, t, plan) for t in taus]
-            assert abs(log_log_slope(taus, errs) - order) < tol
+            assert abs(fit_slope(np.log(taus), np.log(errs)) - order) < tol
 
 
 def fit_alpha(h, plan, tau_grid, slope_tol=0.2):
@@ -494,7 +449,7 @@ def fit_alpha(h, plan, tau_grid, slope_tol=0.2):
 
 
 def test_fit_alpha_commuting_is_tiny():
-    h = two_term_model(["ZI", "IZ"], [0.7, 0.4])
+    h = pauli_model(["ZI", "IZ"], [0.7, 0.4])
     alpha = fit_alpha(h, build_plan(2, 1), np.geomspace(1e-3, 1e-2, 4), slope_tol=2.0)
     assert alpha < 1e-6
 
@@ -502,8 +457,8 @@ def test_fit_alpha_commuting_is_tiny():
 def test_fit_alpha_first_order_matches_commutator():
     # Leading error of S_1 is (tau/2)||[H1, H2]||, so alpha ~ ||[H1, H2]||
     # in the normalization ||L|| = alpha tau^p / (p+1)!.
-    h = two_term_model(["XX", "ZI"], [1.0, 1.0])
-    m1, m2 = (c * _dense(p) for c, p in h.terms)
+    h = pauli_model(["XX", "ZI"], [1.0, 1.0])
+    m1, m2 = (c * to_dense(p) for c, p in h.terms)
     comm = spectral_norm(m1 @ m2 - m2 @ m1)
     alpha = fit_alpha(h, build_plan(2, 1), np.geomspace(1e-3, 1e-2, 5))
     assert abs(alpha - comm) / comm < 0.25
@@ -511,7 +466,7 @@ def test_fit_alpha_first_order_matches_commutator():
 
 def test_fit_alpha_stable_across_decades():
     rng = np.random.default_rng(28)
-    h = random_model(rng, 3, 3, scale=1.0)
+    h = random_pauli_model(rng, 3, 3, scale=1.0)
     plan = build_plan(3, 2)
     a1 = fit_alpha(h, plan, np.geomspace(1e-3, 1e-2, 4))
     a2 = fit_alpha(h, plan, np.geomspace(1e-2, 1e-1, 4))
@@ -519,6 +474,6 @@ def test_fit_alpha_stable_across_decades():
 
 
 def test_fit_alpha_rejects_nonasymptotic_grid():
-    h = two_term_model(["XX", "ZI"], [1.0, 1.0])
+    h = pauli_model(["XX", "ZI"], [1.0, 1.0])
     with pytest.raises(ValueError):
         fit_alpha(h, build_plan(2, 1), np.array([1.5, 2.0, 2.5]))
