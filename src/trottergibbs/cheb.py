@@ -102,16 +102,12 @@ def interpolate_to_zero(values: np.ndarray, grid: ChebGrid) -> float:
     return float(np.dot(grid.weights, values))
 
 
-def exact_partition(h: HamiltonianTerms | np.ndarray, beta: float) -> float:
+def exact_partition(h: HamiltonianTerms, beta: float) -> float:
     """Tr(exp(-beta H)) / N by dense diagonalization.
 
     The ground-truth oracle: every estimated or extrapolated partition
     value in the tests is compared against this number.  The eigenvalues
-    of a ``HamiltonianTerms`` are kept on it, so a beta sweep diagonalizes
-    once.
+    are kept on ``h``, so a beta sweep diagonalizes once.
     """
-    if isinstance(h, HamiltonianTerms):
-        vals = h.kept("reference", lambda: eigh_decompose(h.dense()).eigenvalues)
-    else:
-        vals = eigh_decompose(np.asarray(h)).eigenvalues
+    vals = h.kept("reference", lambda: eigh_decompose(h.dense()).eigenvalues)
     return float(np.mean(np.exp(-beta * vals)))

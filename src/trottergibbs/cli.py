@@ -202,9 +202,7 @@ def build_model(doc: dict) -> HamiltonianTerms:
         h = build_syk_hamiltonian(sample_syk(spec["n_majorana"], seed=spec["seed"]))
         if spec["one_norm"] is not None:
             factor = spec["one_norm"] / h.one_norm
-            h = HamiltonianTerms(
-                h.n_qubits, [(c * factor, s) for c, s in h.terms], provenance=h.provenance
-            )
+            h = HamiltonianTerms(h.n_qubits, [(c * factor, s) for c, s in h.terms])
         return h
     terms = [(coef, PauliString.from_label(label)) for coef, label in spec["terms"]]
     return HamiltonianTerms(spec["n_qubits"], terms)

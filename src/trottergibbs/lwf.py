@@ -15,7 +15,9 @@ coefficients as an admissible polynomial target for unitary processing on
 the whole unit circle, not just on the approximation window.
 
 Each arcsin order tried, doubled until the window tail is below eps/8,
-costs one pass that yields both B_l = sum_k a_k b_l^k and that tail; the
+costs one pass that yields both B_l = sum_k a_k b_l^k and that tail.  The
+pass forms each power b^k from the last by one Cauchy product with the
+arcsin series, itself a slice of one series kept up to ARCSIN_CAP.  The
 collapse to frequencies then reads one log-factorial table.  That table,
 log n! for n = 0..ARCSIN_CAP, is built once per process in scalar Python
 from Cephes' ``lgam`` recurrence, which matches SciPy's ``gammaln`` bit for
@@ -163,22 +165,6 @@ def _arcsin_base(order: int) -> np.ndarray:
     return base
 
 
-def arcsin_series(k: int, order: int) -> np.ndarray:
-    """Coefficients b_l of ((2/pi) arcsin(y))^k up to y^order.
-
-    Built by repeated Cauchy products of the arcsin series with itself;
-    all coefficients are nonnegative and sum to at most 1.
-    """
-    if k < 0 or order < 0:
-        raise ValueError("k and order must be >= 0")
-    base = _arcsin_base(max(order, ARCSIN_CAP))[: order + 1]
-    out = np.zeros(order + 1)
-    out[0] = 1.0
-    for _ in range(k):
-        out = np.convolve(out, base)[: order + 1]
-    return out
-
-
 def lwf_order(one_norm_a: float, delta: float, eps: float) -> int:
     """Fourier cutoff M = max(2 ceil(ln(4 ||a||_1 / eps) / delta), 0)."""
     if not 0 < delta <= 1:
@@ -240,7 +226,7 @@ def _arcsin_pass(ts: TaylorSeries, delta: float, order: int) -> tuple[np.ndarray
     and the l1 mass the truncation leaves behind on the window, where
     y <= y_max = cos(pi delta / 2) and ((2/pi) arcsin(y_max))^k = (1 - delta)^k.
     """
-    base = arcsin_series(1, order)
+    base = _arcsin_base(max(order, ARCSIN_CAP))[: order + 1]
     damp = math.cos(math.pi * delta / 2.0) ** np.arange(order + 1)
     acc = np.zeros(order + 1)
     acc[0] = 1.0

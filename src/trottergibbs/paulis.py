@@ -78,8 +78,8 @@ class PauliString:
         return cls(n_qubits, "I" * n_qubits)
 
     @classmethod
-    def from_label(cls, label: str, phase: complex = 1 + 0j) -> "PauliString":
-        return cls(len(label), label, phase)
+    def from_label(cls, label: str) -> "PauliString":
+        return cls(len(label), label)
 
 
 def pauli_multiply(a: PauliString, b: PauliString) -> PauliString:

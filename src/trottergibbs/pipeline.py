@@ -23,6 +23,7 @@ from .linalg import BRANCH_GAP
 from .seeding import split_seed
 from .syk import HamiltonianTerms
 from .thermal import (
+    EPS_FLOOR,
     MODES,
     EstimationSchedule,
     amplitude_estimate,
@@ -88,6 +89,12 @@ class PipelineConfig:
             raise ValueError(
                 f"unknown mode {self.mode!r}; expected one of {PIPELINE_MODES}"
             )
+        build_plan(self.model.n_terms, self.order)  # refuses an order other than 1 or even
+        if self.mode == "sampled" and self.eps_stat < EPS_FLOOR:
+            raise ValueError(
+                f"eps_stat {self.eps_stat!r} is below thermal.EPS_FLOOR = {EPS_FLOOR:g}, "
+                "the finest amplitude estimate"
+            )
         if self.mode in MODES and self.beta > 0.0:
             x0, budget = fourier_window(self.beta)
             if budget <= 0.0:
@@ -124,7 +131,6 @@ class NodeRecord:
     estimate was set to 0 or 1 because every shot missed or every shot hit.
     """
 
-    index: int
     s_k: float
     d_k: float
     beta_k: float
@@ -236,8 +242,7 @@ def run_pipeline(cfg: PipelineConfig) -> PartitionResult:
             raise PipelineError(f"node {k + 1} (s_k={s_k:+.6f}): {err}") from err
         nodes.append(
             NodeRecord(
-                index=k + 1, s_k=s_k, d_k=float(grid.weights[k]), mode=cfg.mode, seed=seed_k,
-                **record,
+                s_k=s_k, d_k=float(grid.weights[k]), mode=cfg.mode, seed=seed_k, **record
             )
         )
 
@@ -294,7 +299,7 @@ def _node_sum_ratio_max() -> float:
     return max(node_inverse_sum(m) / (m * math.log(m)) for m in range(2, 65, 2))
 
 
-def cost_model(cfg: PipelineConfig, grid: ChebGrid, m_k: list[int], z_nodes=None) -> dict:
+def cost_model(cfg: PipelineConfig, grid: ChebGrid, m_k: list[int], z_nodes: np.ndarray) -> dict:
     """Analytic cost ledger for one run.
 
     Per-node depth follows M_k 5^p / (t |s_k|); the aggregate expression
@@ -310,10 +315,7 @@ def cost_model(cfg: PipelineConfig, grid: ChebGrid, m_k: list[int], z_nodes=None
     if m_arr.shape != (grid.m_cheb,):
         raise ValueError("need one M_k per node")
     depth_per_node = m_arr * stage_factor / (t * np.abs(grid.nodes))
-    if z_nodes is None:
-        z_arr = np.ones(grid.m_cheb)
-    else:
-        z_arr = np.clip(np.asarray(z_nodes, dtype=float), 0.0, None)
+    z_arr = np.clip(np.asarray(z_nodes, dtype=float), 0.0, None)
     query_factor = m_arr * np.sqrt(z_arr) / cfg.eps_stat
     log_m = math.log(grid.m_cheb)
     total = stage_factor / t * float(np.max(query_factor))

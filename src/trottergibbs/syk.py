@@ -43,7 +43,6 @@ class SykCouplings:
 
     n_majorana: int
     couplings: dict[tuple[int, int, int, int], float]
-    seed: int | None = None
 
 
 def sample_syk(n_majorana: int, seed: int) -> SykCouplings:
@@ -60,7 +59,7 @@ def sample_syk(n_majorana: int, seed: int) -> SykCouplings:
         idx: float(rng.normal(0.0, sigma))
         for idx in combinations(range(1, n_majorana + 1), 4)
     }
-    return SykCouplings(n_majorana, couplings, seed=seed)
+    return SykCouplings(n_majorana, couplings)
 
 
 def jordan_wigner_majorana(index: int, n_majorana: int) -> tuple[float, PauliString]:
@@ -91,7 +90,6 @@ class HamiltonianTerms:
 
     n_qubits: int
     terms: list[tuple[float, PauliString]]
-    provenance: dict | None = None
     _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -171,8 +169,7 @@ def build_syk_hamiltonian(c: SykCouplings) -> HamiltonianTerms:
         for letters, coeff in merged.items()
         if coeff != 0.0
     ]
-    provenance = {"model": "syk", "n_majorana": c.n_majorana, "seed": c.seed}
-    return HamiltonianTerms(n_qubits, terms, provenance=provenance)
+    return HamiltonianTerms(n_qubits, terms)
 
 
 def normalize_one_norm(h: HamiltonianTerms) -> tuple[HamiltonianTerms, float]:
@@ -185,7 +182,7 @@ def normalize_one_norm(h: HamiltonianTerms) -> tuple[HamiltonianTerms, float]:
     if scale == 0.0:
         raise ValueError("cannot normalize a zero Hamiltonian")
     terms = [(c / scale, s) for c, s in h.terms]
-    return HamiltonianTerms(h.n_qubits, terms, provenance=h.provenance), scale
+    return HamiltonianTerms(h.n_qubits, terms), scale
 
 
 def group_commuting(h: HamiltonianTerms) -> HamiltonianTerms:
@@ -207,4 +204,4 @@ def group_commuting(h: HamiltonianTerms) -> HamiltonianTerms:
         else:
             groups.append([term])
     terms = [term for group in groups for term in group]
-    return HamiltonianTerms(h.n_qubits, terms, provenance=h.provenance)
+    return HamiltonianTerms(h.n_qubits, terms)

@@ -36,6 +36,7 @@ SHOTS = 32  # shots per round of amplitude estimation
 LADDER_RATIO = 2.0  # least growth of the amplification between rounds
 # Finest estimate: _find_next_k scans up to pi/(16 eps) candidates a round.
 EPS_FLOOR = 1e-6
+MAX_ROUNDS = 100_000  # rounds of amplitude estimation before it reports unconverged
 
 MODES = ("gqsp", "ideal-w")
 
@@ -229,17 +230,18 @@ def exact_p0(spectrum: np.ndarray, beta: float) -> TraceValues:
     if vals.ndim != 1:
         raise ValueError("exact_p0 takes the 1-D spectrum of H_eff")
     n = vals.shape[0]
-    p0 = float(np.sum(np.exp(-beta * (vals + 1.0))) / n)
-    z = float(np.sum(np.exp(-beta * vals)) / n)
+    # An overflow gives inf, which run_pipeline refuses by name.
+    with np.errstate(over="ignore"):
+        p0 = float(np.sum(np.exp(-beta * (vals + 1.0))) / n)
+        z = float(np.sum(np.exp(-beta * vals)) / n)
     return TraceValues(p0, z)
 
 
 @dataclass
 class EstimationSchedule:
-    """Knobs of the iterative estimation loop: failure probability and round cap."""
+    """Knob of the iterative estimation loop: its failure probability."""
 
     alpha: float = 0.05
-    max_rounds: int = 100_000
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -257,7 +259,7 @@ class TraceEstimate:
     seed: int
     rounds: int
     confidence: float
-    converged: bool  # False when max_rounds ran out before the interval closed
+    converged: bool  # False when MAX_ROUNDS ran out before the interval closed
     clamped: bool  # True when every shot missed or every shot hit: a0_hat is set to 0 or 1
 
 
@@ -314,7 +316,7 @@ def amplitude_estimate(
     alpha_i = sched.alpha / (2.0 * levels)
 
     while math.sin(theta_u) - math.sin(theta_l) > 2.0 * eps:
-        if rounds >= sched.max_rounds:
+        if rounds >= MAX_ROUNDS:
             break  # reported through TraceEstimate.converged
         k, up = _find_next_k(k, up, theta_l, theta_u)
         p_shot = math.sin((2 * k + 1) * theta_true) ** 2

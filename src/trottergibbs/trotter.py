@@ -19,10 +19,10 @@ indices and factors of STAGE_CHUNK stages are built together, so a stage
 makes four numpy calls.  Orders 1 and 2 are one such stage loop.  Above
 that the recursion is evaluated with reuse: S_{2l-2}(u_l t) is built once
 and squared, so an order-2l formula costs 2^(l-1) order-2 stage loops plus
-a few block matmuls per recursion level, where its flat stage list
-(``FormulaPlan.stages``, the circuit that depth and cost count) has
-5^(l-1) order-2 blocks.  Even-order formulas are symmetric,
-S_p(-t) = S_p(t)^dag, so H_eff(-t) = H_eff(t).
+a few block matmuls per recursion level, where the circuit it stands for
+has 5^(l-1) order-2 blocks, 2 Gamma 5^(l-1) stages over Gamma terms
+(``FormulaPlan.n_stages``, which depth and cost count).  Even-order
+formulas are symmetric, S_p(-t) = S_p(t)^dag, so H_eff(-t) = H_eff(t).
 """
 
 from __future__ import annotations
@@ -57,36 +57,26 @@ def suzuki_u(l: int) -> float:
 
 @dataclass(frozen=True)
 class FormulaPlan:
-    """Stage list of a product formula: tuples of (term index, fraction)."""
+    """A product formula: its order and the number of terms it cycles through."""
 
     order: int
     n_terms: int
-    stages: tuple[tuple[int, float], ...]
 
     @property
     def n_stages(self) -> int:
-        return len(self.stages)
+        """Stages of the circuit: Gamma at order 1, 2 Gamma 5^(l-1) at order 2l."""
+        if self.order == 1:
+            return self.n_terms
+        return 2 * self.n_terms * 5 ** (self.order // 2 - 1)
 
 
 def build_plan(n_terms: int, order: int) -> FormulaPlan:
-    """Stage list for the given order (1, 2, or any even order)."""
+    """Plan of the given order (1, 2, or any even order)."""
     if n_terms < 1:
         raise ValueError("need at least one term")
     if order < 1 or (order > 1 and order % 2):
         raise ValueError(f"order must be 1 or even, got {order}")
-    forward = [(g, 1.0) for g in range(n_terms)]
-    if order == 1:
-        return FormulaPlan(1, n_terms, tuple(forward))
-    # S_2: forward halves then reversed halves (midpoint left unmerged so the
-    # stage count identities stay exact).
-    stages = [(g, 0.5) for g in range(n_terms)]
-    stages += [(g, 0.5) for g in reversed(range(n_terms))]
-    for l in range(2, order // 2 + 1):
-        u = suzuki_u(l)
-        outer = [(g, f * u) for g, f in stages]
-        middle = [(g, f * (1.0 - 4.0 * u)) for g, f in stages]
-        stages = outer + outer + middle + outer + outer
-    return FormulaPlan(order, n_terms, tuple(stages))
+    return FormulaPlan(order, n_terms)
 
 
 def stage_weight(order: int) -> float:
@@ -108,11 +98,12 @@ def apply_formula(h: HamiltonianTerms, t: float, plan: FormulaPlan) -> np.ndarra
     ``syk.group_commuting`` applies each commuting group's members one
     after another, which is the group's exact exponential.
 
-    Orders 1 and 2 run ``plan.stages`` in one stage loop (``_run_stages``).
-    Order 2l >= 4 reads only ``plan.order`` and ``plan.n_terms`` and runs
-    the Suzuki recursion with reuse (``_suzuki_blocks``): 2^(l-1) order-2
-    stage loops and a few block matmuls per level, instead of the
-    5^(l-1) order-2 blocks of the flat stage list.  It agrees with the flat
+    Orders 1 and 2 run their stage list in one stage loop (``_run_stages``):
+    every term at fraction 1, or every term at 1/2 forward and then in
+    reverse (the midpoint left unmerged).  Order 2l >= 4 runs the Suzuki
+    recursion with reuse (``_suzuki_blocks``) on the order-2 list: 2^(l-1)
+    order-2 stage loops and a few block matmuls per level, instead of the
+    5^(l-1) order-2 blocks of the flat circuit.  It agrees with the flat
     product to rounding.
 
     When every x mask has even popcount (every SYK term does), each term
@@ -133,7 +124,11 @@ def apply_formula(h: HamiltonianTerms, t: float, plan: FormulaPlan) -> np.ndarra
     states = np.argsort(-signs, kind="stable") if split else np.arange(signs.size)
     blocks = states.reshape(1 + split, -1)
     loop = ([c for c, _ in h.terms], x >> split, z, q, signs, states, 1 + split)
-    leaf = plan.stages if plan.order <= 2 else build_plan(plan.n_terms, 2).stages
+    if plan.order == 1:
+        leaf = [(g, 1.0) for g in range(plan.n_terms)]
+    else:
+        half = [(g, 0.5) for g in range(plan.n_terms)]
+        leaf = half + half[::-1]
     ut = _suzuki_blocks(loop, leaf, plan.order, t, None)
     # Row r of block k holds entries (blocks[k, r], blocks[k, c]) of U^T.
     u = np.zeros((states.size, states.size), dtype=complex)
@@ -142,7 +137,7 @@ def apply_formula(h: HamiltonianTerms, t: float, plan: FormulaPlan) -> np.ndarra
 
 
 def _suzuki_blocks(
-    loop: tuple, leaf: tuple, order: int, t: float, start: np.ndarray | None
+    loop: tuple, leaf: list, order: int, t: float, start: np.ndarray | None
 ) -> np.ndarray:
     """Blocks of S_order(t)^T @ start, start None standing for the identity.
 
@@ -161,7 +156,7 @@ def _suzuki_blocks(
 
 
 def _run_stages(
-    loop: tuple, stages: tuple, t: float, start: np.ndarray | None
+    loop: tuple, stages: list, t: float, start: np.ndarray | None
 ) -> np.ndarray:
     """Blocks of S(t)^T @ start for one stage list S, start None the identity.
 

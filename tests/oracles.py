@@ -2,7 +2,8 @@
 
 The library evaluates each node from the spectrum of its product formula
 alone; the dense circuits, blocks and registers here are what the tests
-hold it against.
+hold it against.  So are the flat Suzuki stage list, the arcsin powers and
+the dense-matrix partition function, which the library no longer forms.
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trottergibbs.cheb import exact_partition
 from trottergibbs.gqsp import GqspAngles, LaurentPoly, gqsp_apply
 from trottergibbs.linalg import eigh_decompose, spectral_norm
+from trottergibbs.lwf import ARCSIN_CAP, _arcsin_base
 from trottergibbs.paulis import PauliString, pauli_commutes
 from trottergibbs.pipeline import PipelineError
 from trottergibbs.syk import HamiltonianTerms, build_syk_hamiltonian, normalize_one_norm, sample_syk
 from trottergibbs.thermal import BoltzmannOracle, boltzmann_oracle
-from trottergibbs.trotter import EffectiveHamiltonian, build_plan, effective_hamiltonian
+from trottergibbs.trotter import EffectiveHamiltonian, build_plan, effective_hamiltonian, suzuki_u
 
 TRACE_BOUND_SLACK = 1e-10
 
@@ -31,6 +32,45 @@ SINGLE = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+def suzuki_stages(n_terms: int, order: int) -> tuple[tuple[int, float], ...]:
+    """Flat stage list (term index, fraction) of the order-p Suzuki circuit."""
+    forward = [(g, 1.0) for g in range(n_terms)]
+    if order == 1:
+        return tuple(forward)
+    # S_2: forward halves then reversed halves (midpoint left unmerged so the
+    # stage count identities stay exact).
+    stages = [(g, 0.5) for g in range(n_terms)]
+    stages += [(g, 0.5) for g in reversed(range(n_terms))]
+    for l in range(2, order // 2 + 1):
+        u = suzuki_u(l)
+        outer = [(g, f * u) for g, f in stages]
+        middle = [(g, f * (1.0 - 4.0 * u)) for g, f in stages]
+        stages = outer + outer + middle + outer + outer
+    return tuple(stages)
+
+
+def arcsin_series(k: int, order: int) -> np.ndarray:
+    """Coefficients b_l of ((2/pi) arcsin(y))^k up to y^order.
+
+    Built by repeated Cauchy products of the arcsin series with itself;
+    all coefficients are nonnegative and sum to at most 1.
+    """
+    if k < 0 or order < 0:
+        raise ValueError("k and order must be >= 0")
+    base = _arcsin_base(max(order, ARCSIN_CAP))[: order + 1]
+    out = np.zeros(order + 1)
+    out[0] = 1.0
+    for _ in range(k):
+        out = np.convolve(out, base)[: order + 1]
+    return out
+
+
+def dense_partition(h: np.ndarray, beta: float) -> float:
+    """Tr(exp(-beta H)) / N of a dense Hermitian matrix, by diagonalization."""
+    vals = eigh_decompose(np.asarray(h)).eigenvalues
+    return float(np.mean(np.exp(-beta * vals)))
 
 
 def direct_poly_apply(p: LaurentPoly, u: np.ndarray) -> np.ndarray:
@@ -121,12 +161,12 @@ def trace_bound_check(
     """
     plan = build_plan(h.n_terms, order)
     h_dense = h.dense()
-    z_ref = exact_partition(h_dense, beta)
+    z_ref = dense_partition(h_dense, beta)
     rows = []
     for tau in np.asarray(tau_grid, dtype=float):
         eff = effective_hamiltonian(h, 1.0, float(tau), plan)
         err_norm = spectral_norm(eff.matrix - h_dense)
-        lhs = abs(exact_partition(eff.matrix, beta))
+        lhs = abs(dense_partition(eff.matrix, beta))
         rhs = math.exp(beta * err_norm) * z_ref
         if lhs > rhs * (1.0 + TRACE_BOUND_SLACK):
             raise PipelineError(

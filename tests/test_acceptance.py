@@ -45,9 +45,7 @@ def _r2(x, y):
 def _syk_rescaled(n, seed, one_norm):
     h = build_syk_hamiltonian(sample_syk(n, seed=seed))
     factor = one_norm / h.one_norm
-    return HamiltonianTerms(
-        h.n_qubits, [(c * factor, s) for c, s in h.terms], provenance=h.provenance
-    )
+    return HamiltonianTerms(h.n_qubits, [(c * factor, s) for c, s in h.terms])
 
 
 def test_criterion_01_trotter_order_law(criterion_report):

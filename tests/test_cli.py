@@ -6,7 +6,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -490,7 +492,7 @@ def test_lwf_convergence_matches_golden_artifacts(tmp_path, capsys):
 )
 def test_command_matches_golden_artifacts(command, config, names, tmp_path, capsys):
     # tests/golden/<config>/ pins configs/<config>.json byte for byte;
-    # trotter-order runs through the Schur decomposition and expm of linalg.
+    # trotter-order runs through the Schur decomposition of linalg.
     path = CONFIG_DIR / f"{config}.json"
     rc, _ = run_cli(capsys, command, "--config", str(path), "--out", str(tmp_path))
     assert rc == 0
@@ -768,6 +770,12 @@ def test_lwf_convergence_accepts_range_edges(tmp_path, capsys):
         ("pipeline", {"model": {"kind": "syk", "n_majorana": 8, "seed": 7, "one_norm": -1.0}},
          "'one_norm' must be >= 0"),
         ("trotter-order", {"model": {"kind": "syk", "one_norm": -64.0}}, "'one_norm' must be >= 0"),
+        # Exited 3 with a bare "ValueError: order must be 1 or even".
+        ("pipeline", {"order": 3}, "order"),
+        ("pipeline", {"order": 0}, "order"),
+        ("pipeline", {"order": -2}, "order"),
+        # Exited 3 from node 1: amplitude estimation refuses eps below its floor.
+        ("pipeline", {"mode": "sampled", "eps_stat": 1e-7}, "EPS_FLOOR"),
     ],
     ids=repr,
 )
@@ -779,6 +787,32 @@ def test_out_of_range_value_is_config_error(command, doc, key, tmp_path, capsys)
     assert payload["error"]["type"] == "config"
     assert key in payload["error"]["message"]
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_eps_stat_below_the_floor_runs_outside_sampled_mode(tmp_path, capsys):
+    # Only amplitude estimation reads eps_stat as a precision; the ledger takes any.
+    cfg = write_config(tmp_path, "cfg.json", {"mode": "exact", "eps_stat": 1e-7})
+    rc, payload = run_cli(capsys, "pipeline", "--config", cfg, "--out", str(tmp_path / "r"))
+    assert rc == 0, payload
+
+
+def test_overflowing_node_trace_exits_3_with_empty_stderr(tmp_path):
+    # Two "overflow encountered in exp" warnings used to reach stderr.
+    doc = {"model": {"kind": "syk", "n_majorana": 4, "seed": 7, "one_norm": 2.5},
+           "beta": 700.0, "mode": "exact", "base_step": 0.01}
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    proc = subprocess.run(
+        [sys.executable, "-m", "trottergibbs.cli", "pipeline", "--config", cfg,
+         "--out", str(tmp_path / "r")],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == {"error": {
+        "type": "PipelineError",
+        "message": "node 1 (s_k=+0.923880): trace Z/N is not a finite float at beta=700.0",
+    }}
 
 
 # Documents across the regimes `pipeline` must either run or refuse: SYK and

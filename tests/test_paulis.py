@@ -118,8 +118,8 @@ def test_commutes_exhaustive_two_qubits():
 
 
 def test_commutes_ignores_phase():
-    a = PauliString.from_label("XY", phase=1j)
-    b = PauliString.from_label("XY", phase=-1)
+    a = PauliString(2, "XY", 1j)
+    b = PauliString(2, "XY", -1)
     assert pauli_commutes(a, b)
 
 
@@ -134,7 +134,7 @@ def test_to_dense_zx():
 
 
 def test_to_dense_phase():
-    got = to_dense(PauliString.from_label("Y", phase=1j))
+    got = to_dense(PauliString(1, "Y", 1j))
     expected = 1j * SINGLE["Y"]
     assert np.array_equal(got, expected)
 

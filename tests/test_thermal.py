@@ -505,9 +505,10 @@ def test_amplitude_estimate_reports_schedule():
     assert 0.0 <= est.p0_hat <= 1.0
 
 
-def test_amplitude_estimate_flags_exhausted_rounds():
+def test_amplitude_estimate_flags_exhausted_rounds(monkeypatch):
     assert amplitude_estimate(0.3, 0.01, seed=4).converged
-    est = amplitude_estimate(0.3, 0.01, seed=4, schedule=EstimationSchedule(max_rounds=1))
+    monkeypatch.setattr(thermal, "MAX_ROUNDS", 1)
+    est = amplitude_estimate(0.3, 0.01, seed=4)
     assert est.rounds == 1
     assert not est.converged
 

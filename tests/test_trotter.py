@@ -30,14 +30,21 @@ from trottergibbs.trotter import (
     trotter_error_norm,
 )
 
-from oracles import commuting_runs, fit_slope, pauli_model, random_pauli_model, to_dense
+from oracles import (
+    commuting_runs,
+    fit_slope,
+    pauli_model,
+    random_pauli_model,
+    suzuki_stages,
+    to_dense,
+)
 
 
 def product_oracle(h, t, plan):
-    """Left-to-right product of stage exponentials, built independently."""
+    """Left-to-right product of the flat circuit's stage exponentials, built independently."""
     mats = [c * to_dense(p) for c, p in h.terms]
     u = np.eye(2**h.n_qubits, dtype=complex)
-    for idx, frac in plan.stages:
+    for idx, frac in suzuki_stages(plan.n_terms, plan.order):
         u = u @ scipy.linalg.expm(1j * mats[idx] * frac * t)
     return u
 
@@ -107,38 +114,40 @@ def test_suzuki_u_domain():
 
 def test_build_plan_first_order():
     plan = build_plan(3, 1)
-    assert plan.stages == ((0, 1.0), (1, 1.0), (2, 1.0))
-    assert plan.n_stages == 3
+    assert (plan.order, plan.n_terms, plan.n_stages) == (1, 3, 3)
+    assert suzuki_stages(3, 1) == ((0, 1.0), (1, 1.0), (2, 1.0))
 
 
 def test_build_plan_second_order_palindrome():
-    plan = build_plan(2, 2)
-    assert plan.stages == ((0, 0.5), (1, 0.5), (1, 0.5), (0, 0.5))
-    idx = [i for i, _ in plan.stages]
+    stages = suzuki_stages(2, 2)
+    assert stages == ((0, 0.5), (1, 0.5), (1, 0.5), (0, 0.5))
+    idx = [i for i, _ in stages]
     assert idx == idx[::-1]
 
 
 def test_build_plan_stage_counts():
+    # The closed form counts the flat circuit's stages.
     for n_terms in (2, 3, 5):
         assert build_plan(n_terms, 1).n_stages == n_terms
         assert build_plan(n_terms, 2).n_stages == 2 * n_terms
         assert build_plan(n_terms, 4).n_stages == 10 * n_terms
         assert build_plan(n_terms, 6).n_stages == 50 * n_terms
+        for order in (1, 2, 4, 6, 8):
+            assert build_plan(n_terms, order).n_stages == len(suzuki_stages(n_terms, order))
 
 
 def test_build_plan_fourth_order_fractions():
-    plan = build_plan(2, 4)
     u = suzuki_u(2)
     # Five second-order blocks scaled by (u, u, 1-4u, u, u).
-    fracs = sorted({round(f, 14) for _, f in plan.stages})
+    fracs = sorted({round(f, 14) for _, f in suzuki_stages(2, 4)})
     expected = sorted({round(v, 14) for v in (0.5 * u, 0.5 * (1 - 4 * u))})
     assert fracs == expected
 
 
 def fraction_sums(plan):
-    """Per-term sums of a plan's stage fractions; each must be 1."""
+    """Per-term sums of the flat circuit's stage fractions; each must be 1."""
     sums = np.zeros(plan.n_terms)
-    for idx, frac in plan.stages:
+    for idx, frac in suzuki_stages(plan.n_terms, plan.order):
         sums[idx] += frac
     return sums
 
@@ -296,7 +305,7 @@ def test_order1_on_reordered_model_is_product_of_group_exponentials(model, t):
 @pytest.mark.parametrize("order, share", [(1, 1.0), (2, 1.0), (4, 2 / 5), (6, 4 / 25)])
 def test_recursion_runs_a_share_of_the_flat_stages(monkeypatch, order, share):
     # S_2l reuses its outer factor: 2^(l-1) order-2 stage loops instead of
-    # the 5^(l-1) order-2 blocks in plan.stages, which stays the circuit.
+    # the 5^(l-1) order-2 blocks of the circuit that plan.n_stages counts.
     run_stages = trotter._run_stages
     updates = []
 
@@ -355,8 +364,7 @@ def test_apply_formula_refuses_non_hermitian_terms():
 
 def test_stage_weight_is_absolute_fraction_sum():
     for order in (1, 2, 4, 6):
-        plan = build_plan(1, order)
-        want = sum(abs(f) for _, f in plan.stages)
+        want = sum(abs(f) for _, f in suzuki_stages(1, order))
         assert stage_weight(order) == pytest.approx(want, rel=1e-13)
     assert stage_weight(4) == pytest.approx(8 * suzuki_u(2) - 1, rel=1e-15)
 
