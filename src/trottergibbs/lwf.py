@@ -72,10 +72,10 @@ def _lgam(x: float) -> float:
     return q + poly / x
 
 
-@functools.lru_cache(maxsize=2)
-def _log_factorials(order: int) -> np.ndarray:
-    """Read-only table of log n!, n = 0..order; callers pass max(order, ARCSIN_CAP)."""
-    table = np.array([_lgam(n + 1.0) for n in range(order + 1)])
+@functools.cache
+def _log_factorials() -> np.ndarray:
+    """Read-only table of log n!, n = 0..ARCSIN_CAP."""
+    table = np.array([_lgam(n + 1.0) for n in range(ARCSIN_CAP + 1)])
     table.flags.writeable = False
     return table
 
@@ -146,20 +146,20 @@ def taylor_order(beta: float, eps: float) -> int:
     return k
 
 
-@functools.lru_cache(maxsize=2)
-def _arcsin_base(order: int) -> np.ndarray:
-    """Read-only series of (2/pi) arcsin(y) up to y^order; every order tried slices it.
+@functools.cache
+def _arcsin_base() -> np.ndarray:
+    """Read-only series of (2/pi) arcsin(y) up to y^ARCSIN_CAP; every order tried slices it.
 
     The odd coefficient of y^(2j+1) is (2/pi) C(2j, j) / (4^j (2j+1)).  Its
     log reads log (2j)! and log j! from the ``_log_factorials`` table;
     ``math.log`` and ``math.exp`` stay per element, since numpy's may differ
     from them in the last bit.
     """
-    log_fact = _log_factorials(order)
-    j = np.arange((order + 1) // 2)
+    log_fact = _log_factorials()
+    j = np.arange((ARCSIN_CAP + 1) // 2)
     odd = 2 * j + 1
     log_c = log_fact[2 * j] - 2 * log_fact[j] - j * 2 * LN2 - [math.log(v) for v in odd]
-    base = np.zeros(order + 1)
+    base = np.zeros(ARCSIN_CAP + 1)
     base[1::2] = [(2.0 / math.pi) * math.exp(v) for v in log_c]
     base.flags.writeable = False
     return base
@@ -226,7 +226,7 @@ def _arcsin_pass(ts: TaylorSeries, delta: float, order: int) -> tuple[np.ndarray
     and the l1 mass the truncation leaves behind on the window, where
     y <= y_max = cos(pi delta / 2) and ((2/pi) arcsin(y_max))^k = (1 - delta)^k.
     """
-    base = _arcsin_base(max(order, ARCSIN_CAP))[: order + 1]
+    base = _arcsin_base()[: order + 1]
     damp = math.cos(math.pi * delta / 2.0) ** np.arange(order + 1)
     acc = np.zeros(order + 1)
     acc[0] = 1.0
@@ -286,7 +286,7 @@ def _assemble(combined: np.ndarray, m_cut: int) -> tuple[np.ndarray, float]:
     outside the window.
     """
     order = len(combined) - 1
-    log_fact = _log_factorials(max(order, ARCSIN_CAP))
+    log_fact = _log_factorials()
     i_pow = np.array([1, 1j, -1, -1j])  # exact powers of i
 
     def pmf(l, j):  # binom(l, j) / 2^l

@@ -32,10 +32,10 @@ from .thermal import (
     fourier_window,
 )
 from .trotter import (  # noqa: F401  (effective_hamiltonian: perfbench probes it here)
-    FormulaPlan,
-    build_plan,
+    check_order,
     effective_hamiltonian,
     node_spectrum,
+    stage_count,
     stage_weight,
 )
 
@@ -89,7 +89,7 @@ class PipelineConfig:
             raise ValueError(
                 f"unknown mode {self.mode!r}; expected one of {PIPELINE_MODES}"
             )
-        build_plan(self.model.n_terms, self.order)  # refuses an order other than 1 or even
+        check_order(self.order)
         if self.mode == "sampled" and self.eps_stat < EPS_FLOOR:
             raise ValueError(
                 f"eps_stat {self.eps_stat!r} is below thermal.EPS_FLOOR = {EPS_FLOOR:g}, "
@@ -123,7 +123,7 @@ class NodeRecord:
     """One node's trace evaluation, in both shift conventions.
 
     ``depth`` counts elementary Trotter stages of the realized circuit,
-    the plan's stages times the oracle's ``trotter_steps``; it is 0 for
+    the formula's stages times the oracle's ``trotter_steps``; it is 0 for
     nodes evaluated by direct diagonalization and for beta = 0, where the
     block is the identity and no circuit exists.
     ``diagnostics`` holds ``block_deviation``, ``fourier_m`` and ``q`` in
@@ -160,9 +160,6 @@ class NodeRecord:
 class PartitionResult:
     """Extrapolated partition estimate with per-node diagnostics."""
 
-    beta: float
-    mode: str
-    m_cheb: int
     nodes: list[NodeRecord]
     extrapolated: float
     extrapolated_exact: float
@@ -174,7 +171,7 @@ class PartitionResult:
         return "\n".join(json.dumps(r.json_record()) for r in self.nodes)
 
 
-def _node_fields(cfg: PipelineConfig, plan: FormulaPlan, s: float) -> dict:
+def _node_fields(cfg: PipelineConfig, s: float) -> dict:
     """The record fields node s shares with its mirror -s under an even order.
 
     Every mode reads its node from one spectrum, the eigenphases of
@@ -182,19 +179,19 @@ def _node_fields(cfg: PipelineConfig, plan: FormulaPlan, s: float) -> dict:
     modes evaluate their circuit on the same eigenvalues, one 2x2 cell each,
     and read p0_hat off the block.
     """
-    spectrum = node_spectrum(cfg.model, s, cfg.base_step, plan)
+    tau = s * cfg.base_step
+    spectrum = node_spectrum(cfg.model, tau, cfg.order)
     exact = exact_p0(spectrum, cfg.beta)
     fields = {"p0_exact": exact.p0, "z_exact": exact.z_over_n}
     if cfg.mode in MODES:
-        oracle = boltzmann_oracle(
-            spectrum, s * cfg.base_step, cfg.beta, cfg.mode, eps_qsp=cfg.eps_qsp
-        )
+        oracle = boltzmann_oracle(spectrum, tau, cfg.beta, cfg.mode, eps_qsp=cfg.eps_qsp)
         keys = ("block_deviation", "fourier_m", "q")
         return {
             **fields,
             "beta_k": oracle.beta_k,
             "p0_hat": oracle.p0,
-            "depth": plan.n_stages * oracle.diagnostics["trotter_steps"],
+            "depth": stage_count(cfg.order, cfg.model.n_terms)
+            * oracle.diagnostics["trotter_steps"],
             "diagnostics": {key: oracle.diagnostics[key] for key in keys},
         }
     return {**fields, "beta_k": cfg.beta, "p0_hat": exact.p0, "depth": 0, "diagnostics": {}}
@@ -211,7 +208,6 @@ def run_pipeline(cfg: PipelineConfig) -> PartitionResult:
     finite float is one.
     """
     grid = cheb_grid(cfg.m_cheb)
-    plan = build_plan(cfg.model.n_terms, cfg.order)
     shift = math.exp(cfg.beta)
     shared: list[dict] = []
     nodes: list[NodeRecord] = []
@@ -222,7 +218,7 @@ def run_pipeline(cfg: PipelineConfig) -> PartitionResult:
             if cfg.order % 2 == 0 and mirror < k:
                 shared.append(shared[mirror])
             else:
-                shared.append(_node_fields(cfg, plan, s_k))
+                shared.append(_node_fields(cfg, s_k))
             record = {**shared[k], "queries": 0}
             if cfg.mode == "sampled":
                 est = amplitude_estimate(
@@ -260,9 +256,6 @@ def run_pipeline(cfg: PipelineConfig) -> PartitionResult:
     cost = cost_model(cfg, grid, [r.depth for r in nodes], z_exact)
     cost["total_queries"] = int(sum(r.queries for r in nodes))
     return PartitionResult(
-        beta=cfg.beta,
-        mode=cfg.mode,
-        m_cheb=cfg.m_cheb,
         nodes=nodes,
         extrapolated=extrapolated,
         extrapolated_exact=extrapolated_exact,

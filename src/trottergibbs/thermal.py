@@ -142,14 +142,14 @@ class BoltzmannOracle:
     """Subnormalized block operator on the (C, A) registers, per eigenvalue.
 
     ``cells[j]`` is the 2x2 ancilla unitary the circuit applies on the
-    eigenvector of H_eff with eigenvalue ``spectrum[j]``.  Its C=0 entry b_j
-    is ``scale`` e^{-beta(lambda_j+1)/2} up to the Fourier error; ``scale``
-    is a known classical factor divided out downstream.
+    eigenvector of H_eff with eigenvalue lambda_j, entry j of the spectrum
+    the oracle was built from.  Its C=0 entry b_j is ``scale``
+    e^{-beta(lambda_j+1)/2} up to the Fourier error; ``scale`` is a known
+    classical factor divided out downstream.
     """
 
     beta_k: float
     scale: float
-    spectrum: np.ndarray
     cells: np.ndarray  # shape (N, 2, 2)
     diagnostics: dict
 
@@ -163,9 +163,9 @@ def boltzmann_oracle(
     spectrum: np.ndarray,
     tau: float,
     beta: float,
-    mode: str = "gqsp",
+    mode: str,
     *,
-    eps_qsp: float = 1e-6,
+    eps_qsp: float,
 ) -> BoltzmannOracle:
     """Realize the Boltzmann block from the spectrum of H_eff at step tau.
 
@@ -213,7 +213,7 @@ def boltzmann_oracle(
     assert_unitary(cells, what="Boltzmann cell")
     if not (deviation := diagnostics["block_deviation"]) <= eps_qsp:  # NaN is refused too
         raise OracleError(f"block_deviation {deviation:.3e} exceeds eps_qsp {eps_qsp:.3e}")
-    return BoltzmannOracle(beta_k, scale, spectrum, cells, diagnostics)
+    return BoltzmannOracle(beta_k, scale, cells, diagnostics)
 
 
 @dataclass(frozen=True)
@@ -254,11 +254,8 @@ class TraceEstimate:
 
     p0_hat: float
     a0_hat: float
-    eps: float
     queries: int
-    seed: int
     rounds: int
-    confidence: float
     converged: bool  # False when MAX_ROUNDS ran out before the interval closed
     clamped: bool  # True when every shot missed or every shot hit: a0_hat is set to 0 or 1
 
@@ -357,11 +354,8 @@ def amplitude_estimate(
     return TraceEstimate(
         p0_hat=a0_hat**2,
         a0_hat=a0_hat,
-        eps=eps,
         queries=queries,
-        seed=seed,
         rounds=rounds,
-        confidence=1.0 - sched.alpha,
         converged=converged,
         clamped=clamped,
     )

@@ -21,14 +21,13 @@ that the recursion is evaluated with reuse: S_{2l-2}(u_l t) is built once
 and squared, so an order-2l formula costs 2^(l-1) order-2 stage loops plus
 a few block matmuls per recursion level, where the circuit it stands for
 has 5^(l-1) order-2 blocks, 2 Gamma 5^(l-1) stages over Gamma terms
-(``FormulaPlan.n_stages``, which depth and cost count).  Even-order
+(``stage_count``, which node depth counts).  Even-order
 formulas are symmetric, S_p(-t) = S_p(t)^dag, so H_eff(-t) = H_eff(t).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,28 +54,17 @@ def suzuki_u(l: int) -> float:
     return 1.0 / (4.0 - 4.0 ** (1.0 / (2 * l - 1)))
 
 
-@dataclass(frozen=True)
-class FormulaPlan:
-    """A product formula: its order and the number of terms it cycles through."""
-
-    order: int
-    n_terms: int
-
-    @property
-    def n_stages(self) -> int:
-        """Stages of the circuit: Gamma at order 1, 2 Gamma 5^(l-1) at order 2l."""
-        if self.order == 1:
-            return self.n_terms
-        return 2 * self.n_terms * 5 ** (self.order // 2 - 1)
-
-
-def build_plan(n_terms: int, order: int) -> FormulaPlan:
-    """Plan of the given order (1, 2, or any even order)."""
-    if n_terms < 1:
-        raise ValueError("need at least one term")
+def check_order(order: int) -> None:
+    """Refuse a formula order other than 1 or even."""
     if order < 1 or (order > 1 and order % 2):
         raise ValueError(f"order must be 1 or even, got {order}")
-    return FormulaPlan(order, n_terms)
+
+
+def stage_count(order: int, n_terms: int) -> int:
+    """Stages of the circuit: Gamma at order 1, 2 Gamma 5^(l-1) at order 2l."""
+    if order == 1:
+        return n_terms
+    return 2 * n_terms * 5 ** (order // 2 - 1)
 
 
 def stage_weight(order: int) -> float:
@@ -90,7 +78,7 @@ def stage_weight(order: int) -> float:
     return weight
 
 
-def apply_formula(h: HamiltonianTerms, t: float, plan: FormulaPlan) -> np.ndarray:
+def apply_formula(h: HamiltonianTerms, t: float, order: int) -> np.ndarray:
     """Dense unitary of the product formula at time t.
 
     Stages are multiplied left to right: the first stage is the leftmost
@@ -98,7 +86,7 @@ def apply_formula(h: HamiltonianTerms, t: float, plan: FormulaPlan) -> np.ndarra
     ``syk.group_commuting`` applies each commuting group's members one
     after another, which is the group's exact exponential.
 
-    Orders 1 and 2 run their stage list in one stage loop (``_run_stages``):
+    Orders 1 and 2 run their stage list in one stage loop (``_stage_loop``):
     every term at fraction 1, or every term at 1/2 forward and then in
     reverse (the midpoint left unmerged).  Order 2l >= 4 runs the Suzuki
     recursion with reuse (``_suzuki_blocks``) on the order-2 list: 2^(l-1)
@@ -113,8 +101,7 @@ def apply_formula(h: HamiltonianTerms, t: float, plan: FormulaPlan) -> np.ndarra
     a sector b is fixed by b >> 1, so row i mixes with row i ^ (x >> 1).
     Any parity-flipping term leaves one block of size d.
     """
-    if plan.n_terms != h.n_terms:
-        raise ValueError(f"plan built for {plan.n_terms} terms, model has {h.n_terms}")
+    check_order(order)
     check_dense_cap(h.n_qubits)
     if any(s.phase.imag for _, s in h.terms):
         raise ValueError("every term must be Hermitian (string phase +1 or -1)")
@@ -124,12 +111,12 @@ def apply_formula(h: HamiltonianTerms, t: float, plan: FormulaPlan) -> np.ndarra
     states = np.argsort(-signs, kind="stable") if split else np.arange(signs.size)
     blocks = states.reshape(1 + split, -1)
     loop = ([c for c, _ in h.terms], x >> split, z, q, signs, states, 1 + split)
-    if plan.order == 1:
-        leaf = [(g, 1.0) for g in range(plan.n_terms)]
+    if order == 1:
+        leaf = [(g, 1.0) for g in range(h.n_terms)]
     else:
-        half = [(g, 0.5) for g in range(plan.n_terms)]
+        half = [(g, 0.5) for g in range(h.n_terms)]
         leaf = half + half[::-1]
-    ut = _suzuki_blocks(loop, leaf, plan.order, t, None)
+    ut = _suzuki_blocks(loop, leaf, order, t, None)
     # Row r of block k holds entries (blocks[k, r], blocks[k, c]) of U^T.
     u = np.zeros((states.size, states.size), dtype=complex)
     u[blocks[:, None, :], blocks[:, :, None]] = ut
@@ -147,7 +134,7 @@ def _suzuki_blocks(
     module-level function, so the recursion leaves no reference cycle.
     """
     if order <= 2:
-        return _run_stages(loop, leaf, t, start)
+        return _stage_loop(loop, leaf, t, start)
     u = suzuki_u(order // 2)
     outer = _suzuki_blocks(loop, leaf, order - 2, u * t, None)
     square = outer @ outer
@@ -155,9 +142,7 @@ def _suzuki_blocks(
     return square @ _suzuki_blocks(loop, leaf, order - 2, (1.0 - 4.0 * u) * t, middle)
 
 
-def _run_stages(
-    loop: tuple, stages: list, t: float, start: np.ndarray | None
-) -> np.ndarray:
+def _stage_loop(loop: tuple, stages: list, t: float, start: np.ndarray | None) -> np.ndarray:
     """Blocks of S(t)^T @ start for one stage list S, start None the identity.
 
     Right-multiplying U by cos(a) I + i sin(a) P mixes column b of U with
@@ -195,56 +180,37 @@ def _run_stages(
     return ut.reshape(n_blocks, size, size)
 
 
-@dataclass
-class EffectiveHamiltonian:
-    """H_eff = log(S_p(tau)) / (i tau), symmetrized and checked."""
-
-    matrix: np.ndarray
-    tau: float
-
-
-def effective_hamiltonian(
-    h: HamiltonianTerms, s: float, t: float, plan: FormulaPlan
-) -> EffectiveHamiltonian:
-    """Effective Hamiltonian of the formula at tau = s * t.
+def effective_hamiltonian(h: HamiltonianTerms, tau: float, order: int) -> np.ndarray:
+    """H_eff = log(S_p(tau)) / (i tau), symmetrized and checked.
 
     The principal log is safe as long as all eigenphases of S_p(tau) stay
     off the -pi cut; with one-norm <= 1 models and |tau| < pi that holds
     with margin.
     """
-    tau = s * t
     if tau == 0.0:
-        raise ValueError("tau = s*t must be nonzero")
-    u = apply_formula(h, tau, plan)
-    log_u = matrix_log_unitary(u)
-    h_eff = log_u / (1j * tau)
-    h_eff = hermitian_part(h_eff, what="effective Hamiltonian")
-    return EffectiveHamiltonian(h_eff, tau)
+        raise ValueError("tau must be nonzero")
+    log_u = matrix_log_unitary(apply_formula(h, tau, order))
+    return hermitian_part(log_u / (1j * tau), what="effective Hamiltonian")
 
 
-def node_spectrum(
-    h: HamiltonianTerms, s: float, t: float, plan: FormulaPlan
-) -> np.ndarray:
-    """Sorted eigenvalues of H_eff at tau = s * t, without forming H_eff.
+def node_spectrum(h: HamiltonianTerms, tau: float, order: int) -> np.ndarray:
+    """Sorted eigenvalues of H_eff at step tau, without forming H_eff.
 
     They are the principal eigenphases of S_p(tau) divided by tau, under
     the same unitarity, unit-circle and branch-cut checks as
     ``effective_hamiltonian``.  The spectrum does not depend on beta, so it
-    is kept on ``h`` under (tau, plan) and returned read-only: a beta
+    is kept on ``h`` under (tau, order) and returned read-only: a beta
     sweep on one model builds each formula once.
     """
-    tau = s * t
     if tau == 0.0:
-        raise ValueError("tau = s*t must be nonzero")
+        raise ValueError("tau must be nonzero")
 
     def compute() -> np.ndarray:
-        u = apply_formula(h, tau, plan)
-        return np.sort(unitary_eigenphases(u) / tau)
+        return np.sort(unitary_eigenphases(apply_formula(h, tau, order)) / tau)
 
-    return h.kept((tau, plan), compute)
+    return h.kept((tau, order), compute)
 
 
-def trotter_error_norm(h: HamiltonianTerms, tau: float, plan: FormulaPlan) -> float:
+def trotter_error_norm(h: HamiltonianTerms, tau: float, order: int) -> float:
     """Spectral norm of H_eff(tau) - H."""
-    eff = effective_hamiltonian(h, 1.0, tau, plan)
-    return spectral_norm(eff.matrix - h.dense())
+    return spectral_norm(effective_hamiltonian(h, tau, order) - h.dense())

@@ -15,12 +15,12 @@ import numpy as np
 
 from trottergibbs.gqsp import GqspAngles, LaurentPoly, gqsp_apply
 from trottergibbs.linalg import eigh_decompose, spectral_norm
-from trottergibbs.lwf import ARCSIN_CAP, _arcsin_base
+from trottergibbs.lwf import _arcsin_base
 from trottergibbs.paulis import PauliString, pauli_commutes
 from trottergibbs.pipeline import PipelineError
 from trottergibbs.syk import HamiltonianTerms, build_syk_hamiltonian, normalize_one_norm, sample_syk
 from trottergibbs.thermal import BoltzmannOracle, boltzmann_oracle
-from trottergibbs.trotter import EffectiveHamiltonian, build_plan, effective_hamiltonian, suzuki_u
+from trottergibbs.trotter import effective_hamiltonian, suzuki_u
 
 TRACE_BOUND_SLACK = 1e-10
 
@@ -59,7 +59,7 @@ def arcsin_series(k: int, order: int) -> np.ndarray:
     """
     if k < 0 or order < 0:
         raise ValueError("k and order must be >= 0")
-    base = _arcsin_base(max(order, ARCSIN_CAP))[: order + 1]
+    base = _arcsin_base()[: order + 1]
     out = np.zeros(order + 1)
     out[0] = 1.0
     for _ in range(k):
@@ -125,15 +125,19 @@ class DenseBoltzmannOracle(BoltzmannOracle):
 
 
 def build_u_boltz(
-    h_eff: EffectiveHamiltonian,
+    h_eff: np.ndarray,
+    tau: float,
     beta: float,
     mode: str = "gqsp",
     *,
     eps_qsp: float = 1e-6,
 ) -> DenseBoltzmannOracle:
-    """``boltzmann_oracle`` on H_eff as a matrix; its eigenvectors become the ``basis``."""
-    dec = eigh_decompose(h_eff.matrix)
-    oracle = boltzmann_oracle(dec.eigenvalues, h_eff.tau, beta, mode, eps_qsp=eps_qsp)
+    """``boltzmann_oracle`` on the matrix H_eff at step tau.
+
+    The eigenvectors of H_eff become the ``basis``.
+    """
+    dec = eigh_decompose(h_eff)
+    oracle = boltzmann_oracle(dec.eigenvalues, tau, beta, mode, eps_qsp=eps_qsp)
     return DenseBoltzmannOracle(**vars(oracle), basis=dec.eigenvectors)
 
 
@@ -159,14 +163,13 @@ def trace_bound_check(
     Each row carries (tau, lhs, rhs, error norm, tightness ratio); a
     violated inequality raises.
     """
-    plan = build_plan(h.n_terms, order)
     h_dense = h.dense()
     z_ref = dense_partition(h_dense, beta)
     rows = []
     for tau in np.asarray(tau_grid, dtype=float):
-        eff = effective_hamiltonian(h, 1.0, float(tau), plan)
-        err_norm = spectral_norm(eff.matrix - h_dense)
-        lhs = abs(dense_partition(eff.matrix, beta))
+        h_eff = effective_hamiltonian(h, float(tau), order)
+        err_norm = spectral_norm(h_eff - h_dense)
+        lhs = abs(dense_partition(h_eff, beta))
         rhs = math.exp(beta * err_norm) * z_ref
         if lhs > rhs * (1.0 + TRACE_BOUND_SLACK):
             raise PipelineError(
@@ -230,9 +233,9 @@ def pauli_model(labels, coeffs):
 
 
 def syk_effective(n_majorana, beta_seed, tau=0.3, order=2):
+    """H_eff at step tau of a one-norm-1 SYK draw."""
     h, _ = normalize_one_norm(build_syk_hamiltonian(sample_syk(n_majorana, seed=beta_seed)))
-    plan = build_plan(h.n_terms, order)
-    return effective_hamiltonian(h, 1.0, tau, plan)
+    return effective_hamiltonian(h, tau, order)
 
 
 def random_laurent(rng, m, head=0.9):

@@ -17,7 +17,7 @@ from trottergibbs.lwf import gibbs_fourier
 from trottergibbs.pipeline import PipelineConfig, ancilla_savings, run_pipeline
 from trottergibbs.syk import HamiltonianTerms, build_syk_hamiltonian, normalize_one_norm, sample_syk
 from trottergibbs.thermal import amplitude_estimate
-from trottergibbs.trotter import build_plan, trotter_error_norm
+from trottergibbs.trotter import trotter_error_norm
 
 from oracles import (
     build_u_boltz,
@@ -62,8 +62,7 @@ def test_criterion_01_trotter_order_law(criterion_report):
     try:
         for name, model in (("syk8", syk), ("rand3", rand3)):
             for order, tol in ((1, 0.1), (2, 0.1), (4, 0.2)):
-                plan = build_plan(model.n_terms, order)
-                errs = [trotter_error_norm(model, float(t), plan) for t in taus]
+                errs = [trotter_error_norm(model, float(t), order) for t in taus]
                 s = fit_slope(np.log(taus), np.log(errs))
                 slopes[f"{name}/p{order}"] = round(s, 3)
                 if abs(s - order) > tol:
@@ -161,9 +160,9 @@ def test_criterion_04_boltzmann_block_accuracy(criterion_report):
     try:
         for n in (4, 8):
             eff = syk_effective(n, beta_seed=7)
-            vals, vecs = np.linalg.eigh(eff.matrix)
+            vals, vecs = np.linalg.eigh(eff)
             for beta in (1.0, 2.0):
-                oracle = build_u_boltz(eff, beta, mode="gqsp", eps_qsp=eps_qsp)
+                oracle = build_u_boltz(eff, 0.3, beta, mode="gqsp", eps_qsp=eps_qsp)
                 want = (vecs * np.exp(-beta * (vals + 1.0) / 2.0)) @ vecs.conj().T
                 dev = float(np.max(np.abs(oracle.normalized_block - want)))
                 worst = max(worst, dev)

@@ -789,6 +789,21 @@ def test_out_of_range_value_is_config_error(command, doc, key, tmp_path, capsys)
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_both_order_keys_refuse_with_one_rule(tmp_path, capsys):
+    # pipeline's order and each entry of trotter-order's orders go through trotter.check_order.
+    messages = []
+    for command, doc in (("pipeline", {"order": 3}), ("trotter-order", {"orders": [1, 3]})):
+        cfg = write_config(tmp_path, f"{command}.json", doc)
+        out = tmp_path / command
+        rc, payload = run_cli(capsys, command, "--config", cfg, "--out", str(out))
+        assert rc == 2 and payload["error"]["type"] == "config"
+        assert not any(out.iterdir())
+        messages.append(payload["error"]["message"])
+    rule = "order must be 1 or even, got 3"
+    assert messages[0] == rule
+    assert messages[1].endswith(rule)
+
+
 def test_eps_stat_below_the_floor_runs_outside_sampled_mode(tmp_path, capsys):
     # Only amplitude estimation reads eps_stat as a precision; the ledger takes any.
     cfg = write_config(tmp_path, "cfg.json", {"mode": "exact", "eps_stat": 1e-7})

@@ -25,7 +25,7 @@ from trottergibbs.syk import (
     normalize_one_norm,
     sample_syk,
 )
-from trottergibbs.trotter import build_plan, effective_hamiltonian
+from trottergibbs.trotter import effective_hamiltonian, stage_count
 
 from oracles import build_u_boltz, pauli_model, random_pauli_model, trace_bound_check
 
@@ -204,10 +204,10 @@ def test_block_node_matches_dense_reference(mode):
     model = syk_model(8, seed=4)
     cfg = PipelineConfig(model=model, beta=1.0, m_cheb=4, order=2, mode=mode)
     res = run_pipeline(cfg)
-    plan = build_plan(model.n_terms, cfg.order)
     for rec in res.nodes:
-        eff = effective_hamiltonian(model, rec.s_k, cfg.base_step, plan)
-        oracle = build_u_boltz(eff, cfg.beta, mode=mode, eps_qsp=cfg.eps_qsp)
+        tau = rec.s_k * cfg.base_step
+        eff = effective_hamiltonian(model, tau, cfg.order)
+        oracle = build_u_boltz(eff, tau, cfg.beta, mode=mode, eps_qsp=cfg.eps_qsp)
         b = oracle.normalized_block
         dense = float(np.real(np.trace(b.conj().T @ b)) / b.shape[0])
         assert rec.p0_hat == pytest.approx(dense, rel=1e-12)
@@ -324,7 +324,7 @@ def test_beta_sweep_reuses_spectra_of_one_model(monkeypatch):
     assert len({r.oracle for r in sweep}) == 3
 
     s_1 = float(cheb_grid(m_cheb).nodes[0])
-    spectrum = trotter.node_spectrum(model, s_1, 0.3, build_plan(model.n_terms, 2))
+    spectrum = trotter.node_spectrum(model, s_1 * 0.3, 2)
     assert calls["formula"] == m_cheb // 2
     with pytest.raises(ValueError):
         spectrum[0] = 0.0
@@ -343,6 +343,33 @@ def test_beta_sweep_reuses_spectra_of_one_model(monkeypatch):
         assert getattr(res, same) == pytest.approx(getattr(sweep[0], same), rel=1e-12)
 
 
+def test_spectra_of_one_model_are_kept_per_order(monkeypatch):
+    # An order-4 run after an order-2 sweep builds its own formulas; the kept
+    # order-2 spectra at the same steps must not stand in for them.
+    calls = []
+    apply_formula = trotter.apply_formula
+
+    def counted_formula(h, t, order):
+        calls.append(order)
+        return apply_formula(h, t, order)
+
+    monkeypatch.setattr(trotter, "apply_formula", counted_formula)
+    model = syk_model(8, seed=4)
+    for beta in (1.0, 2.0):
+        run_pipeline(PipelineConfig(model=model, beta=beta, order=2))
+    assert calls == [2, 2]
+    res = run_pipeline(PipelineConfig(model=model, beta=1.0, order=4))
+    assert calls == [2, 2, 4, 4]
+    fresh = run_pipeline(PipelineConfig(model=syk_model(8, seed=4), beta=1.0, order=4))
+    assert [r.z_exact for r in res.nodes] == [r.z_exact for r in fresh.nodes]
+    assert res.extrapolated == fresh.extrapolated
+
+
+def test_zero_term_model_is_the_zero_hamiltonian():
+    res = run_pipeline(PipelineConfig(model=HamiltonianTerms(2, []), beta=1.0))
+    assert res.extrapolated == res.oracle == 1.0
+
+
 def test_order4_depth_and_cost_count_the_flat_circuit():
     # The formula is simulated by the recursion with reuse, but depth and
     # cost still count every stage of the flat order-4 circuit (700 stages
@@ -350,7 +377,7 @@ def test_order4_depth_and_cost_count_the_flat_circuit():
     # node values Z_k, which move at rounding.
     model = syk_model(8, seed=7)
     res = run_pipeline(PipelineConfig(model=model, beta=1.0, order=4, mode="gqsp"))
-    assert build_plan(model.n_terms, 4).n_stages == 700
+    assert stage_count(4, model.n_terms) == 700
     assert [r.depth for r in res.nodes] == [371700, 867300, 867300, 371700]
     assert [r.diagnostics["q"] for r in res.nodes] == [3, 7, 7, 3]
     assert all(r.diagnostics["fourier_m"] == 88 for r in res.nodes)
@@ -522,7 +549,7 @@ def test_cost_scaling_in_order():
     # Lifting p from 2 to 4 multiplies the per-node stage count by five
     # (the recursion inserts five second-order blocks) and the analytic
     # depth factor 5^p by twenty-five.
-    assert build_plan(3, 4).n_stages == 5 * build_plan(3, 2).n_stages
+    assert stage_count(4, 3) == 5 * stage_count(2, 3)
     model = syk_model(4, seed=2)
     grid = cheb_grid(2)
     cost2 = cost_model(

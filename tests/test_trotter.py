@@ -22,9 +22,10 @@ from trottergibbs.syk import (
 )
 from trottergibbs.trotter import (
     apply_formula,
-    build_plan,
+    check_order,
     effective_hamiltonian,
     node_spectrum,
+    stage_count,
     stage_weight,
     suzuki_u,
     trotter_error_norm,
@@ -40,11 +41,11 @@ from oracles import (
 )
 
 
-def product_oracle(h, t, plan):
+def product_oracle(h, t, order):
     """Left-to-right product of the flat circuit's stage exponentials, built independently."""
     mats = [c * to_dense(p) for c, p in h.terms]
     u = np.eye(2**h.n_qubits, dtype=complex)
-    for idx, frac in suzuki_stages(plan.n_terms, plan.order):
+    for idx, frac in suzuki_stages(h.n_terms, order):
         u = u @ scipy.linalg.expm(1j * mats[idx] * frac * t)
     return u
 
@@ -113,8 +114,7 @@ def test_suzuki_u_domain():
 
 
 def test_build_plan_first_order():
-    plan = build_plan(3, 1)
-    assert (plan.order, plan.n_terms, plan.n_stages) == (1, 3, 3)
+    assert stage_count(1, 3) == 3
     assert suzuki_stages(3, 1) == ((0, 1.0), (1, 1.0), (2, 1.0))
 
 
@@ -128,12 +128,12 @@ def test_build_plan_second_order_palindrome():
 def test_build_plan_stage_counts():
     # The closed form counts the flat circuit's stages.
     for n_terms in (2, 3, 5):
-        assert build_plan(n_terms, 1).n_stages == n_terms
-        assert build_plan(n_terms, 2).n_stages == 2 * n_terms
-        assert build_plan(n_terms, 4).n_stages == 10 * n_terms
-        assert build_plan(n_terms, 6).n_stages == 50 * n_terms
+        assert stage_count(1, n_terms) == n_terms
+        assert stage_count(2, n_terms) == 2 * n_terms
+        assert stage_count(4, n_terms) == 10 * n_terms
+        assert stage_count(6, n_terms) == 50 * n_terms
         for order in (1, 2, 4, 6, 8):
-            assert build_plan(n_terms, order).n_stages == len(suzuki_stages(n_terms, order))
+            assert stage_count(order, n_terms) == len(suzuki_stages(n_terms, order))
 
 
 def test_build_plan_fourth_order_fractions():
@@ -144,10 +144,10 @@ def test_build_plan_fourth_order_fractions():
     assert fracs == expected
 
 
-def fraction_sums(plan):
+def fraction_sums(n_terms, order):
     """Per-term sums of the flat circuit's stage fractions; each must be 1."""
-    sums = np.zeros(plan.n_terms)
-    for idx, frac in suzuki_stages(plan.n_terms, plan.order):
+    sums = np.zeros(n_terms)
+    for idx, frac in suzuki_stages(n_terms, order):
         sums[idx] += frac
     return sums
 
@@ -155,31 +155,31 @@ def fraction_sums(plan):
 def test_build_plan_fraction_sums_to_one():
     for order in (1, 2, 4, 6):
         for n_terms in (2, 4):
-            sums = fraction_sums(build_plan(n_terms, order))
+            sums = fraction_sums(n_terms, order)
             assert np.allclose(sums, 1.0, atol=1e-12)
 
 
 def test_build_plan_rejects_bad_orders():
-    with pytest.raises(ValueError):
-        build_plan(2, 3)
-    with pytest.raises(ValueError):
-        build_plan(2, 0)
-    with pytest.raises(ValueError):
-        build_plan(0, 2)
+    for order in (3, 0, -2):
+        with pytest.raises(ValueError, match=f"order must be 1 or even, got {order}"):
+            check_order(order)
+    with pytest.raises(ValueError, match="order must be 1 or even, got 3"):
+        apply_formula(pauli_model(["XI", "IZ"], [0.2, 0.3]), 0.3, 3)
+    for order in (1, 2, 4, 6):
+        check_order(order)
 
 
 def test_apply_formula_single_term_is_exact():
     h = pauli_model(["ZZ"], [0.7])
     for order in (1, 2, 4):
-        plan = build_plan(1, order)
-        u = apply_formula(h, 0.9, plan)
+        u = apply_formula(h, 0.9, order)
         exact = scipy.linalg.expm(1j * 0.9 * h.dense())
         assert max_abs(u - exact) < 1e-12
 
 
 def test_apply_formula_zero_time():
     h = pauli_model(["XI", "ZZ"], [0.3, 0.4])
-    u = apply_formula(h, 0.0, build_plan(2, 2))
+    u = apply_formula(h, 0.0, 2)
     assert max_abs(u - np.eye(4)) < 1e-14
 
 
@@ -187,7 +187,7 @@ def test_apply_formula_commuting_terms_exact():
     h = pauli_model(["ZI", "ZZ"], [0.8, -0.5])
     exact = scipy.linalg.expm(1j * 0.6 * h.dense())
     for order in (1, 2, 4):
-        u = apply_formula(h, 0.6, build_plan(2, order))
+        u = apply_formula(h, 0.6, order)
         assert max_abs(u - exact) < 1e-10
 
 
@@ -195,16 +195,15 @@ def test_apply_formula_matches_stage_product_oracle():
     rng = np.random.default_rng(21)
     for _ in range(6):
         h = random_pauli_model(rng, 3, 4, scale=1.0)
-        plan = build_plan(4, 2)
         t = rng.uniform(-0.5, 0.5)
-        assert max_abs(apply_formula(h, t, plan) - product_oracle(h, t, plan)) < 1e-12
+        assert max_abs(apply_formula(h, t, 2) - product_oracle(h, t, 2)) < 1e-12
 
 
 def test_apply_formula_unitary():
     rng = np.random.default_rng(22)
     h = random_pauli_model(rng, 3, 5, scale=1.0)
     for order in (1, 2, 4):
-        u = apply_formula(h, 0.37, build_plan(5, order))
+        u = apply_formula(h, 0.37, order)
         assert max_abs(u @ u.conj().T - np.eye(8)) < 1e-10
 
 
@@ -213,9 +212,8 @@ def test_apply_formula_even_order_time_reversal():
     rng = np.random.default_rng(23)
     h = random_pauli_model(rng, 2, 3, scale=1.0)
     for order in (2, 4):
-        plan = build_plan(3, order)
-        fwd = apply_formula(h, 0.41, plan)
-        bwd = apply_formula(h, -0.41, plan)
+        fwd = apply_formula(h, 0.41, order)
+        bwd = apply_formula(h, -0.41, order)
         assert max_abs(bwd - fwd.conj().T) < 1e-12
 
 
@@ -234,9 +232,8 @@ def test_apply_formula_matches_product_oracle_property(model, order, reorder, t)
     h, keeps = model
     if reorder:
         h = group_commuting(h)
-    plan = build_plan(h.n_terms, order)
-    got = apply_formula(h, t, plan)
-    assert max_abs(got - product_oracle(h, t, plan)) < 1e-12
+    got = apply_formula(h, t, order)
+    assert max_abs(got - product_oracle(h, t, order)) < 1e-12
     if keeps:
         parity = np.array([bin(b).count("1") % 2 for b in range(2**h.n_qubits)])
         assert np.all(got[parity[:, None] != parity[None, :]] == 0.0)
@@ -245,8 +242,8 @@ def test_apply_formula_matches_product_oracle_property(model, order, reorder, t)
 SYK8 = normalize_one_norm(build_syk_hamiltonian(sample_syk(8, seed=7)))[0]
 
 
-def per_stage_run_stages(loop, stages, t, start):
-    """``trotter._run_stages`` with each stage building its own row index and factor."""
+def per_stage_loop(loop, stages, t, start):
+    """``trotter._stage_loop`` with each stage building its own row index and factor."""
     coeffs, shifted, z, q, signs, states, n_blocks = loop
     size = states.size // n_blocks
     rows = np.arange(states.size)
@@ -277,13 +274,12 @@ def test_apply_formula_is_bit_identical_to_the_per_stage_loop(model, order, chun
     # run stage loops on a start matrix.  Up to 80 stages per loop (140 for
     # SYK-8 at order 2) put stage counts on both sides of a chunk boundary.
     h, _ = model
-    plan = build_plan(h.n_terms, order)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(trotter, "_run_stages", per_stage_run_stages)
-        want = apply_formula(h, t, plan)
+        patch.setattr(trotter, "_stage_loop", per_stage_loop)
+        want = apply_formula(h, t, order)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trotter, "STAGE_CHUNK", chunk)
-        got = apply_formula(h, t, plan)
+        got = apply_formula(h, t, order)
     assert got.tobytes() == want.tobytes()
 
 
@@ -299,37 +295,35 @@ def test_order1_on_reordered_model_is_product_of_group_exponentials(model, t):
     want = np.eye(2**h.n_qubits, dtype=complex)
     for run in commuting_runs(h):
         want = want @ scipy.linalg.expm(1j * t * sum(mats[j] for j in run))
-    assert max_abs(apply_formula(h, t, build_plan(h.n_terms, 1)) - want) < 1e-12
+    assert max_abs(apply_formula(h, t, 1) - want) < 1e-12
 
 
 @pytest.mark.parametrize("order, share", [(1, 1.0), (2, 1.0), (4, 2 / 5), (6, 4 / 25)])
 def test_recursion_runs_a_share_of_the_flat_stages(monkeypatch, order, share):
     # S_2l reuses its outer factor: 2^(l-1) order-2 stage loops instead of
-    # the 5^(l-1) order-2 blocks of the circuit that plan.n_stages counts.
-    run_stages = trotter._run_stages
+    # the 5^(l-1) order-2 blocks of the circuit that stage_count counts.
+    stage_loop = trotter._stage_loop
     updates = []
 
     def counted(loop, stages, t, start):
         updates.append(len(stages))
-        return run_stages(loop, stages, t, start)
+        return stage_loop(loop, stages, t, start)
 
-    monkeypatch.setattr(trotter, "_run_stages", counted)
+    monkeypatch.setattr(trotter, "_stage_loop", counted)
     h = random_pauli_model(np.random.default_rng(29), 3, 4, scale=0.3)
-    plan = build_plan(h.n_terms, order)
-    apply_formula(h, 0.4, plan)
-    assert sum(updates) == share * plan.n_stages
+    apply_formula(h, 0.4, order)
+    assert sum(updates) == share * stage_count(order, h.n_terms)
     assert len(updates) == 2 ** max(0, order // 2 - 1)
 
 
 def test_apply_formula_leaves_no_reference_cycles():
     h = build_syk_hamiltonian(sample_syk(8, seed=3))
-    plans = [build_plan(h.n_terms, order) for order in (2, 4)]
-    apply_formula(h, 0.2, plans[0])  # fill the model's lazily built masks
+    apply_formula(h, 0.2, 2)  # fill the model's lazily built masks
     gc.collect()
     gc.disable()
     try:
-        for plan in plans:
-            apply_formula(h, 0.2, plan)
+        for order in (2, 4):
+            apply_formula(h, 0.2, order)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -344,22 +338,21 @@ def test_apply_formula_leaves_no_reference_cycles():
 )
 def test_node_spectrum_matches_effective_hamiltonian(h, order, s, sign):
     # |tau| * one-norm * stage_weight stays below 2.4, well inside the branch.
-    plan = build_plan(h.n_terms, order)
-    got = node_spectrum(h, sign * s, 0.4, plan)
-    eff = effective_hamiltonian(h, sign * s, 0.4, plan)
-    assert np.max(np.abs(got - np.linalg.eigvalsh(eff.matrix))) < 1e-10
+    tau = sign * s * 0.4
+    got = node_spectrum(h, tau, order)
+    assert np.max(np.abs(got - np.linalg.eigvalsh(effective_hamiltonian(h, tau, order)))) < 1e-10
 
 
 def test_node_spectrum_refuses_branch_cut():
     h = pauli_model(["ZI", "IZ"], [math.pi / 2, math.pi / 2])
     with pytest.raises(BranchCutError):
-        node_spectrum(h, 1.0, 1.0, build_plan(2, 2))
+        node_spectrum(h, 1.0, 2)
 
 
 def test_apply_formula_refuses_non_hermitian_terms():
     h = HamiltonianTerms(1, [(0.5, PauliString(1, "X", 1j))])
     with pytest.raises(ValueError, match="Hermitian"):
-        apply_formula(h, 0.3, build_plan(1, 2))
+        apply_formula(h, 0.3, 2)
 
 
 def test_stage_weight_is_absolute_fraction_sum():
@@ -371,34 +364,29 @@ def test_stage_weight_is_absolute_fraction_sum():
 
 def test_effective_hamiltonian_single_term():
     h = pauli_model(["XX"], [0.6])
-    eff = effective_hamiltonian(h, 1.0, 0.2, build_plan(1, 2))
-    assert max_abs(eff.matrix - h.dense()) < 1e-10
-    assert eff.tau == pytest.approx(0.2)
+    assert max_abs(effective_hamiltonian(h, 0.2, 2) - h.dense()) < 1e-10
 
 
 def test_effective_hamiltonian_exp_reconstructs_formula():
     rng = np.random.default_rng(25)
     h = random_pauli_model(rng, 3, 4, scale=0.3)
-    plan = build_plan(4, 2)
     tau = 0.17
-    eff = effective_hamiltonian(h, 1.0, tau, plan)
-    u = scipy.linalg.expm(1j * eff.matrix * tau)
-    assert max_abs(u - apply_formula(h, tau, plan)) < 1e-9
+    u = scipy.linalg.expm(1j * effective_hamiltonian(h, tau, 2) * tau)
+    assert max_abs(u - apply_formula(h, tau, 2)) < 1e-9
 
 
 def test_effective_hamiltonian_even_order_is_even_in_tau():
     rng = np.random.default_rng(26)
     h = random_pauli_model(rng, 2, 3, scale=0.4)
-    plan = build_plan(3, 2)
-    plus = effective_hamiltonian(h, 1.0, 0.3, plan)
-    minus = effective_hamiltonian(h, -1.0, 0.3, plan)
-    assert max_abs(plus.matrix - minus.matrix) < 1e-10
+    plus = effective_hamiltonian(h, 0.3, 2)
+    minus = effective_hamiltonian(h, -0.3, 2)
+    assert max_abs(plus - minus) < 1e-10
 
 
 def test_effective_hamiltonian_rejects_zero_tau():
     h = pauli_model(["XI", "IZ"], [0.2, 0.3])
     with pytest.raises(ValueError):
-        effective_hamiltonian(h, 0.0, 0.5, build_plan(2, 2))
+        effective_hamiltonian(h, 0.0, 2)
 
 
 def test_effective_hamiltonian_branch_cut_at_large_tau():
@@ -406,13 +394,13 @@ def test_effective_hamiltonian_branch_cut_at_large_tau():
     # on +/-(pi) when tau * eigenvalue does.
     h = pauli_model(["ZI", "IZ"], [math.pi / 2, math.pi / 2])
     with pytest.raises(BranchCutError):
-        effective_hamiltonian(h, 1.0, 1.0, build_plan(2, 2))
+        effective_hamiltonian(h, 1.0, 2)
 
 
 def test_error_norm_commuting_is_zero():
     h = pauli_model(["ZI", "ZZ"], [0.8, -0.5])
     for order in (1, 2):
-        err = trotter_error_norm(h, 0.3, build_plan(2, order))
+        err = trotter_error_norm(h, 0.3, order)
         assert err < 1e-10
 
 
@@ -428,12 +416,11 @@ def test_error_norm_slopes_match_order():
             continue  # commuting draws have no formula error to fit
         done += 1
         for order, tol in ((1, 0.1), (2, 0.1)):
-            plan = build_plan(2, order)
-            errs = [trotter_error_norm(h, t, plan) for t in taus]
+            errs = [trotter_error_norm(h, t, order) for t in taus]
             assert abs(fit_slope(np.log(taus), np.log(errs)) - order) < tol
 
 
-def fit_alpha(h, plan, tau_grid, slope_tol=0.2):
+def fit_alpha(h, p, tau_grid, slope_tol=0.2):
     """Least-squares commutator constant in ||H_eff - H|| = alpha |tau|^p / (p+1)!.
 
     Rejects grids whose log-log slope strays more than ``slope_tol`` from
@@ -442,8 +429,7 @@ def fit_alpha(h, plan, tau_grid, slope_tol=0.2):
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.size < 4:
         raise ValueError("need at least 4 grid points")
-    p = plan.order
-    errors = np.array([trotter_error_norm(h, tau, plan) for tau in tau_grid])
+    errors = np.array([trotter_error_norm(h, tau, p) for tau in tau_grid])
     if np.any(errors <= 0.0):
         raise ValueError("zero Trotter error on the grid; model may be commuting")
     slope = np.polyfit(np.log(np.abs(tau_grid)), np.log(errors), 1)[0]
@@ -458,7 +444,7 @@ def fit_alpha(h, plan, tau_grid, slope_tol=0.2):
 
 def test_fit_alpha_commuting_is_tiny():
     h = pauli_model(["ZI", "IZ"], [0.7, 0.4])
-    alpha = fit_alpha(h, build_plan(2, 1), np.geomspace(1e-3, 1e-2, 4), slope_tol=2.0)
+    alpha = fit_alpha(h, 1, np.geomspace(1e-3, 1e-2, 4), slope_tol=2.0)
     assert alpha < 1e-6
 
 
@@ -468,20 +454,19 @@ def test_fit_alpha_first_order_matches_commutator():
     h = pauli_model(["XX", "ZI"], [1.0, 1.0])
     m1, m2 = (c * to_dense(p) for c, p in h.terms)
     comm = spectral_norm(m1 @ m2 - m2 @ m1)
-    alpha = fit_alpha(h, build_plan(2, 1), np.geomspace(1e-3, 1e-2, 5))
+    alpha = fit_alpha(h, 1, np.geomspace(1e-3, 1e-2, 5))
     assert abs(alpha - comm) / comm < 0.25
 
 
 def test_fit_alpha_stable_across_decades():
     rng = np.random.default_rng(28)
     h = random_pauli_model(rng, 3, 3, scale=1.0)
-    plan = build_plan(3, 2)
-    a1 = fit_alpha(h, plan, np.geomspace(1e-3, 1e-2, 4))
-    a2 = fit_alpha(h, plan, np.geomspace(1e-2, 1e-1, 4))
+    a1 = fit_alpha(h, 2, np.geomspace(1e-3, 1e-2, 4))
+    a2 = fit_alpha(h, 2, np.geomspace(1e-2, 1e-1, 4))
     assert abs(a1 - a2) / a1 < 0.1
 
 
 def test_fit_alpha_rejects_nonasymptotic_grid():
     h = pauli_model(["XX", "ZI"], [1.0, 1.0])
     with pytest.raises(ValueError):
-        fit_alpha(h, build_plan(2, 1), np.array([1.5, 2.0, 2.5]))
+        fit_alpha(h, 1, np.array([1.5, 2.0, 2.5]))
