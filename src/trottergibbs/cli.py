@@ -214,11 +214,12 @@ def format_value(value) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    """Format every row first, so a value that cannot be written raises before the file opens."""
+    """Format every row first: an unwritable value raises before the directory or file is made."""
     try:
         cells = [[format_value(v) for v in row] for row in rows]
     except ValueError as err:  # an integer past Python's int-to-str digit limit
         raise ValueError(f"{path.name}: {err}") from err
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -226,8 +227,9 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
 
 
 def write_json(path: Path, payload) -> None:
-    """Serialize first, so a non-finite number raises before the file is opened."""
+    """Serialize first, so a non-finite number raises before the directory or file is made."""
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n")
 
 
@@ -354,7 +356,7 @@ def cmd_pipeline(cfg: dict, out_dir: Path) -> list[Path]:
         [(r.s_k, r.d_k, r.z_exact, r.z_hat, r.depth, r.queries) for r in result.nodes],
     )
     jsonl_path = out_dir / "pipeline_nodes.jsonl"
-    jsonl_path.write_text(result.node_json_lines() + "\n")
+    jsonl_path.write_text(result.node_json_lines() + "\n")  # after the JSON made the directory
     return [json_path, csv_path, jsonl_path]
 
 
@@ -457,7 +459,6 @@ def main(argv=None) -> int:
             doc["mode"] = args.mode
         cfg = validate_config(doc, SCHEMAS[args.command], args.command)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         artifacts = HANDLERS[args.command](cfg, out_dir)
         manifest = write_manifest(out_dir, args.command, cfg, artifacts)
     except ConfigError as err:

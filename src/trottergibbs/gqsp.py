@@ -208,7 +208,6 @@ def synthesize_laurent(p: LaurentPoly) -> GqspAngles:
     shifted = p.c.copy()
     q_coefs = complete_polynomial(shifted)
     angles = synthesize_angles(shifted, q_coefs)
-    angles.diagnostics["shift"] = p.M
     angles.diagnostics["completion_residual"] = float(
         np.max(
             np.abs(

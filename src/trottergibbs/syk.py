@@ -28,7 +28,6 @@ from .paulis import (
     check_dense_cap,
     parity_signs,
     pauli_commutes,
-    pauli_masks,
     pauli_multiply,
 )
 
@@ -65,27 +64,29 @@ def sample_syk(n_majorana: int, seed: int) -> SykCouplings:
 def jordan_wigner_majorana(index: int, n_majorana: int) -> tuple[float, PauliString]:
     """Majorana operator g_index as (coefficient, PauliString).
 
-    The coefficient is 1/sqrt(2), which makes {g_i, g_j} = delta_ij.
+    The string is Z on every qubit before site (index + 1) // 2 and X (odd
+    index) or Y (even index) on it, built as bitmasks.  The coefficient is
+    1/sqrt(2), which makes {g_i, g_j} = delta_ij.
     """
     if not 1 <= index <= n_majorana:
         raise ValueError(f"index {index} out of range 1..{n_majorana}")
     n_qubits = n_majorana // 2
-    site = (index + 1) // 2  # 1-based qubit the operator lands on
-    tail = "X" if index % 2 else "Y"
-    letters = "Z" * (site - 1) + tail + "I" * (n_qubits - site)
-    return 1.0 / math.sqrt(2.0), PauliString(n_qubits, letters)
+    bit = 1 << (n_qubits - (index + 1) // 2)  # the site's bit; qubit 0 is the top bit
+    z = (1 << n_qubits) - 2 * bit + (0 if index % 2 else bit)
+    return 1.0 / math.sqrt(2.0), PauliString(n_qubits, bit, z)
 
 
 @dataclass
 class HamiltonianTerms:
-    """A Hamiltonian as a list of (real coefficient, phase-free Pauli string).
+    """A Hamiltonian as a list of (real coefficient, Pauli string of phase +1).
 
     The list order is the stage order of every product formula built on
     the model.  Data derived from ``terms`` is computed on first use and
-    kept on the instance: the ``pauli_masks``, and through ``kept`` the node
-    spectra and reference eigenvalues.  It assumes ``terms`` is not mutated
-    after first use; build a new instance instead, as ``normalize_one_norm``
-    and ``group_commuting`` do.
+    kept on the instance: ``pauli_masks``, the strings' fields stacked as
+    arrays, and through ``kept`` the node spectra and reference
+    eigenvalues.  It assumes ``terms`` is not mutated after first use;
+    build a new instance instead, as ``normalize_one_norm`` and
+    ``group_commuting`` do.
     """
 
     n_qubits: int
@@ -102,12 +103,12 @@ class HamiltonianTerms:
 
     @cached_property
     def pauli_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-term x masks, z masks and phases; see ``paulis.pauli_masks``."""
-        masks = [pauli_masks(s) for _, s in self.terms]
+        """Per-term x masks, z masks and q, with P|b> = q (-1)^{|b & z|} |b ^ x>."""
+        strings = [s for _, s in self.terms]
         return (
-            np.array([m[0] for m in masks], dtype=np.int64),
-            np.array([m[1] for m in masks], dtype=np.int64),
-            np.array([m[2] for m in masks], dtype=complex),
+            np.array([s.x for s in strings], dtype=np.int64),
+            np.array([s.z for s in strings], dtype=np.int64),
+            np.array([s.q for s in strings], dtype=complex),
         )
 
     def kept(self, key, compute) -> np.ndarray:
@@ -152,7 +153,7 @@ def build_syk_hamiltonian(c: SykCouplings) -> HamiltonianTerms:
     majoranas = [
         jordan_wigner_majorana(idx, c.n_majorana) for idx in range(1, c.n_majorana + 1)
     ]
-    merged: dict[str, float] = {}
+    merged: dict[tuple[int, int], float] = {}
     for (i, j, k, l), jval in c.couplings.items():
         coeff = prefactor * jval
         string = PauliString.identity(n_qubits)
@@ -160,15 +161,12 @@ def build_syk_hamiltonian(c: SykCouplings) -> HamiltonianTerms:
             w, gamma = majoranas[idx - 1]
             coeff *= w
             string = pauli_multiply(string, gamma)
-        if abs(string.phase.imag) > 1e-12:
+        if not string.hermitian:
             raise ValueError(f"four-Majorana product {i,j,k,l} is not Hermitian")
-        coeff *= string.phase.real
-        merged[string.letters] = merged.get(string.letters, 0.0) + coeff
-    terms = [
-        (coeff, PauliString(n_qubits, letters))
-        for letters, coeff in merged.items()
-        if coeff != 0.0
-    ]
+        coeff *= 1.0 - string.phase  # i^0 or i^2: exactly +1.0 or -1.0
+        key = (string.x, string.z)
+        merged[key] = merged.get(key, 0.0) + coeff
+    terms = [(coeff, PauliString(n_qubits, *key)) for key, coeff in merged.items() if coeff != 0.0]
     return HamiltonianTerms(n_qubits, terms)
 
 

@@ -204,7 +204,6 @@ def boltzmann_oracle(
         gap = cells[:, 0, 0] / scale - np.exp(-beta * (spectrum + 1.0) / 2.0)
         diagnostics = {
             **asdict(plan),
-            "eps_qsp": eps_qsp,
             "fourier_m": fa.M,
             "trotter_steps": max(1, plan.q) * (2 * fa.M + 1),
             "block_deviation": float(np.max(np.abs(gap))),

@@ -103,7 +103,7 @@ def apply_formula(h: HamiltonianTerms, t: float, order: int) -> np.ndarray:
     """
     check_order(order)
     check_dense_cap(h.n_qubits)
-    if any(s.phase.imag for _, s in h.terms):
+    if not all(s.hermitian for _, s in h.terms):
         raise ValueError("every term must be Hermitian (string phase +1 or -1)")
     x, z, q = h.pauli_masks
     signs = parity_signs(h.n_qubits)

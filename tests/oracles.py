@@ -193,12 +193,70 @@ def haar_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def letters(p: PauliString) -> str:
+    """The string's spelling over "IXYZ", qubit 0 first, read off its masks."""
+    bits = range(p.n_qubits - 1, -1, -1)
+    return "".join("IXZY"[(p.x >> k & 1) + 2 * (p.z >> k & 1)] for k in bits)
+
+
 def to_dense(p: PauliString) -> np.ndarray:
-    """Kronecker oracle: one factor per letter, qubit 0 first, phase included."""
-    mat = np.array([[p.phase]], dtype=complex)
-    for ch in p.letters:
+    """Kronecker oracle: one factor per letter, qubit 0 first, phase i^k included."""
+    mat = np.array([[(1, 1j, -1, -1j)[p.phase]]], dtype=complex)
+    for ch in letters(p):
         mat = np.kron(mat, SINGLE[ch])
     return mat
+
+
+# Single-qubit products a b = phase c, read off the matrices: (a, b) -> (phase, c).
+LETTER_PRODUCTS = {
+    (a, b): next(
+        (ph, c)
+        for c in "IXYZ"
+        for ph in (1, 1j, -1, -1j)
+        if np.array_equal(SINGLE[a] @ SINGLE[b], ph * SINGLE[c])
+    )
+    for a in "IXYZ"
+    for b in "IXYZ"
+}
+
+
+def letter_syk_terms(c) -> list[tuple[float, str]]:
+    """SYK terms as (coefficient, label), multiplied letter by letter with complex phases.
+
+    A reference for ``build_syk_hamiltonian`` that shares none of its
+    bitmask algebra: the same Jordan-Wigner strings, floating-point
+    products and merge, done on letters.
+    """
+    n = c.n_majorana // 2
+    prefactor = 1.0 / (4.0 * math.factorial(4))
+    merged = {}
+    for idx, coupling in c.couplings.items():
+        coeff, phase, label = prefactor * coupling, 1 + 0j, "I" * n
+        for i in idx:
+            site = (i - 1) // 2
+            gamma = "Z" * site + "XY"[1 - i % 2] + "I" * (n - site - 1)
+            coeff *= 1.0 / math.sqrt(2.0)
+            products = [LETTER_PRODUCTS[a, b] for a, b in zip(label, gamma)]
+            phase *= math.prod(ph for ph, _ in products)
+            label = "".join(ch for _, ch in products)
+        coeff *= phase.real
+        merged[label] = merged.get(label, 0.0) + coeff
+    return [(v, label) for label, v in merged.items() if v != 0.0]
+
+
+def letter_masks(terms: list[tuple[float, str]]) -> tuple[np.ndarray, ...]:
+    """x, z, q and coefficient arrays of (coefficient, label) terms, spelled letter by letter.
+
+    q = (1+0j) (1, 1j, -1, -1j)[n_Y % 4] is the library's letter-based
+    formula for a string of phase +1; its bytes pin the signed zeros.
+    """
+    labels = [label for _, label in terms]
+    return (
+        np.array([int(s.translate(str.maketrans("IXYZ", "0110")), 2) for s in labels], np.int64),
+        np.array([int(s.translate(str.maketrans("IXYZ", "0011")), 2) for s in labels], np.int64),
+        np.array([(1 + 0j) * (1, 1j, -1, -1j)[s.count("Y") % 4] for s in labels], complex),
+        np.array([c for c, _ in terms]),
+    )
 
 
 def random_pauli_model(rng, n_qubits, n_terms, scale):

@@ -332,7 +332,7 @@ def test_beta_with_overflowing_shift_is_config_error(tmp_path, capsys):
     assert rc == 2
     assert payload["error"]["type"] == "config"
     assert "e^beta finite" in payload["error"]["message"]
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_block_past_eps_qsp_exits_3_naming_the_node(tmp_path, capsys, shrunk_fourier):
@@ -346,7 +346,7 @@ def test_block_past_eps_qsp_exits_3_naming_the_node(tmp_path, capsys, shrunk_fou
     assert payload["error"]["type"] == "PipelineError"
     assert payload["error"]["message"].startswith("node ")
     assert "exceeds eps_qsp 1.000e-06" in payload["error"]["message"]
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_boltzmann_scale_past_the_fourier_budget_exits_3_naming_it(tmp_path, capsys):
@@ -362,7 +362,7 @@ def test_boltzmann_scale_past_the_fourier_budget_exits_3_naming_it(tmp_path, cap
     assert message.startswith("node 1 (s_k=")
     for name in ("Boltzmann scale", "beta=700.0", "beta_f=", "eps_lwf="):
         assert name in message
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_non_finite_total_cost_exits_3_naming_the_ledger(tmp_path, capsys):
@@ -376,7 +376,7 @@ def test_non_finite_total_cost_exits_3_naming_the_ledger(tmp_path, capsys):
     assert rc == 3
     assert payload["error"]["type"] == "PipelineError"
     assert payload["error"]["message"].startswith("cost ledger: total cost inf")
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_write_json_refuses_a_non_finite_number_before_opening_the_file(tmp_path):
@@ -632,7 +632,7 @@ def test_trotter_order_on_an_exact_formula_exits_3(model, tmp_path, capsys):
     rc, payload = run_cli(capsys, "trotter-order", "--config", cfg, "--out", str(out))
     assert rc == 3
     assert "order 2 is exact on this model" in payload["error"]["message"]
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_qubits_saved_accepts_sizes_past_the_dense_cap(tmp_path, capsys):
@@ -692,7 +692,7 @@ def test_lwf_convergence_missed_certificate_exits_3(tmp_path, capsys, monkeypatc
     assert rc == 3
     assert payload["error"]["type"] == "ApproximationError"
     assert "certificate failed" in payload["error"]["message"]
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -797,11 +797,22 @@ def test_both_order_keys_refuse_with_one_rule(tmp_path, capsys):
         out = tmp_path / command
         rc, payload = run_cli(capsys, command, "--config", cfg, "--out", str(out))
         assert rc == 2 and payload["error"]["type"] == "config"
-        assert not any(out.iterdir())
+        assert not out.exists()
         messages.append(payload["error"]["message"])
     rule = "order must be 1 or even, got 3"
     assert messages[0] == rule
     assert messages[1].endswith(rule)
+
+
+@pytest.mark.parametrize("doc", [{"orders": [3]}, {"tau_min": 0.1, "tau_max": 0.01}])
+def test_handler_refusal_leaves_no_output_directory(doc, tmp_path, capsys):
+    # trotter-order refuses these inside its handler, after validate_config;
+    # the output directory is made only with the first artifact.
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    out = tmp_path / "fresh" / "r"
+    rc, payload = run_cli(capsys, "trotter-order", "--config", cfg, "--out", str(out))
+    assert rc == 2 and payload["error"]["type"] == "config"
+    assert not out.exists() and not out.parent.exists()
 
 
 def test_eps_stat_below_the_floor_runs_outside_sampled_mode(tmp_path, capsys):
@@ -941,7 +952,7 @@ def test_grid_too_narrow_for_a_line_fit_is_config_error(command, doc, key, tmp_p
     assert rc == 2, payload
     assert payload["error"]["type"] == "config"
     assert key in payload["error"]["message"]
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 # Documents across the regimes `trotter-order` must either run or refuse:

@@ -113,25 +113,25 @@ def circle_block(p):
 
 
 def test_monomial_shift_constant():
-    angles, block, _ = circle_block(LaurentPoly(0, [0.5]))
-    assert angles.diagnostics["shift"] == 0
-    assert np.max(np.abs(block - 0.5)) < 1e-12
+    p = LaurentPoly(0, [0.5])
+    _, block, z = circle_block(p)
+    assert np.max(np.abs(block - z**p.M * 0.5)) < 1e-12
 
 
 def test_monomial_shift_symmetric_pair():
     # z^M P(z) = 0.45 + 0.45 z^2: the coefficient array read as plain powers.
-    angles, block, z = circle_block(LaurentPoly(1, [0.45, 0.0, 0.45]))
-    assert angles.diagnostics["shift"] == 1
-    assert np.max(np.abs(block - (0.45 + 0.45 * z**2))) < 1e-10
+    p = LaurentPoly(1, [0.45, 0.0, 0.45])
+    _, block, z = circle_block(p)
+    assert np.max(np.abs(block - z**p.M * (0.45 / z + 0.45 * z))) < 1e-10
 
 
 def test_monomial_shift_preserves_circle_values():
     rng = np.random.default_rng(32)
     for _ in range(10):
         p = random_laurent(rng, int(rng.integers(1, 6)))
-        angles, block, z = circle_block(p)
+        _, block, z = circle_block(p)
         freqs = np.arange(-p.M, p.M + 1)
-        want = (z ** angles.diagnostics["shift"]) * (z[:, None] ** freqs @ p.c)
+        want = (z**p.M) * (z[:, None] ** freqs @ p.c)
         assert np.max(np.abs(block - want)) < 1e-9
 
 
@@ -303,7 +303,7 @@ def test_verify_block_detects_corruption():
 def test_synthesize_laurent_diagnostics():
     p = random_laurent(np.random.default_rng(43), 2)
     angles = synthesize_laurent(p)
-    assert angles.diagnostics["shift"] == 2
+    assert angles.degree == 2 * p.M
     assert angles.diagnostics["completion_residual"] <= 1e-9
 
 

@@ -1,6 +1,7 @@
 """What the package exports, which modules a run loads (SciPy stays off every
-path but ``trotter-order``), that no library code is there only for the tests,
-and that no two test modules define the same helper."""
+path but ``trotter-order``), that no library function, class, method or
+property is there only for the tests, and that no two test modules define
+the same helper."""
 
 import ast
 import inspect
@@ -9,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import trottergibbs
@@ -102,6 +104,28 @@ def test_every_library_function_and_class_is_named_by_other_library_code():
     }
     assert unreferenced - set(UNREFERENCED) == set()
     assert set(UNREFERENCED) <= set(defs)
+
+
+def test_every_library_method_and_property_is_read_by_other_library_code():
+    # A method or property only the tests read belongs in tests/oracles.py too.
+    trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")]
+    methods = [
+        (cls.name, stmt)
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, DEFS[:2]) and not stmt.name.startswith("__")
+    ]
+
+    def reads(node) -> Counter:
+        return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+    total = sum((reads(tree) for tree in trees), Counter())
+    unread = [
+        f"{cls}.{stmt.name}" for cls, stmt in methods if total[stmt.name] == reads(stmt)[stmt.name]
+    ]
+    assert methods and unread == []
 
 
 def test_no_two_test_modules_define_the_same_helper():

@@ -1,5 +1,7 @@
 """Tests for the Pauli-string algebra: products, commutation, bitmask action."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,83 +9,72 @@ from hypothesis import strategies as st
 
 from trottergibbs.paulis import (
     DENSE_QUBIT_CAP,
-    VALID_PHASES,
     DimensionCapError,
     PauliString,
     check_dense_cap,
     parity_signs,
     pauli_commutes,
-    pauli_masks,
     pauli_multiply,
 )
 
-from oracles import SINGLE, to_dense
+from oracles import SINGLE, letters, to_dense
 
 LETTERS = "IXYZ"
 
 
-def unsigned(p: PauliString) -> PauliString:
-    """The same string with phase +1."""
-    return PauliString(p.n_qubits, p.letters)
-
-
 @st.composite
-def phased_strings(draw, max_qubits=5):
+def string_lists(draw, size=1, max_qubits=5):
+    """``size`` strings on one qubit count, masks and phase exponents drawn freely."""
     n = draw(st.integers(1, max_qubits))
-    letters = draw(st.text(alphabet=LETTERS, min_size=n, max_size=n))
-    return PauliString(n, letters, draw(st.sampled_from(VALID_PHASES)))
+    masks = st.integers(0, 2**n - 1)
+    return [
+        PauliString(n, draw(masks), draw(masks), draw(st.integers(0, 3))) for _ in range(size)
+    ]
 
 
-def random_string(rng: np.random.Generator, n: int) -> PauliString:
-    letters = "".join(rng.choice(list(LETTERS)) for _ in range(n))
-    phase = rng.choice([1, -1, 1j, -1j])
-    return PauliString(n, letters, complex(phase))
+def random_string(rng: np.random.Generator, n: int, phase: int | None = None) -> PauliString:
+    x, z = (int(m) for m in rng.integers(2**n, size=2))
+    return PauliString(n, x, z, int(rng.integers(4)) if phase is None else phase)
 
 
 def test_multiply_x_times_y_is_iz():
-    x = PauliString.from_label("X")
-    y = PauliString.from_label("Y")
-    prod = pauli_multiply(x, y)
-    assert prod.letters == "Z"
-    assert prod.phase == 1j
+    prod = pauli_multiply(PauliString.from_label("X"), PauliString.from_label("Y"))
+    assert prod == replace(PauliString.from_label("Z"), phase=1)
 
 
 def test_multiply_two_qubit_example():
-    a = PauliString.from_label("XI")
-    b = PauliString.from_label("YI")
-    prod = pauli_multiply(a, b)
-    assert prod.letters == "ZI"
-    assert prod.phase == 1j
+    prod = pauli_multiply(PauliString.from_label("XI"), PauliString.from_label("YI"))
+    assert prod == replace(PauliString.from_label("ZI"), phase=1)
 
 
 def test_multiply_self_gives_identity():
+    # (i^k P)^2 = i^2k, since every letter squares to I.
     rng = np.random.default_rng(101)
     for _ in range(30):
         p = random_string(rng, 4)
-        sq = pauli_multiply(p, p)
-        assert sq.letters == "IIII"
-        # phase^2 times letter self-products, always +1 for +/-1 phases,
-        # -1 for +/-i phases.
-        expected = p.phase * p.phase
-        assert sq.phase == expected
+        assert pauli_multiply(p, p) == replace(PauliString.identity(4), phase=2 * p.phase % 4)
 
 
 def test_multiply_unsigned_involution():
     rng = np.random.default_rng(102)
     for _ in range(30):
-        p = unsigned(random_string(rng, 5))
-        sq = pauli_multiply(p, p)
-        assert sq == PauliString.identity(5)
+        p = random_string(rng, 5, phase=0)
+        assert pauli_multiply(p, p) == PauliString.identity(5)
 
 
-def test_multiply_matches_dense_products():
-    rng = np.random.default_rng(103)
-    for _ in range(40):
-        a = random_string(rng, 4)
-        b = random_string(rng, 4)
-        lhs = to_dense(pauli_multiply(a, b))
-        rhs = to_dense(a) @ to_dense(b)
-        assert np.array_equal(lhs, rhs)
+@given(string_lists(size=2))
+def test_multiply_matches_dense_products(strings):
+    a, b = strings
+    assert np.array_equal(to_dense(pauli_multiply(a, b)), to_dense(a) @ to_dense(b))
+    assert a.hermitian == np.array_equal(to_dense(a), to_dense(a).conj().T)
+
+
+@given(st.data())
+def test_from_label_round_trips_the_spelling(data):
+    (p,) = data.draw(string_lists())
+    assert PauliString.from_label(letters(p)) == replace(p, phase=0)
+    label = data.draw(st.text(alphabet=LETTERS, min_size=1, max_size=6))
+    assert letters(PauliString.from_label(label)) == label
 
 
 def test_multiply_size_mismatch():
@@ -96,14 +87,10 @@ def test_commutes_examples():
     assert not pauli_commutes(PauliString.from_label("XI"), PauliString.from_label("ZI"))
 
 
-def test_commutes_matches_dense_commutator():
-    rng = np.random.default_rng(104)
-    for _ in range(60):
-        a = unsigned(random_string(rng, 5))
-        b = unsigned(random_string(rng, 5))
-        da, db = to_dense(a), to_dense(b)
-        comm = da @ db - db @ da
-        assert pauli_commutes(a, b) == (np.max(np.abs(comm)) == 0.0)
+@given(string_lists(size=2))
+def test_commutes_matches_dense_commutator(strings):
+    da, db = (to_dense(p) for p in strings)
+    assert pauli_commutes(*strings) == np.array_equal(da @ db, db @ da)
 
 
 def test_commutes_exhaustive_two_qubits():
@@ -118,9 +105,8 @@ def test_commutes_exhaustive_two_qubits():
 
 
 def test_commutes_ignores_phase():
-    a = PauliString(2, "XY", 1j)
-    b = PauliString(2, "XY", -1)
-    assert pauli_commutes(a, b)
+    xy = PauliString.from_label("XY")
+    assert pauli_commutes(replace(xy, phase=1), replace(xy, phase=2))
 
 
 def test_to_dense_identity():
@@ -134,7 +120,7 @@ def test_to_dense_zx():
 
 
 def test_to_dense_phase():
-    got = to_dense(PauliString(1, "Y", 1j))
+    got = to_dense(replace(PauliString.from_label("Y"), phase=1))
     expected = 1j * SINGLE["Y"]
     assert np.array_equal(got, expected)
 
@@ -147,8 +133,8 @@ def test_to_dense_random_against_oracle():
     bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     for _ in range(25):
         p = random_string(rng, n)
-        want = np.full((2**n, 2**n), p.phase)
-        for site, ch in enumerate(p.letters):
+        want = np.full((2**n, 2**n), (1, 1j, -1, -1j)[p.phase])
+        for site, ch in enumerate(letters(p)):
             want = want * SINGLE[ch][bits[:, site][:, None], bits[:, site][None, :]]
         assert np.array_equal(to_dense(p), want)
 
@@ -164,18 +150,20 @@ def test_trace_identity_and_nonidentity():
     assert np.trace(to_dense(PauliString.from_label("IXI"))) == 0
     rng = np.random.default_rng(106)
     for _ in range(20):
-        p = random_string(rng, 4)
-        expected = p.phase * 16 if p.letters == "IIII" else 0
+        p = random_string(rng, 2)
+        expected = (1, 1j, -1, -1j)[p.phase] * 4 if p.x == p.z == 0 else 0
         assert np.trace(to_dense(p)) == expected
 
 
 def test_invalid_letters_and_phase():
-    with pytest.raises(ValueError):
-        PauliString(2, "XQ")
-    with pytest.raises(ValueError):
-        PauliString(2, "XX", phase=0.5 + 0.5j)
-    with pytest.raises(ValueError):
-        PauliString(3, "XX")
+    with pytest.raises(ValueError, match="letters"):
+        PauliString.from_label("XQ")
+    for phase in (-1, 4, 0.5, 1.0):
+        with pytest.raises(ValueError, match="phase"):
+            PauliString(2, 3, 0, phase)
+    for x, z in ((4, 0), (0, 4), (-1, 0), (1.0, 0)):
+        with pytest.raises(ValueError, match="masks"):
+            PauliString(2, x, z)
 
 
 def test_parity_signs_match_popcount():
@@ -184,11 +172,11 @@ def test_parity_signs_match_popcount():
         assert parity_signs(n).tolist() == want
 
 
-@given(phased_strings())
-def test_signed_permutation_is_exactly_to_dense(p):
+@given(string_lists())
+def test_signed_permutation_is_exactly_to_dense(strings):
     # P|b> = q (-1)^{|b & z|} |b ^ x>: one signed entry per column.
-    x, z, q = pauli_masks(p)
+    (p,) = strings
     basis = np.arange(2**p.n_qubits)
     mat = np.zeros((basis.size, basis.size), dtype=complex)
-    mat[basis ^ x, basis] = q * parity_signs(p.n_qubits)[basis & z]
+    mat[basis ^ p.x, basis] = p.q * parity_signs(p.n_qubits)[basis & p.z]
     assert np.array_equal(mat, to_dense(p))

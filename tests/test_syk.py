@@ -1,20 +1,17 @@
 """Tests for the four-body random-coupling model and its qubit encoding."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trottergibbs import syk
+from trottergibbs.cli import build_model
 from trottergibbs.linalg import max_abs, spectral_norm
-from trottergibbs.paulis import (
-    VALID_PHASES,
-    PauliString,
-    parity_signs,
-    pauli_commutes,
-    pauli_multiply,
-)
+from trottergibbs.paulis import PauliString, parity_signs, pauli_commutes
 from trottergibbs.syk import (
     TERM_CHUNK,
     HamiltonianTerms,
@@ -25,7 +22,7 @@ from trottergibbs.syk import (
     sample_syk,
 )
 
-from oracles import commuting_runs, to_dense
+from oracles import commuting_runs, letter_masks, letter_syk_terms, to_dense
 
 # Frozen regression values for the bundled reference instance (n=8, seed=7).
 REFERENCE_N_TERMS = 70
@@ -122,35 +119,69 @@ def test_build_dense_matches_sum_of_majorana_products():
     assert max_abs(h.dense() - h.dense().conj().T) < 1e-12
 
 
-def per_coupling_terms(c):
-    """Reference build: every coupling makes its own four Jordan-Wigner strings."""
-    n_qubits = c.n_majorana // 2
-    prefactor = 1.0 / (4.0 * math.factorial(4))
-    merged = {}
-    for idx, coupling in c.couplings.items():
-        coeff = prefactor * coupling
-        string = PauliString.identity(n_qubits)
-        for i in idx:
-            w, gamma = jordan_wigner_majorana(i, c.n_majorana)
-            coeff *= w
-            string = pauli_multiply(string, gamma)
-        coeff *= string.phase.real
-        merged[string.letters] = merged.get(string.letters, 0.0) + coeff
-    return [(v, PauliString(n_qubits, k)) for k, v in merged.items() if v != 0.0]
-
-
 @pytest.mark.parametrize("n_majorana", [4, 6, 8, 10, 12, 14, 16])
 def test_build_matches_per_coupling_reference(n_majorana):
     for seed in (0, 7, 31):
         c = sample_syk(n_majorana, seed=seed)
-        assert build_syk_hamiltonian(c).terms == per_coupling_terms(c)
+        want = [(v, PauliString.from_label(label)) for v, label in letter_syk_terms(c)]
+        assert build_syk_hamiltonian(c).terms == want
+
+
+# A parity-breaking pauli model (odd X/Y counts) with every Y count mod 4.
+PAULI_SPEC = {
+    "kind": "pauli",
+    "n_qubits": 3,
+    "terms": [[0.3, "XIZ"], [-0.7, "YYZ"], [0.2, "ZYI"], [0.125, "IIY"], [-1e-9, "YYY"]],
+}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"kind": "syk", "n_majorana": n, "seed": 7, "one_norm": None} for n in (8, 12, 16)]
+    + [PAULI_SPEC],
+    ids=["syk-8", "syk-12", "syk-16", "pauli"],
+)
+def test_masks_and_coefficients_are_byte_equal_to_the_letter_reference(spec):
+    # The bytes include the signs of zero parts of q, which reach the
+    # stage factors of every product formula.
+    h = build_model(spec)
+    if spec["kind"] == "syk":
+        want = letter_masks(letter_syk_terms(sample_syk(spec["n_majorana"], seed=spec["seed"])))
+    else:
+        want = letter_masks(spec["terms"])
+    got = (*h.pauli_masks, np.array([c for c, _ in h.terms]))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@given(st.integers(0, 3))
+def test_build_refuses_an_odd_phase(k):
+    # Giving g_1 the phase i^k gives every product that holds it i^k too.
+    c = sample_syk(6, seed=2)
+    plain = build_syk_hamiltonian(c)
+
+    def phased(index, n_majorana):
+        w, gamma = jordan_wigner_majorana(index, n_majorana)
+        return w, replace(gamma, phase=k if index == 1 else 0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(syk, "jordan_wigner_majorana", phased)
+        if k % 2:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                build_syk_hamiltonian(c)
+            return
+        h = build_syk_hamiltonian(c)
+    # Every coupling gives its own string here, so terms follow the couplings.
+    assert len(c.couplings) == plain.n_terms == h.n_terms
+    for idx, (cp, sp), (ch, sh) in zip(c.couplings, plain.terms, h.terms):
+        assert sh == sp
+        assert ch == (-cp if k == 2 and 1 in idx else cp)
 
 
 def test_build_term_coefficients_are_real():
     h = build_syk_hamiltonian(sample_syk(8, seed=9))
     for coef, p in h.terms:
         assert abs(coef.imag) < 1e-14
-        assert p.phase == 1
+        assert p.phase == 0
 
 
 def test_normalize_one_norm():
@@ -205,11 +236,11 @@ def test_group_commuting_is_valid_partition():
     for seed in (11, 12, 13):
         h = build_syk_hamiltonian(sample_syk(8, seed=seed))
         g = group_commuting(h)
-        position = {s.letters: i for i, (_, s) in enumerate(h.terms)}
-        assert sorted(position[s.letters] for _, s in g.terms) == list(range(h.n_terms))
-        assert all(h.terms[position[s.letters]] == (c, s) for c, s in g.terms)
+        position = {s: i for i, (_, s) in enumerate(h.terms)}
+        assert sorted(position[s] for _, s in g.terms) == list(range(h.n_terms))
+        assert all(h.terms[position[s]] == (c, s) for c, s in g.terms)
         for run in commuting_runs(g):
-            indices = [position[g.terms[i][1].letters] for i in run]
+            indices = [position[g.terms[i][1]] for i in run]
             assert indices == sorted(indices)
             for a in run:
                 for b in run:
@@ -244,13 +275,12 @@ def kron_sum(h):
 @st.composite
 def term_lists(draw):
     n = draw(st.integers(1, 4))
+    masks = st.integers(0, 2**n - 1)
     term = st.tuples(
         st.floats(-10.0, 10.0, allow_nan=False),
-        st.text(alphabet="IXYZ", min_size=n, max_size=n),
-        st.sampled_from(VALID_PHASES),
+        st.builds(PauliString, st.just(n), masks, masks, st.integers(0, 3)),
     )
-    terms = draw(st.lists(term, min_size=1, max_size=8))
-    return HamiltonianTerms(n, [(c, PauliString(n, s, q)) for c, s, q in terms])
+    return HamiltonianTerms(n, draw(st.lists(term, min_size=1, max_size=8)))
 
 
 @given(term_lists())

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -349,10 +350,15 @@ def test_node_spectrum_refuses_branch_cut():
         node_spectrum(h, 1.0, 2)
 
 
-def test_apply_formula_refuses_non_hermitian_terms():
-    h = HamiltonianTerms(1, [(0.5, PauliString(1, "X", 1j))])
-    with pytest.raises(ValueError, match="Hermitian"):
-        apply_formula(h, 0.3, 2)
+@given(st.integers(0, 3))
+def test_apply_formula_refuses_non_hermitian_terms(k):
+    # i^k X is Hermitian exactly for even k; -X (k = 2) runs like any term.
+    h = HamiltonianTerms(1, [(0.5, replace(PauliString.from_label("X"), phase=k))])
+    if k % 2:
+        with pytest.raises(ValueError, match="Hermitian"):
+            apply_formula(h, 0.3, 2)
+    else:
+        assert max_abs(apply_formula(h, 0.3, 2) - product_oracle(h, 0.3, 2)) < 1e-14
 
 
 def test_stage_weight_is_absolute_fraction_sum():
