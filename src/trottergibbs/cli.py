@@ -355,8 +355,14 @@ def cmd_pipeline(cfg: dict, out_dir: Path) -> list[Path]:
         ["s_k", "d_k", "z_node_exact", "z_node_hat", "depth", "queries"],
         [(r.s_k, r.d_k, r.z_exact, r.z_hat, r.depth, r.queries) for r in result.nodes],
     )
+    records = [
+        {"s_k": r.s_k, "beta_k": r.beta_k, "mode": pipe_cfg.mode, "p0_exact": r.p0_exact,
+         "p0_hat": r.p0_hat, "queries": r.queries, "seed": r.seed}
+        for r in result.nodes
+    ]
     jsonl_path = out_dir / "pipeline_nodes.jsonl"
-    jsonl_path.write_text(result.node_json_lines() + "\n")  # after the JSON made the directory
+    # Written after the JSON made the directory.
+    jsonl_path.write_text("".join(json.dumps(record) + "\n" for record in records))
     return [json_path, csv_path, jsonl_path]
 
 

@@ -19,7 +19,7 @@ circle; it is constructed by FFT-based spectral factorization of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,7 +41,7 @@ def _circle_values(coefs: np.ndarray, n: int = CIRCLE_SAMPLES) -> np.ndarray:
     return np.fft.fft(coefs, n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LaurentPoly:
     """sum_{m=-M}^{M} c_m z^m with |values| <= 1 on the unit circle."""
 
@@ -49,7 +49,7 @@ class LaurentPoly:
     c: np.ndarray  # complex, index m + M
 
     def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=complex)
+        object.__setattr__(self, "c", np.asarray(self.c, dtype=complex))
         if self.c.shape != (2 * self.M + 1,):
             raise ValueError(f"need {2 * self.M + 1} coefficients, got {self.c.shape}")
         worst = float(np.max(np.abs(_circle_values(self.c))))
@@ -106,7 +106,7 @@ def complete_polynomial(p_coefs: np.ndarray) -> np.ndarray:
     return q_coefs
 
 
-@dataclass
+@dataclass(frozen=True)
 class GqspAngles:
     """Rotation angles realizing a degree-d polynomial of the signal unitary."""
 
@@ -208,14 +208,6 @@ def synthesize_laurent(p: LaurentPoly) -> GqspAngles:
     shifted = p.c.copy()
     q_coefs = complete_polynomial(shifted)
     angles = synthesize_angles(shifted, q_coefs)
-    angles.diagnostics["completion_residual"] = float(
-        np.max(
-            np.abs(
-                np.abs(_circle_values(shifted)) ** 2
-                + np.abs(_circle_values(q_coefs)) ** 2
-                - 1.0
-            )
-        )
-    )
-    return angles
+    residual = np.abs(_circle_values(shifted)) ** 2 + np.abs(_circle_values(q_coefs)) ** 2 - 1.0
+    return replace(angles, diagnostics={"completion_residual": float(np.max(np.abs(residual)))})
 

@@ -53,7 +53,7 @@ def assert_unitary(a: np.ndarray, what: str = "matrix"):
         raise ToleranceError(f"{what} is not unitary: deviation {dev:.3e} > {UNITARY_TOL:.3e}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues and an orthonormal eigenbasis of a normal matrix."""
 

@@ -88,7 +88,7 @@ class ApproximationError(ValueError):
         self.split = split or {}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaylorSeries:
     """Truncated Taylor expansion of exp(-beta (x+1)) around 0."""
 
@@ -176,7 +176,7 @@ def lwf_order(one_norm_a: float, delta: float, eps: float) -> int:
     return max(2 * math.ceil(math.log(4.0 * one_norm_a / eps) / delta), 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FourierApprox:
     """Assembled coefficients c_m, m = -M..M, and the a-priori error split."""
 
@@ -335,14 +335,14 @@ def lwf_coefficients(ts: TaylorSeries, delta: float, eps: float) -> FourierAppro
         )
     order, combined, arcsin_tail = _choose_arcsin_order(ts, delta, eps)
     c, dropped = _assemble(combined, m_cut)
-    approx = FourierApprox(ts.beta, delta, m_cut, c, eps)
-    approx.diagnostics = {
+    diagnostics = {
         "taylor_order": ts.order,
         "arcsin_order": order,
         "taylor_tail": taylor_tail,
         "arcsin_tail": arcsin_tail,
         "binomial_dropped": dropped,
     }
+    approx = FourierApprox(ts.beta, delta, m_cut, c, eps, diagnostics)
     if approx.one_norm > ts.one_norm + 1e-12:
         raise ApproximationError(
             f"one-norm grew: ||c||_1 = {approx.one_norm:.6f} > ||a||_1 = {ts.one_norm:.6f}"

@@ -12,7 +12,6 @@ cost model live here too.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -46,7 +45,7 @@ class PipelineError(RuntimeError):
     """A node evaluation failed; the message names the node."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """Inputs of one end-to-end run.
 
@@ -118,7 +117,7 @@ class PipelineConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class NodeRecord:
     """One node's trace evaluation, in both shift conventions.
 
@@ -134,7 +133,6 @@ class NodeRecord:
     s_k: float
     d_k: float
     beta_k: float
-    mode: str
     p0_exact: float
     p0_hat: float
     z_exact: float
@@ -144,31 +142,17 @@ class NodeRecord:
     seed: int
     diagnostics: dict = field(default_factory=dict)
 
-    def json_record(self) -> dict:
-        return {
-            "s_k": self.s_k,
-            "beta_k": self.beta_k,
-            "mode": self.mode,
-            "p0_exact": self.p0_exact,
-            "p0_hat": self.p0_hat,
-            "queries": self.queries,
-            "seed": self.seed,
-        }
 
-
-@dataclass
+@dataclass(frozen=True)
 class PartitionResult:
     """Extrapolated partition estimate with per-node diagnostics."""
 
-    nodes: list[NodeRecord]
+    nodes: tuple[NodeRecord, ...]
     extrapolated: float
     extrapolated_exact: float
     oracle: float
     eps_cheb_realized: float
     cost: dict
-
-    def node_json_lines(self) -> str:
-        return "\n".join(json.dumps(r.json_record()) for r in self.nodes)
 
 
 def _node_fields(cfg: PipelineConfig, s: float) -> dict:
@@ -236,11 +220,7 @@ def run_pipeline(cfg: PipelineConfig) -> PartitionResult:
                 raise OverflowError(f"trace Z/N is not a finite float at beta={cfg.beta!r}")
         except Exception as err:
             raise PipelineError(f"node {k + 1} (s_k={s_k:+.6f}): {err}") from err
-        nodes.append(
-            NodeRecord(
-                s_k=s_k, d_k=float(grid.weights[k]), mode=cfg.mode, seed=seed_k, **record
-            )
-        )
+        nodes.append(NodeRecord(s_k=s_k, d_k=float(grid.weights[k]), seed=seed_k, **record))
 
     z_hat = np.array([r.z_hat for r in nodes])
     z_exact = np.array([r.z_exact for r in nodes])
@@ -256,7 +236,7 @@ def run_pipeline(cfg: PipelineConfig) -> PartitionResult:
     cost = cost_model(cfg, grid, [r.depth for r in nodes], z_exact)
     cost["total_queries"] = int(sum(r.queries for r in nodes))
     return PartitionResult(
-        nodes=nodes,
+        nodes=tuple(nodes),
         extrapolated=extrapolated,
         extrapolated_exact=extrapolated_exact,
         oracle=oracle_value,

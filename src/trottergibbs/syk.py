@@ -36,7 +36,7 @@ from .paulis import (
 TERM_CHUNK = 64
 
 
-@dataclass
+@dataclass(frozen=True)
 class SykCouplings:
     """Antisymmetric couplings, stored once per ordered index tuple i<j<k<l."""
 
@@ -76,22 +76,23 @@ def jordan_wigner_majorana(index: int, n_majorana: int) -> tuple[float, PauliStr
     return 1.0 / math.sqrt(2.0), PauliString(n_qubits, bit, z)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HamiltonianTerms:
-    """A Hamiltonian as a list of (real coefficient, Pauli string of phase +1).
+    """A Hamiltonian as a tuple of (real coefficient, Pauli string of phase +1).
 
-    The list order is the stage order of every product formula built on
-    the model.  Data derived from ``terms`` is computed on first use and
-    kept on the instance: ``pauli_masks``, the strings' fields stacked as
-    arrays, and through ``kept`` the node spectra and reference
-    eigenvalues.  It assumes ``terms`` is not mutated after first use;
-    build a new instance instead, as ``normalize_one_norm`` and
-    ``group_commuting`` do.
+    The tuple order is the stage order of every product formula built on
+    the model; the constructor takes any sequence.  Data derived from
+    ``terms`` is computed on first use and kept on the instance, read-only:
+    ``pauli_masks``, the strings' fields stacked as arrays, and through
+    ``kept`` the node spectra and reference eigenvalues.
     """
 
     n_qubits: int
-    terms: list[tuple[float, PauliString]]
+    terms: tuple[tuple[float, PauliString], ...]
     _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))
 
     @property
     def one_norm(self) -> float:
@@ -105,11 +106,14 @@ class HamiltonianTerms:
     def pauli_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-term x masks, z masks and q, with P|b> = q (-1)^{|b & z|} |b ^ x>."""
         strings = [s for _, s in self.terms]
-        return (
+        masks = (
             np.array([s.x for s in strings], dtype=np.int64),
             np.array([s.z for s in strings], dtype=np.int64),
             np.array([s.q for s in strings], dtype=complex),
         )
+        for array in masks:
+            array.flags.writeable = False
+        return masks
 
     def kept(self, key, compute) -> np.ndarray:
         """``compute()`` on the first call with ``key``, then the same read-only array."""

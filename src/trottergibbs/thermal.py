@@ -45,7 +45,7 @@ class OracleError(ValueError):
     """Raised when a Boltzmann oracle cannot be realized as requested."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class GqspPlan:
     """Derived parameters mapping spec(H_eff) into the Fourier window."""
 
@@ -236,7 +236,7 @@ def exact_p0(spectrum: np.ndarray, beta: float) -> TraceValues:
     return TraceValues(p0, z)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimationSchedule:
     """Knob of the iterative estimation loop: its failure probability."""
 
@@ -247,7 +247,7 @@ class EstimationSchedule:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceEstimate:
     """Outcome of a simulated amplitude-estimation run."""
 

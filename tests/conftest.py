@@ -1,6 +1,8 @@
 """Shared test plumbing: per-criterion result lines in the final summary,
 and a Boltzmann oracle fed spoiled Fourier coefficients."""
 
+from dataclasses import replace
+
 import pytest
 
 from trottergibbs import thermal
@@ -38,8 +40,7 @@ def shrunk_fourier(monkeypatch):
 
     def shrunk(*args):
         fa = real(*args)
-        fa.c = fa.c * (1.0 - 1e-4)
-        return fa
+        return replace(fa, c=fa.c * (1.0 - 1e-4))
 
     monkeypatch.setattr(thermal, "gibbs_fourier", shrunk)
 

@@ -1,7 +1,7 @@
 """What the package exports, which modules a run loads (SciPy stays off every
 path but ``trotter-order``), that no library function, class, method or
-property is there only for the tests, and that no two test modules define
-the same helper."""
+property is there only for the tests, that every library dataclass is
+frozen, and that no two test modules define the same helper."""
 
 import ast
 import inspect
@@ -126,6 +126,33 @@ def test_every_library_method_and_property_is_read_by_other_library_code():
         f"{cls}.{stmt.name}" for cls, stmt in methods if total[stmt.name] == reads(stmt)[stmt.name]
     ]
     assert methods and unread == []
+
+
+# Library dataclasses that may change after construction, and why each must.
+MUTABLE = {}
+
+
+def _frozen(decorator) -> bool | None:
+    """Whether a ``dataclass`` decorator sets frozen=True; None for another decorator."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    target = call.func if call else decorator
+    if getattr(target, "id", getattr(target, "attr", None)) != "dataclass":
+        return None
+    keywords = call.keywords if call else []
+    return any(k.arg == "frozen" and getattr(k.value, "value", None) is True for k in keywords)
+
+
+def test_every_library_dataclass_is_frozen():
+    # A cached or validated answer can only go stale on a value that changes.
+    found = {
+        (path.stem, cls.name): _frozen(decorator)
+        for path in PACKAGE.glob("*.py")
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for decorator in cls.decorator_list
+        if _frozen(decorator) is not None
+    }
+    assert found and {key for key, frozen in found.items() if not frozen} == set(MUTABLE)
 
 
 def test_no_two_test_modules_define_the_same_helper():

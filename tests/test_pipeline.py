@@ -1,15 +1,19 @@
 """Tests for the end-to-end partition estimate and its cost accounting."""
 
-import json
 import math
 import sys
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trottergibbs import cheb, gqsp, lwf, pipeline, thermal, trotter
 from trottergibbs.cheb import cheb_grid, exact_partition
+from trottergibbs.cli import build_model
 from trottergibbs.pipeline import (
+    PIPELINE_MODES,
     PartitionResult,
     PipelineConfig,
     PipelineError,
@@ -365,6 +369,59 @@ def test_spectra_of_one_model_are_kept_per_order(monkeypatch):
     assert res.extrapolated == fresh.extrapolated
 
 
+def test_model_config_and_result_refuse_changes_after_construction():
+    # Spectra kept on a model and checks made by a config hold only for values
+    # that never change: each change fails where it is made, and a changed
+    # model is a new instance with its own answer.
+    model = build_model({"kind": "syk", "n_majorana": 8, "seed": 7, "one_norm": 1.0})
+    cfg = PipelineConfig(model=model, beta=1.0, base_step=0.3)
+    res = run_pipeline(cfg)
+    assert res.extrapolated == 1.0118728812316071
+    coeff, string = model.terms[0]
+    with pytest.raises(TypeError):
+        model.terms[0] = (50 * coeff, string)
+    for obj, name, value in [
+        (model, "terms", ()),
+        (cfg, "m_cheb", 3),
+        (cfg, "base_step", 10.0),
+        (cfg, "beta", 800.0),
+        (res, "extrapolated", 0.0),
+        (res.nodes[0], "z_hat", 0.0),
+    ]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, value)
+    assert run_pipeline(cfg).extrapolated == res.extrapolated
+    changed = HamiltonianTerms(model.n_qubits, [(50 * coeff, string), *model.terms[1:]])
+    fresh = run_pipeline(PipelineConfig(model=changed, beta=1.0, base_step=0.3))
+    assert fresh.extrapolated == 1.0118717474157157
+
+
+def _bits(res: PartitionResult) -> list[str]:
+    return [float.hex(v) for v in (res.extrapolated, res.oracle, *(r.z_hat for r in res.nodes))]
+
+
+_runs = st.fixed_dictionaries(
+    {
+        "beta": st.floats(0.5, 4.0),
+        "base_step": st.sampled_from([0.2, 0.3, 1.0]),
+        "order": st.sampled_from([1, 2, 4]),
+        "mode": st.sampled_from(PIPELINE_MODES),
+        "m_cheb": st.sampled_from([2, 4]),
+    }
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(_runs, min_size=2, max_size=4))
+def test_results_on_one_model_do_not_depend_on_earlier_runs(runs):
+    # Spectra and reference eigenvalues kept from earlier runs on the model
+    # give the same bits as a fresh model, whatever those runs were.
+    model = syk_model(8, seed=7)
+    for run in runs:
+        fresh = run_pipeline(PipelineConfig(model=syk_model(8, seed=7), **run))
+        assert _bits(run_pipeline(PipelineConfig(model=model, **run))) == _bits(fresh)
+
+
 def test_zero_term_model_is_the_zero_hamiltonian():
     res = run_pipeline(PipelineConfig(model=HamiltonianTerms(2, []), beta=1.0))
     assert res.extrapolated == res.oracle == 1.0
@@ -462,15 +519,6 @@ def test_grouped_mode_runs_and_converges():
     cfg = PipelineConfig(model=model, beta=1.0, m_cheb=4, mode="exact", base_step=0.5)
     res = run_pipeline(cfg)
     assert res.eps_cheb_realized < 1e-6
-
-
-def test_json_node_lines():
-    model = syk_model(4, seed=2)
-    res = run_pipeline(PipelineConfig(model=model, beta=1.0, m_cheb=2, mode="exact"))
-    lines = res.node_json_lines().splitlines()
-    assert len(lines) == 2
-    rec = json.loads(lines[0])
-    assert set(rec) == {"s_k", "beta_k", "mode", "p0_exact", "p0_hat", "queries", "seed"}
 
 
 def test_trace_bound_holds_on_random_models():

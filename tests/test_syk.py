@@ -124,7 +124,7 @@ def test_build_matches_per_coupling_reference(n_majorana):
     for seed in (0, 7, 31):
         c = sample_syk(n_majorana, seed=seed)
         want = [(v, PauliString.from_label(label)) for v, label in letter_syk_terms(c)]
-        assert build_syk_hamiltonian(c).terms == want
+        assert build_syk_hamiltonian(c).terms == tuple(want)
 
 
 # A parity-breaking pauli model (odd X/Y counts) with every Y count mod 4.
@@ -151,6 +151,18 @@ def test_masks_and_coefficients_are_byte_equal_to_the_letter_reference(spec):
         want = letter_masks(spec["terms"])
     got = (*h.pauli_masks, np.array([c for c, _ in h.terms]))
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_masks_and_terms_are_read_only():
+    # Every formula and dense() read the kept masks, so a write through them
+    # would change the model while its terms stay the same.
+    h = build_syk_hamiltonian(sample_syk(8, seed=7))
+    for array in h.pauli_masks:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] *= -1
+    with pytest.raises(TypeError):
+        h.terms[0] = (50.0, h.terms[0][1])
+    assert HamiltonianTerms(h.n_qubits, list(h.terms)) == h
 
 
 @given(st.integers(0, 3))
@@ -226,7 +238,7 @@ def test_group_commuting_splits_anticommuting():
         (1.0, PauliString.from_label("IX")),
     ]
     g = group_commuting(HamiltonianTerms(2, terms))
-    assert g.terms == [terms[0], terms[2], terms[1]]
+    assert g.terms == (terms[0], terms[2], terms[1])
     assert commuting_runs(g) == [[0, 1], [2]]
 
 
