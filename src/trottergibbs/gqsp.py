@@ -23,6 +23,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .linalg import read_only
+
 ADMISSIBLE_SLACK = 1e-9
 CIRCLE_SAMPLES = 4096
 COMPLETION_TOL = 1e-8
@@ -49,7 +51,7 @@ class LaurentPoly:
     c: np.ndarray  # complex, index m + M
 
     def __post_init__(self):
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=complex))
+        object.__setattr__(self, "c", read_only(self.c, complex))
         if self.c.shape != (2 * self.M + 1,):
             raise ValueError(f"need {2 * self.M + 1} coefficients, got {self.c.shape}")
         worst = float(np.max(np.abs(_circle_values(self.c))))
@@ -79,7 +81,8 @@ def complete_polynomial(p_coefs: np.ndarray) -> np.ndarray:
     p_coefs = np.asarray(p_coefs, dtype=complex)
     d = len(p_coefs) - 1
     grid = 1 << max(13, (8 * (d + 1) - 1).bit_length())
-    p_sq = np.abs(_circle_values(p_coefs, grid)) ** 2
+    p_sq = np.abs(_circle_values(p_coefs, grid))
+    np.square(p_sq, out=p_sq)
     g = 1.0 - p_sq
     g_max = float(np.max(g))
     if g_max <= 4.0 * ADMISSIBLE_SLACK:
@@ -89,15 +92,24 @@ def complete_polynomial(p_coefs: np.ndarray) -> np.ndarray:
         raise CompletionError(
             "|P| reaches 1 on the unit circle; rescale P by (1 - 1e-6) before completing"
         )
-    cepstrum = np.fft.ifft(np.log(g))
-    analytic = np.zeros(grid, dtype=complex)
-    analytic[0] = 0.5 * cepstrum[0]
-    analytic[1 : grid // 2] = cepstrum[1 : grid // 2]
-    outer_vals = np.exp(np.fft.fft(analytic))
+    # The ufuncs write into the grid arrays they read, and each FFT's input is
+    # dropped once it is used: ``g`` holds log G, then |Q|^2 and the residual.
+    cepstrum = np.fft.ifft(np.log(g, out=g))
+    cepstrum[0] = 0.5 * cepstrum[0]
+    cepstrum[grid // 2 :] = 0.0  # keep the analytic half
+    outer_vals = np.fft.fft(cepstrum)
+    del cepstrum
+    np.exp(outer_vals, out=outer_vals)
     outer = np.fft.ifft(outer_vals)
+    del outer_vals
     spill = float(np.max(np.abs(outer[d + 1 : grid - d])))
     q_coefs = np.conj(outer[d::-1])
-    residual = float(np.max(np.abs(p_sq + np.abs(_circle_values(q_coefs, grid)) ** 2 - 1.0)))
+    del outer
+    q_sq = np.abs(_circle_values(q_coefs, grid), out=g)
+    np.square(q_sq, out=q_sq)
+    q_sq += p_sq
+    q_sq -= 1.0
+    residual = float(np.max(np.abs(q_sq, out=q_sq)))
     if residual > COMPLETION_TOL:
         raise CompletionError(
             f"factorization residual {residual:.3e} exceeds {COMPLETION_TOL:.1e} "
@@ -114,6 +126,10 @@ class GqspAngles:
     phi: np.ndarray
     lam: float
     diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "theta", read_only(self.theta, float))
+        object.__setattr__(self, "phi", read_only(self.phi, float))
 
     @property
     def degree(self) -> int:
@@ -205,9 +221,8 @@ def synthesize_laurent(p: LaurentPoly) -> GqspAngles:
 
     The coefficients of z^M P(z) in ascending powers are exactly ``p.c``.
     """
-    shifted = p.c.copy()
-    q_coefs = complete_polynomial(shifted)
-    angles = synthesize_angles(shifted, q_coefs)
-    residual = np.abs(_circle_values(shifted)) ** 2 + np.abs(_circle_values(q_coefs)) ** 2 - 1.0
+    q_coefs = complete_polynomial(p.c)
+    angles = synthesize_angles(p.c, q_coefs)
+    residual = np.abs(_circle_values(p.c)) ** 2 + np.abs(_circle_values(q_coefs)) ** 2 - 1.0
     return replace(angles, diagnostics={"completion_residual": float(np.max(np.abs(residual)))})
 

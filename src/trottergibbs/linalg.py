@@ -30,6 +30,13 @@ class BranchCutError(ValueError):
     """A unitary has an eigenphase too close to the -pi branch cut."""
 
 
+def read_only(a, dtype=None) -> np.ndarray:
+    """A read-only copy of ``a`` for a frozen value to hold; ``a`` itself stays writable."""
+    out = np.array(a, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 def max_abs(a: np.ndarray) -> float:
     """Largest entry magnitude; the workhorse for closeness checks."""
     return float(np.max(np.abs(a))) if a.size else 0.0
@@ -60,6 +67,23 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns are eigenvectors
 
+    def __post_init__(self):
+        object.__setattr__(self, "eigenvalues", read_only(self.eigenvalues))
+        object.__setattr__(self, "eigenvectors", read_only(self.eigenvectors))
+
+    @classmethod
+    def _adopt(cls, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> "SpectralDecomposition":
+        """Hold arrays that a factory here just made, and nothing else refers to.
+
+        They are made read-only in place, skipping the constructor's copy, so a
+        2^n x 2^n basis is not held twice.
+        """
+        dec = object.__new__(cls)
+        for name, a in (("eigenvalues", eigenvalues), ("eigenvectors", eigenvectors)):
+            a.flags.writeable = False
+            object.__setattr__(dec, name, a)
+        return dec
+
     def apply(self, fvals: np.ndarray) -> np.ndarray:
         """V diag(fvals) V^dag for a function evaluated on the eigenvalues."""
         v = self.eigenvectors
@@ -77,7 +101,7 @@ def eigh_decompose(h: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix (checked)."""
     assert_hermitian(h)
     vals, vecs = np.linalg.eigh(h)
-    dec = SpectralDecomposition(vals, vecs)
+    dec = SpectralDecomposition._adopt(vals, vecs)
     dec.check(h)
     return dec
 
@@ -93,7 +117,7 @@ def unitary_decompose(u: np.ndarray) -> SpectralDecomposition:
 
     assert_unitary(u)
     t, z = scipy.linalg.schur(u, output="complex")
-    dec = SpectralDecomposition(np.diag(t).copy(), z)
+    dec = SpectralDecomposition._adopt(np.diag(t).copy(), z)
     dec.check(u)
     return dec
 

@@ -33,10 +33,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import read_only
+
 LN2 = math.log(2.0)
 ARCSIN_START = 64  # first arcsin order tried; doubled up to ARCSIN_CAP
 ARCSIN_CAP = 4096
 CERT_GRID = 1000  # window points on which FourierApprox.certify checks the series
+ROW_CHUNK = 32  # frequency rows _assemble lays out at once
 
 
 # Cephes lgam: Stirling correction polynomial for 13 <= x < 1000, highest power first.
@@ -94,6 +97,9 @@ class TaylorSeries:
 
     beta: float
     coeffs: np.ndarray  # a_k = exp(-beta) (-beta)^k / k!, k = 0..K
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", read_only(self.coeffs, float))
 
     @property
     def order(self) -> int:
@@ -187,6 +193,9 @@ class FourierApprox:
     eps: float
     diagnostics: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        object.__setattr__(self, "c", read_only(self.c, complex))
+
     @property
     def one_norm(self) -> float:
         return float(np.sum(np.abs(self.c)))
@@ -261,29 +270,36 @@ def _choose_arcsin_order(
 def _row_sums(pad: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Sum of the first lengths[r] entries of each row r of ``pad``.
 
-    Rows of equal length are summed together along axis 1, which runs the
-    same pairwise tree as a 1-D ``.sum()`` on each row's prefix.
+    Each run of adjacent rows of equal length is summed together along axis
+    1, which runs the same pairwise tree as a 1-D ``.sum()`` on each row's
+    prefix.
     """
-    by_length = np.argsort(lengths)
-    sorted_lengths = lengths[by_length]
-    starts = np.flatnonzero(np.diff(sorted_lengths, prepend=-1)).tolist()
+    starts = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(), len(lengths)]
     out = np.empty(len(lengths), dtype=pad.dtype)
-    for start, end in zip(starts, starts[1:] + [len(lengths)]):
-        rows = by_length[start:end]
-        out[rows] = pad[rows, : sorted_lengths[start]].sum(axis=1)
+    for start, end in zip(starts, starts[1:]):
+        out[start:end] = pad[start:end, : lengths[start]].sum(axis=1)
     return out
+
+
+def _row_blocks(width: np.ndarray):
+    """(rows, keep, run, col) per ROW_CHUNK rows; keep marks each row's first width entries."""
+    for start in range(0, len(width), ROW_CHUNK):
+        rows = slice(start, start + ROW_CHUNK)
+        keep = np.arange(width[rows].max()) < width[rows, None]
+        yield (rows, keep, *np.nonzero(keep))
 
 
 def _assemble(combined: np.ndarray, m_cut: int) -> tuple[np.ndarray, float]:
     """Collapse the triple sum to coefficients c_m, |m| <= m_cut.
 
     For fixed l the frequency is m = 2j - l with binomial index j, so each
-    (l, m) pair contributes B_l i^l (-1)^j binom(l, j) / 2^l.  The pairs are
-    laid out padded, one row per frequency with l = |m| + 2k ascending along
-    the row.  One stable sort of the +inf-padded magnitudes orders every run
-    by ascending magnitude, to control round-off, and runs of equal length
-    are summed together.  Returns the coefficients and the l1 mass dropped
-    outside the window.
+    (l, m) pair contributes B_l i^l (-1)^j binom(l, j) / 2^l.  The row of
+    frequency m holds its pairs with l = |m| + 2k ascending, and rows are
+    laid out ROW_CHUNK at a time, padded to the widest row of the block, so
+    transient memory is O(ROW_CHUNK L).  One stable sort of the
+    +inf-padded magnitudes orders every row by ascending magnitude, to
+    control round-off, and rows of equal length are summed together.
+    Returns the coefficients and the l1 mass dropped outside the window.
     """
     order = len(combined) - 1
     log_fact = _log_factorials()
@@ -292,28 +308,33 @@ def _assemble(combined: np.ndarray, m_cut: int) -> tuple[np.ndarray, float]:
     def pmf(l, j):  # binom(l, j) / 2^l
         return np.exp(log_fact[l] - log_fact[j] - log_fact[l - j] - l * LN2)
 
-    # Entry k of the row of frequency m has l = |m| + 2k.  Row sums of the sorted
+    # Entry k of the row of frequency m has l = |m| + 2k <= order.  Row sums of the sorted
     # rows and a sequential `cumsum` over the tails give the bits of a loop per frequency.
-    keep = np.abs(np.arange(-m_cut, m_cut + 1))[:, None] + 2 * np.arange(order // 2 + 1) <= order
-    run, k = np.nonzero(keep)
-    m = run - m_cut
-    lsub = np.abs(m) + 2 * k
-    j = (lsub + m) // 2
-    signs = np.where(j % 2 == 0, 1.0, -1.0)
-    vals = combined[lsub] * i_pow[lsub % 4] * signs * pmf(lsub, j)
-    pad = np.zeros(keep.shape, dtype=complex)
-    pad[keep] = vals
-    mag = np.full(keep.shape, np.inf)
-    mag[keep] = np.abs(vals)
-    pad = np.take_along_axis(pad, np.argsort(mag, axis=1, kind="stable"), axis=1)
-    c = _row_sums(pad, keep.sum(axis=1))
+    # Rows go in m order: the width falls with |m| on each side of m = 0, so rows of
+    # equal width are adjacent and `_row_sums` sums each run as one slice.
+    freqs = np.arange(-m_cut, m_cut + 1)
+    width = np.maximum((order - np.abs(freqs)) // 2 + 1, 0)
+    c = np.empty(len(freqs), dtype=complex)
+    for rows, keep, run, k in _row_blocks(width):
+        m = freqs[rows][run]
+        lsub = np.abs(m) + 2 * k
+        j = (lsub + m) // 2
+        signs = np.where(j % 2 == 0, 1.0, -1.0)
+        vals = combined[lsub] * i_pow[lsub % 4] * signs * pmf(lsub, j)
+        pad = np.zeros(keep.shape, dtype=complex)
+        pad[keep] = vals
+        mag = np.full(keep.shape, np.inf)
+        mag[keep] = np.abs(vals)
+        pad = np.take_along_axis(pad, np.argsort(mag, axis=1, kind="stable"), axis=1)
+        c[rows] = _row_sums(pad, width[rows])
     # l1 mass of the dropped binomial tails, j <= (l - m_cut - 1) // 2, for the error report.
     ls = np.arange(m_cut + 1, order + 1)
-    keep = np.arange((order - m_cut + 1) // 2) <= ((ls - m_cut - 1) // 2)[:, None]
-    row, j = np.nonzero(keep)
-    pad = np.zeros(keep.shape)
-    pad[keep] = pmf(ls[row], j)
-    tails = _row_sums(pad, keep.sum(axis=1))
+    width = (ls - m_cut + 1) // 2
+    tails = np.empty(len(ls))
+    for rows, keep, run, j in _row_blocks(width):
+        pad = np.zeros(keep.shape)
+        pad[keep] = pmf(ls[rows][run], j)
+        tails[rows] = _row_sums(pad, width[rows])
     dropped = np.cumsum(np.concatenate([[0.0], 2.0 * np.abs(combined[ls]) * tails]))[-1]
     return c, float(dropped)
 

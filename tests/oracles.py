@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trottergibbs.gqsp import GqspAngles, LaurentPoly, gqsp_apply
+from trottergibbs.gqsp import (
+    ADMISSIBLE_SLACK,
+    COMPLETION_TOL,
+    CompletionError,
+    GqspAngles,
+    LaurentPoly,
+    _circle_values,
+    gqsp_apply,
+)
 from trottergibbs.linalg import eigh_decompose, spectral_norm
 from trottergibbs.lwf import _arcsin_base
 from trottergibbs.paulis import PauliString, pauli_commutes
@@ -85,6 +93,35 @@ def direct_poly_apply(p: LaurentPoly, u: np.ndarray) -> np.ndarray:
         bwd = bwd @ udag
         out += p.c[p.M + m] * fwd + p.c[p.M - m] * bwd
     return out
+
+
+def completion_reference(p_coefs: np.ndarray) -> np.ndarray:
+    """``gqsp.complete_polynomial`` with a fresh array for every grid step.
+
+    The library's version reuses its grid buffers in place; the tests hold it
+    to this one byte for byte.
+    """
+    p_coefs = np.asarray(p_coefs, dtype=complex)
+    d = len(p_coefs) - 1
+    grid = 1 << max(13, (8 * (d + 1) - 1).bit_length())
+    p_sq = np.abs(_circle_values(p_coefs, grid)) ** 2
+    g = 1.0 - p_sq
+    g_max = float(np.max(g))
+    if g_max <= 4.0 * ADMISSIBLE_SLACK:
+        return np.zeros(d + 1, dtype=complex)
+    if float(np.min(g)) <= 0.0:
+        raise CompletionError("|P| reaches 1 on the unit circle")
+    cepstrum = np.fft.ifft(np.log(g))
+    analytic = np.zeros(grid, dtype=complex)
+    analytic[0] = 0.5 * cepstrum[0]
+    analytic[1 : grid // 2] = cepstrum[1 : grid // 2]
+    outer_vals = np.exp(np.fft.fft(analytic))
+    outer = np.fft.ifft(outer_vals)
+    q_coefs = np.conj(outer[d::-1])
+    residual = float(np.max(np.abs(p_sq + np.abs(_circle_values(q_coefs, grid)) ** 2 - 1.0)))
+    if residual > COMPLETION_TOL:
+        raise CompletionError(f"factorization residual {residual:.3e}")
+    return q_coefs
 
 
 def extract_block(full: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -682,8 +683,9 @@ def test_lwf_convergence_missed_certificate_exits_3(tmp_path, capsys, monkeypatc
 
     def spoiled(*args):
         fa = real(*args)
-        fa.c[fa.M] += 1.0
-        return fa
+        c = fa.c.copy()
+        c[fa.M] += 1.0
+        return replace(fa, c=c)
 
     monkeypatch.setattr(cli, "gibbs_fourier", spoiled)
     cfg = write_config(tmp_path, "cfg.json", {"betas": [1.0], "eps_grid": [1e-2, 1e-3]})

@@ -24,6 +24,7 @@ from trottergibbs.lwf import gibbs_fourier
 
 from oracles import (
     CIRCLE,
+    completion_reference,
     direct_poly_apply,
     extract_block,
     haar_unitary,
@@ -138,6 +139,25 @@ def test_monomial_shift_preserves_circle_values():
 def test_laurent_rejects_inadmissible():
     with pytest.raises(ValueError):
         LaurentPoly(1, [1.0, 1.0, 1.0])
+
+
+def test_laurent_rejects_a_write_past_its_check():
+    # The constructor checks admissibility, so its coefficients are read-only.
+    p = LaurentPoly(1, [0.45, 0, 0.45])
+    with pytest.raises(ValueError, match="read-only"):
+        p.c[1] = 0.9
+
+
+@pytest.mark.parametrize("degree", [2, 262, 1000, 2000])
+def test_completion_is_byte_identical_to_the_out_of_place_reference(degree):
+    # The in-place grid buffers run the same ufuncs on the same values.
+    # Degree 2000 takes the next grid size, 16384 points.
+    rng = np.random.default_rng(degree)
+    m = degree // 2
+    c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    c *= np.exp(-np.abs(np.arange(-m, m + 1)) / 20.0)
+    c *= 0.9 / np.max(np.abs(np.fft.fft(c, 1 << 16)))
+    assert complete_polynomial(c).tobytes() == completion_reference(c).tobytes()
 
 
 def test_complete_pure_monomial_gives_zero():
@@ -295,8 +315,9 @@ def test_verify_block_detects_corruption():
     angles = synthesize_laurent(p)
     u = haar_unitary(rng, 4)
     baseline = verify_block(angles, u, p)
-    corrupted = GqspAngles(angles.theta.copy(), angles.phi.copy(), angles.lam)
-    corrupted.theta[1] += 0.05
+    theta = angles.theta.copy()
+    theta[1] += 0.05
+    corrupted = GqspAngles(theta, angles.phi, angles.lam)
     assert verify_block(corrupted, u, p) > max(1e-3, 10 * baseline)
 
 

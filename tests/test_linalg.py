@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from trottergibbs.gqsp import GqspAngles, LaurentPoly
 from trottergibbs.linalg import (
     BranchCutError,
+    SpectralDecomposition,
     ToleranceError,
     assert_hermitian,
     assert_unitary,
@@ -16,6 +18,7 @@ from trottergibbs.linalg import (
     spectral_norm,
     unitary_decompose,
 )
+from trottergibbs.lwf import FourierApprox, TaylorSeries
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -110,6 +113,38 @@ def test_unitary_decompose_eigenvalues_on_circle():
     h = random_hermitian(rng, 5)
     dec = unitary_decompose(matrix_exp(h, 0.7j))
     assert max_abs(np.abs(dec.eigenvalues) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "build, names",
+    [
+        (lambda a, b: TaylorSeries(1.0, a), ["coeffs"]),
+        (lambda a, b: FourierApprox(1.0, 0.5, 1, a, 1e-3), ["c"]),
+        (lambda a, b: LaurentPoly(1, a), ["c"]),
+        (lambda a, b: GqspAngles(a, b, 0.0), ["theta", "phi"]),
+        (lambda a, b: SpectralDecomposition(a, b), ["eigenvalues", "eigenvectors"]),
+    ],
+    ids=["TaylorSeries", "FourierApprox", "LaurentPoly", "GqspAngles", "SpectralDecomposition"],
+)
+def test_frozen_values_hold_read_only_copies(build, names):
+    a, b = np.array([0.3, 0.0, 0.3]), np.array([0.1, 0.2, 0.3])
+    value = build(a, b)
+    for name in names:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(value, name)[0] = 0.5
+    # The caller's arrays stay writable, and a write there does not reach the value.
+    a[0] = b[0] = 0.5
+    assert all(getattr(value, name)[0] != 0.5 for name in names)
+
+
+@pytest.mark.parametrize("decompose", [eigh_decompose, unitary_decompose])
+def test_decompositions_hold_read_only_arrays(decompose):
+    # The factories freeze the arrays they make in place, without a copy.
+    dec = decompose(Z)
+    for a in (dec.eigenvalues, dec.eigenvectors):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.5
+    assert dec.eigenvalues.base is None  # not a view that keeps the Schur factor alive
 
 
 def test_spectral_norm_matches_numpy():

@@ -5,6 +5,8 @@ the approximation is a trigonometric series sum_m c_m exp(i pi m x / 2).
 """
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -224,7 +226,9 @@ def test_certify_returns_the_window_sup_error():
 
 def test_certify_refuses_a_series_past_eps_with_the_split():
     f = gibbs_fourier(2.0, 0.5, 1e-6)
-    f.c[f.M] += 1e-5
+    c = f.c.copy()
+    c[f.M] += 1e-5
+    f = replace(f, c=c)
     with pytest.raises(ApproximationError, match="certificate failed") as exc_info:
         f.certify()
     split = exc_info.value.split
@@ -388,6 +392,38 @@ def test_assemble_matches_loop_reference_with_every_run_length(order):
         c_ref, dropped_ref = assemble_reference(combined, m_cut)
         assert c.tobytes() == c_ref.tobytes()
         assert dropped == dropped_ref
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.0, 4.0, exclude_min=True), st.floats(0.25, 1.0), st.floats(1e-6, 1e-2))
+def test_assemble_bits_do_not_depend_on_the_row_block(beta, delta, eps):
+    # One row per block, blocks of 7 whose edges cut runs of equal-width rows
+    # apart, the default, and one block holding every row: each gives the loop
+    # reference's bytes.
+    ts = gibbs_taylor(beta, taylor_order(beta, eps))
+    m_cut = lwf_order(ts.one_norm, delta, eps)
+    _, combined, _ = _choose_arcsin_order(ts, delta, eps)
+    c_ref, dropped_ref = assemble_reference(combined, m_cut)
+    for chunk in (1, 7, lwf.ROW_CHUNK, 2 * m_cut + len(combined)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lwf, "ROW_CHUNK", chunk)
+            c, dropped = _assemble(combined, m_cut)
+        assert c.tobytes() == c_ref.tobytes(), chunk
+        assert dropped == dropped_ref, chunk
+
+
+def test_fourier_target_memory_does_not_grow_with_the_frequencies():
+    # Row blocks hold O(ROW_CHUNK L) at a time: about 2 MB here, where one
+    # padded row per frequency and the whole binomial-tail table took 31 MB.
+    gibbs_fourier(8.0, 0.1, 1e-6)  # the cached tables are built outside the trace
+    tracemalloc.start()
+    try:
+        f = gibbs_fourier(8.0, 0.1, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (f.diagnostics["arcsin_order"], f.M) == (1024, 306)
+    assert peak <= 4e6
 
 
 def sup_error_reference(approx, grid_size):
