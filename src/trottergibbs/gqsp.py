@@ -38,8 +38,14 @@ class SynthesisError(ValueError):
     """Angle peeling hit an unstable (vanishing leading coefficient) step."""
 
 
-def _circle_values(coefs: np.ndarray, n: int = CIRCLE_SAMPLES) -> np.ndarray:
-    """Polynomial values on n evenly spaced points of the unit circle."""
+def _circle_values(coefs: np.ndarray, n: int | None = None) -> np.ndarray:
+    """Polynomial values on n evenly spaced points of the unit circle.
+
+    By default n is CIRCLE_SAMPLES, or the next power of two that holds every
+    coefficient: an FFT shorter than the coefficients would crop them.
+    """
+    if n is None:
+        n = max(CIRCLE_SAMPLES, 1 << (len(coefs) - 1).bit_length())
     return np.fft.fft(coefs, n)
 
 
@@ -148,32 +154,38 @@ def synthesize_angles(p_coefs: np.ndarray, q_coefs: np.ndarray) -> GqspAngles:
         raise ValueError("P and Q must share a coefficient length")
     # Strip exactly-padded top degrees (e.g. a completion of lower degree).
     # Only exact zeros: a tiny leading coefficient still fixes a rotation.
-    while len(p_row) > 1 and p_row[-1] == 0 and q_row[-1] == 0:
-        p_row, q_row = p_row[:-1], q_row[:-1]
     d = len(p_row) - 1
+    while d > 0 and p_row[d] == 0 and q_row[d] == 0:
+        d -= 1
+    s = np.stack([p_row[: d + 1], q_row[: d + 1]])  # [P; Q], peeled in place
+    # shifted[k, r] = row r of S read k degrees lower: s[r, 1:] for k = 0, s[r, :-1] for k = 1.
+    shifted = np.lib.stride_tricks.as_strided(s[:, 1:], (2, 2, d), (-s.strides[1], *s.strides))
+    mix = np.empty((2, 2, 1), dtype=complex)  # R(theta, phi)^dag, each row against its shift
+    entries = mix.reshape(4)
     theta = np.zeros(d + 1)
     phi = np.zeros(d + 1)
     lam = 0.0
     for step in range(d, -1, -1):
-        a, b = complex(p_row[step]), complex(q_row[step])
+        a, b = s[:, step].tolist()
         if a == 0 and b == 0:
             raise SynthesisError(
                 f"peeling unstable at degree {step}: leading coefficients vanish"
             )
-        theta[step] = math.atan2(abs(b), abs(a))
+        theta[step] = angle = math.atan2(abs(b), abs(a))
         # Relative phase; the completion can leave |b| astronomically small
         # (products of in-disk roots), but its phase is still exact, so no
         # magnitude threshold here.  angle(0) == 0 keeps exact zeros benign.
-        phi[step] = math.atan2(a.imag, a.real) - math.atan2(b.imag, b.real)
+        phi[step] = phase = math.atan2(a.imag, a.real) - math.atan2(b.imag, b.real)
         if step == 0:
             lam = math.atan2(b.imag, b.real)
             break
         # The rows of R(theta, phi)^dag [P; Q], shifted: row 0 drops its
         # lowest degree and row 1 its top degree, which now vanishes.
-        cos, sin = math.cos(theta[step]), math.sin(theta[step])
-        turn = complex(math.cos(phi[step]), -math.sin(phi[step]))  # exp(-i phi)
-        p_row, q_row = (turn * cos * p_row[1:] + sin * q_row[1:],
-                        turn * sin * p_row[:-1] - cos * q_row[:-1])
+        cos, sin = math.cos(angle), math.sin(angle)
+        turn = complex(math.cos(phase), -math.sin(phase))  # exp(-i phi)
+        entries[0], entries[1], entries[2], entries[3] = turn * cos, sin, turn * sin, -cos
+        mixed = mix * shifted[:, :, :step]
+        np.add(mixed[:, 0], mixed[:, 1], out=s[:, :step])
     return GqspAngles(theta, phi, lam)
 
 
@@ -198,22 +210,39 @@ def gqsp_cells(angles: GqspAngles, phases: np.ndarray, shift: int) -> np.ndarray
     """The ``gqsp_apply`` circuit on each eigenvector of a normal signal unitary.
 
     On the eigenvector with eigenvalue z = e^{i phase}, A acts on the ancilla
-    as diag(z, 1): the circuit is one 2x2 product R_d diag(z, 1) ... R_0.
-    All cells are folded at once as one 2 x 2N row pair X, X[r, 2j+k] =
-    cell_j[r, k]: each degree scales row 0 by z and left-multiplies by R.
-    The ancilla-0 row is then multiplied by z^-shift, undoing the monomial
-    shift of a Laurent target.  Returns a C-contiguous (len(phases), 2, 2).
+    as diag(z, 1): the circuit is one 2x2 product F_d ... F_1 F_0 of the
+    factors F_j = R_j diag(z, 1), with F_0 = R_0.  The factors of every
+    eigenvalue are laid out at once, entry first, and multiplied as a
+    balanced pairwise tree: each level takes elementwise 2x2 products of
+    adjacent factors, an odd last factor moving up unpaired, so about
+    log2(d) levels replace one product per degree.  The ancilla-0 row is
+    then multiplied by z^-shift, undoing the monomial shift of a Laurent
+    target.  Returns a C-contiguous (len(phases), 2, 2).
     """
     phases = np.asarray(phases, dtype=float)
-    n = len(phases)
-    z2 = np.repeat(np.exp(1j * phases), 2)
-    rots = rotation(angles.theta, angles.phi, np.r_[angles.lam, np.zeros(angles.degree)])
-    x = np.tile(rots[0], (1, n))
-    for r in rots[1:]:
-        x[0] *= z2
-        x = r @ x
-    x[0] *= np.repeat(np.exp(-1j * shift * phases), 2)
-    return np.ascontiguousarray(x.reshape(2, n, 2).transpose(1, 0, 2))
+    z = np.exp(1j * phases)
+    r = rotation(angles.theta, angles.phi, np.r_[angles.lam, np.zeros(angles.degree)])
+    r = r.transpose(1, 2, 0)  # r[:, :, j] = R_j
+    count, half = r.shape[2], r.shape[2] // 2
+    later, earlier = r[:, :, 1::2, None], r[:, :, : 2 * half : 2, None]
+    # The first level, f[:, :, i] = F_2i+1 F_2i on each eigenvalue, from scalars:
+    # R' diag(z, 1) R = A z + B, with A[r, c] = R'[r, 0] R[0, c] and B[r, c] = R'[r, 1] R[1, c].
+    f = np.empty((2, 2, count - half, len(z)), dtype=complex)
+    np.multiply(later[:, :1] * earlier[0], z, out=f[:, :, :half])
+    f[:, :, :half] += later[:, 1:] * earlier[1]
+    f[:, :, half:] = r[:, :, 2 * half :, None]
+    f[:, 0, 1:] *= z  # the diag(z, 1) on the right of every factor but F_0 = R_0
+    while (count := f.shape[2]) > 1:
+        half = count // 2
+        later, earlier = f[:, :, 1::2], f[:, :, : 2 * half : 2]
+        up = np.empty((2, 2, count - half, len(z)), dtype=complex)
+        np.multiply(later[:, :1], earlier[0], out=up[:, :, :half])
+        up[:, :, :half] += later[:, 1:] * earlier[1]
+        up[:, :, half:] = f[:, :, 2 * half :]
+        f = up
+    cells = f[:, :, 0]
+    cells[0] *= np.exp(-1j * shift * phases)
+    return np.ascontiguousarray(cells.transpose(2, 0, 1))
 
 
 def synthesize_laurent(p: LaurentPoly) -> GqspAngles:

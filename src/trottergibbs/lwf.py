@@ -192,13 +192,24 @@ class FourierApprox:
     c: np.ndarray  # complex, index m + M
     eps: float
     diagnostics: dict = field(default_factory=dict)
+    series: np.ndarray | None = None  # the y-series B_l that c was collapsed from, if known
 
     def __post_init__(self):
         object.__setattr__(self, "c", read_only(self.c, complex))
+        if self.series is not None:
+            object.__setattr__(self, "series", read_only(self.series, float))
 
     @property
     def one_norm(self) -> float:
         return float(np.sum(np.abs(self.c)))
+
+    @property
+    def binomial_dropped(self) -> float | None:
+        """l1 mass the window |m| <= M drops from the binomial collapse; None without ``series``.
+
+        No node reads it, so it is computed on each read, not with the coefficients.
+        """
+        return None if self.series is None else _binomial_dropped(self.series, self.M)
 
     def reconstruct(self, x: np.ndarray) -> np.ndarray:
         """sum_m c_m exp(i pi m x / 2), from one (x.size, 2M+1) table filled in place.
@@ -223,7 +234,8 @@ class FourierApprox:
         if sup_err > self.eps:
             raise ApproximationError(
                 f"certificate failed: grid error {sup_err:.3e} > eps {self.eps:.3e}",
-                split={**self.diagnostics, "grid_sup_error": sup_err},
+                split={**self.diagnostics, "binomial_dropped": self.binomial_dropped,
+                       "grid_sup_error": sup_err},
             )
         return sup_err
 
@@ -289,7 +301,13 @@ def _row_blocks(width: np.ndarray):
         yield (rows, keep, *np.nonzero(keep))
 
 
-def _assemble(combined: np.ndarray, m_cut: int) -> tuple[np.ndarray, float]:
+def _pmf(l: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """binom(l, j) / 2^l from the log-factorial table."""
+    log_fact = _log_factorials()
+    return np.exp(log_fact[l] - log_fact[j] - log_fact[l - j] - l * LN2)
+
+
+def _assemble(combined: np.ndarray, m_cut: int) -> np.ndarray:
     """Collapse the triple sum to coefficients c_m, |m| <= m_cut.
 
     For fixed l the frequency is m = 2j - l with binomial index j, so each
@@ -299,20 +317,17 @@ def _assemble(combined: np.ndarray, m_cut: int) -> tuple[np.ndarray, float]:
     transient memory is O(ROW_CHUNK L).  One stable sort of the
     +inf-padded magnitudes orders every row by ascending magnitude, to
     control round-off, and rows of equal length are summed together.
-    Returns the coefficients and the l1 mass dropped outside the window.
     """
     order = len(combined) - 1
-    log_fact = _log_factorials()
     i_pow = np.array([1, 1j, -1, -1j])  # exact powers of i
 
-    def pmf(l, j):  # binom(l, j) / 2^l
-        return np.exp(log_fact[l] - log_fact[j] - log_fact[l - j] - l * LN2)
-
     # Entry k of the row of frequency m has l = |m| + 2k <= order.  Row sums of the sorted
-    # rows and a sequential `cumsum` over the tails give the bits of a loop per frequency.
-    # Rows go in m order: the width falls with |m| on each side of m = 0, so rows of
-    # equal width are adjacent and `_row_sums` sums each run as one slice.
-    freqs = np.arange(-m_cut, m_cut + 1)
+    # rows give the bits of a loop per frequency.  Rows go in |m| order, 0, 1, -1, 2, -2, ...:
+    # the width falls with |m|, so the (up to four) rows of each width are adjacent, each
+    # block pads over few widths, and `_row_sums` sums each run of them as one slice.
+    freqs = np.zeros(2 * m_cut + 1, dtype=int)
+    freqs[1::2] = np.arange(1, m_cut + 1)
+    freqs[2::2] = -freqs[1::2]
     width = np.maximum((order - np.abs(freqs)) // 2 + 1, 0)
     c = np.empty(len(freqs), dtype=complex)
     for rows, keep, run, k in _row_blocks(width):
@@ -320,23 +335,32 @@ def _assemble(combined: np.ndarray, m_cut: int) -> tuple[np.ndarray, float]:
         lsub = np.abs(m) + 2 * k
         j = (lsub + m) // 2
         signs = np.where(j % 2 == 0, 1.0, -1.0)
-        vals = combined[lsub] * i_pow[lsub % 4] * signs * pmf(lsub, j)
+        vals = combined[lsub] * i_pow[lsub % 4] * signs * _pmf(lsub, j)
         pad = np.zeros(keep.shape, dtype=complex)
         pad[keep] = vals
         mag = np.full(keep.shape, np.inf)
         mag[keep] = np.abs(vals)
         pad = np.take_along_axis(pad, np.argsort(mag, axis=1, kind="stable"), axis=1)
-        c[rows] = _row_sums(pad, width[rows])
-    # l1 mass of the dropped binomial tails, j <= (l - m_cut - 1) // 2, for the error report.
+        c[freqs[rows] + m_cut] = _row_sums(pad, width[rows])
+    return c
+
+
+def _binomial_dropped(combined: np.ndarray, m_cut: int) -> float:
+    """l1 mass of the binomial tails j <= (l - m_cut - 1) // 2 that frequencies past m_cut drop.
+
+    Tail rows, one per l > m_cut, are laid out and summed as ``_assemble``
+    lays out its frequency rows, and a sequential ``cumsum`` adds them up:
+    the bits of a loop over l.
+    """
+    order = len(combined) - 1
     ls = np.arange(m_cut + 1, order + 1)
     width = (ls - m_cut + 1) // 2
     tails = np.empty(len(ls))
     for rows, keep, run, j in _row_blocks(width):
         pad = np.zeros(keep.shape)
-        pad[keep] = pmf(ls[rows][run], j)
+        pad[keep] = _pmf(ls[rows][run], j)
         tails[rows] = _row_sums(pad, width[rows])
-    dropped = np.cumsum(np.concatenate([[0.0], 2.0 * np.abs(combined[ls]) * tails]))[-1]
-    return c, float(dropped)
+    return float(np.cumsum(np.concatenate([[0.0], 2.0 * np.abs(combined[ls]) * tails]))[-1])
 
 
 def lwf_coefficients(ts: TaylorSeries, delta: float, eps: float) -> FourierApprox:
@@ -355,15 +379,14 @@ def lwf_coefficients(ts: TaylorSeries, delta: float, eps: float) -> FourierAppro
             split={"taylor_tail": taylor_tail, "eps": eps},
         )
     order, combined, arcsin_tail = _choose_arcsin_order(ts, delta, eps)
-    c, dropped = _assemble(combined, m_cut)
     diagnostics = {
         "taylor_order": ts.order,
         "arcsin_order": order,
         "taylor_tail": taylor_tail,
         "arcsin_tail": arcsin_tail,
-        "binomial_dropped": dropped,
     }
-    approx = FourierApprox(ts.beta, delta, m_cut, c, eps, diagnostics)
+    c = _assemble(combined, m_cut)
+    approx = FourierApprox(ts.beta, delta, m_cut, c, eps, diagnostics, series=combined)
     if approx.one_norm > ts.one_norm + 1e-12:
         raise ApproximationError(
             f"one-norm grew: ||c||_1 = {approx.one_norm:.6f} > ||a||_1 = {ts.one_norm:.6f}"

@@ -141,6 +141,24 @@ def test_laurent_rejects_inadmissible():
         LaurentPoly(1, [1.0, 1.0, 1.0])
 
 
+def test_laurent_rejects_a_top_coefficient_past_the_circle_samples():
+    # 2M + 1 = 4201 coefficients exceed CIRCLE_SAMPLES; |P| = 2 everywhere
+    # through the top one alone, which a 4096-point FFT would crop away.
+    c = np.zeros(4201, dtype=complex)
+    c[-1] = 2.0
+    with pytest.raises(ValueError, match="not admissible"):
+        LaurentPoly(2100, c)
+
+
+def test_completion_residual_reads_every_coefficient_past_the_circle_samples():
+    # P = 0.3 (z^-2100 + z^2100): on a cropped grid neither P nor its
+    # completion has its top coefficient, and the residual read 0.9.
+    c = np.zeros(4201, dtype=complex)
+    c[0] = c[-1] = 0.3
+    angles = synthesize_laurent(LaurentPoly(2100, c))
+    assert angles.diagnostics["completion_residual"] <= 1e-9
+
+
 def test_laurent_rejects_a_write_past_its_check():
     # The constructor checks admissibility, so its coefficients are read-only.
     p = LaurentPoly(1, [0.45, 0, 0.45])
@@ -374,10 +392,12 @@ def test_cells_match_dense_circuit_in_eigenbasis(seed, m, dim):
 
 
 @pytest.mark.parametrize("n", [0, 1, 16])
-@pytest.mark.parametrize("degree", [0, 1, 260])
+@pytest.mark.parametrize("degree", [0, 1, 2, 127, 128, 129, 260, 264])
 def test_cells_match_batched_fold_reference(degree, n):
-    # The 2 x 2N row-pair fold against the per-degree batched matmul it
-    # replaced, on random angles; 260 is the degree of the disorder workload.
+    # The balanced pairwise product against the per-degree batched matmul
+    # fold, on random angles; 260 and 264 are degrees of the disorder
+    # workload, and 2, 127, 128, 129 and 264 leave an odd factor count, to
+    # be carried up unpaired, at one or several levels of the tree.
     rng = np.random.default_rng(1000 * degree + n)
     angles = GqspAngles(
         rng.uniform(0, math.pi, degree + 1),

@@ -64,6 +64,12 @@ def assemble_reference(combined, m_cut):
     return c, dropped
 
 
+def assemble(combined, m_cut):
+    """``_assemble``'s coefficients and the ``binomial_dropped`` a FourierApprox of them reads."""
+    c = _assemble(combined, m_cut)
+    return c, FourierApprox(1.0, 0.5, m_cut, c, 1e-3, series=combined).binomial_dropped
+
+
 def reconstruct_reference(approx, x):
     """``FourierApprox.reconstruct`` with one exponential per grid point and frequency."""
     frequencies = np.arange(-approx.M, approx.M + 1)
@@ -82,7 +88,7 @@ def truncation_scan(ts, delta, m_list, grid_size=1000, floor_eps=1e-12):
         raise ValueError("m_list must be non-empty with nonnegative entries")
     m_full = max(m_list)
     _, combined, _ = _choose_arcsin_order(ts, delta, floor_eps)
-    c_full, _ = _assemble(combined, m_full)
+    c_full = _assemble(combined, m_full)
     grid = np.linspace(-1.0 + delta, 1.0 - delta, grid_size)
     target = np.exp(-ts.beta * (grid + 1.0))
     out = []
@@ -236,6 +242,29 @@ def test_certify_refuses_a_series_past_eps_with_the_split():
     assert split["taylor_tail"] == f.diagnostics["taylor_tail"]
 
 
+def test_failed_certify_carries_the_binomial_tail_with_the_reference_bits():
+    # Assembly no longer computes the tail; the split of a failed certificate
+    # computes it from the kept y-series, with the loop reference's bits.
+    f = gibbs_fourier(4.0, 0.25, 1e-6)
+    assert "binomial_dropped" not in f.diagnostics
+    _, dropped_ref = assemble_reference(f.series, f.M)
+    assert dropped_ref > 0.0
+    c = f.c.copy()
+    c[f.M] += 1e-5
+    with pytest.raises(ApproximationError, match="certificate failed") as exc_info:
+        replace(f, c=c).certify()
+    assert exc_info.value.split["binomial_dropped"] == dropped_ref
+    assert f.binomial_dropped == dropped_ref
+
+
+def test_a_series_built_without_its_y_series_has_no_binomial_tail():
+    f = FourierApprox(1.0, 0.5, 0, np.array([0.5 + 0j]), 1e-3)
+    assert f.binomial_dropped is None
+    with pytest.raises(ApproximationError) as exc_info:
+        f.certify()
+    assert exc_info.value.split["binomial_dropped"] is None
+
+
 def test_lwf_coefficients_reports_budget_split_on_failure():
     with pytest.raises(ApproximationError) as exc_info:
         lwf_coefficients(gibbs_taylor(4.0, 2), 0.25, 1e-8)
@@ -322,7 +351,7 @@ def test_factorial_table_is_built_once_per_process(monkeypatch):
     lwf._log_factorials.cache_clear()
     lwf._arcsin_base.cache_clear()
     calls = counting(monkeypatch, "_lgam")
-    c, dropped = _assemble(combined, 12)
+    c, dropped = assemble(combined, 12)
     _assemble(combined, 20)
     _choose_arcsin_order(gibbs_taylor(3.0, 30), 0.25, 1e-6)  # rebuilds the arcsin base
     # One entry per n = 0..ARCSIN_CAP, for the first _assemble only.
@@ -347,7 +376,7 @@ def test_assemble_and_reconstruct_match_loop_references_bit_for_bit(beta, delta,
     ts = gibbs_taylor(beta, taylor_order(beta, eps))
     m_cut = lwf_order(ts.one_norm, delta, eps)
     combined, _ = _arcsin_pass(ts, delta, order)
-    c, dropped = _assemble(combined, m_cut)
+    c, dropped = assemble(combined, m_cut)
     c_ref, dropped_ref = assemble_reference(combined, m_cut)
     assert c.tobytes() == c_ref.tobytes()
     assert dropped == dropped_ref
@@ -362,7 +391,7 @@ def test_assemble_matches_loop_reference_at_every_window(order, m_cut):
     # Windows narrower and wider than the arcsin order, including m_cut >= order
     # (no dropped tail, empty frequency runs) and m_cut = 0 (one run).
     combined, _ = _arcsin_pass(gibbs_taylor(3.0, 40), 0.3, order)
-    c, dropped = _assemble(combined, m_cut)
+    c, dropped = assemble(combined, m_cut)
     c_ref, dropped_ref = assemble_reference(combined, m_cut)
     assert c.tobytes() == c_ref.tobytes()
     assert dropped == dropped_ref
@@ -372,7 +401,7 @@ def test_assemble_matches_loop_reference_at_the_arcsin_cap():
     # Only an arcsin order of ARCSIN_CAP reads the last entry of the table.
     combined, _ = _arcsin_pass(gibbs_taylor(3.0, 20), 0.3, ARCSIN_CAP)
     for m_cut in (0, 200):
-        c, dropped = _assemble(combined, m_cut)
+        c, dropped = assemble(combined, m_cut)
         c_ref, dropped_ref = assemble_reference(combined, m_cut)
         assert c.tobytes() == c_ref.tobytes()
         assert dropped == dropped_ref
@@ -388,7 +417,7 @@ def test_assemble_matches_loop_reference_with_every_run_length(order):
     for m_cut, shortest in ((order, 1), (order + 7, 0)):
         lengths = {len(range(abs(m), order + 1, 2)) for m in range(-m_cut, m_cut + 1)}
         assert lengths == set(range(shortest, order // 2 + 2))
-        c, dropped = _assemble(combined, m_cut)
+        c, dropped = assemble(combined, m_cut)
         c_ref, dropped_ref = assemble_reference(combined, m_cut)
         assert c.tobytes() == c_ref.tobytes()
         assert dropped == dropped_ref
@@ -407,7 +436,7 @@ def test_assemble_bits_do_not_depend_on_the_row_block(beta, delta, eps):
     for chunk in (1, 7, lwf.ROW_CHUNK, 2 * m_cut + len(combined)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lwf, "ROW_CHUNK", chunk)
-            c, dropped = _assemble(combined, m_cut)
+            c, dropped = assemble(combined, m_cut)
         assert c.tobytes() == c_ref.tobytes(), chunk
         assert dropped == dropped_ref, chunk
 

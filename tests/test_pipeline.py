@@ -471,6 +471,33 @@ def test_gqsp_run_never_evaluates_the_fourier_series(monkeypatch):
     assert calls == []
 
 
+def test_gqsp_run_computes_no_binomial_tail_row(monkeypatch):
+    # binomial_dropped is computed only when read, and a node never reads it:
+    # every row block _assemble lays out is a block of frequency rows.
+    tails, rows = [], []
+    real_dropped, real_blocks = lwf._binomial_dropped, lwf._row_blocks
+
+    def dropped(*args):
+        tails.append(args)
+        return real_dropped(*args)
+
+    def blocks(width):
+        rows.append(len(width))
+        return real_blocks(width)
+
+    monkeypatch.setattr(lwf, "_binomial_dropped", dropped)
+    monkeypatch.setattr(lwf, "_row_blocks", blocks)
+    cfg = PipelineConfig(model=syk_model(8, seed=4), beta=1.0, m_cheb=4, mode="gqsp")
+    res = run_pipeline(cfg)
+    assert tails == []
+    # One Fourier target per mirror pair of nodes, each laying out its 2M + 1 frequency rows.
+    assert len(rows) == cfg.m_cheb // 2
+    assert set(rows) <= {2 * r.diagnostics["fourier_m"] + 1 for r in res.nodes}
+    # The counter sees the tail where it is read.
+    assert lwf.gibbs_fourier(1.0, 0.5, 1e-3).binomial_dropped > 0.0
+    assert len(tails) == 1
+
+
 def test_block_past_eps_qsp_names_the_node(shrunk_fourier):
     cfg = PipelineConfig(model=syk_model(8, seed=4), beta=1.0, m_cheb=4, mode="gqsp")
     with pytest.raises(PipelineError, match=r"node \d+ \(s_k=.*block_deviation .* exceeds eps_qsp"):
