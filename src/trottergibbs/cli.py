@@ -30,9 +30,10 @@ from typing import get_args, get_origin
 import numpy as np
 
 from . import __version__
+from .cheb import exact_partition
 from .lwf import CERT_GRID, ApproximationError, gibbs_fourier, gibbs_taylor, taylor_order
 from .paulis import DENSE_QUBIT_CAP, LETTERS, PauliString
-from .pipeline import PIPELINE_MODES, PipelineConfig, ancilla_savings, run_pipeline
+from .pipeline import PIPELINE_MODES, PipelineConfig, PipelineError, ancilla_savings, run_pipeline
 from .syk import HamiltonianTerms, build_syk_hamiltonian, sample_syk
 from .trotter import check_order, trotter_error_norm
 
@@ -333,6 +334,14 @@ def cmd_pipeline(cfg: dict, out_dir: Path) -> list[Path]:
     except ValueError as err:
         raise ConfigError(str(err)) from err
     result = run_pipeline(pipe_cfg)
+    oracle = exact_partition(model, pipe_cfg.beta)
+    realized = abs(result.extrapolated_exact - oracle)
+    if not (math.isfinite(oracle) and math.isfinite(realized)):
+        raise PipelineError(
+            f"extrapolation: estimate {result.extrapolated!r}, exact "
+            f"{result.extrapolated_exact!r}, reference {oracle!r} or the gap between the "
+            "last two is not a finite float"
+        )
     payload = {
         "format_version": FORMAT_VERSION,
         "beta": pipe_cfg.beta,
@@ -343,8 +352,8 @@ def cmd_pipeline(cfg: dict, out_dir: Path) -> list[Path]:
         "seed": pipe_cfg.seed,
         "extrapolated": result.extrapolated,
         "extrapolated_exact": result.extrapolated_exact,
-        "oracle": result.oracle,
-        "eps_cheb_realized": result.eps_cheb_realized,
+        "oracle": oracle,
+        "eps_cheb_realized": realized,
         "cost": result.cost,
     }
     json_path = out_dir / "pipeline_result.json"

@@ -380,6 +380,22 @@ def test_non_finite_total_cost_exits_3_naming_the_ledger(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_finite_reference_exits_3_naming_the_stage(tmp_path, capsys, monkeypatch):
+    # The dense reference is computed by the command, not by the solve, and
+    # refused there with the message the solve used to raise.
+    monkeypatch.setattr(cli, "exact_partition", lambda *args: math.inf)
+    cfg = write_config(tmp_path, "cfg.json", {"mode": "exact", "beta": 1.0, "m_cheb": 2})
+    out = tmp_path / "r"
+    rc, payload = run_cli(capsys, "pipeline", "--config", cfg, "--out", str(out))
+    assert rc == 3
+    assert payload["error"]["type"] == "PipelineError"
+    assert payload["error"]["message"] == (
+        "extrapolation: estimate 1.0118635866435772, exact 1.0118635866435772, reference inf "
+        "or the gap between the last two is not a finite float"
+    )
+    assert not out.exists()
+
+
 def test_write_json_refuses_a_non_finite_number_before_opening_the_file(tmp_path):
     path = tmp_path / "result.json"
     for value in (math.inf, -math.inf, math.nan):

@@ -120,7 +120,7 @@ def test_single_term_model_is_exact():
     res = run_pipeline(cfg)
     want = exact_partition(model, 1.5)
     assert res.extrapolated == pytest.approx(want, abs=1e-12)
-    assert res.eps_cheb_realized < 1e-12
+    assert abs(res.extrapolated_exact - want) < 1e-12
     for rec in res.nodes:
         assert rec.z_exact == pytest.approx(want, rel=1e-12)
 
@@ -320,12 +320,12 @@ def test_beta_sweep_reuses_spectra_of_one_model(monkeypatch):
     monkeypatch.setattr(cheb, "eigh_decompose", counted_eigh)
     model = syk_model(8, seed=4)
     m_cheb = 4
-    sweep = [
-        run_pipeline(PipelineConfig(model=model, beta=beta, m_cheb=m_cheb))
-        for beta in (1.0, 2.0, 4.0)
-    ]
+    betas = (1.0, 2.0, 4.0)
+    sweep = [run_pipeline(PipelineConfig(model=model, beta=beta, m_cheb=m_cheb)) for beta in betas]
+    assert calls == {"formula": m_cheb // 2, "eigh": 0}
+    references = [exact_partition(model, beta) for beta in betas]
     assert calls == {"formula": m_cheb // 2, "eigh": 1}
-    assert len({r.oracle for r in sweep}) == 3
+    assert len(set(references)) == 3
 
     s_1 = float(cheb_grid(m_cheb).nodes[0])
     spectrum = trotter.node_spectrum(model, s_1 * 0.3, 2)
@@ -342,9 +342,11 @@ def test_beta_sweep_reuses_spectra_of_one_model(monkeypatch):
     ):
         before = dict(calls)
         res = run_pipeline(PipelineConfig(model=derived, beta=1.0, m_cheb=m_cheb))
+        got = {"extrapolated": res.extrapolated, "oracle": exact_partition(derived, 1.0)}
         assert calls["formula"] == before["formula"] + m_cheb // 2
         assert calls["eigh"] == before["eigh"] + 1
-        assert getattr(res, same) == pytest.approx(getattr(sweep[0], same), rel=1e-12)
+        want = {"extrapolated": sweep[0].extrapolated, "oracle": references[0]}
+        assert got[same] == pytest.approx(want[same], rel=1e-12)
 
 
 def test_spectra_of_one_model_are_kept_per_order(monkeypatch):
@@ -396,8 +398,10 @@ def test_model_config_and_result_refuse_changes_after_construction():
     assert fresh.extrapolated == 1.0118717474157157
 
 
-def _bits(res: PartitionResult) -> list[str]:
-    return [float.hex(v) for v in (res.extrapolated, res.oracle, *(r.z_hat for r in res.nodes))]
+def _bits(model: HamiltonianTerms, run: dict) -> list[str]:
+    res = run_pipeline(PipelineConfig(model=model, **run))
+    reference = exact_partition(model, run["beta"])
+    return [float.hex(v) for v in (res.extrapolated, reference, *(r.z_hat for r in res.nodes))]
 
 
 _runs = st.fixed_dictionaries(
@@ -418,13 +422,34 @@ def test_results_on_one_model_do_not_depend_on_earlier_runs(runs):
     # give the same bits as a fresh model, whatever those runs were.
     model = syk_model(8, seed=7)
     for run in runs:
-        fresh = run_pipeline(PipelineConfig(model=syk_model(8, seed=7), **run))
-        assert _bits(run_pipeline(PipelineConfig(model=model, **run))) == _bits(fresh)
+        assert _bits(model, run) == _bits(syk_model(8, seed=7), run)
+
+
+@pytest.mark.parametrize("mode", ["exact", "gqsp", "ideal-w", "sampled"])
+def test_solve_builds_no_dense_hamiltonian(monkeypatch, mode):
+    # The nodes come from product-formula spectra alone: neither the dense H
+    # nor the reference that diagonalizes it is touched, and the bits are
+    # those of an unguarded run.
+    def run():
+        cfg = PipelineConfig(model=syk_model(8, seed=7), beta=1.0, mode=mode, seed=5)
+        res = run_pipeline(cfg)
+        values = [res.extrapolated, res.extrapolated_exact]
+        values += [v for r in res.nodes for v in (r.z_exact, r.z_hat)]
+        return [float.hex(v) for v in values]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve reached the dense reference")
+
+    want = run()
+    monkeypatch.setattr(HamiltonianTerms, "dense", refuse)
+    monkeypatch.setattr(cheb, "exact_partition", refuse)
+    assert run() == want
 
 
 def test_zero_term_model_is_the_zero_hamiltonian():
-    res = run_pipeline(PipelineConfig(model=HamiltonianTerms(2, []), beta=1.0))
-    assert res.extrapolated == res.oracle == 1.0
+    model = HamiltonianTerms(2, [])
+    res = run_pipeline(PipelineConfig(model=model, beta=1.0))
+    assert res.extrapolated == exact_partition(model, 1.0) == 1.0
 
 
 def test_order4_depth_and_cost_count_the_flat_circuit():
@@ -534,9 +559,11 @@ def test_overflowing_node_trace_names_the_node():
 
 
 def test_non_finite_extrapolation_names_the_stage(monkeypatch):
-    monkeypatch.setattr(pipeline, "exact_partition", lambda *args: math.inf)
+    # The reference's refusal lives in the CLI (test_cli.py); the library
+    # refuses an extrapolated value that is not finite.
+    monkeypatch.setattr(pipeline, "interpolate_to_zero", lambda *args: math.inf)
     cfg = PipelineConfig(model=syk_model(4, seed=2), beta=1.0, m_cheb=2, mode="exact")
-    with pytest.raises(PipelineError, match=r"extrapolation: .* reference inf or the gap "):
+    with pytest.raises(PipelineError, match=r"^extrapolation: estimate inf or exact inf is not "):
         run_pipeline(cfg)
 
 
@@ -545,7 +572,7 @@ def test_grouped_mode_runs_and_converges():
     model, _ = normalize_one_norm(model)
     cfg = PipelineConfig(model=model, beta=1.0, m_cheb=4, mode="exact", base_step=0.5)
     res = run_pipeline(cfg)
-    assert res.eps_cheb_realized < 1e-6
+    assert abs(res.extrapolated_exact - exact_partition(model, 1.0)) < 1e-6
 
 
 def test_trace_bound_holds_on_random_models():

@@ -1,6 +1,7 @@
 """Tests for product formulas, effective generators, and order fitting."""
 
 import gc
+import hashlib
 import itertools
 import math
 from dataclasses import replace
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trottergibbs import trotter
+from trottergibbs.cli import build_model
 from trottergibbs.linalg import BranchCutError, max_abs, spectral_norm
 from trottergibbs.paulis import PauliString, pauli_commutes
 from trottergibbs.syk import (
@@ -282,6 +284,30 @@ def test_apply_formula_is_bit_identical_to_the_per_stage_loop(model, order, chun
         patch.setattr(trotter, "STAGE_CHUNK", chunk)
         got = apply_formula(h, t, order)
     assert got.tobytes() == want.tobytes()
+
+
+# sha256 of apply_formula(h, tau, order).tobytes(), recorded before the stage
+# gather became ``take``.  The goldens are 4-qubit runs; the 6-qubit SYK-12
+# model is the size the benchmark solves.
+SYK12 = {"kind": "syk", "n_majorana": 12, "seed": 7, "one_norm": 1.0}
+SYK8_DOC = {**SYK12, "n_majorana": 8}
+FORMULA_DIGESTS = [
+    (SYK12, 2, 0.3, "db67bf75b8a070d55a551c66ca0fa760c4a9859c5d57c7fabb8ae3c7ec1142c6"),
+    (SYK12, 2, -0.7, "e4fbd42ecbcf3cabcc9226233d928a9098b6be06ac14b53a7281e350e26dc07d"),
+    (SYK12, 4, 0.3, "17e537c9a1a5268a9b564d0c167eaf0951110711464d4d8dfa3ad16c77d498a3"),
+    (SYK12, 4, -0.7, "c7921670c67e3b024addf2d00f682b0d0a98807f0106c28dabf9b6d036e3cbf5"),
+    (SYK8_DOC, 2, 0.3, "7cb886cca4926c3f0292e9874ffc528b08e60a7da338907a523e487777c84468"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, order, tau, digest",
+    FORMULA_DIGESTS,
+    ids=[f"syk{d['n_majorana']}-order{p}-tau{t}" for d, p, t, _ in FORMULA_DIGESTS],
+)
+def test_apply_formula_bits_are_pinned(doc, order, tau, digest):
+    u = apply_formula(build_model(doc), tau, order)
+    assert hashlib.sha256(u.tobytes()).hexdigest() == digest
 
 
 @settings(max_examples=40, deadline=None)
