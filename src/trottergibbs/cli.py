@@ -111,8 +111,13 @@ RANGES = {
     "delta": (lambda v: 0 < v <= 1, "in (0, 1]"),
     "eps_grid": (lambda v: all(0 < e < 1 for e in v), "in (0, 1)"),
     "grid_points": (lambda v: v >= 2, ">= 2"),
-    # An SYK model's count, or each entry of the qubits-saved list.
-    "n_majorana": (lambda v: all(n >= 4 and n % 2 == 0 for n in np.atleast_1d(v)), "even and >= 4"),
+    # An SYK model's count, or each entry of the qubits-saved list.  Checked on
+    # the Python ints: a numpy array of them turns past 2^63 into float64 and
+    # loses their parity.
+    "n_majorana": (
+        lambda v: all(n >= 4 and n % 2 == 0 for n in (v if isinstance(v, list) else [v])),
+        "even and >= 4",
+    ),
     "terms": (lambda v: len(v) > 0, "non-empty"),
     "one_norm": (lambda v: v >= 0, ">= 0"),  # 0 is the zero Hamiltonian
     "tau_min": (lambda v: v > 0, "> 0"),

@@ -1094,6 +1094,7 @@ def test_lwf_convergence_ends_in_one_of_three_outcomes(doc):
 )
 @example([311503267573754])  # C(n, 4) just above 2^188: a float log2 said 188
 @example([8, 10**1100])  # C(n, 4) has 4400 digits: a header and one row were left behind
+@example([4, 2**63 + 1])  # odd, but read as a float64 beside 4 it passed the range check
 def test_qubits_saved_ends_in_one_of_three_outcomes(sizes):
     # Exit 0 with a table whose saved width w satisfies 2^(w-1) < C(n, 4) <= 2^w;
     # exit 2 with nothing written; or exit 3 with nothing written and a
