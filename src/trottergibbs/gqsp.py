@@ -19,7 +19,7 @@ circle; it is constructed by FFT-based spectral factorization of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,7 +131,6 @@ class GqspAngles:
     theta: np.ndarray
     phi: np.ndarray
     lam: float
-    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "theta", read_only(self.theta, float))
@@ -249,9 +248,8 @@ def synthesize_laurent(p: LaurentPoly) -> GqspAngles:
     """Angles for a Laurent target: shift to plain powers, complete, peel.
 
     The coefficients of z^M P(z) in ascending powers are exactly ``p.c``.
+    ``complete_polynomial`` has already checked |P|^2 + |Q|^2 = 1 on its
+    own grid, so no residual is recomputed here.
     """
-    q_coefs = complete_polynomial(p.c)
-    angles = synthesize_angles(p.c, q_coefs)
-    residual = np.abs(_circle_values(p.c)) ** 2 + np.abs(_circle_values(q_coefs)) ** 2 - 1.0
-    return replace(angles, diagnostics={"completion_residual": float(np.max(np.abs(residual)))})
+    return synthesize_angles(p.c, complete_polynomial(p.c))
 

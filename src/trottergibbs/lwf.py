@@ -17,12 +17,15 @@ the whole unit circle, not just on the approximation window.
 Each arcsin order tried, doubled until the window tail is below eps/8,
 costs one pass that yields both B_l = sum_k a_k b_l^k and that tail.  The
 pass forms each power b^k from the last by one Cauchy product with the
-arcsin series, itself a slice of one series kept up to ARCSIN_CAP.  The
-collapse to frequencies then reads one log-factorial table.  That table,
-log n! for n = 0..ARCSIN_CAP, is built once per process in scalar Python
-from Cephes' ``lgam`` recurrence, which matches SciPy's ``gammaln`` bit for
-bit on these integers; the coefficients depend on those last bits, and the
-module needs nothing beyond NumPy.
+arcsin series, itself a slice of one series kept up to ARCSIN_CAP.  A
+lower bound on every order's tail, from partial sums of that series and a
+closed form past the cap, is computed first: orders it proves too short
+run no pass, and a budget that even ARCSIN_CAP cannot meet is refused
+before any.  The collapse to frequencies then reads one log-factorial
+table.  That table, log n! for n = 0..ARCSIN_CAP, is built once per
+process in scalar Python from Cephes' ``lgam`` recurrence, which matches
+SciPy's ``gammaln`` bit for bit on these integers; the coefficients
+depend on those last bits, and the module needs nothing beyond NumPy.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ from .linalg import read_only
 LN2 = math.log(2.0)
 ARCSIN_START = 64  # first arcsin order tried; doubled up to ARCSIN_CAP
 ARCSIN_CAP = 4096
+ARCSIN_ORDERS = tuple(ARCSIN_START << i for i in range((ARCSIN_CAP // ARCSIN_START).bit_length()))
+ARCSIN_REL_ERR = 2e-11  # bound on |b_l / exact - 1| over the _arcsin_base entries; a test checks it
+TAIL_SLACK = 1e-6  # relative cut that keeps a floating tail sum below the exact one
+UNIT_ROUNDOFF = 2.0**-53
 CERT_GRID = 1000  # window points on which FourierApprox.certify checks the series
 ROW_CHUNK = 32  # frequency rows _assemble lays out at once
 
@@ -262,21 +269,81 @@ def _arcsin_pass(ts: TaylorSeries, delta: float, order: int) -> tuple[np.ndarray
     return combined, tail
 
 
+def _arcsin_tail_bounds(ts: TaylorSeries, delta: float) -> dict[int, float]:
+    """Lower bound on the tail ``_arcsin_pass(ts, delta, L)`` reports, per order L in ARCSIN_ORDERS.
+
+    At y = cos(pi delta / 2), f = (2/pi) arcsin has f(y) = 1 - delta.  Its
+    coefficients are nonnegative and start at y^1, so every product in
+    trunc_L(f^k) has all k factors of degree <= L - k + 1: trunc_L(f^k) <=
+    f_(L-k+1)^k, with f_n = f - t_n the truncation at y^n.  The pass's
+    exact tail is then at least LB(L) = sum_k |a_k| ((1 - delta)^k -
+    g_k^k)^+ for any g_k >= f_(L-k+1)(y), and g_k = f(y) - t_(L-k+1) is
+    bounded above through ``math.asin`` and a lower bound on each t_n: the
+    suffix of ``_arcsin_base`` past y^n plus, past ARCSIN_CAP, the integral
+    of y^(2x+1) / (pi (2 + 1/J) x^(3/2)) from J = (ARCSIN_CAP + 1) // 2,
+    which C(2j, j)/4^j >= 1/(2 sqrt j) puts below the terms in y^(2j+1),
+    j >= J.  The tail sums give up TAIL_SLACK of themselves to rounding.
+
+    From LB(L) the bound subtracts what rounding can take off the pass's
+    tail.  Each Cauchy product sums at most L + 1 nonnegative terms, so the
+    computed b^k and its window value sit within a relative (k + 1)(L + 1)u,
+    plus k ARCSIN_REL_ERR from the base, of the exact ones, with u the unit
+    roundoff; the (1 - delta)^k products, the final sum and LB's own
+    arithmetic add (k + K + 8)u.  Twice sum_k |a_k| (k + 1)((L + 3)u +
+    ARCSIN_REL_ERR) + 4 (K + 8)u covers all of it.
+    """
+    y = math.cos(math.pi * delta / 2.0)
+    odd = np.full(len(_arcsin_base()) // 2, y * y)  # y^l at odd l = 2j + 1 <= ARCSIN_CAP
+    odd[0] = y
+    np.cumprod(odd, out=odd)
+    odd *= _arcsin_base()[1::2]
+    j_cap = len(odd)
+    rate = -2.0 * math.log(y)  # y^(2x) = e^(-rate x)
+    z = rate * j_cap
+    if z > 700.0:  # e^-z underflows; the integral is below every other rounding here
+        integral = 0.0
+    else:  # int_J^inf e^(-rate x) x^(-3/2) dx, in closed form
+        integral = 2.0 * math.exp(-z) / math.sqrt(j_cap)
+        integral -= 2.0 * math.sqrt(math.pi * rate) * math.erfc(math.sqrt(z))
+    past_cap = y * max(integral, 0.0) / (math.pi * (2.0 + 1.0 / j_cap))
+    suffix = np.zeros(j_cap + 1)  # suffix[j]: the terms from l = 2j + 1 on
+    np.cumsum(odd[::-1], out=suffix[-2::-1])
+    suffix += past_cap
+    suffix *= 1.0 - TAIL_SLACK  # suffix[(n + 1) // 2] <= t_n
+    f_hi = (2.0 / math.pi) * math.asin(y) * (1.0 + 16.0 * UNIT_ROUNDOFF)
+
+    # One row per order L, one column per Taylor power k.
+    orders = np.array(ARCSIN_ORDERS)
+    weights = np.abs(ts.coeffs[1:])
+    k = np.arange(1, len(ts.coeffs))
+    g = np.maximum(f_hi - suffix[np.maximum((orders[:, None] - k + 2) // 2, 0)], 0.0)
+    lb = np.maximum((1.0 - delta) ** k - g**k, 0.0) @ weights
+    drift = float(np.dot(k + 1, weights))
+    rounding = 2.0 * drift * ((orders + 3) * UNIT_ROUNDOFF + ARCSIN_REL_ERR)
+    rounding += 4.0 * (len(ts.coeffs) + 7) * UNIT_ROUNDOFF
+    return dict(zip(ARCSIN_ORDERS, np.maximum(lb - rounding, 0.0).tolist()))
+
+
 def _choose_arcsin_order(
     ts: TaylorSeries, delta: float, eps: float
 ) -> tuple[int, np.ndarray, float]:
-    """Double the arcsin order until its tail is below eps/8: (order, B_l, tail)."""
-    order = ARCSIN_START
-    while True:
-        combined, tail = _arcsin_pass(ts, delta, order)
-        if tail < eps / 8.0:
-            return order, combined, tail
-        if order >= ARCSIN_CAP:
-            raise ApproximationError(
-                f"arcsin truncation at L={order} cannot reach eps={eps:.3e}",
-                split={"arcsin_tail": tail},
-            )
-        order *= 2
+    """Double the arcsin order until its tail is below eps/8: (order, B_l, tail).
+
+    An order whose ``_arcsin_tail_bounds`` entry reaches eps/8 would fail its
+    pass, so it is skipped, and when ARCSIN_CAP's does the budget is refused
+    before any pass runs.  The order returned is the one plain doubling
+    returns, from the same pass.
+    """
+    refusal = f"arcsin truncation at L={ARCSIN_CAP} cannot reach eps={eps:.3e}"
+    bounds = _arcsin_tail_bounds(ts, delta)
+    if bounds[ARCSIN_CAP] >= eps / 8.0:
+        raise ApproximationError(refusal, split={"arcsin_tail_bound": bounds[ARCSIN_CAP]})
+    for order, bound in bounds.items():
+        if bound < eps / 8.0:
+            combined, tail = _arcsin_pass(ts, delta, order)
+            if tail < eps / 8.0:
+                return order, combined, tail
+    raise ApproximationError(refusal, split={"arcsin_tail": tail})
 
 
 def _row_sums(pad: np.ndarray, lengths: np.ndarray) -> np.ndarray:

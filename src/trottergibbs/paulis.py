@@ -55,10 +55,6 @@ class PauliString:
             raise ValueError(f"phase exponent {self.phase!r} is not an int in 0..3")
 
     @classmethod
-    def identity(cls, n_qubits: int) -> "PauliString":
-        return cls(n_qubits, 0, 0)
-
-    @classmethod
     def from_label(cls, label: str) -> "PauliString":
         """The string spelled over "IXYZ", qubit 0 first, with phase +1."""
         if any(ch not in LETTERS for ch in label):
@@ -79,18 +75,16 @@ class PauliString:
         return _POWERS_OF_I[(self.phase + (self.x & self.z).bit_count()) % 4]
 
 
-def pauli_multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Product of two Pauli strings, phases tracked exactly.
+def multiply_masks(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """(x, z, phase) of the product of two strings given as (x, z, phase), phases tracked exactly.
 
     Moving Z^{z_a} past X^{x_b} gives (-1)^{|z_a & x_b|}; the Y counts
     |x & z| convert between the letters and X^x Z^z.
     """
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(f"size mismatch: {a.n_qubits} vs {b.n_qubits}")
-    x, z = a.x ^ b.x, a.z ^ b.z
-    ys = (a.x & a.z).bit_count() + (b.x & b.z).bit_count() - (x & z).bit_count()
-    phase = (a.phase + b.phase + ys + 2 * (a.z & b.x).bit_count()) % 4
-    return PauliString(a.n_qubits, x, z, phase)
+    (ax, az, ap), (bx, bz, bp) = a, b
+    x, z = ax ^ bx, az ^ bz
+    ys = (ax & az).bit_count() + (bx & bz).bit_count() - (x & z).bit_count()
+    return x, z, (ap + bp + ys + 2 * (az & bx).bit_count()) % 4
 
 
 def pauli_commutes(a: PauliString, b: PauliString) -> bool:

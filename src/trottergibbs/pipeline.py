@@ -251,9 +251,8 @@ def ancilla_savings(n_majorana: int) -> int:
     return (math.comb(n_majorana, 4) - 1).bit_length()
 
 
-def node_inverse_sum(m_cheb: int) -> float:
-    """Sigma_k 1/|s_k| over the first-kind Chebyshev nodes."""
-    grid = cheb_grid(m_cheb)
+def node_inverse_sum(grid: ChebGrid) -> float:
+    """Sigma_k 1/|s_k| over the grid's first-kind Chebyshev nodes."""
     return float(np.sum(1.0 / np.abs(grid.nodes)))
 
 
@@ -263,7 +262,7 @@ def _node_sum_ratio_max() -> float:
 
     Odd M are left out: they have a node at s = 0 and the sum diverges.
     """
-    return max(node_inverse_sum(m) / (m * math.log(m)) for m in range(2, 65, 2))
+    return max(node_inverse_sum(cheb_grid(m)) / (m * math.log(m)) for m in range(2, 65, 2))
 
 
 def cost_model(cfg: PipelineConfig, grid: ChebGrid, m_k: list[int], z_nodes: np.ndarray) -> dict:
@@ -294,7 +293,7 @@ def cost_model(cfg: PipelineConfig, grid: ChebGrid, m_k: list[int], z_nodes: np.
         "base_step": t,
         "stage_factor": stage_factor,
         "depth_per_node": depth_per_node.tolist(),
-        "node_inverse_sum": node_inverse_sum(grid.m_cheb),
+        "node_inverse_sum": node_inverse_sum(grid),
         "node_sum_ratio_max": _node_sum_ratio_max(),
         "total_cost": total,
     }

@@ -23,13 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .paulis import (
-    PauliString,
-    check_dense_cap,
-    parity_signs,
-    pauli_commutes,
-    pauli_multiply,
-)
+from .paulis import PauliString, check_dense_cap, multiply_masks, parity_signs, pauli_commutes
 
 # Terms per chunk of the dense scatter: 24 * TERM_CHUNK * d bytes of
 # entries and row indices, 0.4 MB at 8 qubits.
@@ -54,10 +48,9 @@ def sample_syk(n_majorana: int, seed: int) -> SykCouplings:
         raise ValueError("n_majorana must be an even integer >= 4")
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(math.factorial(3) / n_majorana**3)
-    couplings = {
-        idx: float(rng.normal(0.0, sigma))
-        for idx in combinations(range(1, n_majorana + 1), 4)
-    }
+    tuples = list(combinations(range(1, n_majorana + 1), 4))
+    # One draw of the whole array takes the same stream as one draw per tuple.
+    couplings = dict(zip(tuples, rng.normal(0.0, sigma, size=len(tuples)).tolist()))
     return SykCouplings(n_majorana, couplings)
 
 
@@ -150,26 +143,26 @@ def build_syk_hamiltonian(c: SykCouplings) -> HamiltonianTerms:
     The product of four distinct Majoranas is Hermitian, so each reduced
     string carries a real coefficient; the 1/(4*4!) prefactor and the four
     1/sqrt(2) factors are folded into it.  Each Majorana's Jordan-Wigner
-    string is built once and shared by every coupling that contains it.
+    string is built once, as its (x, z, phase) masks, and the products are
+    folded on those integers; only the merged terms become strings.
     """
     n_qubits = c.n_majorana // 2
     prefactor = 1.0 / (4.0 * math.factorial(4))
-    majoranas = [
-        jordan_wigner_majorana(idx, c.n_majorana) for idx in range(1, c.n_majorana + 1)
-    ]
+    strings = [jordan_wigner_majorana(idx, c.n_majorana) for idx in range(1, c.n_majorana + 1)]
+    majoranas = [(w, (s.x, s.z, s.phase)) for w, s in strings]
     merged: dict[tuple[int, int], float] = {}
     for (i, j, k, l), jval in c.couplings.items():
         coeff = prefactor * jval
-        string = PauliString.identity(n_qubits)
+        product = (0, 0, 0)
         for idx in (i, j, k, l):
             w, gamma = majoranas[idx - 1]
             coeff *= w
-            string = pauli_multiply(string, gamma)
-        if not string.hermitian:
+            product = multiply_masks(product, gamma)
+        x, z, phase = product
+        if phase % 2:
             raise ValueError(f"four-Majorana product {i,j,k,l} is not Hermitian")
-        coeff *= 1.0 - string.phase  # i^0 or i^2: exactly +1.0 or -1.0
-        key = (string.x, string.z)
-        merged[key] = merged.get(key, 0.0) + coeff
+        coeff *= 1.0 - phase  # i^0 or i^2: exactly +1.0 or -1.0
+        merged[x, z] = merged.get((x, z), 0.0) + coeff
     terms = [(coeff, PauliString(n_qubits, *key)) for key, coeff in merged.items() if coeff != 0.0]
     return HamiltonianTerms(n_qubits, terms)
 

@@ -22,7 +22,7 @@ innermost.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -203,7 +203,7 @@ def boltzmann_oracle(
         cells = gqsp_cells(angles, plan.time * spectrum, fa.M)
         gap = cells[:, 0, 0] / scale - np.exp(-beta * (spectrum + 1.0) / 2.0)
         diagnostics = {
-            **asdict(plan),
+            **vars(plan),  # GqspPlan's fields, all numbers: a shallow copy will do
             "fourier_m": fa.M,
             "trotter_steps": max(1, plan.q) * (2 * fa.M + 1),
             "block_deviation": float(np.max(np.abs(gap))),

@@ -2,7 +2,8 @@
 
 The library evaluates each node from the spectrum of its product formula
 alone; the dense circuits, blocks and registers here are what the tests
-hold it against.  So are the flat Suzuki stage list, the arcsin powers and
+hold it against.  So are the flat Suzuki stage list, the arcsin powers,
+the plain doubling search over arcsin orders, the completion residual and
 the dense-matrix partition function, which the library no longer forms.
 """
 
@@ -20,11 +21,18 @@ from trottergibbs.gqsp import (
     GqspAngles,
     LaurentPoly,
     _circle_values,
+    complete_polynomial,
     gqsp_apply,
 )
 from trottergibbs.linalg import eigh_decompose, spectral_norm
-from trottergibbs.lwf import _arcsin_base
-from trottergibbs.paulis import PauliString, pauli_commutes
+from trottergibbs.lwf import (
+    ARCSIN_CAP,
+    ARCSIN_START,
+    ApproximationError,
+    _arcsin_base,
+    _arcsin_pass,
+)
+from trottergibbs.paulis import PauliString, multiply_masks, pauli_commutes
 from trottergibbs.pipeline import PipelineError
 from trottergibbs.syk import HamiltonianTerms, build_syk_hamiltonian, normalize_one_norm, sample_syk
 from trottergibbs.thermal import BoltzmannOracle, boltzmann_oracle
@@ -75,6 +83,21 @@ def arcsin_series(k: int, order: int) -> np.ndarray:
     return out
 
 
+def choose_arcsin_order_reference(ts, delta: float, eps: float):
+    """``lwf._choose_arcsin_order`` without the tail bound: one pass per order, doubling."""
+    order = ARCSIN_START
+    while True:
+        combined, tail = _arcsin_pass(ts, delta, order)
+        if tail < eps / 8.0:
+            return order, combined, tail
+        if order >= ARCSIN_CAP:
+            raise ApproximationError(
+                f"arcsin truncation at L={order} cannot reach eps={eps:.3e}",
+                split={"arcsin_tail": tail},
+            )
+        order *= 2
+
+
 def dense_partition(h: np.ndarray, beta: float) -> float:
     """Tr(exp(-beta H)) / N of a dense Hermitian matrix, by diagonalization."""
     vals = eigh_decompose(np.asarray(h)).eigenvalues
@@ -122,6 +145,13 @@ def completion_reference(p_coefs: np.ndarray) -> np.ndarray:
     if residual > COMPLETION_TOL:
         raise CompletionError(f"factorization residual {residual:.3e}")
     return q_coefs
+
+
+def completion_residual(p: LaurentPoly) -> float:
+    """max ||P|^2 + |Q|^2 - 1| on the circle samples, Q the library's completion of ``p``."""
+    q_coefs = complete_polynomial(p.c)
+    residual = np.abs(_circle_values(p.c)) ** 2 + np.abs(_circle_values(q_coefs)) ** 2 - 1.0
+    return float(np.max(np.abs(residual)))
 
 
 def extract_block(full: np.ndarray) -> np.ndarray:
@@ -228,6 +258,13 @@ def haar_unitary(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def pauli_multiply(a: PauliString, b: PauliString) -> PauliString:
+    """Product of two strings of one size, through the library's ``multiply_masks``."""
+    if a.n_qubits != b.n_qubits:
+        raise ValueError(f"size mismatch: {a.n_qubits} vs {b.n_qubits}")
+    return PauliString(a.n_qubits, *multiply_masks((a.x, a.z, a.phase), (b.x, b.z, b.phase)))
 
 
 def letters(p: PauliString) -> str:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from trottergibbs import cli
+from trottergibbs import cli, lwf
 from trottergibbs.cli import (
     COMMANDS,
     MODEL_SCHEMAS,
@@ -363,6 +363,26 @@ def test_boltzmann_scale_past_the_fourier_budget_exits_3_naming_it(tmp_path, cap
     assert message.startswith("node 1 (s_k=")
     for name in ("Boltzmann scale", "beta=700.0", "beta_f=", "eps_lwf="):
         assert name in message
+    assert not out.exists()
+
+
+def test_unreachable_arcsin_budget_exits_3_before_any_arcsin_pass(tmp_path, capsys, monkeypatch):
+    # ideal-w at beta 700 asks the Fourier builder for eps 3.1e-21 on a
+    # window of delta 1.4e-3.  The tail bound at the arcsin cap refuses it
+    # before any pass; the seven passes up to the cap used to take over a second.
+    calls = []
+    real = lwf._arcsin_pass
+    monkeypatch.setattr(lwf, "_arcsin_pass", lambda *args: calls.append(args) or real(*args))
+    doc = {"model": {"kind": "pauli", "n_qubits": 1, "terms": [[1.0, "Z"]]}, "mode": "ideal-w",
+           "beta": 700.0, "eps_qsp": 1e-12, "base_step": 0.41, "order": 2, "m_cheb": 6}
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    out = tmp_path / "r"
+    rc, payload = run_cli(capsys, "pipeline", "--config", cfg, "--out", str(out))
+    assert rc == 3
+    node, reason = payload["error"]["message"].split(": ", 1)
+    assert node.startswith("node 1 (s_k=")
+    assert reason.startswith("arcsin truncation at L=4096 cannot reach eps=")
+    assert calls == []
     assert not out.exists()
 
 
@@ -1026,15 +1046,15 @@ def test_trotter_order_ends_in_one_of_three_outcomes(doc):
 # Documents across the regimes `lwf-convergence` must either run or refuse:
 # windows down to delta 0.02, where the arcsin order reaches ARCSIN_CAP and
 # the log-factorial table is read to its last entry, eps from 1e-12 to just
-# below 1, and a beta past the Taylor builder's reach.  Betas stop at 8
-# otherwise, since a refusal at the cap costs seconds once beta is large.
+# below 1, and a beta past the Taylor builder's reach.  Betas otherwise reach
+# 50, where most budgets are refused by the arcsin tail bound before any pass.
 _lwf_convergence_docs = st.fixed_dictionaries(
     {
         "betas": st.lists(
             st.one_of(
-                st.floats(1.0, 8.0),
-                st.floats(0.01, 8.0),
-                st.sampled_from([1e-300, 1.0, 8.0, 1000.0]),
+                st.floats(1.0, 50.0),
+                st.floats(0.01, 50.0),
+                st.sampled_from([1e-300, 1.0, 8.0, 50.0, 1000.0]),
             ),
             min_size=1,
             max_size=2,

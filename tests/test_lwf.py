@@ -7,10 +7,11 @@ the approximation is a trigonometric series sum_m c_m exp(i pi m x / 2).
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -31,7 +32,7 @@ from trottergibbs.lwf import (
     taylor_order,
 )
 
-from oracles import arcsin_series, fit_slope
+from oracles import arcsin_series, choose_arcsin_order_reference, fit_slope
 
 
 def assemble_reference(combined, m_cut):
@@ -321,21 +322,96 @@ def counting(monkeypatch, name):
 
 
 def test_one_arcsin_pass_per_order_tried(monkeypatch):
-    # Orders 64, 128 and 256 are tried; the last pass also feeds the
+    # Plain doubling would try orders 64, 128 and 256; the tail bound rules
+    # out the first two, so one pass runs, and it also feeds the
     # coefficients and the arcsin_tail diagnostic.
     calls = counting(monkeypatch, "_arcsin_pass")
     f = gibbs_fourier(4.0, 0.25, 1e-6)
     assert f.diagnostics["arcsin_order"] == 256
-    assert [order for *_, order in calls] == [64, 128, 256]
+    assert [order for *_, order in calls] == [256]
 
 
 def test_arcsin_cap_error_reports_the_last_pass(monkeypatch):
+    # The bound at ARCSIN_CAP already exceeds eps/8, so the budget is refused
+    # before any pass, and the split carries that bound: never more than the
+    # tail the pass at the cap reports.
     ts = gibbs_taylor(2.0, taylor_order(2.0, 1e-9))
     calls = counting(monkeypatch, "_arcsin_pass")
-    with pytest.raises(ApproximationError) as exc_info:
+    with pytest.raises(ApproximationError, match="arcsin truncation at L=4096") as exc_info:
         lwf_coefficients(ts, 0.02, 1e-9)
-    assert [order for *_, order in calls] == [64 * 2**i for i in range(7)]
-    assert exc_info.value.split["arcsin_tail"] == _arcsin_pass(ts, 0.02, ARCSIN_CAP)[1]
+    assert calls == []
+    bound = exc_info.value.split["arcsin_tail_bound"]
+    assert 1e-9 / 8.0 <= bound <= _arcsin_pass(ts, 0.02, ARCSIN_CAP)[1]
+
+
+def test_arcsin_base_is_within_its_stated_error_of_the_exact_series():
+    # b_(2j+1) = (2/pi) C(2j, j) / (4^j (2j + 1)), from exact fractions,
+    # rounded once and scaled by the float 2/pi (a few units of roundoff).
+    base = lwf._arcsin_base()
+    ratio = Fraction(1)  # C(2j, j) / 4^j
+    worst = 0.0
+    for j in range((ARCSIN_CAP + 1) // 2):
+        if j:
+            ratio *= Fraction(2 * j - 1, 2 * j)
+        exact = float(ratio / (2 * j + 1)) * (2.0 / math.pi)
+        worst = max(worst, abs(base[2 * j + 1] / exact - 1.0))
+    assert worst + 4 * lwf.UNIT_ROUNDOFF <= lwf.ARCSIN_REL_ERR
+    assert not base[::2].any()
+
+
+def test_arcsin_refusal_after_the_cap_pass_reports_its_tail(monkeypatch):
+    # Here the bound at ARCSIN_CAP stays below eps/8, so the pass at the cap
+    # runs and is the last one; its tail fails, and the split carries it.
+    ts = gibbs_taylor(16.0, taylor_order(16.0, 1e-12))
+    calls = counting(monkeypatch, "_arcsin_pass")
+    with pytest.raises(ApproximationError, match="arcsin truncation at L=4096") as exc_info:
+        lwf_coefficients(ts, 1 / 16, 1e-12)
+    assert [order for *_, order in calls][-1] == ARCSIN_CAP
+    assert exc_info.value.split == {"arcsin_tail": _arcsin_pass(ts, 1 / 16, ARCSIN_CAP)[1]}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.01, 50.0), st.floats(0.005, 1.0), st.floats(1e-12, 0.5))
+@example(2.0, 0.02, 1e-9)  # refused at the cap before any pass
+@example(4.0, 0.25, 1e-6)  # orders 64 and 128 skipped
+@example(2.0, 0.02, 0.01)  # accepted at the cap
+@example(16.0, 1 / 16, 1e-12)  # the bound lets the cap pass run; that pass refuses
+def test_bound_guided_search_matches_the_doubling_search(beta, delta, eps):
+    # Same (order, B_l bytes, tail) as the doubling search, or the same
+    # refusal at the cap; an early refusal (no pass run) only where the
+    # doubling refuses too; and the bound never above the tail of an order
+    # that runs.
+    ts = gibbs_taylor(beta, taylor_order(beta, eps))
+    bounds = lwf._arcsin_tail_bounds(ts, delta)
+    tails = {}  # order: tail of each pass the search runs
+
+    def recording(*args):
+        combined, tails[args[-1]] = _arcsin_pass(*args)
+        return combined, tails[args[-1]]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lwf, "_arcsin_pass", recording)
+        try:
+            got = _choose_arcsin_order(ts, delta, eps)
+        except ApproximationError as err:
+            got = err
+    try:
+        order, combined, tail = choose_arcsin_order_reference(ts, delta, eps)
+    except ApproximationError as refusal:
+        assert isinstance(got, ApproximationError)
+        assert str(got) == str(refusal)
+        if tails:
+            assert got.split == refusal.split
+        else:
+            assert eps / 8.0 <= got.split["arcsin_tail_bound"] == bounds[ARCSIN_CAP]
+    else:
+        assert not isinstance(got, ApproximationError), got
+        assert (got[0], got[1].tobytes(), got[2]) == (order, combined.tobytes(), tail)
+    for ran, tail in tails.items():
+        assert bounds[ran] <= tail
+        assert bounds[ran] < eps / 8.0
+    assert list(bounds) == [64 * 2**i for i in range(7)]
+    assert list(bounds.values()) == sorted(bounds.values(), reverse=True)
 
 
 def test_factorial_table_is_scipy_gammaln_to_the_bit():

@@ -621,12 +621,12 @@ def test_ancilla_savings_values():
 
 def test_node_inverse_sum_two_nodes():
     # Both nodes sit at +/- sqrt(2)/2, so the sum is 2 sqrt(2).
-    assert node_inverse_sum(2) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
+    assert node_inverse_sum(cheb_grid(2)) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
 
 
 def test_node_sum_identity_even_orders():
     for m in range(2, 65, 2):
-        ratio = node_inverse_sum(m) / (m * math.log(m))
+        ratio = node_inverse_sum(cheb_grid(m)) / (m * math.log(m))
         assert ratio <= NODE_SUM_CONSTANT, f"m={m}"
 
 
@@ -640,7 +640,7 @@ def test_cost_model_contents():
     assert cost["depth_per_node"][0] == pytest.approx(want0, rel=1e-12)
     assert cost["node_sum_ratio_max"] <= NODE_SUM_CONSTANT
     assert cost["node_sum_ratio_max"] == max(
-        node_inverse_sum(m) / (m * math.log(m)) for m in range(2, 65, 2)
+        node_inverse_sum(cheb_grid(m)) / (m * math.log(m)) for m in range(2, 65, 2)
     )
     assert cost["total_cost"] > 0
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ whose eigenphases carry sqrt(p0).  Register order is (C, A, B).
 """
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, asdict, dataclass
 from unittest import mock
 
 import numpy as np
@@ -16,7 +16,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trottergibbs import thermal
+from trottergibbs import gqsp, thermal
 from trottergibbs.linalg import ToleranceError, assert_unitary, eigh_decompose, max_abs
 from trottergibbs.lwf import ApproximationError, gibbs_fourier
 from trottergibbs.paulis import PauliString
@@ -371,6 +371,29 @@ def test_gqsp_plan_certificate_window():
     assert plan["max_edge"] <= 1.0 - plan["delta_cert"] + 1e-12
     assert plan["q"] >= 1
     assert plan["eps_lwf"] > 0
+
+
+def test_gqsp_diagnostics_hold_every_plan_field():
+    spec = spectrum(syk_effective(8, beta_seed=7))
+    diagnostics = boltzmann_oracle(spec, 0.3, 2.0, "gqsp", eps_qsp=1e-6).diagnostics
+    plan = asdict(thermal._gqsp_plan(0.3, 2.0, spec, "gqsp", 1e-6))
+    assert list(diagnostics)[: len(plan)] == list(plan)
+    assert {key: diagnostics[key] for key in plan} == plan
+
+
+def test_gqsp_target_reads_the_circle_three_times(monkeypatch):
+    # The LaurentPoly admissibility check, then |P|^2 and |Q|^2 on the
+    # completion's grid; no residual is recomputed after the peeling.
+    calls = []
+    real = gqsp._circle_values
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gqsp, "_circle_values", counting)
+    boltzmann_oracle(spectrum(syk_effective(8, beta_seed=6)), 0.3, 2.0, "gqsp", eps_qsp=1e-6)
+    assert len(calls) == 3
 
 
 def test_boltzmann_scale_underflow_is_refused_by_name():
