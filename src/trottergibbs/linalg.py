@@ -11,8 +11,6 @@ importing the package does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
@@ -60,66 +58,38 @@ def assert_unitary(a: np.ndarray, what: str = "matrix"):
         raise ToleranceError(f"{what} is not unitary: deviation {dev:.3e} > {UNITARY_TOL:.3e}")
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues and an orthonormal eigenbasis of a normal matrix."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns are eigenvectors
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", read_only(self.eigenvalues))
-        object.__setattr__(self, "eigenvectors", read_only(self.eigenvectors))
-
-    @classmethod
-    def _adopt(cls, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> "SpectralDecomposition":
-        """Hold arrays that a factory here just made, and nothing else refers to.
-
-        They are made read-only in place, skipping the constructor's copy, so a
-        2^n x 2^n basis is not held twice.
-        """
-        dec = object.__new__(cls)
-        for name, a in (("eigenvalues", eigenvalues), ("eigenvectors", eigenvectors)):
-            a.flags.writeable = False
-            object.__setattr__(dec, name, a)
-        return dec
-
-    def apply(self, fvals: np.ndarray) -> np.ndarray:
-        """V diag(fvals) V^dag for a function evaluated on the eigenvalues."""
-        v = self.eigenvectors
-        return (v * fvals) @ v.conj().T
-
-    def check(self, original: np.ndarray):
-        dev = max_abs(self.apply(self.eigenvalues) - original)
-        if dev > RECONSTRUCTION_TOL:
-            raise ToleranceError(
-                f"spectral reconstruction off by {dev:.3e} > {RECONSTRUCTION_TOL:.3e}"
-            )
+def spectral_apply(eigenvectors: np.ndarray, fvals: np.ndarray) -> np.ndarray:
+    """V diag(fvals) V^dag for a function evaluated on the eigenvalues of V's columns."""
+    return (eigenvectors * fvals) @ eigenvectors.conj().T
 
 
-def eigh_decompose(h: np.ndarray) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian matrix (checked)."""
+def _checked(eigenvalues, eigenvectors, original) -> tuple[np.ndarray, np.ndarray]:
+    dev = max_abs(spectral_apply(eigenvectors, eigenvalues) - original)
+    if dev > RECONSTRUCTION_TOL:
+        raise ToleranceError(f"spectral reconstruction off by {dev:.3e} > {RECONSTRUCTION_TOL:.3e}")
+    return eigenvalues, eigenvectors
+
+
+def eigh_decompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors (columns) of a Hermitian matrix, checked."""
     assert_hermitian(h)
-    vals, vecs = np.linalg.eigh(h)
-    dec = SpectralDecomposition._adopt(vals, vecs)
-    dec.check(h)
-    return dec
+    return _checked(*np.linalg.eigh(h), h)
 
 
-def unitary_decompose(u: np.ndarray) -> SpectralDecomposition:
-    """Spectral decomposition of a unitary matrix (checked).
+def unitary_decompose(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors (columns) of a unitary matrix, checked.
 
     Uses a complex Schur decomposition: for a normal matrix the Schur factor
     is diagonal and the basis is orthonormal even with degenerate
-    eigenvalues, which plain nonsymmetric eig does not guarantee.
+    eigenvalues, which plain nonsymmetric eig does not guarantee.  The
+    eigenvalues are copied off the diagonal, so they do not keep the Schur
+    factor alive.
     """
     import scipy.linalg
 
     assert_unitary(u)
     t, z = scipy.linalg.schur(u, output="complex")
-    dec = SpectralDecomposition._adopt(np.diag(t).copy(), z)
-    dec.check(u)
-    return dec
+    return _checked(np.diag(t).copy(), z, u)
 
 
 def _principal_phases(eigenvalues: np.ndarray) -> np.ndarray:
@@ -156,15 +126,14 @@ def matrix_log_unitary(u: np.ndarray) -> np.ndarray:
     Eigenphases are taken in (-pi, pi] by ``_principal_phases``, which
     rejects any within BRANCH_GAP of the cut: the log would be
     meaningless downstream.  exp(L) = V diag(e^{i phi}) V^dag needs no
-    round trip: ``SpectralDecomposition.check`` holds V diag(lambda) V^dag
+    round trip: ``unitary_decompose`` checks V diag(lambda) V^dag
     within RECONSTRUCTION_TOL of u entrywise, and |e^{i phi_j} - lambda_j|
     = ||lambda_j| - 1| <= UNITARY_TOL, so exp(L) is within
     RECONSTRUCTION_TOL + UNITARY_TOL (2e-10) of u per entry, up to the
     rounding of the Schur basis.
     """
-    dec = unitary_decompose(u)
-    phases = _principal_phases(dec.eigenvalues)
-    log_u = dec.apply(1j * phases)
+    vals, vecs = unitary_decompose(u)
+    log_u = spectral_apply(vecs, 1j * _principal_phases(vals))
     # Principal log of a unitary is anti-Hermitian; enforce it exactly.
     return 0.5 * (log_u - log_u.conj().T)
 

@@ -95,12 +95,7 @@ class PipelineConfig:
                 "the finest amplitude estimate"
             )
         if self.mode in MODES and self.beta > 0.0:
-            x0, budget = fourier_window(self.beta)
-            if budget <= 0.0:
-                raise ValueError(
-                    f"no Fourier window at beta={self.beta!r}: the shift x0={x0:.6g} "
-                    f"leaves no room below the edge gap; {self.mode} needs beta > 1/19"
-                )
+            fourier_window(self.beta)  # raises OracleError, a ValueError, where no block exists
         # Every eigenphase of S_p(s t) is at most |s| t ||H||_1 w_p; past
         # pi - BRANCH_GAP it may wrap around the principal branch unseen.
         phase_bound = (
@@ -163,8 +158,8 @@ def _node_fields(cfg: PipelineConfig, s: float) -> dict:
     """
     tau = s * cfg.base_step
     spectrum = node_spectrum(cfg.model, tau, cfg.order)
-    exact = exact_p0(spectrum, cfg.beta)
-    fields = {"p0_exact": exact.p0, "z_exact": exact.z_over_n}
+    p0, z_over_n = exact_p0(spectrum, cfg.beta)
+    fields = {"p0_exact": p0, "z_exact": z_over_n}
     if cfg.mode in MODES:
         oracle = boltzmann_oracle(spectrum, tau, cfg.beta, cfg.mode, eps_qsp=cfg.eps_qsp)
         keys = ("block_deviation", "fourier_m", "q")
@@ -176,7 +171,7 @@ def _node_fields(cfg: PipelineConfig, s: float) -> dict:
             * oracle.diagnostics["trotter_steps"],
             "diagnostics": {key: oracle.diagnostics[key] for key in keys},
         }
-    return {**fields, "beta_k": cfg.beta, "p0_hat": exact.p0, "depth": 0, "diagnostics": {}}
+    return {**fields, "beta_k": cfg.beta, "p0_hat": p0, "depth": 0, "diagnostics": {}}
 
 
 def run_pipeline(cfg: PipelineConfig) -> PartitionResult:

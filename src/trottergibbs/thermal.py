@@ -45,30 +45,23 @@ class OracleError(ValueError):
     """Raised when a Boltzmann oracle cannot be realized as requested."""
 
 
-@dataclass(frozen=True)
-class GqspPlan:
-    """Derived parameters mapping spec(H_eff) into the Fourier window."""
-
-    q: int  # integer power of the base step (0 means continuous time)
-    time: float  # total signal time T; q * tau in integer mode
-    beta_f: float  # inverse temperature handed to the Fourier builder
-    x0: float  # spectral shift delta'/(1 + delta'), with delta' = 1/beta
-    delta_cert: float  # window margin handed to the Fourier builder
-    eps_lwf: float  # Fourier error budget after scale amplification
-    scale: float  # known classical factor multiplying the target block
-    beta_k: float  # beta rescaled by the time-rounding ratio
-    max_edge: float
-
-
 def fourier_window(beta: float) -> tuple[float, float]:
-    """Spectral shift x0 = delta'/(1 + delta'), delta' = 1/beta, and its window.
+    """Spectral shift x0 = delta'/(1 + delta'), delta' = 1/beta, and its window budget.
 
-    The window budget 1 - EDGE_GAP - x0 is the room left for the mapped
-    spectrum; it is <= 0 for every 0 < beta <= 1/19, where no block exists.
+    The budget 1 - EDGE_GAP - x0 is the room left for the mapped spectrum.
+    It is <= 0 for every 0 < beta <= EDGE_GAP/(1 - EDGE_GAP), where no block
+    exists and OracleError is raised.
     """
     dp = 1.0 / beta
     x0 = dp / (1.0 + dp)
-    return x0, 1.0 - EDGE_GAP - x0
+    budget = 1.0 - EDGE_GAP - x0
+    if budget <= 0.0:
+        bound = EDGE_GAP / (1.0 - EDGE_GAP)
+        raise OracleError(
+            f"no Fourier window at beta={beta!r}: the shift x0={x0:.6g} leaves no room "
+            f"below the edge gap {EDGE_GAP}; a block needs beta > {bound:.6g}"
+        )
+    return x0, budget
 
 
 def _gqsp_plan(
@@ -77,20 +70,28 @@ def _gqsp_plan(
     eigenvalues: np.ndarray,
     mode: str,
     eps_qsp: float,
-) -> GqspPlan:
+) -> dict:
+    """Derived parameters mapping spec(H_eff) into the Fourier window.
+
+    The dict opens the oracle's diagnostics: ``q``, the integer power of
+    the base step (0 in continuous time); ``time``, the total signal time
+    T, q * tau in integer mode; ``beta_f``, the inverse temperature handed
+    to the Fourier builder; ``x0``, the spectral shift of ``fourier_window``;
+    ``delta_cert``, the window margin handed to the Fourier builder;
+    ``eps_lwf``, the Fourier error budget after scale amplification;
+    ``scale``, the known classical factor multiplying the target block;
+    ``beta_k``, beta rescaled by the time-rounding ratio; and ``max_edge``,
+    the largest magnitude of the mapped spectrum.
+    """
     lam_min = float(np.min(eigenvalues))
     lam_max = float(np.max(eigenvalues))
     radius = max(abs(lam_min), abs(lam_max))
     dp = 1.0 / beta
     x0, budget = fourier_window(beta)
     t_star = math.pi / (2.0 * (1.0 + dp))
-    if budget <= 0.0:
-        raise OracleError(
-            f"shift delta'={dp} leaves no window below the edge gap {EDGE_GAP}"
-        )
     if radius == 0.0:
         t_sig = t_star
-        q = 1
+        q = 0 if mode == "ideal-w" else 1
     elif mode == "ideal-w":
         t_sig = min(t_star, math.pi * budget / (2.0 * radius))
         q = 0
@@ -124,17 +125,17 @@ def _gqsp_plan(
             f"at beta={beta!r}, beta_f={beta_f:.6g} puts the Fourier budget "
             f"eps_lwf={eps_lwf:.3e} outside (0, 1)"
         )
-    return GqspPlan(
-        q=q,
-        time=t_sig,
-        beta_f=beta_f,
-        x0=x0,
-        delta_cert=delta_cert,
-        eps_lwf=eps_lwf,
-        scale=scale,
-        beta_k=beta * (t_star / t_sig),
-        max_edge=max_edge,
-    )
+    return {
+        "q": q,
+        "time": t_sig,
+        "beta_f": beta_f,
+        "x0": x0,
+        "delta_cert": delta_cert,
+        "eps_lwf": eps_lwf,
+        "scale": scale,
+        "beta_k": beta * (t_star / t_sig),
+        "max_edge": max_edge,
+    }
 
 
 @dataclass(frozen=True)
@@ -194,20 +195,19 @@ def boltzmann_oracle(
         cells = np.tile(np.eye(2, dtype=complex), (spectrum.size, 1, 1))
         diagnostics = {"q": 0, "fourier_m": 0, "trotter_steps": 0, "block_deviation": 0.0}
     else:
-        plan = _gqsp_plan(tau, beta, spectrum, mode, eps_qsp)
-        beta_k, scale = plan.beta_k, plan.scale
-        fa = gibbs_fourier(plan.beta_f, plan.delta_cert, plan.eps_lwf)
+        diagnostics = _gqsp_plan(tau, beta, spectrum, mode, eps_qsp)
+        beta_k, scale = diagnostics["beta_k"], diagnostics["scale"]
+        fa = gibbs_fourier(diagnostics["beta_f"], diagnostics["delta_cert"], diagnostics["eps_lwf"])
         ms = np.arange(-fa.M, fa.M + 1)
-        coefs = fa.c * np.exp(1j * math.pi * ms * plan.x0 / 2.0) * COEF_RESCALE
+        coefs = fa.c * np.exp(1j * math.pi * ms * diagnostics["x0"] / 2.0) * COEF_RESCALE
         angles = synthesize_laurent(LaurentPoly(fa.M, coefs))
-        cells = gqsp_cells(angles, plan.time * spectrum, fa.M)
+        cells = gqsp_cells(angles, diagnostics["time"] * spectrum, fa.M)
         gap = cells[:, 0, 0] / scale - np.exp(-beta * (spectrum + 1.0) / 2.0)
-        diagnostics = {
-            **vars(plan),  # GqspPlan's fields, all numbers: a shallow copy will do
-            "fourier_m": fa.M,
-            "trotter_steps": max(1, plan.q) * (2 * fa.M + 1),
-            "block_deviation": float(np.max(np.abs(gap))),
-        }
+        diagnostics.update(
+            fourier_m=fa.M,
+            trotter_steps=max(1, diagnostics["q"]) * (2 * fa.M + 1),
+            block_deviation=float(np.max(np.abs(gap))),
+        )
     # Unitary cells keep the normal block subnormalized: |b_j| <= 1 + 5e-11.
     assert_unitary(cells, what="Boltzmann cell")
     if not (deviation := diagnostics["block_deviation"]) <= eps_qsp:  # NaN is refused too
@@ -215,16 +215,11 @@ def boltzmann_oracle(
     return BoltzmannOracle(beta_k, scale, cells, diagnostics)
 
 
-@dataclass(frozen=True)
-class TraceValues:
-    """Shifted and unshifted normalized traces of the Gibbs operator."""
+def exact_p0(spectrum: np.ndarray, beta: float) -> tuple[float, float]:
+    """Normalized Gibbs traces of H_eff from its eigenvalues, in both shift conventions.
 
-    p0: float  # Tr(e^{-beta(H_eff+1)})/N
-    z_over_n: float  # Tr(e^{-beta H_eff})/N = e^{beta} * p0
-
-
-def exact_p0(spectrum: np.ndarray, beta: float) -> TraceValues:
-    """Normalized Gibbs trace of H_eff from its eigenvalues, in both shift conventions."""
+    Returns p0 = Tr(e^{-beta(H_eff+1)})/N and Z/N = Tr(e^{-beta H_eff})/N = e^beta p0.
+    """
     vals = np.asarray(spectrum)
     if vals.ndim != 1:
         raise ValueError("exact_p0 takes the 1-D spectrum of H_eff")
@@ -233,7 +228,7 @@ def exact_p0(spectrum: np.ndarray, beta: float) -> TraceValues:
     with np.errstate(over="ignore"):
         p0 = float(np.sum(np.exp(-beta * (vals + 1.0))) / n)
         z = float(np.sum(np.exp(-beta * vals)) / n)
-    return TraceValues(p0, z)
+    return p0, z
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,7 @@ def choose_arcsin_order_reference(ts, delta: float, eps: float):
 
 def dense_partition(h: np.ndarray, beta: float) -> float:
     """Tr(exp(-beta H)) / N of a dense Hermitian matrix, by diagonalization."""
-    vals = eigh_decompose(np.asarray(h)).eigenvalues
+    vals, _ = eigh_decompose(np.asarray(h))
     return float(np.mean(np.exp(-beta * vals)))
 
 
@@ -203,9 +203,9 @@ def build_u_boltz(
 
     The eigenvectors of H_eff become the ``basis``.
     """
-    dec = eigh_decompose(h_eff)
-    oracle = boltzmann_oracle(dec.eigenvalues, tau, beta, mode, eps_qsp=eps_qsp)
-    return DenseBoltzmannOracle(**vars(oracle), basis=dec.eigenvectors)
+    vals, vecs = eigh_decompose(h_eff)
+    oracle = boltzmann_oracle(vals, tau, beta, mode, eps_qsp=eps_qsp)
+    return DenseBoltzmannOracle(**vars(oracle), basis=vecs)
 
 
 def qubit_ledger(n: int) -> dict:

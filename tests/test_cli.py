@@ -814,6 +814,16 @@ def test_lwf_convergence_accepts_range_edges(tmp_path, capsys):
         ("pipeline", {"order": -2}, "order"),
         # Exited 3 from node 1: amplitude estimation refuses eps below its floor.
         ("pipeline", {"mode": "sampled", "eps_stat": 1e-7}, "EPS_FLOOR"),
+        # Types and shapes the config reader refuses.
+        ("pipeline", {"beta": True}, "'beta' must not be a boolean"),
+        ("pipeline", {"beta": "hot"}, "'beta' has type str"),
+        ("pipeline", {"model": {"kind": "hubbard"}}, "model.kind must be one of"),
+        ("pipeline", {"model": {"kind": "pauli", "n_qubits": 2}}, "missing required key 'terms'"),
+        ("pipeline", {"model": {"kind": "pauli", "n_qubits": 2, "terms": [[0.5, "X", 1]]}},
+         "[coefficient, label] pairs"),
+        ("pipeline", {"model": {"kind": "pauli", "n_qubits": 1, "terms": [[True, "X"]]}},
+         "coefficients must be numbers"),
+        ("pipeline", [{"beta": 1.0}], "must hold a JSON object"),
     ],
     ids=repr,
 )

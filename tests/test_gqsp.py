@@ -137,6 +137,16 @@ def test_monomial_shift_preserves_circle_values():
         assert np.max(np.abs(block - want)) < 1e-9
 
 
+def test_laurent_rejects_a_wrong_length():
+    with pytest.raises(ValueError, match=r"need 3 coefficients, got \(2,\)"):
+        LaurentPoly(1, [0.1, 0.1])
+
+
+def test_synthesis_rejects_p_and_q_of_different_lengths():
+    with pytest.raises(ValueError, match="P and Q must share a coefficient length"):
+        synthesize_angles(np.array([0.5, 0.0]), np.array([0.5, 0.0, 0.0]))
+
+
 def test_laurent_rejects_inadmissible():
     with pytest.raises(ValueError):
         LaurentPoly(1, [1.0, 1.0, 1.0])

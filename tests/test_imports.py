@@ -1,7 +1,8 @@
 """What the package exports, which modules a run loads (SciPy stays off every
 path but ``trotter-order``), that no library function, class, method or
 property is there only for the tests, that every library dataclass is
-frozen, and that no two test modules define the same helper."""
+frozen, that no library call passes ``out=`` to ``np.fft``, and that no
+two test modules define the same helper."""
 
 import ast
 import inspect
@@ -153,6 +154,26 @@ def test_every_library_dataclass_is_frozen():
         if _frozen(decorator) is not None
     }
     assert found and {key for key, frozen in found.items() if not frozen} == set(MUTABLE)
+
+
+def _fft_calls_with_out(source: str) -> list[int]:
+    """Lines of ``<module>.fft.<function>(..., out=...)`` calls in ``source``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(getattr(node.func, "value", None), "attr", None) == "fft"
+        and any(k.arg == "out" for k in node.keywords)
+    ]
+
+
+def test_no_library_fft_call_passes_out():
+    # np.fft takes ``out=`` only from numpy 2.0; on the declared floor the
+    # keyword raises TypeError, which a run on a newer numpy never shows.
+    assert '"numpy>=1.24"' in (ROOT / "pyproject.toml").read_text()
+    assert _fft_calls_with_out("x = np.fft.fft(a)\ny = np.fft.ifft(a, n, out=b)") == [2]
+    found = {path.name: _fft_calls_with_out(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_no_two_test_modules_define_the_same_helper():

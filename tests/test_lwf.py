@@ -132,6 +132,12 @@ def test_taylor_order_tail_actually_small():
             assert gibbs_taylor(beta, k).tail_bound < eps / 4
 
 
+@pytest.mark.parametrize("eps", [0.0, 1.0, -1e-3])
+def test_taylor_order_domain(eps):
+    with pytest.raises(ValueError, match=r"eps must be in \(0, 1\)"):
+        taylor_order(1.0, eps)
+
+
 def test_gibbs_taylor_domain():
     with pytest.raises(ValueError):
         gibbs_taylor(-1.0, 4)

@@ -81,6 +81,11 @@ def test_multiply_size_mismatch():
         pauli_multiply(PauliString.from_label("X"), PauliString.from_label("XX"))
 
 
+def test_commutes_size_mismatch():
+    with pytest.raises(ValueError, match="size mismatch: 1 vs 2"):
+        pauli_commutes(PauliString.from_label("X"), PauliString.from_label("XX"))
+
+
 def test_commutes_examples():
     assert pauli_commutes(PauliString.from_label("XX"), PauliString.from_label("ZZ"))
     assert not pauli_commutes(PauliString.from_label("XI"), PauliString.from_label("ZI"))

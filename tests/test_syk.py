@@ -76,6 +76,12 @@ def test_jordan_wigner_examples():
     assert p == PauliString.from_label("ZY")
 
 
+def test_normalize_refuses_a_zero_model():
+    zero = HamiltonianTerms(2, [(0.0, PauliString.from_label("XZ"))])
+    with pytest.raises(ValueError, match="cannot normalize a zero Hamiltonian"):
+        normalize_one_norm(zero)
+
+
 def test_jordan_wigner_range():
     with pytest.raises(ValueError):
         jordan_wigner_majorana(0, 4)

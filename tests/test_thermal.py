@@ -7,7 +7,7 @@ whose eigenphases carry sqrt(p0).  Register order is (C, A, B).
 """
 
 import math
-from dataclasses import FrozenInstanceError, asdict, dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from unittest import mock
 
 import numpy as np
@@ -17,7 +17,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trottergibbs import gqsp, thermal
-from trottergibbs.linalg import ToleranceError, assert_unitary, eigh_decompose, max_abs
+from trottergibbs.linalg import (
+    ToleranceError,
+    assert_unitary,
+    eigh_decompose,
+    max_abs,
+    spectral_apply,
+)
 from trottergibbs.lwf import ApproximationError, gibbs_fourier
 from trottergibbs.paulis import PauliString
 from trottergibbs.syk import (
@@ -86,10 +92,10 @@ def exact_boltzmann_unitary(h_eff: np.ndarray, beta: float) -> np.ndarray:
     B's eigenvalues are clipped to [0, 1]: a normalized SYK H_eff can reach
     -1 - 2e-16, which puts them a rounding error above 1.
     """
-    dec = eigh_decompose(h_eff)
-    b_vals = np.clip(np.exp(-beta * (dec.eigenvalues + 1.0) / 2.0), 0.0, 1.0)
-    b = dec.apply(b_vals)
-    s = dec.apply(np.sqrt(1.0 - b_vals**2))
+    vals, vecs = eigh_decompose(h_eff)
+    b_vals = np.clip(np.exp(-beta * (vals + 1.0) / 2.0), 0.0, 1.0)
+    b = spectral_apply(vecs, b_vals)
+    s = spectral_apply(vecs, np.sqrt(1.0 - b_vals**2))
     return np.block([[b, -s], [s, b]])
 
 
@@ -364,6 +370,18 @@ def test_gate_never_refuses_a_certified_target_property(kind, seed, beta, eps_qs
     assert deviation <= eps_qsp
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_oracle_refuses_beta_without_fourier_window(mode):
+    # delta' = 1/beta shifts the spectrum by x0 = 1/(1 + beta), which leaves
+    # no room below the edge gap for any 0 < beta <= EDGE_GAP/(1 - EDGE_GAP).
+    bound = thermal.EDGE_GAP / (1.0 - thermal.EDGE_GAP)
+    assert bound == pytest.approx(1 / 19, rel=1e-15)
+    refusal = rf"no Fourier window at beta=0\.05: .* a block needs beta > {bound:.6g}"
+    with pytest.raises(OracleError, match=refusal):
+        boltzmann_oracle(np.array([-0.5, 0.5]), 0.3, 0.05, mode, eps_qsp=1e-6)
+    assert thermal.fourier_window(0.06)[1] > 0.0
+
+
 def test_gqsp_plan_certificate_window():
     eff = syk_effective(8, beta_seed=7)
     plan = build_u_boltz(eff, 0.3, 2.0).diagnostics
@@ -376,7 +394,7 @@ def test_gqsp_plan_certificate_window():
 def test_gqsp_diagnostics_hold_every_plan_field():
     spec = spectrum(syk_effective(8, beta_seed=7))
     diagnostics = boltzmann_oracle(spec, 0.3, 2.0, "gqsp", eps_qsp=1e-6).diagnostics
-    plan = asdict(thermal._gqsp_plan(0.3, 2.0, spec, "gqsp", 1e-6))
+    plan = thermal._gqsp_plan(0.3, 2.0, spec, "gqsp", 1e-6)
     assert list(diagnostics)[: len(plan)] == list(plan)
     assert {key: diagnostics[key] for key in plan} == plan
 
@@ -414,12 +432,10 @@ def test_boltzmann_scale_overflow_is_refused_by_name():
 
 def test_exact_p0_trivial_values():
     dim = 8
-    values = exact_p0(np.zeros(dim), 1.0)
-    assert values.p0 == pytest.approx(math.exp(-1.0), abs=1e-15)
-    assert values.z_over_n == pytest.approx(1.0, abs=1e-15)
-    zero_beta = exact_p0(np.zeros(dim), 0.0)
-    assert zero_beta.p0 == 1.0
-    assert zero_beta.z_over_n == 1.0
+    p0, z_over_n = exact_p0(np.zeros(dim), 1.0)
+    assert p0 == pytest.approx(math.exp(-1.0), abs=1e-15)
+    assert z_over_n == pytest.approx(1.0, abs=1e-15)
+    assert exact_p0(np.zeros(dim), 0.0) == (1.0, 1.0)
 
 
 def test_exact_p0_shift_identity():
@@ -427,10 +443,8 @@ def test_exact_p0_shift_identity():
     for _ in range(10):
         eff = random_effective(rng, 8)
         beta = float(rng.uniform(0.1, 4.0))
-        values = exact_p0(spectrum(eff), beta)
-        assert values.p0 == pytest.approx(
-            values.z_over_n * math.exp(-beta), rel=1e-12
-        )
+        p0, z_over_n = exact_p0(spectrum(eff), beta)
+        assert p0 == pytest.approx(z_over_n * math.exp(-beta), rel=1e-12)
 
 
 def test_householder_prepare_sends_e0_to_target():
@@ -451,7 +465,7 @@ def test_amplitude_circuit_projection_equals_p0():
     eff = syk_effective(4, beta_seed=8)
     beta = 1.3
     a = amplitude_circuit(exact_boltzmann_unitary(eff, beta))
-    want = exact_p0(spectrum(eff), beta).p0
+    want, _ = exact_p0(spectrum(eff), beta)
     assert good_state_probability(a) == pytest.approx(want, abs=1e-12)
 
 
@@ -470,7 +484,7 @@ def test_grover_amplitude_reads_sqrt_p0():
         a = amplitude_circuit(exact_boltzmann_unitary(eff, beta))
         q = grover_operator(a)
         amp = grover_amplitude(q, a)
-        assert abs(amp - math.sqrt(exact_p0(spectrum(eff), beta).p0)) <= 1e-8
+        assert abs(amp - math.sqrt(exact_p0(spectrum(eff), beta)[0])) <= 1e-8
 
 
 def test_grover_beta_zero_good_subspace_is_stationary():
@@ -550,7 +564,7 @@ def test_exact_p0_accepts_a_spectrum():
     rng = np.random.default_rng(9)
     eff = random_effective(rng, 8)
     gibbs = scipy.linalg.expm(-1.3 * (eff + np.eye(8)))
-    assert exact_p0(spectrum(eff), 1.3).p0 == pytest.approx(
+    assert exact_p0(spectrum(eff), 1.3)[0] == pytest.approx(
         float(np.trace(gibbs).real) / 8, rel=1e-12
     )
     with pytest.raises(ValueError):

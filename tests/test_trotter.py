@@ -111,6 +111,11 @@ def test_suzuki_u_partition_of_unity():
         assert 0 < u < 0.5
 
 
+def test_node_spectrum_refuses_a_zero_step():
+    with pytest.raises(ValueError, match="tau must be nonzero"):
+        node_spectrum(pauli_model(["Z"], [1.0]), 0.0, 2)
+
+
 def test_suzuki_u_domain():
     with pytest.raises(ValueError):
         suzuki_u(1)
