@@ -157,8 +157,12 @@ def validate_config(doc: dict, schema: dict, where: str) -> dict:
                 allowed, noun = (_num, "numbers") if entry is float else (int, "integers")
                 if any(isinstance(v, bool) or not isinstance(v, allowed) for v in value):
                     raise ConfigError(f"{where}: entries of {key!r} must be {noun}")
-                value = [entry(v) for v in value]
-            out[key] = float(value) if types is _num else value
+            try:  # float() of an integer with hundreds of digits overflows
+                if entry is not None:
+                    value = [entry(v) for v in value]
+                out[key] = float(value) if types is _num else value
+            except OverflowError:
+                raise ConfigError(f"{where}: {key!r} is outside the float range") from None
         elif required:
             raise ConfigError(f"{where}: missing required key {key!r}")
         else:
@@ -195,7 +199,10 @@ def validate_model(doc: dict) -> dict:
             n = spec["n_qubits"]
             if not (isinstance(label, str) and len(label) == n and set(label) <= set(LETTERS)):
                 raise ConfigError(f"model.terms label {label!r} must be {n} letters from {LETTERS}")
-            terms.append([float(coef), label])
+            try:
+                terms.append([float(coef), label])
+            except OverflowError:
+                raise ConfigError("model.terms coefficient is outside the float range") from None
         spec["terms"] = terms
     return spec
 
@@ -455,9 +462,12 @@ def load_document(path: str | None) -> dict:
     def refuse(constant: str):
         raise ConfigError(f"config {path} holds {constant}; numbers must be finite")
 
+    def finite(text: str) -> float:  # 1e400 parses to inf
+        return value if math.isfinite(value := float(text)) else refuse(text)
+
     try:
         with open(path) as fh:
-            doc = json.load(fh, parse_constant=refuse)
+            doc = json.load(fh, parse_constant=refuse, parse_float=finite)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except ConfigError:

@@ -19,14 +19,10 @@ circle; it is constructed by FFT-based spectral factorization of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import read_only
-
 ADMISSIBLE_SLACK = 1e-9
-CIRCLE_SAMPLES = 4096
 COMPLETION_TOL = 1e-8
 
 
@@ -38,31 +34,9 @@ class SynthesisError(ValueError):
     """Angle peeling hit an unstable (vanishing leading coefficient) step."""
 
 
-def _circle_values(coefs: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Polynomial values on n evenly spaced points of the unit circle.
-
-    By default n is CIRCLE_SAMPLES, or the next power of two that holds every
-    coefficient: an FFT shorter than the coefficients would crop them.
-    """
-    if n is None:
-        n = max(CIRCLE_SAMPLES, 1 << (len(coefs) - 1).bit_length())
+def _circle_values(coefs: np.ndarray, n: int) -> np.ndarray:
+    """Polynomial values on n evenly spaced points of the unit circle."""
     return np.fft.fft(coefs, n)
-
-
-@dataclass(frozen=True)
-class LaurentPoly:
-    """sum_{m=-M}^{M} c_m z^m with |values| <= 1 on the unit circle."""
-
-    M: int
-    c: np.ndarray  # complex, index m + M
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", read_only(self.c, complex))
-        if self.c.shape != (2 * self.M + 1,):
-            raise ValueError(f"need {2 * self.M + 1} coefficients, got {self.c.shape}")
-        worst = float(np.max(np.abs(_circle_values(self.c))))
-        if worst > 1.0 + ADMISSIBLE_SLACK:
-            raise ValueError(f"not admissible: max |P| on circle = {worst:.12f} > 1")
 
 
 def rotation(theta, phi, lam=0.0) -> np.ndarray:
@@ -83,11 +57,18 @@ def complete_polynomial(p_coefs: np.ndarray) -> np.ndarray:
     coefficient of order one, which the angle peeling needs.  No
     polynomial root-finding is involved, so the construction stays
     accurate at degrees in the thousands.
+
+    This is the one admissibility check of the synthesis: P with
+    max |P| > 1 + ADMISSIBLE_SLACK on the grid, or a NaN, is refused.  The
+    grid holds every coefficient, since it has at least 8 (d + 1) points.
     """
     p_coefs = np.asarray(p_coefs, dtype=complex)
     d = len(p_coefs) - 1
     grid = 1 << max(13, (8 * (d + 1) - 1).bit_length())
     p_sq = np.abs(_circle_values(p_coefs, grid))
+    worst = float(np.max(p_sq))
+    if not worst <= 1.0 + ADMISSIBLE_SLACK:  # NaN is refused too
+        raise ValueError(f"not admissible: max |P| on circle = {worst:.12f} > 1")
     np.square(p_sq, out=p_sq)
     g = 1.0 - p_sq
     g_max = float(np.max(g))
@@ -124,29 +105,16 @@ def complete_polynomial(p_coefs: np.ndarray) -> np.ndarray:
     return q_coefs
 
 
-@dataclass(frozen=True)
-class GqspAngles:
-    """Rotation angles realizing a degree-d polynomial of the signal unitary."""
-
-    theta: np.ndarray
-    phi: np.ndarray
-    lam: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", read_only(self.theta, float))
-        object.__setattr__(self, "phi", read_only(self.phi, float))
-
-    @property
-    def degree(self) -> int:
-        return len(self.theta) - 1
-
-
-def synthesize_angles(p_coefs: np.ndarray, q_coefs: np.ndarray) -> GqspAngles:
-    """Layer-peel (P, Q) into rotation angles.
+def synthesize_angles(
+    p_coefs: np.ndarray, q_coefs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Layer-peel (P, Q) into the rotation angles (theta, phi, lam).
 
     Peels the top degree of the coefficient matrix S = [P; Q] one rotation
     at a time: theta from the magnitudes of the leading pair, phi from
     their relative phase, and lam from the final degree-0 remainder.
+    theta and phi hold one angle per degree 0..d, rotation j following the
+    j-th signal application, and lam is the phase of rotation 0 alone.
     """
     p_row, q_row = (np.asarray(v, dtype=complex) for v in (p_coefs, q_coefs))
     if p_row.shape != q_row.shape:
@@ -185,10 +153,10 @@ def synthesize_angles(p_coefs: np.ndarray, q_coefs: np.ndarray) -> GqspAngles:
         entries[0], entries[1], entries[2], entries[3] = turn * cos, sin, turn * sin, -cos
         mixed = mix * shifted[:, :, :step]
         np.add(mixed[:, 0], mixed[:, 1], out=s[:, :step])
-    return GqspAngles(theta, phi, lam)
+    return theta, phi, lam
 
 
-def gqsp_apply(angles: GqspAngles, u: np.ndarray) -> np.ndarray:
+def gqsp_apply(angles: tuple[np.ndarray, np.ndarray, float], u: np.ndarray) -> np.ndarray:
     """Dense (2 dim x 2 dim) unitary of the interleaved rotation circuit.
 
     The ancilla is the first tensor factor; A applies U on the ancilla-0
@@ -199,13 +167,16 @@ def gqsp_apply(angles: GqspAngles, u: np.ndarray) -> np.ndarray:
     signal = np.block(
         [[u, np.zeros((dim, dim))], [np.zeros((dim, dim)), eye]]
     )
-    full = np.kron(rotation(angles.theta[0], angles.phi[0], angles.lam), eye)
-    for j in range(1, angles.degree + 1):
-        full = np.kron(rotation(angles.theta[j], angles.phi[j]), eye) @ signal @ full
+    theta, phi, lam = angles
+    full = np.kron(rotation(theta[0], phi[0], lam), eye)
+    for j in range(1, len(theta)):
+        full = np.kron(rotation(theta[j], phi[j]), eye) @ signal @ full
     return full
 
 
-def gqsp_cells(angles: GqspAngles, phases: np.ndarray, shift: int) -> np.ndarray:
+def gqsp_cells(
+    angles: tuple[np.ndarray, np.ndarray, float], phases: np.ndarray, shift: int
+) -> np.ndarray:
     """The ``gqsp_apply`` circuit on each eigenvector of a normal signal unitary.
 
     On the eigenvector with eigenvalue z = e^{i phase}, A acts on the ancilla
@@ -220,7 +191,8 @@ def gqsp_cells(angles: GqspAngles, phases: np.ndarray, shift: int) -> np.ndarray
     """
     phases = np.asarray(phases, dtype=float)
     z = np.exp(1j * phases)
-    r = rotation(angles.theta, angles.phi, np.r_[angles.lam, np.zeros(angles.degree)])
+    theta, phi, lam = angles
+    r = rotation(theta, phi, np.r_[lam, np.zeros(len(theta) - 1)])
     r = r.transpose(1, 2, 0)  # r[:, :, j] = R_j
     count, half = r.shape[2], r.shape[2] // 2
     later, earlier = r[:, :, 1::2, None], r[:, :, : 2 * half : 2, None]
@@ -244,12 +216,12 @@ def gqsp_cells(angles: GqspAngles, phases: np.ndarray, shift: int) -> np.ndarray
     return np.ascontiguousarray(cells.transpose(2, 0, 1))
 
 
-def synthesize_laurent(p: LaurentPoly) -> GqspAngles:
-    """Angles for a Laurent target: shift to plain powers, complete, peel.
+def synthesize_laurent(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Angles for the Laurent target sum_{m=-M}^{M} c[m + M] z^m: shift, complete, peel.
 
-    The coefficients of z^M P(z) in ascending powers are exactly ``p.c``.
-    ``complete_polynomial`` has already checked |P|^2 + |Q|^2 = 1 on its
-    own grid, so no residual is recomputed here.
+    The coefficients of z^M P(z) in ascending powers are exactly ``c``.
+    ``complete_polynomial`` checks |P| <= 1 and |P|^2 + |Q|^2 = 1 on its
+    own grid, so neither is recomputed here.
     """
-    return synthesize_angles(p.c, complete_polynomial(p.c))
+    return synthesize_angles(c, complete_polynomial(c))
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gqsp import LaurentPoly, gqsp_cells, synthesize_laurent
+from .gqsp import gqsp_cells, synthesize_laurent
 from .linalg import assert_unitary
 from .lwf import gibbs_fourier
 
@@ -75,7 +75,7 @@ def _gqsp_plan(
 
     The dict opens the oracle's diagnostics: ``q``, the integer power of
     the base step (0 in continuous time); ``time``, the total signal time
-    T, q * tau in integer mode; ``beta_f``, the inverse temperature handed
+    T, q * |tau| in integer mode; ``beta_f``, the inverse temperature handed
     to the Fourier builder; ``x0``, the spectral shift of ``fourier_window``;
     ``delta_cert``, the window margin handed to the Fourier builder;
     ``eps_lwf``, the Fourier error budget after scale amplification;
@@ -89,15 +89,13 @@ def _gqsp_plan(
     dp = 1.0 / beta
     x0, budget = fourier_window(beta)
     t_star = math.pi / (2.0 * (1.0 + dp))
-    if radius == 0.0:
-        t_sig = t_star
-        q = 0 if mode == "ideal-w" else 1
-    elif mode == "ideal-w":
-        t_sig = min(t_star, math.pi * budget / (2.0 * radius))
+    # On a zero spectrum no eigenvalue limits the signal time.
+    if mode == "ideal-w":
+        t_sig = min(t_star, math.pi * budget / (2.0 * radius)) if radius else t_star
         q = 0
     else:
         step = abs(tau)
-        q_cap = math.floor(math.pi * budget / (2.0 * step * radius))
+        q_cap = math.floor(math.pi * budget / (2.0 * step * radius)) if radius else math.inf
         if q_cap < 1:
             raise OracleError(
                 f"base step tau={tau} too coarse: even one application "
@@ -200,7 +198,7 @@ def boltzmann_oracle(
         fa = gibbs_fourier(diagnostics["beta_f"], diagnostics["delta_cert"], diagnostics["eps_lwf"])
         ms = np.arange(-fa.M, fa.M + 1)
         coefs = fa.c * np.exp(1j * math.pi * ms * diagnostics["x0"] / 2.0) * COEF_RESCALE
-        angles = synthesize_laurent(LaurentPoly(fa.M, coefs))
+        angles = synthesize_laurent(coefs)
         cells = gqsp_cells(angles, diagnostics["time"] * spectrum, fa.M)
         gap = cells[:, 0, 0] / scale - np.exp(-beta * (spectrum + 1.0) / 2.0)
         diagnostics.update(

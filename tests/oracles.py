@@ -18,8 +18,6 @@ from trottergibbs.gqsp import (
     ADMISSIBLE_SLACK,
     COMPLETION_TOL,
     CompletionError,
-    GqspAngles,
-    LaurentPoly,
     _circle_values,
     complete_polynomial,
     gqsp_apply,
@@ -104,17 +102,19 @@ def dense_partition(h: np.ndarray, beta: float) -> float:
     return float(np.mean(np.exp(-beta * vals)))
 
 
-def direct_poly_apply(p: LaurentPoly, u: np.ndarray) -> np.ndarray:
-    """sum_m c_m U^m evaluated with explicit matrix powers."""
+def direct_poly_apply(c: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_{m=-M}^{M} c[m + M] U^m evaluated with explicit matrix powers."""
+    c = np.asarray(c, dtype=complex)
+    big_m = len(c) // 2
     dim = u.shape[0]
-    out = p.c[p.M] * np.eye(dim, dtype=complex)
+    out = c[big_m] * np.eye(dim, dtype=complex)
     fwd = np.eye(dim, dtype=complex)
     bwd = np.eye(dim, dtype=complex)
     udag = u.conj().T
-    for m in range(1, p.M + 1):
+    for m in range(1, big_m + 1):
         fwd = fwd @ u
         bwd = bwd @ udag
-        out += p.c[p.M + m] * fwd + p.c[p.M - m] * bwd
+        out += c[big_m + m] * fwd + c[big_m - m] * bwd
     return out
 
 
@@ -127,7 +127,10 @@ def completion_reference(p_coefs: np.ndarray) -> np.ndarray:
     p_coefs = np.asarray(p_coefs, dtype=complex)
     d = len(p_coefs) - 1
     grid = 1 << max(13, (8 * (d + 1) - 1).bit_length())
-    p_sq = np.abs(_circle_values(p_coefs, grid)) ** 2
+    p_abs = np.abs(_circle_values(p_coefs, grid))
+    if float(np.max(p_abs)) > 1.0 + ADMISSIBLE_SLACK:
+        raise ValueError("not admissible")
+    p_sq = p_abs**2
     g = 1.0 - p_sq
     g_max = float(np.max(g))
     if g_max <= 4.0 * ADMISSIBLE_SLACK:
@@ -147,10 +150,15 @@ def completion_reference(p_coefs: np.ndarray) -> np.ndarray:
     return q_coefs
 
 
-def completion_residual(p: LaurentPoly) -> float:
-    """max ||P|^2 + |Q|^2 - 1| on the circle samples, Q the library's completion of ``p``."""
-    q_coefs = complete_polynomial(p.c)
-    residual = np.abs(_circle_values(p.c)) ** 2 + np.abs(_circle_values(q_coefs)) ** 2 - 1.0
+def completion_residual(c: np.ndarray) -> float:
+    """max ||P|^2 + |Q|^2 - 1| on the circle samples, Q the library's completion of ``c``.
+
+    The samples are the 4096 points of CIRCLE, or the next power of two that
+    holds every coefficient: an FFT shorter than the coefficients would crop them.
+    """
+    q_coefs = complete_polynomial(c)
+    n = max(len(CIRCLE), 1 << (len(c) - 1).bit_length())
+    residual = np.abs(_circle_values(c, n)) ** 2 + np.abs(_circle_values(q_coefs, n)) ** 2 - 1.0
     return float(np.max(np.abs(residual)))
 
 
@@ -160,10 +168,10 @@ def extract_block(full: np.ndarray) -> np.ndarray:
     return full[:dim, :dim]
 
 
-def verify_block(angles: GqspAngles, u: np.ndarray, p: LaurentPoly) -> float:
-    """Max elementwise gap between the circuit block and U^M sum_m c_m U^m."""
+def verify_block(angles: tuple, u: np.ndarray, c: np.ndarray) -> float:
+    """Max elementwise gap between the circuit block and U^M sum_m c[m + M] U^m."""
     block = extract_block(gqsp_apply(angles, u))
-    target = np.linalg.matrix_power(u, p.M) @ direct_poly_apply(p, u)
+    target = np.linalg.matrix_power(u, len(c) // 2) @ direct_poly_apply(c, u)
     return float(np.max(np.abs(block - target)))
 
 
@@ -371,9 +379,10 @@ def syk_effective(n_majorana, beta_seed, tau=0.3, order=2):
 
 
 def random_laurent(rng, m, head=0.9):
+    """2m + 1 random Laurent coefficients, scaled so that max |P| on CIRCLE is ``head``."""
     c = rng.standard_normal(2 * m + 1) + 1j * rng.standard_normal(2 * m + 1)
     vals = np.polynomial.polynomial.polyval(CIRCLE, c)
-    return LaurentPoly(m, c * head / np.max(np.abs(vals)))
+    return c * head / np.max(np.abs(vals))
 
 
 def fit_slope(xs, ys):

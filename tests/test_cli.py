@@ -54,8 +54,9 @@ def read_csv(path):
 
 
 def write_config(tmp_path, name, doc):
+    """Write ``doc`` as JSON; a string is written as it stands."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -824,6 +825,17 @@ def test_lwf_convergence_accepts_range_edges(tmp_path, capsys):
         ("pipeline", {"model": {"kind": "pauli", "n_qubits": 1, "terms": [[True, "X"]]}},
          "coefficients must be numbers"),
         ("pipeline", [{"beta": 1.0}], "must hold a JSON object"),
+        # Numbers past the float range: an integer with 400 digits exited 3
+        # with a bare OverflowError, and 1e400 parsed to inf.
+        pytest.param("pipeline", {"beta": 10**400}, "'beta' is outside the float range",
+                     id="pipeline-beta-400-digits"),
+        pytest.param("trotter-order", {"tau_max": 10**400}, "'tau_max' is outside the float range",
+                     id="trotter-order-tau_max-400-digits"),
+        pytest.param("trotter-order", '{"model": {"kind": "syk", "one_norm": 1e400}}',
+                     "holds 1e400; numbers must be finite", id="trotter-order-one_norm-1e400"),
+        pytest.param("trotter-order",
+                     '{"model": {"kind": "pauli", "n_qubits": 1, "terms": [[1e400, "X"]]}}',
+                     "holds 1e400; numbers must be finite", id="trotter-order-coefficient-1e400"),
     ],
     ids=repr,
 )

@@ -8,10 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trottergibbs.gqsp import (
+    ADMISSIBLE_SLACK,
     CompletionError,
-    GqspAngles,
     SynthesisError,
-    LaurentPoly,
     complete_polynomial,
     gqsp_apply,
     gqsp_cells,
@@ -57,14 +56,15 @@ def peel_reference(p_coefs, q_coefs):
             break
         s = rotation(theta[step], phi[step]).conj().T @ s
         s = np.vstack([s[0, 1 : step + 1], s[1, 0:step]])
-    return GqspAngles(theta, phi, lam)
+    return theta, phi, lam
 
 
 def cells_reference(angles, phases, shift):
     """``gqsp_cells`` as a batched (N, 2, 2) matmul per degree: the fold the 2 x 2N row pair replaced."""
     phases = np.asarray(phases, dtype=float)[:, None]
     z = np.exp(1j * phases)
-    rots = rotation(angles.theta, angles.phi, np.r_[angles.lam, np.zeros(angles.degree)])
+    theta, phi, lam = angles
+    rots = rotation(theta, phi, np.r_[lam, np.zeros(len(theta) - 1)])
     cells = np.tile(rots[0], (len(z), 1, 1))
     for r in rots[1:]:
         cells[:, 0, :] *= z
@@ -107,39 +107,33 @@ def test_rotation_of_arrays_is_rotation_of_each_entry():
     assert rotation(0.3, 0.4).shape == (2, 2)
 
 
-def circle_block(p):
+def circle_block(c):
     """Diagonal of the synthesized block on a signal with eigenvalues on the circle."""
-    angles = synthesize_laurent(p)
+    angles = synthesize_laurent(c)
     z = CIRCLE[::256]
     return angles, np.diag(extract_block(gqsp_apply(angles, np.diag(z)))), z
 
 
 def test_monomial_shift_constant():
-    p = LaurentPoly(0, [0.5])
-    _, block, z = circle_block(p)
-    assert np.max(np.abs(block - z**p.M * 0.5)) < 1e-12
+    _, block, z = circle_block([0.5])
+    assert np.max(np.abs(block - 0.5)) < 1e-12
 
 
 def test_monomial_shift_symmetric_pair():
     # z^M P(z) = 0.45 + 0.45 z^2: the coefficient array read as plain powers.
-    p = LaurentPoly(1, [0.45, 0.0, 0.45])
-    _, block, z = circle_block(p)
-    assert np.max(np.abs(block - z**p.M * (0.45 / z + 0.45 * z))) < 1e-10
+    _, block, z = circle_block([0.45, 0.0, 0.45])
+    assert np.max(np.abs(block - z * (0.45 / z + 0.45 * z))) < 1e-10
 
 
 def test_monomial_shift_preserves_circle_values():
     rng = np.random.default_rng(32)
     for _ in range(10):
-        p = random_laurent(rng, int(rng.integers(1, 6)))
-        _, block, z = circle_block(p)
-        freqs = np.arange(-p.M, p.M + 1)
-        want = (z**p.M) * (z[:, None] ** freqs @ p.c)
+        m = int(rng.integers(1, 6))
+        c = random_laurent(rng, m)
+        _, block, z = circle_block(c)
+        freqs = np.arange(-m, m + 1)
+        want = (z**m) * (z[:, None] ** freqs @ c)
         assert np.max(np.abs(block - want)) < 1e-9
-
-
-def test_laurent_rejects_a_wrong_length():
-    with pytest.raises(ValueError, match=r"need 3 coefficients, got \(2,\)"):
-        LaurentPoly(1, [0.1, 0.1])
 
 
 def test_synthesis_rejects_p_and_q_of_different_lengths():
@@ -148,17 +142,32 @@ def test_synthesis_rejects_p_and_q_of_different_lengths():
 
 
 def test_laurent_rejects_inadmissible():
-    with pytest.raises(ValueError):
-        LaurentPoly(1, [1.0, 1.0, 1.0])
+    # |P(1)| = 3: the completion refuses it, and so the Laurent synthesis.
+    for synthesize in (complete_polynomial, synthesize_laurent):
+        with pytest.raises(ValueError, match=r"not admissible: max \|P\| on circle = 3\.0"):
+            synthesize([1.0, 1.0, 1.0])
 
 
 def test_laurent_rejects_a_top_coefficient_past_the_circle_samples():
-    # 2M + 1 = 4201 coefficients exceed CIRCLE_SAMPLES; |P| = 2 everywhere
-    # through the top one alone, which a 4096-point FFT would crop away.
+    # 2M + 1 = 4201 coefficients exceed 4096 circle samples; |P| = 2 everywhere
+    # through the top one alone, which a 4096-point FFT would crop away.  The
+    # completion's grid, at least 8 (2M + 1) points, holds it.
     c = np.zeros(4201, dtype=complex)
     c[-1] = 2.0
-    with pytest.raises(ValueError, match="not admissible"):
-        LaurentPoly(2100, c)
+    for synthesize in (complete_polynomial, synthesize_laurent):
+        with pytest.raises(ValueError, match="not admissible"):
+            synthesize(c)
+
+
+def test_completion_refuses_a_modulus_past_one_before_its_monomial_shortcut():
+    # |P| = 1.01 everywhere: 1 - |P|^2 is constant, which the |P| = 1
+    # shortcut once read as a vanishing Q, and a NaN coefficient once
+    # completed to a NaN Q.  Within the slack, |P| = 1 still completes to Q = 0.
+    with pytest.raises(ValueError, match=r"not admissible: max \|P\| on circle = 1\.01"):
+        complete_polynomial([1.01])
+    with pytest.raises(ValueError, match=r"not admissible: max \|P\| on circle = nan"):
+        synthesize_laurent([0.1, math.nan, 0.1])
+    assert np.all(complete_polynomial([1.0 + 0.5 * ADMISSIBLE_SLACK]) == 0)
 
 
 def test_completion_residual_reads_every_coefficient_past_the_circle_samples():
@@ -166,16 +175,8 @@ def test_completion_residual_reads_every_coefficient_past_the_circle_samples():
     # completion has its top coefficient, and the residual read 0.9.
     c = np.zeros(4201, dtype=complex)
     c[0] = c[-1] = 0.3
-    p = LaurentPoly(2100, c)
-    synthesize_laurent(p)
-    assert completion_residual(p) <= 1e-9
-
-
-def test_laurent_rejects_a_write_past_its_check():
-    # The constructor checks admissibility, so its coefficients are read-only.
-    p = LaurentPoly(1, [0.45, 0, 0.45])
-    with pytest.raises(ValueError, match="read-only"):
-        p.c[1] = 0.9
+    synthesize_laurent(c)
+    assert completion_residual(c) <= 1e-9
 
 
 @pytest.mark.parametrize("degree", [2, 262, 1000, 2000])
@@ -205,8 +206,7 @@ def test_complete_random_targets_residual():
     rng = np.random.default_rng(33)
     for _ in range(10):
         m = int(rng.integers(1, 9))
-        p = random_laurent(rng, m)
-        coefs = p.c
+        coefs = random_laurent(rng, m)
         q = complete_polynomial(coefs)
         res = np.abs(circle_values(coefs)) ** 2 + np.abs(circle_values(q)) ** 2 - 1.0
         assert np.max(np.abs(res)) <= 1e-9
@@ -221,8 +221,9 @@ def test_complete_grazing_target_raises():
 def test_synthesize_identity_signal_polynomial():
     # P(z) = z with Q = 0: the circuit block must equal U itself.
     angles = synthesize_angles(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-    assert angles.degree == 1
-    assert np.allclose(angles.theta, 0.0, atol=1e-12)
+    theta, phi, _ = angles
+    assert len(theta) == len(phi) == 2
+    assert np.allclose(theta, 0.0, atol=1e-12)
     rng = np.random.default_rng(34)
     u = haar_unitary(rng, 4)
     block = extract_block(gqsp_apply(angles, u))
@@ -233,7 +234,7 @@ def test_synthesize_constant_target():
     c = 0.5
     q = complete_polynomial(np.array([c + 0j]))
     angles = synthesize_angles(np.array([c + 0j]), q)
-    assert angles.degree == 0
+    assert len(angles[0]) == 1
     u = haar_unitary(np.random.default_rng(35), 3)
     block = extract_block(gqsp_apply(angles, u))
     assert max_abs(block - c * np.eye(3)) < 1e-12
@@ -241,11 +242,10 @@ def test_synthesize_constant_target():
 
 def test_synthesize_angle_count_matches_degree():
     rng = np.random.default_rng(36)
-    p = random_laurent(rng, 4)
-    angles = synthesize_laurent(p)
+    theta, phi, _ = synthesize_laurent(random_laurent(rng, 4))
     # 2M+1 rotations interleave 2M signal applications.
-    assert len(angles.theta) == 2 * p.M + 1
-    assert len(angles.phi) == len(angles.theta)
+    assert len(theta) == 2 * 4 + 1
+    assert len(phi) == len(theta)
 
 
 @settings(max_examples=25, deadline=None)
@@ -255,13 +255,13 @@ def test_synthesize_angle_count_matches_degree():
 def test_synthesize_angles_matches_matmul_peeling(seed, m):
     # Random admissible targets up to degree 300 (the disorder workload
     # reaches about 260): row peeling and the 2x2-matmul reference agree.
-    p = random_laurent(np.random.default_rng(seed), m)
-    q = complete_polynomial(p.c)
-    got, want = synthesize_angles(p.c, q), peel_reference(p.c, q)
-    assert got.degree == want.degree
-    assert np.max(np.abs(got.theta - want.theta)) <= 1e-12
-    assert angle_gap(got.phi, want.phi) <= 1e-12
-    assert angle_gap(got.lam, want.lam) <= 1e-12
+    c = random_laurent(np.random.default_rng(seed), m)
+    q = complete_polynomial(c)
+    (theta, phi, lam), want = synthesize_angles(c, q), peel_reference(c, q)
+    assert len(theta) == len(phi) == len(want[0])
+    assert np.max(np.abs(theta - want[0])) <= 1e-12
+    assert angle_gap(phi, want[1]) <= 1e-12
+    assert angle_gap(lam, want[2]) <= 1e-12
 
 
 @pytest.mark.parametrize("beta, delta, eps", [(4.0, 0.25, 1e-6), (8.0, 0.125, 1e-8)])
@@ -272,7 +272,7 @@ def test_synthesize_angles_matches_matmul_peeling_on_gibbs_targets(beta, delta, 
     f = gibbs_fourier(beta, delta, eps)
     q = complete_polynomial(f.c)
     got, want = synthesize_angles(f.c, q), peel_reference(f.c, q)
-    assert got.degree == want.degree == 2 * f.M
+    assert len(got[0]) == len(want[0]) == 2 * f.M + 1
     phases = np.linspace(-math.pi, math.pi, 257)
     assert max_abs(gqsp_cells(got, phases, f.M) - gqsp_cells(want, phases, f.M)) <= 1e-12
 
@@ -288,15 +288,14 @@ def test_synthesize_angles_refuses_vanishing_leading_pair(length):
 
 def test_gqsp_apply_unitary():
     rng = np.random.default_rng(37)
-    p = random_laurent(rng, 3)
-    angles = synthesize_laurent(p)
+    angles = synthesize_laurent(random_laurent(rng, 3))
     u = haar_unitary(rng, 4)
     full = gqsp_apply(angles, u)
     assert max_abs(full @ full.conj().T - np.eye(8)) < 1e-10
 
 
 def test_gqsp_apply_degree_zero_is_single_rotation():
-    angles = GqspAngles(np.array([0.3]), np.array([0.4]), 0.2)
+    angles = np.array([0.3]), np.array([0.4]), 0.2
     u = haar_unitary(np.random.default_rng(38), 3)
     full = gqsp_apply(angles, u)
     assert max_abs(full - np.kron(rotation(0.3, 0.4, 0.2), np.eye(3))) < 1e-14
@@ -311,9 +310,9 @@ def test_extract_block_shape():
 
 def test_direct_poly_apply_identity_and_signal():
     u = haar_unitary(np.random.default_rng(39), 4)
-    ident = direct_poly_apply(LaurentPoly(0, [1.0]), u)
+    ident = direct_poly_apply([1.0], u)
     assert max_abs(ident - np.eye(4)) < 1e-14
-    shifted = direct_poly_apply(LaurentPoly(1, [0.0, 0.0, 1.0]), u)
+    shifted = direct_poly_apply([0.0, 0.0, 1.0], u)
     assert max_abs(shifted - u) < 1e-14
 
 
@@ -321,10 +320,10 @@ def test_direct_poly_apply_matches_eigen_functional_calculus():
     rng = np.random.default_rng(40)
     phases = rng.uniform(-math.pi / 2, math.pi / 2, size=5)
     u = np.diag(np.exp(1j * phases))
-    p = random_laurent(rng, 4)
-    got = np.diag(direct_poly_apply(p, u))
-    freqs = np.arange(-p.M, p.M + 1)
-    want = np.exp(1j * np.outer(phases, freqs)) @ p.c
+    c = random_laurent(rng, 4)
+    got = np.diag(direct_poly_apply(c, u))
+    freqs = np.arange(-4, 4 + 1)
+    want = np.exp(1j * np.outer(phases, freqs)) @ c
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -333,29 +332,28 @@ def test_verify_block_random_targets():
     for trial in range(10):
         m = int(rng.integers(1, 9))
         dim = int(rng.integers(2, 9))
-        p = random_laurent(rng, m)
-        angles = synthesize_laurent(p)
+        c = random_laurent(rng, m)
+        angles = synthesize_laurent(c)
         u = haar_unitary(rng, dim)
-        assert verify_block(angles, u, p) <= 1e-8, f"trial {trial}"
+        assert verify_block(angles, u, c) <= 1e-8, f"trial {trial}"
 
 
 def test_verify_block_detects_corruption():
     rng = np.random.default_rng(42)
-    p = random_laurent(rng, 3)
-    angles = synthesize_laurent(p)
+    c = random_laurent(rng, 3)
+    theta, phi, lam = angles = synthesize_laurent(c)
     u = haar_unitary(rng, 4)
-    baseline = verify_block(angles, u, p)
-    theta = angles.theta.copy()
+    baseline = verify_block(angles, u, c)
+    theta = theta.copy()
     theta[1] += 0.05
-    corrupted = GqspAngles(theta, angles.phi, angles.lam)
-    assert verify_block(corrupted, u, p) > max(1e-3, 10 * baseline)
+    assert verify_block((theta, phi, lam), u, c) > max(1e-3, 10 * baseline)
 
 
 def test_synthesize_laurent_diagnostics():
-    p = random_laurent(np.random.default_rng(43), 2)
-    angles = synthesize_laurent(p)
-    assert angles.degree == 2 * p.M
-    assert completion_residual(p) <= 1e-9
+    c = random_laurent(np.random.default_rng(43), 2)
+    theta, _, _ = synthesize_laurent(c)
+    assert len(theta) == len(c)
+    assert completion_residual(c) <= 1e-9
 
 
 def test_lwf_coefficients_drive_block_to_gibbs_weight():
@@ -366,8 +364,7 @@ def test_lwf_coefficients_drive_block_to_gibbs_weight():
     f = gibbs_fourier(beta, delta, eps)
     xs = np.linspace(-1 + delta, 1 - delta, 7)
     u = np.diag(np.exp(1j * math.pi * xs / 2.0))
-    p = LaurentPoly(f.M, f.c)
-    block = direct_poly_apply(p, u)
+    block = direct_poly_apply(f.c, u)
     want = np.exp(-beta * (xs + 1.0))
     assert np.max(np.abs(np.diag(block) - want)) < eps
 
@@ -384,8 +381,8 @@ def test_cells_match_dense_circuit_in_eigenbasis(seed, m, dim):
     # the eigenbasis V, is diag(cells[:, r, c]) in each ancilla block, and
     # the C=0 entries are the Laurent target on the eigenvalues.
     rng = np.random.default_rng(seed)
-    p = random_laurent(rng, m)
-    angles = synthesize_laurent(p)
+    coefs = random_laurent(rng, m)
+    angles = synthesize_laurent(coefs)
     phases = rng.uniform(-math.pi, math.pi, size=dim)
     z = np.exp(1j * phases)
     v = haar_unitary(rng, dim)
@@ -399,7 +396,7 @@ def test_cells_match_dense_circuit_in_eigenbasis(seed, m, dim):
             part = dense[r * dim : (r + 1) * dim, c * dim : (c + 1) * dim]
             rotated = v.conj().T @ part @ v
             assert max_abs(rotated - np.diag(cells[:, r, c])) <= 1e-12
-    laurent = np.polynomial.polynomial.polyval(z, p.c) * z ** (-m)
+    laurent = np.polynomial.polynomial.polyval(z, coefs) * z ** (-m)
     assert max_abs(cells[:, 0, 0] - laurent) <= 1e-12
 
 
@@ -411,7 +408,7 @@ def test_cells_match_batched_fold_reference(degree, n):
     # workload, and 2, 127, 128, 129 and 264 leave an odd factor count, to
     # be carried up unpaired, at one or several levels of the tree.
     rng = np.random.default_rng(1000 * degree + n)
-    angles = GqspAngles(
+    angles = (
         rng.uniform(0, math.pi, degree + 1),
         rng.uniform(-math.pi, math.pi, degree + 1),
         float(rng.uniform(-math.pi, math.pi)),

@@ -227,19 +227,22 @@ def test_block_modes_at_beta_zero_return_one(mode):
         assert rec.diagnostics == {"block_deviation": 0.0, "fourier_m": 0, "q": 0}
 
 
-@pytest.mark.parametrize("mode, q", [("gqsp", 1), ("ideal-w", 0)])
-def test_block_modes_on_a_zero_spectrum(mode, q):
-    # Every eigenphase of S_p(tau) is 0, so the signal time is t* in both
-    # modes: gqsp applies W once per power, ideal-w stays in continuous time.
+@pytest.mark.parametrize("mode, q_min", [("gqsp", 1), ("ideal-w", 0)])
+def test_block_modes_on_a_zero_spectrum(mode, q_min):
+    # Every eigenphase of S_p(tau) is 0, so no eigenvalue caps the signal
+    # time: gqsp rounds t*/|tau| to q >= 1 steps as on any spectrum, and
+    # ideal-w stays in continuous time at t* with q = 0, one step a power.
     h = build_syk_hamiltonian(sample_syk(8, seed=7))
     model = HamiltonianTerms(h.n_qubits, [(0.0, s) for _, s in h.terms])
     cfg = PipelineConfig(model=model, beta=1.0, mode=mode)
     res = run_pipeline(cfg)
     assert abs(res.extrapolated - 1.0) <= cfg.eps_qsp
+    t_star = math.pi / (2.0 * (1.0 + 1.0 / cfg.beta))
     for rec in res.nodes:
+        q = max(q_min, round(t_star / abs(rec.s_k * cfg.base_step))) if q_min else 0
         assert rec.diagnostics["q"] == q
-        fourier_m = rec.diagnostics["fourier_m"]
-        assert rec.depth == stage_count(cfg.order, model.n_terms) * (2 * fourier_m + 1)
+        steps = max(1, q) * (2 * rec.diagnostics["fourier_m"] + 1)
+        assert rec.depth == stage_count(cfg.order, model.n_terms) * steps
 
 
 def test_sampled_mode_error_within_propagated_budget():

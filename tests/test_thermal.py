@@ -399,9 +399,21 @@ def test_gqsp_diagnostics_hold_every_plan_field():
     assert {key: diagnostics[key] for key in plan} == plan
 
 
-def test_gqsp_target_reads_the_circle_three_times(monkeypatch):
-    # The LaurentPoly admissibility check, then |P|^2 and |Q|^2 on the
-    # completion's grid; no residual is recomputed after the peeling.
+@pytest.mark.parametrize("tau", [0.3, -0.1, 5.0])
+def test_plan_on_a_zero_spectrum_reports_the_time_it_runs(tau):
+    # No eigenvalue caps q, so gqsp's time is the q |tau| that W = S_p(tau)^q
+    # runs; it once reported t* with q = 1.  ideal-w keeps t* with q = 0.
+    t_star = math.pi / 4.0  # beta = 1
+    plan = thermal._gqsp_plan(tau, 1.0, np.zeros(4), "gqsp", 1e-6)
+    assert plan["q"] == max(1, round(t_star / abs(tau)))
+    assert plan["time"] == plan["q"] * abs(tau)
+    plan = thermal._gqsp_plan(tau, 1.0, np.zeros(4), "ideal-w", 1e-6)
+    assert (plan["q"], plan["time"]) == (0, t_star)
+
+
+def test_gqsp_target_reads_the_circle_twice(monkeypatch):
+    # |P|, which holds the admissibility check, and |Q| on the completion's
+    # grid; no residual is recomputed after the peeling.
     calls = []
     real = gqsp._circle_values
 
@@ -411,7 +423,7 @@ def test_gqsp_target_reads_the_circle_three_times(monkeypatch):
 
     monkeypatch.setattr(gqsp, "_circle_values", counting)
     boltzmann_oracle(spectrum(syk_effective(8, beta_seed=6)), 0.3, 2.0, "gqsp", eps_qsp=1e-6)
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_boltzmann_scale_underflow_is_refused_by_name():
