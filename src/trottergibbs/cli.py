@@ -23,6 +23,7 @@ import datetime
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import get_args, get_origin
@@ -105,12 +106,21 @@ SCHEMAS = {
 }
 
 
+# Largest formula order a document may ask for: an order-2l formula runs
+# 2^(l-1) order-2 stage loops, and ``stage_weight`` takes l - 1 factors.
+MAX_ORDER = 20
+
 # Value ranges, checked wherever the key appears: (test of the validated value, its meaning).
+# Every count has an upper bound, so a huge integer is refused here rather
+# than overflowing a float, or allocating or looping without end, mid-run.
 RANGES = {
     "betas": (lambda v: all(0 < b < math.inf for b in v), "finite and > 0"),
     "delta": (lambda v: 0 < v <= 1, "in (0, 1]"),
     "eps_grid": (lambda v: all(0 < e < 1 for e in v), "in (0, 1)"),
-    "grid_points": (lambda v: v >= 2, ">= 2"),
+    "grid_points": (lambda v: 2 <= v <= 10**4, "in [2, 10000]"),
+    "m_cheb": (lambda v: v <= 1000, "<= 1000"),
+    "order": (lambda v: v <= MAX_ORDER, f"<= {MAX_ORDER}"),
+    "orders": (lambda v: all(p <= MAX_ORDER for p in v), f"<= {MAX_ORDER} in every entry"),
     # An SYK model's count, or each entry of the qubits-saved list.  Checked on
     # the Python ints: a numpy array of them turns past 2^63 into float64 and
     # loses their parity.
@@ -121,8 +131,13 @@ RANGES = {
     "terms": (lambda v: len(v) > 0, "non-empty"),
     "one_norm": (lambda v: v >= 0, ">= 0"),  # 0 is the zero Hamiltonian
     "tau_min": (lambda v: v > 0, "> 0"),
-    "tau_points": (lambda v: v >= 2, ">= 2"),
+    "tau_points": (lambda v: 2 <= v <= 1000, "in [2, 1000]"),
 }
+
+# A trotter-order grid must move the lowest order's error norm, by about
+# p_min * span(log tau) in relative terms, past this many times the d eps
+# relative rounding that norms of d x d matrices carry at best.
+TAU_SPAN_MARGIN = 100.0
 
 
 class ConfigError(ValueError):
@@ -254,7 +269,8 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, artifacts: list[Path]
     """Record the run: config hash, code version, artifact digests.
 
     The timestamp documents when the run happened; determinism claims are
-    about the artifact bytes, which the digests pin down.
+    about the artifact bytes, which the digests pin down.  They hold per
+    numerical environment, which ``environment`` records.
     """
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -265,6 +281,7 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, artifacts: list[Path]
         ).hexdigest(),
         "master_seed": cfg.get("seed", 0),
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "environment": numerical_environment(),
         "artifacts": [
             {"path": p.name, "sha256": sha256_of(p)} for p in sorted(artifacts)
         ],
@@ -272,6 +289,24 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, artifacts: list[Path]
     path = out_dir / "manifest.json"
     write_json(path, manifest)
     return path
+
+
+def numerical_environment() -> dict:
+    """What the artifact bits depend on besides the document: numpy, its BLAS
+    and LAPACK builds, the ``*_NUM_THREADS`` variables and the CPU count."""
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+    except TypeError:  # numpy before 1.25 only prints its configuration
+        deps = {}
+    return {
+        "numpy": np.__version__,
+        **{
+            lib: {key: deps.get(lib, {}).get(key) for key in ("name", "version")}
+            for lib in ("blas", "lapack")
+        },
+        "num_threads": {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def _fit_rank(x: np.ndarray) -> int:
@@ -403,6 +438,15 @@ def cmd_trotter_order(cfg: dict, out_dir: Path) -> list[Path]:
             "narrow in log(tau) for a line fit"
         )
     model = build_model(cfg["model"])
+    span = float(log_taus[-1] - log_taus[0])
+    rounding = 2**model.n_qubits * np.finfo(float).eps  # d eps
+    p_min = min(cfg["orders"], default=math.inf)
+    if p_min * span <= TAU_SPAN_MARGIN * rounding:
+        raise ConfigError(
+            f"trotter-order: the tau grid spans {span:.3g} in log(tau), so order {p_min} "
+            f"moves its error norm by about {p_min * span:.3g} relative, not past "
+            f"{TAU_SPAN_MARGIN:g} times the norms' rounding d eps = {rounding:.3g}"
+        )
     rows = []
     fits = []
     for p in cfg["orders"]:

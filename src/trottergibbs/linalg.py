@@ -3,6 +3,10 @@
 Everything here works through explicit spectral decompositions rather than
 Pade-style approximants, so eigenvalues and eigenvectors stay available to
 callers and branch-cut handling in the matrix logarithm is explicit.
+Eigenphases come from the general ``eigvals`` (``unitary_eigenphases``) or,
+for a stack of unitary blocks whose phases are bounded away from the cut,
+from one Hermitian eigensolve of their Cayley transforms
+(``cayley_eigenphases``).
 
 SciPy is imported only inside ``unitary_decompose``, which
 ``matrix_log_unitary`` calls: the pipeline never calls either, so
@@ -11,6 +15,8 @@ importing the package does not load it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
@@ -18,6 +24,9 @@ UNITARY_TOL = 1e-10
 DISCARD_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-10
 BRANCH_GAP = 1e-8
+# Largest ||C|| = max |tan(phi / 2)| that ``cayley_eigenphases`` takes: its
+# phases are good to about n eps (1 + ||C||^2), against n eps for eigvals.
+CAYLEY_NORM_CAP = 10.0
 
 
 class ToleranceError(ValueError):
@@ -118,6 +127,37 @@ def unitary_eigenphases(u: np.ndarray) -> np.ndarray:
     """
     assert_unitary(u)
     return _principal_phases(np.linalg.eigvals(u))
+
+
+def cayley_eigenphases(blocks: np.ndarray, phase_bound: float) -> np.ndarray:
+    """Principal eigenphases of each block of a (n_blocks, size, size) unitary stack.
+
+    U is normal, so (I + U)^-1 commutes with I - U and one batched solve
+    gives the Cayley transform C = i (I + U)^-1 (I - U): Hermitian, with
+    eigenvalue tan(phi / 2) where U has e^{i phi}.  The phases are
+    2 arctan(eigvalsh(C)), in block order, with no general eigensolver.
+
+    Rounding in C grows like 1 + ||C||^2 = 1 / cos^2(phi / 2).  A stack
+    whose a-priori bound ``phase_bound`` on |phi| lets ||C|| pass
+    CAYLEY_NORM_CAP, or whose realized ||C|| does, goes block by block
+    through ``unitary_eigenphases`` instead, which also makes the
+    branch-cut refusal: every phase this route returns is within
+    2 arctan(CAYLEY_NORM_CAP) < pi - BRANCH_GAP of 0.  Each block is
+    checked unitary, and C Hermitian within DISCARD_TOL.
+    """
+    if phase_bound <= 2.0 * math.atan(CAYLEY_NORM_CAP):
+        assert_unitary(blocks, "unitary block")
+        eye = np.eye(blocks.shape[-1])
+        cayley = 1j * np.linalg.solve(eye + blocks, eye - blocks)
+        tangents = np.linalg.eigvalsh(cayley).ravel()
+        if max_abs(tangents) <= CAYLEY_NORM_CAP:
+            dev = max_abs(cayley - np.swapaxes(cayley, -1, -2).conj())
+            if dev > DISCARD_TOL:
+                raise ToleranceError(
+                    f"Cayley transform is not Hermitian: deviation {dev:.3e} > {DISCARD_TOL:.3e}"
+                )
+            return 2.0 * np.arctan(tangents)
+    return np.concatenate([unitary_eigenphases(block) for block in blocks])
 
 
 def matrix_log_unitary(u: np.ndarray) -> np.ndarray:

@@ -24,6 +24,11 @@ where the circuit it stands for has 5^(l-1) order-2 blocks,
 2 Gamma 5^(l-1) stages over Gamma terms (``stage_count``, which node depth
 counts).  Even-order formulas are symmetric, S_p(-t) = S_p(t)^dag, so
 H_eff(-t) = H_eff(t).
+
+A node of the interpolation needs only the eigenphases of S_p(t), which
+``node_spectrum`` reads off the blocks without the dense scatter: through
+the Hermitian Cayley kernel from CAYLEY_MIN_ROWS rows per block up, through
+``eigvals`` on the dense unitary below.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import math
 import numpy as np
 
 from .linalg import (  # noqa: F401  (eigh_decompose: perfbench probes it here)
+    cayley_eigenphases,
     eigh_decompose,
     hermitian_part,
     matrix_log_unitary,
@@ -46,6 +52,11 @@ from .syk import HamiltonianTerms
 # indices and complex factors a chunk holds 24 * STAGE_CHUNK * d bytes,
 # about 100 KB at 6 qubits and 1.5 MB at 10.
 STAGE_CHUNK = 64
+
+# Node spectra of blocks with fewer rows come from eigvals on the scattered
+# dense unitary, the route every 4-qubit golden was made on; from this size
+# (6-qubit SYK) up, from ``cayley_eigenphases`` on the blocks themselves.
+CAYLEY_MIN_ROWS = 32
 
 
 def suzuki_u(l: int) -> float:
@@ -79,7 +90,7 @@ def stage_weight(order: int) -> float:
     return weight
 
 
-def apply_formula(h: HamiltonianTerms, t: float, order: int) -> np.ndarray:
+def apply_formula(h: HamiltonianTerms, t: float, order: int, *, blocks: bool = False):
     """Dense unitary of the product formula at time t.
 
     Stages are multiplied left to right: the first stage is the leftmost
@@ -101,6 +112,10 @@ def apply_formula(h: HamiltonianTerms, t: float, order: int) -> np.ndarray:
     blocks, stacked as a d x d/2 array with the even states first.  Within
     a sector b is fixed by b >> 1, so row i mixes with row i ^ (x >> 1).
     Any parity-flipping term leaves one block of size d.
+
+    With ``blocks`` the dense scatter is skipped: the result is the
+    (n_blocks, size, size) stack of U^T's blocks and the (n_blocks, size)
+    basis states of their rows, which is all ``node_spectrum`` needs.
     """
     check_order(order)
     check_dense_cap(h.n_qubits)
@@ -110,7 +125,6 @@ def apply_formula(h: HamiltonianTerms, t: float, order: int) -> np.ndarray:
     signs = parity_signs(h.n_qubits)
     split = int(h.n_qubits > 0 and np.all(signs[x] > 0))
     states = np.argsort(-signs, kind="stable") if split else np.arange(signs.size)
-    blocks = states.reshape(1 + split, -1)
     loop = ([c for c, _ in h.terms], x >> split, z, q, signs, states, 1 + split)
     if order == 1:
         leaf = [(g, 1.0) for g in range(h.n_terms)]
@@ -118,9 +132,15 @@ def apply_formula(h: HamiltonianTerms, t: float, order: int) -> np.ndarray:
         half = [(g, 0.5) for g in range(h.n_terms)]
         leaf = half + half[::-1]
     ut = _suzuki_blocks(loop, leaf, order, t, None)
-    # Row r of block k holds entries (blocks[k, r], blocks[k, c]) of U^T.
-    u = np.zeros((states.size, states.size), dtype=complex)
-    u[blocks[:, None, :], blocks[:, :, None]] = ut
+    rows = states.reshape(1 + split, -1)
+    return (ut, rows) if blocks else _scatter(ut, rows)
+
+
+def _scatter(ut: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Dense U from the stack of its transposed blocks and their rows' basis states."""
+    # Row r of block k holds entries (rows[k, r], rows[k, c]) of U^T.
+    u = np.zeros((rows.size, rows.size), dtype=complex)
+    u[rows[:, None, :], rows[:, :, None]] = ut
     return u
 
 
@@ -203,17 +223,25 @@ def effective_hamiltonian(h: HamiltonianTerms, tau: float, order: int) -> np.nda
 def node_spectrum(h: HamiltonianTerms, tau: float, order: int) -> np.ndarray:
     """Sorted eigenvalues of H_eff at step tau, without forming H_eff.
 
-    They are the principal eigenphases of S_p(tau) divided by tau, under
-    the same unitarity, unit-circle and branch-cut checks as
-    ``effective_hamiltonian``.  The spectrum does not depend on beta, so it
-    is kept on ``h`` under (tau, order) and returned read-only: a beta
-    sweep on one model builds each formula once.
+    They are the principal eigenphases of S_p(tau) divided by tau, read
+    off the formula's blocks.  Blocks of CAYLEY_MIN_ROWS rows or more go
+    through ``cayley_eigenphases`` with the a-priori phase bound
+    |tau| ||H||_1 w_p; smaller ones are scattered into the dense unitary
+    for ``unitary_eigenphases``.  Either route checks unitarity and
+    refuses a phase within BRANCH_GAP of the cut.  The spectrum does not
+    depend on beta, so it is kept on ``h`` under (tau, order) and returned
+    read-only: a beta sweep on one model builds each formula once.
     """
     if tau == 0.0:
         raise ValueError("tau must be nonzero")
 
     def compute() -> np.ndarray:
-        return np.sort(unitary_eigenphases(apply_formula(h, tau, order)) / tau)
+        ut, rows = apply_formula(h, tau, order, blocks=True)
+        if ut.shape[-1] < CAYLEY_MIN_ROWS:
+            phases = unitary_eigenphases(_scatter(ut, rows))
+        else:
+            phases = cayley_eigenphases(ut, abs(tau) * h.one_norm * stage_weight(order))
+        return np.sort(phases / tau)
 
     return h.kept((tau, order), compute)
 

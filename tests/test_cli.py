@@ -14,6 +14,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -176,6 +177,10 @@ def test_manifest_digests_match_artifacts(tmp_path, capsys):
     for item in manifest["artifacts"]:
         digest = hashlib.sha256((out / item["path"]).read_bytes()).hexdigest()
         assert digest == item["sha256"]
+    env = manifest["environment"]
+    assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
+    assert set(env["blas"]) == set(env["lapack"]) == {"name", "version"}
+    assert env["num_threads"] == {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")}
 
 
 def test_pipeline_default_regression(tmp_path, capsys):
@@ -831,6 +836,26 @@ def test_lwf_convergence_accepts_range_edges(tmp_path, capsys):
                      id="pipeline-beta-400-digits"),
         pytest.param("trotter-order", {"tau_max": 10**400}, "'tau_max' is outside the float range",
                      id="trotter-order-tau_max-400-digits"),
+        # Integer counts past their upper bound: these exited 3 with a bare
+        # OverflowError or ValueError, or ran without end (an even order).
+        *[
+            pytest.param(command, {key: value}, f"{key!r} must be", id=f"{command}-{key}-huge")
+            for command, key, value in (
+                ("pipeline", "m_cheb", 10**400),
+                ("pipeline", "order", 10**400),
+                ("trotter-order", "orders", [1, 10**400]),
+                ("trotter-order", "tau_points", 10**400),
+                ("lwf-convergence", "grid_points", 10**400),
+                ("pipeline", "m_cheb", 1002),
+                ("pipeline", "order", 22),
+                ("trotter-order", "tau_points", 1001),
+                ("lwf-convergence", "grid_points", 10**4 + 1),
+            )
+        ],
+        pytest.param("trotter-order",
+                     {"model": {"kind": "syk", "n_majorana": 8, "seed": 86}, "orders": [1, 2],
+                      "tau_points": 3, "tau_min": 1.0, "tau_max": 1.000000000000001},
+                     "spans 1.11e-15 in log(tau)", id="trotter-order-span-below-rounding"),
         pytest.param("trotter-order", '{"model": {"kind": "syk", "one_norm": 1e400}}',
                      "holds 1e400; numbers must be finite", id="trotter-order-one_norm-1e400"),
         pytest.param("trotter-order",
@@ -1173,3 +1198,34 @@ def test_config_with_an_integer_past_the_digit_limit_is_config_error(tmp_path, c
     assert payload["error"]["type"] == "config"
     assert "is not valid JSON" in payload["error"]["message"]
     assert not out.exists()
+
+
+@pytest.mark.slow
+def test_pipeline_bits_per_blas_thread_count(tmp_path, record_property):
+    # The bits are promised per numerical environment, BLAS thread count
+    # included: an 8-qubit exact run repeats bit for bit under each of 1 and
+    # 2 OpenBLAS threads.  Whether the two settings agree is recorded, not
+    # asserted.
+    cfg = write_config(tmp_path, "cfg.json", {
+        "model": {"kind": "syk", "n_majorana": 16, "seed": 7, "one_norm": 1.0},
+        "beta": 1.0, "base_step": 0.3, "m_cheb": 4, "mode": "exact",
+    })
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    bits = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        runs = []
+        for repeat in range(2):
+            out = tmp_path / f"t{threads}-{repeat}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "trottergibbs.cli", "pipeline", "--config", cfg,
+                 "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            runs.append([(out / name).read_bytes() for name in PINNED_ARTIFACTS])
+        assert runs[0] == runs[1], f"OPENBLAS_NUM_THREADS={threads}"
+        bits[threads] = runs[0]
+    agree = bits["1"] == bits["2"]
+    record_property("blas_threads_1_and_2_agree", agree)
+    print(f"8-qubit exact pipeline: 1 and 2 BLAS threads agree bit for bit: {agree}")

@@ -1,14 +1,21 @@
-"""Tests for dense spectral helpers: exp, principal log, decompositions."""
+"""Tests for dense spectral helpers: exp, principal log, decompositions, eigenphases."""
+
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trottergibbs.linalg import (
+    BRANCH_GAP,
+    CAYLEY_NORM_CAP,
     BranchCutError,
     ToleranceError,
     assert_hermitian,
     assert_unitary,
+    cayley_eigenphases,
     eigh_decompose,
     hermitian_part,
     matrix_log_unitary,
@@ -16,6 +23,7 @@ from trottergibbs.linalg import (
     spectral_apply,
     spectral_norm,
     unitary_decompose,
+    unitary_eigenphases,
 )
 from trottergibbs.lwf import FourierApprox, TaylorSeries
 
@@ -161,3 +169,81 @@ def test_assertion_helpers():
         assert_hermitian(np.array([[0, 1], [0, 0]], dtype=complex), what="jordan block")
     with pytest.raises(ToleranceError):
         assert_unitary(2 * np.eye(2, dtype=complex), what="scaled identity")
+
+
+# Largest phase the Cayley route takes: ||C|| = tan(phi / 2) = CAYLEY_NORM_CAP.
+CAYLEY_PHASE_MAX = 2.0 * math.atan(CAYLEY_NORM_CAP)
+
+
+def unitary_stack(seed: int, phases: np.ndarray) -> np.ndarray:
+    """Blocks Q diag(e^{i phi}) Q^dag with Haar-like Q, one row of ``phases`` per block."""
+    rng = np.random.default_rng(seed)
+    n_blocks, size = phases.shape
+    shape = (n_blocks, size, size)
+    q, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return (q * np.exp(1j * phases)[:, None, :]) @ np.swapaxes(q, -1, -2).conj()
+
+
+@st.composite
+def phase_stacks(draw, top):
+    """(seed, phases) for 1-3 blocks of 1-24 rows, |phi| <= top, some of them at top."""
+    n_blocks = draw(st.integers(1, 3))
+    size = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phases = rng.uniform(-top, top, (n_blocks, size))
+    edge = draw(st.integers(0, size))  # entries pushed to the edge of the range
+    phases[:, :edge] = np.sign(phases[:, :edge] + 0.5) * top
+    return draw(st.integers(0, 2**32 - 1)), phases
+
+
+@settings(max_examples=60, deadline=None)
+@given(phase_stacks(top=CAYLEY_PHASE_MAX))
+def test_cayley_eigenphases_match_eigvals_within_the_conditioning_bound(stack):
+    # Each phase is good to about n eps (1 + ||C||^2), ||C|| = max |tan(phi / 2)|;
+    # eigvals adds its own n eps.
+    seed, phases = stack
+    blocks = unitary_stack(seed, phases)
+    got = np.sort(cayley_eigenphases(blocks, float(np.max(np.abs(phases)))))
+    want = np.sort(np.angle(np.linalg.eigvals(blocks)).ravel())
+    norm = float(np.max(np.abs(np.tan(phases / 2))))
+    bound = 4 * phases.shape[1] * np.finfo(float).eps * (1 + norm**2)
+    assert np.max(np.abs(got - want)) <= bound
+    assert np.max(np.abs(got - np.sort(phases.ravel()))) <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    phase_stacks(top=math.pi - BRANCH_GAP / 2),
+    st.floats(CAYLEY_PHASE_MAX, math.pi, exclude_min=True),
+)
+def test_a_bound_past_the_cap_takes_the_eigvals_route_per_block(stack, phase_bound):
+    # Phases up to the branch gap and beyond: the stack goes block by block
+    # through unitary_eigenphases, so its answer, or its refusal, is that one's.
+    seed, phases = stack
+    blocks = unitary_stack(seed, phases)
+    try:
+        want = np.concatenate([unitary_eigenphases(block) for block in blocks])
+    except BranchCutError:
+        assert np.max(np.abs(phases)) > math.pi - 2 * BRANCH_GAP
+        with pytest.raises(BranchCutError):
+            cayley_eigenphases(blocks, phase_bound)
+        return
+    assert cayley_eigenphases(blocks, phase_bound).tobytes() == want.tobytes()
+
+
+def test_a_bound_that_does_not_hold_falls_back_to_eigvals():
+    # The bound claims the Cayley route, but one phase is at 3.0, where
+    # ||C|| = 14.1 > CAYLEY_NORM_CAP: the realized norm sends the stack to eigvals.
+    phases = np.array([[0.1, -0.2, 3.0, 0.4], [0.5, 0.0, -0.3, 1.0]])
+    blocks = unitary_stack(3, phases)
+    want = np.concatenate([unitary_eigenphases(block) for block in blocks])
+    assert cayley_eigenphases(blocks, 0.5).tobytes() == want.tobytes()
+
+
+def test_cayley_route_refuses_branch_cut_and_non_unitary_blocks():
+    near_cut = unitary_stack(5, np.array([[0.2, math.pi - BRANCH_GAP / 10, -1.0]]))
+    with pytest.raises(BranchCutError):
+        cayley_eigenphases(near_cut, math.pi)
+    scaled = 1.001 * unitary_stack(5, np.array([[0.2, 0.3], [0.1, -0.4]]))
+    with pytest.raises(ToleranceError, match="not unitary"):
+        cayley_eigenphases(scaled, 0.4)

@@ -373,9 +373,9 @@ def test_spectra_of_one_model_are_kept_per_order(monkeypatch):
     calls = []
     apply_formula = trotter.apply_formula
 
-    def counted_formula(h, t, order):
+    def counted_formula(h, t, order, **kwargs):
         calls.append(order)
-        return apply_formula(h, t, order)
+        return apply_formula(h, t, order, **kwargs)
 
     monkeypatch.setattr(trotter, "apply_formula", counted_formula)
     model = syk_model(8, seed=4)

@@ -375,6 +375,27 @@ def test_node_spectrum_matches_effective_hamiltonian(h, order, s, sign):
     assert np.max(np.abs(got - np.linalg.eigvalsh(effective_hamiltonian(h, tau, order)))) < 1e-10
 
 
+@pytest.mark.parametrize("n_majorana, dense", [(8, True), (12, False)])
+def test_node_spectrum_routes_by_block_size(monkeypatch, n_majorana, dense):
+    # 4-qubit nodes (16-row blocks) keep eigvals on the scattered dense
+    # unitary, bit for bit the goldens' route; 6-qubit nodes (32-row blocks)
+    # and up form no dense matrix and call no general eigensolver.
+    calls = []
+    for module, name in ((trotter, "_scatter"), (np.linalg, "eigvals")):
+        real = getattr(module, name)
+
+        def counted(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    h = build_model({**SYK12, "n_majorana": n_majorana})
+    got = node_spectrum(h, 0.3, 2)
+    assert calls == (["_scatter", "eigvals"] if dense else [])
+    want = np.sort(np.angle(np.linalg.eigvals(apply_formula(h, 0.3, 2)))) / 0.3
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
 def test_node_spectrum_refuses_branch_cut():
     h = pauli_model(["ZI", "IZ"], [math.pi / 2, math.pi / 2])
     with pytest.raises(BranchCutError):
