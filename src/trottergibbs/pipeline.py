@@ -34,8 +34,8 @@ from .trotter import (  # noqa: F401  (effective_hamiltonian: perfbench probes i
     check_order,
     effective_hamiltonian,
     node_spectrum,
+    phase_bound,
     stage_count,
-    stage_weight,
 )
 
 PIPELINE_MODES = ("exact", *MODES, "sampled")
@@ -98,16 +98,13 @@ class PipelineConfig:
             fourier_window(self.beta)  # raises OracleError, a ValueError, where no block exists
         # Every eigenphase of S_p(s t) is at most |s| t ||H||_1 w_p; past
         # pi - BRANCH_GAP it may wrap around the principal branch unseen.
-        phase_bound = (
-            math.cos(math.pi / (2 * self.m_cheb))
-            * self.base_step
-            * self.model.one_norm
-            * stage_weight(self.order)
+        bound = phase_bound(
+            self.model, math.cos(math.pi / (2 * self.m_cheb)) * self.base_step, self.order
         )
-        if phase_bound >= math.pi - BRANCH_GAP:
+        if bound >= math.pi - BRANCH_GAP:
             raise ValueError(
                 f"branch bound: max|s_k| * base_step * one_norm * w_p = "
-                f"{phase_bound:.6g} >= pi - {BRANCH_GAP:.0e}; eigenphases of the "
+                f"{bound:.6g} >= pi - {BRANCH_GAP:.0e}; eigenphases of the "
                 "product formula could wrap past the principal branch"
             )
 

@@ -90,6 +90,11 @@ def stage_weight(order: int) -> float:
     return weight
 
 
+def phase_bound(h: HamiltonianTerms, t: float, order: int) -> float:
+    """|t| ||H||_1 w_p: no eigenphase of S_p(t) is larger in magnitude."""
+    return abs(t) * h.one_norm * stage_weight(order)
+
+
 def apply_formula(h: HamiltonianTerms, t: float, order: int, *, blocks: bool = False):
     """Dense unitary of the product formula at time t.
 
@@ -225,8 +230,8 @@ def node_spectrum(h: HamiltonianTerms, tau: float, order: int) -> np.ndarray:
 
     They are the principal eigenphases of S_p(tau) divided by tau, read
     off the formula's blocks.  Blocks of CAYLEY_MIN_ROWS rows or more go
-    through ``cayley_eigenphases`` with the a-priori phase bound
-    |tau| ||H||_1 w_p; smaller ones are scattered into the dense unitary
+    through ``cayley_eigenphases`` with the a-priori ``phase_bound``;
+    smaller ones are scattered into the dense unitary
     for ``unitary_eigenphases``.  Either route checks unitarity and
     refuses a phase within BRANCH_GAP of the cut.  The spectrum does not
     depend on beta, so it is kept on ``h`` under (tau, order) and returned
@@ -240,7 +245,7 @@ def node_spectrum(h: HamiltonianTerms, tau: float, order: int) -> np.ndarray:
         if ut.shape[-1] < CAYLEY_MIN_ROWS:
             phases = unitary_eigenphases(_scatter(ut, rows))
         else:
-            phases = cayley_eigenphases(ut, abs(tau) * h.one_norm * stage_weight(order))
+            phases = cayley_eigenphases(ut, phase_bound(h, tau, order))
         return np.sort(phases / tau)
 
     return h.kept((tau, order), compute)
