@@ -1201,11 +1201,12 @@ def test_config_with_an_integer_past_the_digit_limit_is_config_error(tmp_path, c
 
 
 @pytest.mark.slow
-def test_pipeline_bits_per_blas_thread_count(tmp_path, record_property):
+def test_pipeline_bits_per_blas_thread_count(tmp_path):
     # The bits are promised per numerical environment, BLAS thread count
     # included: an 8-qubit exact run repeats bit for bit under each of 1 and
-    # 2 OpenBLAS threads.  Whether the two settings agree is recorded, not
-    # asserted.
+    # 2 OpenBLAS threads.  Whether the two settings agree is printed, not
+    # asserted (record_property would warn under --junitxml's xunit2 family,
+    # which filterwarnings = error turns into a test error).
     cfg = write_config(tmp_path, "cfg.json", {
         "model": {"kind": "syk", "n_majorana": 16, "seed": 7, "one_norm": 1.0},
         "beta": 1.0, "base_step": 0.3, "m_cheb": 4, "mode": "exact",
@@ -1227,5 +1228,4 @@ def test_pipeline_bits_per_blas_thread_count(tmp_path, record_property):
         assert runs[0] == runs[1], f"OPENBLAS_NUM_THREADS={threads}"
         bits[threads] = runs[0]
     agree = bits["1"] == bits["2"]
-    record_property("blas_threads_1_and_2_agree", agree)
     print(f"8-qubit exact pipeline: 1 and 2 BLAS threads agree bit for bit: {agree}")
