@@ -219,17 +219,25 @@ class FourierApprox:
         return None if self.series is None else _binomial_dropped(self.series, self.M)
 
     def reconstruct(self, x: np.ndarray) -> np.ndarray:
-        """sum_m c_m exp(i pi m x / 2), from one (x.size, 2M+1) table filled in place.
+        """sum_m c_m exp(i pi m x / 2), in balanced chunks of at most CERT_GRID points.
 
-        Frequencies 0..M are exponentiated into the right half; the left half
-        takes their conjugates, which are exactly the columns of -m.
+        Each chunk fills one (points, 2M+1) table in place: frequencies 0..M
+        are exponentiated into the right half, and the left half takes their
+        conjugates, which are exactly the columns of -m.  Memory is then
+        bounded at any grid size, and the values are those of one whole
+        table: each point is its own row of ``table @ c``.  Balanced chunks
+        leave no one-row chunk behind, which numpy would run as a dot
+        product with other bits than a matrix-vector row.
         """
         x = np.asarray(x, dtype=float).ravel()
         m = self.M
-        table = np.empty((len(x), 2 * m + 1), dtype=complex)
-        np.exp(1j * ((math.pi / 2.0) * np.outer(x, np.arange(m + 1))), out=table[:, m:])
-        np.conjugate(table[:, : m : -1], out=table[:, :m])
-        return table @ self.c
+        chunks = []
+        for part in np.array_split(x, max(1, -(-len(x) // CERT_GRID))):
+            table = np.empty((len(part), 2 * m + 1), dtype=complex)
+            np.exp(1j * ((math.pi / 2.0) * np.outer(part, np.arange(m + 1))), out=table[:, m:])
+            np.conjugate(table[:, : m : -1], out=table[:, :m])
+            chunks.append(table @ self.c)
+        return np.concatenate(chunks)
 
     def sup_error(self, grid_size: int = CERT_GRID) -> float:
         grid = np.linspace(-1.0 + self.delta, 1.0 - self.delta, grid_size)

@@ -94,6 +94,36 @@ def pauli_commutes(a: PauliString, b: PauliString) -> bool:
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
 
 
+def time_reversal_string(n_qubits: int, x: np.ndarray, z: np.ndarray) -> tuple[int, int] | None:
+    """Masks (vx, vz) of a string V with V P V^dag = conj(P) for every term (x, z), or None.
+
+    conj(P) = (-1)^{|x & z|} P, since only Y is imaginary, and
+    V P V^dag = (-1)^{|vx & z| + |vz & x|} P.  So V solves one GF(2)
+    equation per term in the 2n unknown bits of (vx, vz); with real
+    coefficients the antiunitary V conj then commutes with every term.
+    Gaussian elimination runs on the 2n-bit rows (z, x) and back-substitutes
+    with every free bit 0.  The candidate is then checked on every term with
+    the ``parity_signs`` table, which is also how an inconsistent system
+    shows: it is None exactly when no such V exists.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    for px, pz in set(zip(x.tolist(), z.tolist())):
+        row, rhs = (pz << n_qubits) | px, (px & pz).bit_count() & 1
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (row, rhs)
+                break
+            row, rhs = row ^ pivots[top][0], rhs ^ pivots[top][1]
+    v = 0
+    for top in sorted(pivots):
+        row, rhs = pivots[top]
+        v |= (rhs ^ (row & v).bit_count() & 1) << top
+    vx, vz = v >> n_qubits, v & ((1 << n_qubits) - 1)
+    signs = parity_signs(n_qubits)
+    return (vx, vz) if np.array_equal(signs[vx & z] * signs[vz & x], signs[x & z]) else None
+
+
 def check_dense_cap(n_qubits: int) -> None:
     """Refuse to materialize more than DENSE_QUBIT_CAP qubits, keeping memory at desk scale."""
     if n_qubits > DENSE_QUBIT_CAP:

@@ -23,7 +23,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .paulis import PauliString, check_dense_cap, multiply_masks, parity_signs, pauli_commutes
+from .paulis import (
+    PauliString,
+    check_dense_cap,
+    multiply_masks,
+    parity_signs,
+    pauli_commutes,
+    time_reversal_string,
+)
 
 # Terms per chunk of the dense scatter: 24 * TERM_CHUNK * d bytes of
 # entries and row indices, 0.4 MB at 8 qubits.
@@ -76,8 +83,9 @@ class HamiltonianTerms:
     The tuple order is the stage order of every product formula built on
     the model; the constructor takes any sequence.  Data derived from
     ``terms`` is computed on first use and kept on the instance, read-only:
-    ``pauli_masks``, the strings' fields stacked as arrays, and through
-    ``kept`` the node spectra and reference eigenvalues.
+    ``pauli_masks``, the strings' fields stacked as arrays,
+    ``time_reversal``, and through ``kept`` the node spectra and reference
+    eigenvalues.
     """
 
     n_qubits: int
@@ -107,6 +115,15 @@ class HamiltonianTerms:
         for array in masks:
             array.flags.writeable = False
         return masks
+
+    @cached_property
+    def time_reversal(self) -> tuple[int, int] | None:
+        """Masks (vx, vz) of a string V with V P V^dag = conj(P) for every term, or None.
+
+        Every SYK draw has one: the particle-hole operator, with vx all ones.
+        """
+        x, z, _ = self.pauli_masks
+        return time_reversal_string(self.n_qubits, x, z)
 
     def kept(self, key, compute) -> np.ndarray:
         """``compute()`` on the first call with ``key``, then the same read-only array."""

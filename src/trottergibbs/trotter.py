@@ -29,6 +29,17 @@ A node of the interpolation needs only the eigenphases of S_p(t), which
 ``node_spectrum`` reads off the blocks without the dense scatter: through
 the Hermitian Cayley kernel from CAYLEY_MIN_ROWS rows per block up, through
 ``eigvals`` on the dense unitary below.
+
+On that Cayley route each order-2 leaf runs half its stages.  Many models,
+every SYK draw among them, have a time-reversal string: a Pauli string V
+with V P V^dag = conj(P) for every term (``HamiltonianTerms.time_reversal``;
+for SYK the particle-hole operator, vx all ones).  The antiunitary V conj
+then commutes with every term, so S_1(-t/2) = V conj(A) V^dag with
+A = S_1(t/2), and S_2(t) = A V A^T V^dag: Gamma stages, one signed
+permutation of A's blocks and one block matmul instead of 2 Gamma stages
+(``_folded_leaf``).  The dense result, blocks under CAYLEY_MIN_ROWS rows,
+order 1 and models without V keep the full stage list, so their bits are
+the flat loop's.
 """
 
 from __future__ import annotations
@@ -55,7 +66,8 @@ STAGE_CHUNK = 64
 
 # Node spectra of blocks with fewer rows come from eigvals on the scattered
 # dense unitary, the route every 4-qubit golden was made on; from this size
-# (6-qubit SYK) up, from ``cayley_eigenphases`` on the blocks themselves.
+# (6-qubit SYK) up, from ``cayley_eigenphases`` on the blocks themselves,
+# which ``apply_formula`` builds with folded order-2 leaves.
 CAYLEY_MIN_ROWS = 32
 
 
@@ -121,6 +133,10 @@ def apply_formula(h: HamiltonianTerms, t: float, order: int, *, blocks: bool = F
     With ``blocks`` the dense scatter is skipped: the result is the
     (n_blocks, size, size) stack of U^T's blocks and the (n_blocks, size)
     basis states of their rows, which is all ``node_spectrum`` needs.
+    Blocks of CAYLEY_MIN_ROWS rows or more, at order 2 and up, on a model
+    with a time-reversal string, are built with each order-2 leaf folded
+    from its first half (``_folded_leaf``); they agree with the full stage
+    list to rounding.
     """
     check_order(order)
     check_dense_cap(h.n_qubits)
@@ -131,13 +147,19 @@ def apply_formula(h: HamiltonianTerms, t: float, order: int, *, blocks: bool = F
     split = int(h.n_qubits > 0 and np.all(signs[x] > 0))
     states = np.argsort(-signs, kind="stable") if split else np.arange(signs.size)
     loop = ([c for c, _ in h.terms], x >> split, z, q, signs, states, 1 + split)
-    if order == 1:
+    rows = states.reshape(1 + split, -1)
+    half = [(g, 0.5) for g in range(h.n_terms)]
+    fold = None
+    if blocks and order > 1 and rows.shape[1] >= CAYLEY_MIN_ROWS and h.time_reversal is not None:
+        vx, vz = h.time_reversal
+        swap = np.arange(1 + split) ^ (split * vx.bit_count() % 2)
+        fold = (swap, np.arange(rows.shape[1]) ^ (vx >> split), signs[rows & vz])
+        leaf = half
+    elif order == 1:
         leaf = [(g, 1.0) for g in range(h.n_terms)]
     else:
-        half = [(g, 0.5) for g in range(h.n_terms)]
         leaf = half + half[::-1]
-    ut = _suzuki_blocks(loop, leaf, order, t, None)
-    rows = states.reshape(1 + split, -1)
+    ut = _suzuki_blocks(loop, leaf, fold, order, t, None)
     return (ut, rows) if blocks else _scatter(ut, rows)
 
 
@@ -150,22 +172,48 @@ def _scatter(ut: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _suzuki_blocks(
-    loop: tuple, leaf: list, order: int, t: float, start: np.ndarray | None
+    loop: tuple, leaf: list, fold: tuple | None, order: int, t: float, start: np.ndarray | None
 ) -> np.ndarray:
     """Blocks of S_order(t)^T @ start, start None standing for the identity.
 
     S_2l(t) = O^2 M O^2 with O = S_{2l-2}(u_l t) and M = S_{2l-2}((1-4u_l)t),
     so S_2l(t)^T = Q M^T Q with Q = (O^T)^2: O is built once and squared,
-    and M's stages run on Q @ start.  Orders 1 and 2 run ``leaf``.  A
+    and M's stages run on Q @ start.  Orders 1 and 2 run ``leaf``, or with
+    ``fold`` the order-2 leaf from its first half (``_folded_leaf``).  A
     module-level function, so the recursion leaves no reference cycle.
     """
     if order <= 2:
-        return _stage_loop(loop, leaf, t, start)
+        if fold is None:
+            return _stage_loop(loop, leaf, t, start)
+        return _folded_leaf(loop, leaf, fold, t, start)
     u = suzuki_u(order // 2)
-    outer = _suzuki_blocks(loop, leaf, order - 2, u * t, None)
+    outer = _suzuki_blocks(loop, leaf, fold, order - 2, u * t, None)
     square = outer @ outer
     middle = square if start is None else square @ start
-    return square @ _suzuki_blocks(loop, leaf, order - 2, (1.0 - 4.0 * u) * t, middle)
+    return square @ _suzuki_blocks(loop, leaf, fold, order - 2, (1.0 - 4.0 * u) * t, middle)
+
+
+def _folded_leaf(
+    loop: tuple, half: list, fold: tuple, t: float, start: np.ndarray | None
+) -> np.ndarray:
+    """Blocks of S_2(t)^T @ start from the Gamma stages of A = S_1(t/2) alone.
+
+    With V P V^dag = conj(P) for every term, S_1(-t/2) = V conj(A) V^dag,
+    so S_2(t) = A V A^T V^dag and S_2(t)^T = conj(V) A V^T A^T.  V maps the
+    basis state b to +-|b ^ vx>, so W = conj(V) A V^T has entries
+    W[a, c] = s(a) s(c) A[a ^ vx, c ^ vx] with s(b) = (-1)^{|b & vz|}: a
+    signed permutation of A^T's transposed blocks, ``fold`` holding the
+    block each block reads (the other parity sector when |vx| is odd), the
+    row permutation r -> r ^ (vx >> split) within a block and each row's
+    sign.  One block matmul W @ A^T finishes the leaf.
+    """
+    swap, perm, signs = fold
+    at = _stage_loop(loop, half, t, None)
+    w = np.swapaxes(at, 1, 2)[np.ix_(swap, perm, perm)]
+    w *= signs[:, :, None]
+    w *= signs[:, None, :]
+    out = w @ at
+    return out if start is None else out @ start
 
 
 def _stage_loop(loop: tuple, stages: list, t: float, start: np.ndarray | None) -> np.ndarray:

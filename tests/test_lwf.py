@@ -543,7 +543,7 @@ def sup_error_reference(approx, grid_size):
     return float(np.max(np.abs(target - reconstruct_reference(approx, grid))))
 
 
-@pytest.mark.parametrize("grid_size", [2, 999, 1000, 1001])
+@pytest.mark.parametrize("grid_size", [2, 999, 1000, 1001, 2500])
 @pytest.mark.parametrize(
     "make",
     [
@@ -565,3 +565,20 @@ def test_certificate_matches_dense_reference_bit_for_bit(make, grid_size):
     # Like np.outer in the reference, any input shape is read flattened.
     assert approx.reconstruct(grid.reshape(-1, 1)).tobytes() == want.tobytes()
     assert approx.reconstruct(grid[0]).tobytes() == reconstruct_reference(approx, grid[0]).tobytes()
+
+
+def test_reconstruct_memory_does_not_grow_with_the_grid():
+    # Tables of at most CERT_GRID points: ten times the grid takes about
+    # the same peak, not ten times the 9.8 MB table of M 306 (beta 8).
+    approx = gibbs_fourier(8.0, 0.1, 1e-6)
+    peaks = []
+    for size in (CERT_GRID, 10 * CERT_GRID):
+        grid = np.linspace(-0.9, 0.9, size)
+        tracemalloc.start()
+        try:
+            approx.reconstruct(grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert approx.M == 306
+    assert peaks[1] < 1.5 * peaks[0]

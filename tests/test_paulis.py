@@ -1,5 +1,7 @@
-"""Tests for the Pauli-string algebra: products, commutation, bitmask action."""
+"""Tests for the Pauli-string algebra: products, commutation, bitmask action,
+and the time-reversal string of a model."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +16,9 @@ from trottergibbs.paulis import (
     check_dense_cap,
     parity_signs,
     pauli_commutes,
+    time_reversal_string,
 )
+from trottergibbs.syk import build_syk_hamiltonian, sample_syk
 
 from oracles import SINGLE, letters, pauli_multiply, to_dense
 
@@ -184,3 +188,50 @@ def test_signed_permutation_is_exactly_to_dense(strings):
     mat = np.zeros((basis.size, basis.size), dtype=complex)
     mat[basis ^ p.x, basis] = p.q * parity_signs(p.n_qubits)[basis & p.z]
     assert np.array_equal(mat, to_dense(p))
+
+
+def reverses_every_term(v: PauliString, terms: list[PauliString]) -> bool:
+    """V P V^dag = conj(P) for every term, on dense matrices."""
+    dense = to_dense(v)
+    return all(
+        np.array_equal(dense @ to_dense(p) @ dense.conj().T, to_dense(p).conj()) for p in terms
+    )
+
+
+@given(st.integers(1, 3), st.booleans(), st.data())
+def test_time_reversal_string_is_found_exactly_when_one_exists(n, keeps, data):
+    # Parity-keeping models draw only labels with an even number of X/Y
+    # letters; the others draw from every label.  A returned V must reverse
+    # every term; None must mean that no string of the 4^n does.
+    labels = ["".join(t) for t in itertools.product(LETTERS, repeat=n)][1:]
+    if keeps:
+        labels = [label for label in labels if sum(ch in "XY" for ch in label) % 2 == 0]
+    picked = data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=6, unique=True))
+    terms = [PauliString.from_label(label) for label in picked]
+    x = np.array([p.x for p in terms])
+    z = np.array([p.z for p in terms])
+    found = time_reversal_string(n, x, z)
+    if found is None:
+        assert not any(
+            reverses_every_term(PauliString(n, vx, vz), terms)
+            for vx, vz in itertools.product(range(2**n), repeat=2)
+        )
+    else:
+        assert reverses_every_term(PauliString(n, *found), terms)
+
+
+def test_time_reversal_string_is_none_for_x_y_and_z():
+    # Only V = I keeps X and Z, and it keeps Y too.
+    x, z = np.array([1, 1, 0]), np.array([0, 1, 1])
+    assert time_reversal_string(1, x, z) is None
+
+
+@given(st.sampled_from(range(8, 17, 2)), st.integers(0, 2**32 - 1))
+def test_every_syk_draw_has_the_particle_hole_string(n_majorana, seed):
+    # The particle-hole operator flips every qubit: vx is all ones.  Each
+    # term must commute with V exactly when it is real (an even Y count).
+    h = build_syk_hamiltonian(sample_syk(n_majorana, seed))
+    vx, vz = h.time_reversal
+    assert vx == 2**h.n_qubits - 1
+    v = PauliString(h.n_qubits, vx, vz)
+    assert all(pauli_commutes(v, p) == ((p.x & p.z).bit_count() % 2 == 0) for _, p in h.terms)

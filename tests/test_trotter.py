@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from trottergibbs import trotter
 from trottergibbs.cli import build_model
-from trottergibbs.linalg import BranchCutError, max_abs, spectral_norm
+from trottergibbs.linalg import BranchCutError, cayley_eigenphases, max_abs, spectral_norm
 from trottergibbs.paulis import PauliString, pauli_commutes
 from trottergibbs.syk import (
     HamiltonianTerms,
@@ -346,6 +346,88 @@ def test_recursion_runs_a_share_of_the_flat_stages(monkeypatch, order, share):
     apply_formula(h, 0.4, order)
     assert sum(updates) == share * stage_count(order, h.n_terms)
     assert len(updates) == 2 ** max(0, order // 2 - 1)
+
+
+# Stated bound on the fold's rounding: folded and unfolded blocks, and their
+# eigenphases, agree within FOLD_ULPS_PER_STAGE * stage_count * eps.  The
+# largest ratio seen was 0.3 (3000 random models of 1-4 qubits) and 0.085
+# (SYK-8 to SYK-16 at orders 2, 4 and 6).
+FOLD_ULPS_PER_STAGE = 1.0
+
+
+def fold_bound(h, order):
+    return FOLD_ULPS_PER_STAGE * stage_count(order, h.n_terms) * np.finfo(float).eps
+
+
+def folded_and_unfolded(h, t, order):
+    """apply_formula's blocks with every block size on the fold's side of the gate, and not."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trotter, "CAYLEY_MIN_ROWS", 1)
+        folded = apply_formula(h, t, order, blocks=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trotter, "CAYLEY_MIN_ROWS", 2**h.n_qubits + 1)
+        unfolded = apply_formula(h, t, order, blocks=True)
+    assert np.array_equal(folded[1], unfolded[1])
+    return folded[0], unfolded[0]
+
+
+SYK10 = normalize_one_norm(build_syk_hamiltonian(sample_syk(10, seed=7)))[0]
+ONE_BLOCK = pauli_model(["YII", "IYI", "IIY", "XZX"], [0.3, -0.2, 0.25, 0.1])
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+@pytest.mark.parametrize(
+    "h, n_blocks, swaps",
+    [(SYK8, 2, False), (SYK10, 2, True), (ONE_BLOCK, 1, False)],
+    ids=["syk8-parity-blocks", "syk10-odd-sectors-swap", "one-block"],
+)
+def test_folded_leaf_matches_the_stage_loop(h, n_blocks, swaps, order):
+    # SYK-10 has 5 qubits, so V's vx (all ones) flips parity and each block
+    # of the fold reads the other sector's block.
+    vx, _ = h.time_reversal
+    assert n_blocks == 1 or swaps == bool(vx.bit_count() % 2)
+    for t in (0.3, -0.7):
+        folded, unfolded = folded_and_unfolded(h, t, order)
+        assert folded.shape[0] == n_blocks
+        assert max_abs(folded - unfolded) <= fold_bound(h, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parity_models(max_terms=12), st.sampled_from((2, 4, 6)), st.floats(-0.6, 0.6))
+@example((pauli_model(["X", "Y", "Z"], [0.3, -0.2, 0.4]), False), 2, 0.5)
+def test_fold_stays_within_its_bound_and_leaves_a_model_without_v_alone(model, order, t):
+    h, _ = model
+    folded, unfolded = folded_and_unfolded(h, t, order)
+    if h.time_reversal is None:
+        assert folded.tobytes() == unfolded.tobytes()
+    else:
+        assert max_abs(folded - unfolded) <= fold_bound(h, order)
+
+
+@pytest.mark.parametrize(
+    "n_majorana, order, share",
+    [(12, 2, 1 / 2), (12, 4, 1 / 5), (16, 2, 1 / 2)],
+)
+def test_node_spectrum_folds_each_order2_leaf(monkeypatch, n_majorana, order, share):
+    # From CAYLEY_MIN_ROWS rows up, a node runs Gamma stage updates per
+    # order-2 leaf instead of 2 Gamma; its eigenphases stay within the
+    # fold's bound of the unfolded blocks' phases.
+    stage_loop = trotter._stage_loop
+    updates = []
+
+    def counted(loop, stages, t, start):
+        updates.append(len(stages))
+        return stage_loop(loop, stages, t, start)
+
+    h = build_model({**SYK12, "n_majorana": n_majorana})
+    tau = 0.7
+    monkeypatch.setattr(trotter, "_stage_loop", counted)
+    got = node_spectrum(h, tau, order)
+    assert sum(updates) == share * stage_count(order, h.n_terms)
+    monkeypatch.setattr(trotter, "CAYLEY_MIN_ROWS", 2**h.n_qubits)
+    unfolded, _ = apply_formula(h, tau, order, blocks=True)
+    want = np.sort(cayley_eigenphases(unfolded, trotter.phase_bound(h, tau, order)))
+    assert np.max(np.abs(got * tau - want)) <= fold_bound(h, order)
 
 
 def test_apply_formula_leaves_no_reference_cycles():
