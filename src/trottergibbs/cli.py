@@ -36,7 +36,7 @@ from .lwf import CERT_GRID, ApproximationError, gibbs_fourier, gibbs_taylor, tay
 from .paulis import DENSE_QUBIT_CAP, LETTERS, PauliString
 from .pipeline import PIPELINE_MODES, PipelineConfig, PipelineError, ancilla_savings, run_pipeline
 from .syk import HamiltonianTerms, build_syk_hamiltonian, sample_syk
-from .trotter import check_order, trotter_error_norm
+from .trotter import MAX_ORDER, check_order, trotter_error_norm
 
 FORMAT_VERSION = 1
 FLOAT_FMT = ".17g"
@@ -105,10 +105,6 @@ SCHEMAS = {
     },
 }
 
-
-# Largest formula order a document may ask for: an order-2l formula runs
-# 2^(l-1) order-2 stage loops, and ``stage_weight`` takes l - 1 factors.
-MAX_ORDER = 20
 
 # Value ranges, checked wherever the key appears: (test of the validated value, its meaning).
 # Every count has an upper bound, so a huge integer is refused here rather

@@ -1,16 +1,17 @@
-"""Phased Pauli strings as bitmasks: products, commutation and their action.
+"""Pauli strings as bitmasks: products, commutation and their action.
 
 A Pauli string is a tensor product of single-qubit operators from
-{I, X, Y, Z} together with a phase from {+1, +i, -1, -i}.  Products of
-strings stay in this set, which is what makes them a convenient carrier
-for fermionic operators after a Jordan-Wigner transformation.
+{I, X, Y, Z}, so it is Hermitian and -P is a negative coefficient.  The
+phases {+1, +i, -1, -i} of products are tracked by ``multiply_masks`` on
+(x, z, phase) integers, which makes strings a convenient carrier for
+fermionic operators after a Jordan-Wigner transformation.
 
 A string is held in the symplectic form (Aaronson & Gottesman, PRA 70,
 052328, 2004): bitmasks x (X or Y sites) and z (Z or Y sites), qubit 0
-the top bit, and the exponent k of its phase i^k.  On computational basis
-states it acts as a signed permutation, P|b> = q (-1)^{|b & z|} |b ^ x>,
-with q = i^(k + |x & z|) because Y = iXZ.  That action is all the
-product-formula kernel and the dense sums need.
+the top bit.  On computational basis states it acts as a signed
+permutation, P|b> = q (-1)^{|b & z|} |b ^ x>, with q = i^{|x & z|}
+because Y = iXZ.  That action is all the product-formula kernel and the
+dense sums need.
 """
 
 from __future__ import annotations
@@ -34,29 +35,24 @@ class DimensionCapError(ValueError):
 
 @dataclass(frozen=True)
 class PauliString:
-    """i^phase times a tensor product of Pauli letters.
+    """A tensor product of Pauli letters, Hermitian and with no phase of its own.
 
     Bit n_qubits-1-j of ``x`` is set when qubit j carries X or Y, and the
-    same bit of ``z`` when it carries Z or Y.  ``phase`` is the exponent k
-    of i^k, from 0 to 3.  The string is Hermitian exactly when ``phase``
-    is even.
+    same bit of ``z`` when it carries Z or Y.
     """
 
     n_qubits: int
     x: int
     z: int
-    phase: int = 0
 
     def __post_init__(self):
         width = 1 << self.n_qubits
         if not all(isinstance(m, int) and 0 <= m < width for m in (self.x, self.z)):
             raise ValueError(f"masks x={self.x!r}, z={self.z!r} are not ints in [0, {width})")
-        if not (isinstance(self.phase, int) and 0 <= self.phase < 4):
-            raise ValueError(f"phase exponent {self.phase!r} is not an int in 0..3")
 
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
-        """The string spelled over "IXYZ", qubit 0 first, with phase +1."""
+        """The string spelled over "IXYZ", qubit 0 first."""
         if any(ch not in LETTERS for ch in label):
             raise ValueError(f"invalid Pauli letters {label!r}")
         x = z = 0
@@ -66,13 +62,9 @@ class PauliString:
         return cls(len(label), x, z)
 
     @property
-    def hermitian(self) -> bool:
-        return self.phase % 2 == 0
-
-    @property
     def q(self) -> complex:
         """The root of unity in P|b> = q (-1)^{|b & z|} |b ^ x>."""
-        return _POWERS_OF_I[(self.phase + (self.x & self.z).bit_count()) % 4]
+        return _POWERS_OF_I[(self.x & self.z).bit_count() % 4]
 
 
 def multiply_masks(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -88,7 +80,7 @@ def multiply_masks(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[in
 
 
 def pauli_commutes(a: PauliString, b: PauliString) -> bool:
-    """True iff the strings commute: |x_a & z_b| + |z_a & x_b| is even.  Phases never matter."""
+    """True iff the strings commute: |x_a & z_b| + |z_a & x_b| is even."""
     if a.n_qubits != b.n_qubits:
         raise ValueError(f"size mismatch: {a.n_qubits} vs {b.n_qubits}")
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0

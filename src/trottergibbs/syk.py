@@ -17,6 +17,7 @@ rescaled so the one-norm is 1 before any product-formula work.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -78,14 +79,15 @@ def jordan_wigner_majorana(index: int, n_majorana: int) -> tuple[float, PauliStr
 
 @dataclass(frozen=True)
 class HamiltonianTerms:
-    """A Hamiltonian as a tuple of (real coefficient, Pauli string of phase +1).
+    """A Hamiltonian as a tuple of (real coefficient, Pauli string) terms.
 
     The tuple order is the stage order of every product formula built on
-    the model; the constructor takes any sequence.  Data derived from
-    ``terms`` is computed on first use and kept on the instance, read-only:
-    ``pauli_masks``, the strings' fields stacked as arrays,
-    ``time_reversal``, and through ``kept`` the node spectra and reference
-    eigenvalues.
+    the model; the constructor takes any sequence and refuses a coefficient
+    that is not ``numbers.Real`` or a string on another qubit count.  Data
+    derived from ``terms`` is computed on first use and kept on the
+    instance, read-only: ``pauli_masks``, the strings' fields stacked as
+    arrays, ``time_reversal``, and through ``kept`` the node spectra and
+    reference eigenvalues.
     """
 
     n_qubits: int
@@ -93,7 +95,13 @@ class HamiltonianTerms:
     _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+        terms = tuple(self.terms)
+        for coeff, string in terms:
+            if not isinstance(coeff, numbers.Real):
+                raise ValueError(f"coefficient {coeff!r} of {string} is not real")
+            if string.n_qubits != self.n_qubits:
+                raise ValueError(f"{string} is not on the model's {self.n_qubits} qubits")
+        object.__setattr__(self, "terms", terms)
 
     @property
     def one_norm(self) -> float:
@@ -160,13 +168,13 @@ def build_syk_hamiltonian(c: SykCouplings) -> HamiltonianTerms:
     The product of four distinct Majoranas is Hermitian, so each reduced
     string carries a real coefficient; the 1/(4*4!) prefactor and the four
     1/sqrt(2) factors are folded into it.  Each Majorana's Jordan-Wigner
-    string is built once, as its (x, z, phase) masks, and the products are
+    string is built once, as its (x, z, phase 0) masks, and the products are
     folded on those integers; only the merged terms become strings.
     """
     n_qubits = c.n_majorana // 2
     prefactor = 1.0 / (4.0 * math.factorial(4))
     strings = [jordan_wigner_majorana(idx, c.n_majorana) for idx in range(1, c.n_majorana + 1)]
-    majoranas = [(w, (s.x, s.z, s.phase)) for w, s in strings]
+    majoranas = [(w, (s.x, s.z, 0)) for w, s in strings]
     merged: dict[tuple[int, int], float] = {}
     for (i, j, k, l), jval in c.couplings.items():
         coeff = prefactor * jval

@@ -70,6 +70,9 @@ STAGE_CHUNK = 64
 # which ``apply_formula`` builds with folded order-2 leaves.
 CAYLEY_MIN_ROWS = 32
 
+# Largest formula order: order 2l runs 2^(l-1) order-2 loops, l - 1 weight factors.
+MAX_ORDER = 20
+
 
 def suzuki_u(l: int) -> float:
     """Recursion coefficient u_l for lifting order 2l-2 to order 2l."""
@@ -79,9 +82,11 @@ def suzuki_u(l: int) -> float:
 
 
 def check_order(order: int) -> None:
-    """Refuse a formula order other than 1 or even."""
+    """Refuse a formula order other than 1 or even, or above MAX_ORDER."""
     if order < 1 or (order > 1 and order % 2):
         raise ValueError(f"order must be 1 or even, got {order}")
+    if order > MAX_ORDER:
+        raise ValueError(f"order must be <= {MAX_ORDER}, got {order}")
 
 
 def stage_count(order: int, n_terms: int) -> int:
@@ -140,8 +145,6 @@ def apply_formula(h: HamiltonianTerms, t: float, order: int, *, blocks: bool = F
     """
     check_order(order)
     check_dense_cap(h.n_qubits)
-    if not all(s.hermitian for _, s in h.terms):
-        raise ValueError("every term must be Hermitian (string phase +1 or -1)")
     x, z, q = h.pauli_masks
     signs = parity_signs(h.n_qubits)
     split = int(h.n_qubits > 0 and np.all(signs[x] > 0))

@@ -268,11 +268,13 @@ def haar_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def pauli_multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Product of two strings of one size, through the library's ``multiply_masks``."""
+def pauli_multiply(
+    a: PauliString, b: PauliString, phases: tuple[int, int] = (0, 0)
+) -> tuple[int, int, int]:
+    """(x, z, phase) of i^ka a times i^kb b, (ka, kb) = ``phases``, through ``multiply_masks``."""
     if a.n_qubits != b.n_qubits:
         raise ValueError(f"size mismatch: {a.n_qubits} vs {b.n_qubits}")
-    return PauliString(a.n_qubits, *multiply_masks((a.x, a.z, a.phase), (b.x, b.z, b.phase)))
+    return multiply_masks((a.x, a.z, phases[0]), (b.x, b.z, phases[1]))
 
 
 def letters(p: PauliString) -> str:
@@ -281,9 +283,9 @@ def letters(p: PauliString) -> str:
     return "".join("IXZY"[(p.x >> k & 1) + 2 * (p.z >> k & 1)] for k in bits)
 
 
-def to_dense(p: PauliString) -> np.ndarray:
-    """Kronecker oracle: one factor per letter, qubit 0 first, phase i^k included."""
-    mat = np.array([[(1, 1j, -1, -1j)[p.phase]]], dtype=complex)
+def to_dense(p: PauliString, phase: int = 0) -> np.ndarray:
+    """Kronecker oracle of i^phase p: one factor per letter, qubit 0 first."""
+    mat = np.array([[(1, 1j, -1, -1j)[phase]]], dtype=complex)
     for ch in letters(p):
         mat = np.kron(mat, SINGLE[ch])
     return mat
@@ -329,8 +331,8 @@ def letter_syk_terms(c) -> list[tuple[float, str]]:
 def letter_masks(terms: list[tuple[float, str]]) -> tuple[np.ndarray, ...]:
     """x, z, q and coefficient arrays of (coefficient, label) terms, spelled letter by letter.
 
-    q = (1+0j) (1, 1j, -1, -1j)[n_Y % 4] is the library's letter-based
-    formula for a string of phase +1; its bytes pin the signed zeros.
+    q = (1+0j) (1, 1j, -1, -1j)[n_Y % 4] is the library's formula spelled
+    by letters; its bytes pin the signed zeros.
     """
     labels = [label for _, label in terms]
     return (

@@ -2,7 +2,6 @@
 and the time-reversal string of a model."""
 
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,55 +26,62 @@ LETTERS = "IXYZ"
 
 @st.composite
 def string_lists(draw, size=1, max_qubits=5):
-    """``size`` strings on one qubit count, masks and phase exponents drawn freely."""
+    """``size`` strings on one qubit count, masks drawn freely."""
     n = draw(st.integers(1, max_qubits))
     masks = st.integers(0, 2**n - 1)
-    return [
-        PauliString(n, draw(masks), draw(masks), draw(st.integers(0, 3))) for _ in range(size)
-    ]
+    return [PauliString(n, draw(masks), draw(masks)) for _ in range(size)]
 
 
-def random_string(rng: np.random.Generator, n: int, phase: int | None = None) -> PauliString:
+def random_string(rng: np.random.Generator, n: int) -> PauliString:
     x, z = (int(m) for m in rng.integers(2**n, size=2))
-    return PauliString(n, x, z, int(rng.integers(4)) if phase is None else phase)
+    return PauliString(n, x, z)
+
+
+def label_masks(label: str, phase: int) -> tuple[int, int, int]:
+    """(x, z, phase) of i^phase times the string spelled ``label``."""
+    p = PauliString.from_label(label)
+    return p.x, p.z, phase
 
 
 def test_multiply_x_times_y_is_iz():
     prod = pauli_multiply(PauliString.from_label("X"), PauliString.from_label("Y"))
-    assert prod == replace(PauliString.from_label("Z"), phase=1)
+    assert prod == label_masks("Z", 1)
 
 
 def test_multiply_two_qubit_example():
     prod = pauli_multiply(PauliString.from_label("XI"), PauliString.from_label("YI"))
-    assert prod == replace(PauliString.from_label("ZI"), phase=1)
+    assert prod == label_masks("ZI", 1)
 
 
 def test_multiply_self_gives_identity():
     # (i^k P)^2 = i^2k, since every letter squares to I.
     rng = np.random.default_rng(101)
     for _ in range(30):
-        p = random_string(rng, 4)
-        assert pauli_multiply(p, p) == replace(PauliString(4, 0, 0), phase=2 * p.phase % 4)
+        p, k = random_string(rng, 4), int(rng.integers(4))
+        assert pauli_multiply(p, p, (k, k)) == (0, 0, 2 * k % 4)
 
 
 def test_multiply_unsigned_involution():
     rng = np.random.default_rng(102)
     for _ in range(30):
-        p = random_string(rng, 5, phase=0)
-        assert pauli_multiply(p, p) == PauliString(5, 0, 0)
+        p = random_string(rng, 5)
+        assert pauli_multiply(p, p) == (0, 0, 0)
 
 
-@given(string_lists(size=2))
-def test_multiply_matches_dense_products(strings):
+@given(string_lists(size=2), st.tuples(st.integers(0, 3), st.integers(0, 3)))
+def test_multiply_matches_dense_products(strings, phases):
+    # Every string is Hermitian; the product's phase is tracked on the masks.
     a, b = strings
-    assert np.array_equal(to_dense(pauli_multiply(a, b)), to_dense(a) @ to_dense(b))
-    assert a.hermitian == np.array_equal(to_dense(a), to_dense(a).conj().T)
+    x, z, k = pauli_multiply(a, b, phases)
+    want = to_dense(a, phases[0]) @ to_dense(b, phases[1])
+    assert np.array_equal(to_dense(PauliString(a.n_qubits, x, z), k), want)
+    assert np.array_equal(to_dense(a), to_dense(a).conj().T)
 
 
 @given(st.data())
 def test_from_label_round_trips_the_spelling(data):
     (p,) = data.draw(string_lists())
-    assert PauliString.from_label(letters(p)) == replace(p, phase=0)
+    assert PauliString.from_label(letters(p)) == p
     label = data.draw(st.text(alphabet=LETTERS, min_size=1, max_size=6))
     assert letters(PauliString.from_label(label)) == label
 
@@ -113,8 +119,12 @@ def test_commutes_exhaustive_two_qubits():
 
 
 def test_commutes_ignores_phase():
-    xy = PauliString.from_label("XY")
-    assert pauli_commutes(replace(xy, phase=1), replace(xy, phase=2))
+    # A phase is a scalar: i^ka P and i^kb Q commute exactly when P and Q do.
+    for la, lb in (("XY", "XY"), ("XI", "ZI")):
+        a, b = PauliString.from_label(la), PauliString.from_label(lb)
+        for ka, kb in itertools.product(range(4), repeat=2):
+            da, db = to_dense(a, ka), to_dense(b, kb)
+            assert pauli_commutes(a, b) == np.array_equal(da @ db, db @ da)
 
 
 def test_to_dense_identity():
@@ -128,7 +138,7 @@ def test_to_dense_zx():
 
 
 def test_to_dense_phase():
-    got = to_dense(replace(PauliString.from_label("Y"), phase=1))
+    got = to_dense(PauliString.from_label("Y"), 1)
     expected = 1j * SINGLE["Y"]
     assert np.array_equal(got, expected)
 
@@ -140,11 +150,11 @@ def test_to_dense_random_against_oracle():
     n = 6
     bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     for _ in range(25):
-        p = random_string(rng, n)
-        want = np.full((2**n, 2**n), (1, 1j, -1, -1j)[p.phase])
+        p, k = random_string(rng, n), int(rng.integers(4))
+        want = np.full((2**n, 2**n), (1, 1j, -1, -1j)[k])
         for site, ch in enumerate(letters(p)):
             want = want * SINGLE[ch][bits[:, site][:, None], bits[:, site][None, :]]
-        assert np.array_equal(to_dense(p), want)
+        assert np.array_equal(to_dense(p, k), want)
 
 
 def test_dense_cap():
@@ -158,17 +168,14 @@ def test_trace_identity_and_nonidentity():
     assert np.trace(to_dense(PauliString.from_label("IXI"))) == 0
     rng = np.random.default_rng(106)
     for _ in range(20):
-        p = random_string(rng, 2)
-        expected = (1, 1j, -1, -1j)[p.phase] * 4 if p.x == p.z == 0 else 0
-        assert np.trace(to_dense(p)) == expected
+        p, k = random_string(rng, 2), int(rng.integers(4))
+        expected = (1, 1j, -1, -1j)[k] * 4 if p.x == p.z == 0 else 0
+        assert np.trace(to_dense(p, k)) == expected
 
 
-def test_invalid_letters_and_phase():
+def test_invalid_letters_and_masks():
     with pytest.raises(ValueError, match="letters"):
         PauliString.from_label("XQ")
-    for phase in (-1, 4, 0.5, 1.0):
-        with pytest.raises(ValueError, match="phase"):
-            PauliString(2, 3, 0, phase)
     for x, z in ((4, 0), (0, 4), (-1, 0), (1.0, 0)):
         with pytest.raises(ValueError, match="masks"):
             PauliString(2, x, z)

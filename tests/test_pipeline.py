@@ -2,6 +2,7 @@
 
 import math
 import sys
+import time
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -43,6 +44,19 @@ RATE_FIXTURE = {2: 3.703948e-05, 4: 3.824680e-09}
 
 def syk_model(n, seed):
     return normalize_one_norm(build_syk_hamiltonian(sample_syk(n, seed=seed)))[0]
+
+
+def test_an_order_past_max_order_is_refused_at_once():
+    # The order-2l loops take l - 1 and 2^(l-1) steps: 2 * 10**7 took
+    # seconds in stage_weight, and 10**400 never returned.
+    model = syk_model(8, seed=1)
+    start = time.perf_counter()
+    for order in (trotter.MAX_ORDER + 2, 2 * 10**7, 10**400):
+        with pytest.raises(ValueError, match=f"order must be <= {trotter.MAX_ORDER}, got {order}"):
+            PipelineConfig(model=model, beta=1.0, order=order)
+        with pytest.raises(ValueError, match=f"order must be <= {trotter.MAX_ORDER}, got {order}"):
+            trotter.apply_formula(model, 0.3, order)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_config_validation():

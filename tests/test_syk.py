@@ -1,7 +1,7 @@
 """Tests for the four-body random-coupling model and its qubit encoding."""
 
 import math
-from dataclasses import replace
+import numbers
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from trottergibbs import syk
 from trottergibbs.cli import build_model
 from trottergibbs.linalg import max_abs, spectral_norm
-from trottergibbs.paulis import PauliString, parity_signs, pauli_commutes
+from trottergibbs.paulis import PauliString, multiply_masks, parity_signs, pauli_commutes
 from trottergibbs.syk import (
     TERM_CHUNK,
     HamiltonianTerms,
@@ -173,16 +173,16 @@ def test_masks_and_terms_are_read_only():
 
 @given(st.integers(0, 3))
 def test_build_refuses_an_odd_phase(k):
-    # Giving g_1 the phase i^k gives every product that holds it i^k too.
+    # Giving g_1's masks the phase i^k gives every product that holds it i^k too.
     c = sample_syk(6, seed=2)
     plain = build_syk_hamiltonian(c)
+    _, g1 = jordan_wigner_majorana(1, c.n_majorana)
 
-    def phased(index, n_majorana):
-        w, gamma = jordan_wigner_majorana(index, n_majorana)
-        return w, replace(gamma, phase=k if index == 1 else 0)
+    def phased(a, b):
+        return multiply_masks(a, (g1.x, g1.z, k) if b == (g1.x, g1.z, 0) else b)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(syk, "jordan_wigner_majorana", phased)
+        mp.setattr(syk, "multiply_masks", phased)
         if k % 2:
             with pytest.raises(ValueError, match="not Hermitian"):
                 build_syk_hamiltonian(c)
@@ -197,9 +197,55 @@ def test_build_refuses_an_odd_phase(k):
 
 def test_build_term_coefficients_are_real():
     h = build_syk_hamiltonian(sample_syk(8, seed=9))
-    for coef, p in h.terms:
-        assert abs(coef.imag) < 1e-14
-        assert p.phase == 0
+    assert all(type(coef) is float for coef, _ in h.terms)
+
+
+@pytest.mark.parametrize("coeff", [0.5 + 0j, np.complex128(0.5), "0.5", None])
+def test_model_refuses_a_coefficient_that_is_not_real(coeff):
+    # A complex coefficient, even with imaginary part 0, used to fail inside
+    # math.sin mid-formula.  test_apply_formula_refuses_non_hermitian_terms
+    # covers imaginary ones.
+    z, x = PauliString.from_label("Z"), PauliString.from_label("X")
+    with pytest.raises(ValueError, match="is not real"):
+        HamiltonianTerms(1, [(0.5, z), (coeff, x)])
+
+
+def test_model_refuses_a_string_on_another_qubit_count():
+    # "XI" on a 3-qubit model would act as X on qubit 1, not qubit 0.
+    with pytest.raises(ValueError, match="not on the model's 3 qubits"):
+        HamiltonianTerms(3, [(0.5, PauliString.from_label("XI"))])
+    # Any numbers.Real is a coefficient: numpy floats and ints too.
+    xiz = PauliString.from_label("XIZ")
+    HamiltonianTerms(3, [(np.float64(0.5), xiz), (2, PauliString(3, 0, 0))])
+
+
+@st.composite
+def any_terms(draw):
+    """A qubit count and terms of any number type, most strings on that count."""
+    n_qubits = draw(st.integers(1, 3))
+    number = st.one_of(
+        st.floats(-10.0, 10.0),
+        st.integers(-3, 3),
+        st.complex_numbers(max_magnitude=10.0, allow_nan=False),
+    )
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        n = draw(st.sampled_from([n_qubits] * 3 + [n_qubits % 3 + 1]))
+        masks = st.integers(0, 2**n - 1)
+        terms.append((draw(number), PauliString(n, draw(masks), draw(masks))))
+    return n_qubits, terms
+
+
+@given(any_terms())
+def test_every_model_accepted_has_a_hermitian_dense(drawn):
+    n_qubits, terms = drawn
+    fits = all(isinstance(c, numbers.Real) and p.n_qubits == n_qubits for c, p in terms)
+    if not fits:
+        with pytest.raises(ValueError):
+            HamiltonianTerms(n_qubits, terms)
+        return
+    dense = HamiltonianTerms(n_qubits, terms).dense()
+    assert np.array_equal(dense, dense.conj().T)
 
 
 def test_normalize_one_norm():
@@ -296,7 +342,7 @@ def term_lists(draw):
     masks = st.integers(0, 2**n - 1)
     term = st.tuples(
         st.floats(-10.0, 10.0, allow_nan=False),
-        st.builds(PauliString, st.just(n), masks, masks, st.integers(0, 3)),
+        st.builds(PauliString, st.just(n), masks, masks),
     )
     return HamiltonianTerms(n, draw(st.lists(term, min_size=1, max_size=8)))
 
