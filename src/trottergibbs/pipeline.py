@@ -4,9 +4,11 @@ Each Chebyshev node s_k gets its own effective Hamiltonian at step
 s_k * t; the rescaled traces Z(beta, s_k)/N are evaluated (exactly,
 through the synthesized block, or by simulated amplitude estimation) and
 extrapolated to s = 0.  Even-order formulas give the mirror nodes s_k and
--s_k the same effective Hamiltonian, so each mirror pair shares one
-spectrum and one Boltzmann oracle.  The ancilla savings and the analytic
-cost model live here too.
+-s_k the same effective Hamiltonian.  At order 1 a model with a
+time-reversal string V gives them the same spectrum: S_1(-t) =
+V conj(S_1(t)) V^dag, so H_eff(-t) = V conj(H_eff(t)) V^dag.  Either way
+each mirror pair shares one spectrum and one Boltzmann oracle.  The
+ancilla savings and the analytic cost model live here too.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ class PartitionResult:
 
 
 def _node_fields(cfg: PipelineConfig, s: float) -> dict:
-    """The record fields node s shares with its mirror -s under an even order.
+    """The record fields node s shares with its mirror -s (see ``run_pipeline``).
 
     Every mode reads its node from one spectrum, the eigenphases of
     S_p(s t); no H_eff, matrix log or dense circuit is formed.  The block
@@ -174,22 +176,23 @@ def _node_fields(cfg: PipelineConfig, s: float) -> dict:
 def run_pipeline(cfg: PipelineConfig) -> PartitionResult:
     """Evaluate all node traces in one pass and extrapolate to the zero-step limit.
 
-    For even orders node M-1-k mirrors node k and reuses its fields; the
-    pair is matched by index, since the two cosines need not be exact
-    negatives in floating point.  Sampled mode still draws each node's
-    estimate with its own seed.  Failures carry the offending node, or the
-    stage, in the message; a trace, extrapolation or cost that is not a
-    finite float is one.
+    For even orders, and at order 1 on a model with a time-reversal string,
+    node M-1-k mirrors node k and reuses its fields; the pair is matched by
+    index, since the two cosines need not be exact negatives in floating
+    point.  Sampled mode still draws each node's estimate with its own
+    seed.  Failures carry the offending node, or the stage, in the message;
+    a trace, extrapolation or cost that is not a finite float is one.
     """
     grid = cheb_grid(cfg.m_cheb)
     shift = math.exp(cfg.beta)
+    mirrored = cfg.order % 2 == 0 or cfg.model.time_reversal is not None
     shared: list[dict] = []
     nodes: list[NodeRecord] = []
     for k, s_k in enumerate(grid.nodes.tolist()):
         mirror = cfg.m_cheb - 1 - k
         seed_k = split_seed(cfg.seed, "node", k)
         try:
-            if cfg.order % 2 == 0 and mirror < k:
+            if mirrored and mirror < k:
                 shared.append(shared[mirror])
             else:
                 shared.append(_node_fields(cfg, s_k))

@@ -16,14 +16,15 @@ the running product as a signed permutation of its columns, so a stage
 costs O(d^2) and never forms a term matrix; d^2/2 when every term keeps
 fermion parity, since only the two parity blocks are stored.  The row
 indices and factors of STAGE_CHUNK stages are built together, so a stage
-makes four numpy calls, its row gather a ``take``.  Orders 1 and 2 are
-one such stage loop.  Above that the recursion is evaluated with reuse:
-S_{2l-2}(u_l t) is built once and squared, so an order-2l formula costs
-2^(l-1) order-2 stage loops plus a few block matmuls per recursion level,
-where the circuit it stands for has 5^(l-1) order-2 blocks,
-2 Gamma 5^(l-1) stages over Gamma terms (``stage_count``, which node depth
-counts).  Even-order formulas are symmetric, S_p(-t) = S_p(t)^dag, so
-H_eff(-t) = H_eff(t).
+makes four numpy calls, its row gather a ``take``; on the folded route
+below, a run of consecutive stages that share an x mask makes those four
+calls once.  Orders 1 and 2 are one such stage loop.  Above that the
+recursion is evaluated with reuse: S_{2l-2}(u_l t) is built once and
+squared, so an order-2l formula costs 2^(l-1) order-2 stage loops plus a
+few block matmuls per recursion level, where the circuit it stands for
+has 5^(l-1) order-2 blocks, 2 Gamma 5^(l-1) stages over Gamma terms
+(``stage_count``, which node depth counts).  Even-order formulas are
+symmetric, S_p(-t) = S_p(t)^dag, so H_eff(-t) = H_eff(t).
 
 A node of the interpolation needs only the eigenphases of S_p(t), which
 ``node_spectrum`` reads off the blocks without the dense scatter: through
@@ -37,8 +38,11 @@ for SYK the particle-hole operator, vx all ones).  The antiunitary V conj
 then commutes with every term, so S_1(-t/2) = V conj(A) V^dag with
 A = S_1(t/2), and S_2(t) = A V A^T V^dag: Gamma stages, one signed
 permutation of A's blocks and one block matmul instead of 2 Gamma stages
-(``_folded_leaf``).  The dense result, blocks under CAYLEY_MIN_ROWS rows,
-order 1 and models without V keep the full stage list, so their bits are
+(``_folded_leaf``).  The folded half list also passes over the array once
+per run of equal x masks rather than once per stage: in SYK term order
+that is 246 passes for 495 stages at 6 qubits and 927 for 1820 at 8.  The
+dense result, blocks under CAYLEY_MIN_ROWS rows, order 1 and models
+without V keep the full stage list, one pass per stage, so their bits are
 the flat loop's.
 """
 
@@ -59,9 +63,10 @@ from .linalg import (  # noqa: F401  (eigh_decompose: perfbench probes it here)
 from .paulis import check_dense_cap, parity_signs
 from .syk import HamiltonianTerms
 
-# Stages per chunk of precomputed row indices and factors: with int64
-# indices and complex factors a chunk holds 24 * STAGE_CHUNK * d bytes,
-# about 100 KB at 6 qubits and 1.5 MB at 10.
+# Runs of stages per chunk of precomputed row indices and factors: with
+# int64 indices and complex factors a chunk holds 24 * STAGE_CHUNK * d
+# bytes, about 100 KB at 6 qubits and 1.5 MB at 10; the (D, E) pairs of
+# its fused runs and their indices at most twice that again.
 STAGE_CHUNK = 64
 
 # Node spectra of blocks with fewer rows come from eigvals on the scattered
@@ -140,8 +145,9 @@ def apply_formula(h: HamiltonianTerms, t: float, order: int, *, blocks: bool = F
     basis states of their rows, which is all ``node_spectrum`` needs.
     Blocks of CAYLEY_MIN_ROWS rows or more, at order 2 and up, on a model
     with a time-reversal string, are built with each order-2 leaf folded
-    from its first half (``_folded_leaf``); they agree with the full stage
-    list to rounding.
+    from its first half (``_folded_leaf``), whose runs of equal x masks are
+    fused into one pass each; they agree with the full stage list to
+    rounding.
     """
     check_order(order)
     check_dense_cap(h.n_qubits)
@@ -156,7 +162,8 @@ def apply_formula(h: HamiltonianTerms, t: float, order: int, *, blocks: bool = F
     if blocks and order > 1 and rows.shape[1] >= CAYLEY_MIN_ROWS and h.time_reversal is not None:
         vx, vz = h.time_reversal
         swap = np.arange(1 + split) ^ (split * vx.bit_count() % 2)
-        fold = (swap, np.arange(rows.shape[1]) ^ (vx >> split), signs[rows & vz])
+        runs = np.diff(np.flatnonzero(np.diff(x >> split, prepend=-1, append=-1)))
+        fold = (swap, np.arange(rows.shape[1]) ^ (vx >> split), signs[rows & vz], runs)
         leaf = half
     elif order == 1:
         leaf = [(g, 1.0) for g in range(h.n_terms)]
@@ -208,10 +215,12 @@ def _folded_leaf(
     signed permutation of A^T's transposed blocks, ``fold`` holding the
     block each block reads (the other parity sector when |vx| is odd), the
     row permutation r -> r ^ (vx >> split) within a block and each row's
-    sign.  One block matmul W @ A^T finishes the leaf.
+    sign.  One block matmul W @ A^T finishes the leaf.  A's stage loop
+    fuses each run of equal x masks, whose lengths ``fold`` also holds, into
+    one pass; it agrees with the unfused loop to rounding.
     """
-    swap, perm, signs = fold
-    at = _stage_loop(loop, half, t, None)
+    swap, perm, signs, runs = fold
+    at = _stage_loop(loop, half, t, None, runs)
     w = np.swapaxes(at, 1, 2)[np.ix_(swap, perm, perm)]
     w *= signs[:, :, None]
     w *= signs[:, None, :]
@@ -219,7 +228,9 @@ def _folded_leaf(
     return out if start is None else out @ start
 
 
-def _stage_loop(loop: tuple, stages: list, t: float, start: np.ndarray | None) -> np.ndarray:
+def _stage_loop(
+    loop: tuple, stages: list, t: float, start: np.ndarray | None, runs: np.ndarray | None = None
+) -> np.ndarray:
     """Blocks of S(t)^T @ start for one stage list S, start None the identity.
 
     Right-multiplying U by cos(a) I + i sin(a) P mixes column b of U with
@@ -228,12 +239,25 @@ def _stage_loop(loop: tuple, stages: list, t: float, start: np.ndarray | None) -
     coefficients, shifted x masks, z masks, phases, parity signs, the basis
     state of each stacked row and the number of blocks.
 
-    The stages run in chunks of ``STAGE_CHUNK``.  Each chunk's row indices
-    b ^ x and factors i sin(a) q (-1)^{|b & z|} are built in a few
-    vectorized calls, with sin and cos from ``math``; a stage itself is
-    then one gather, two scalings and one sum.  Every element goes through
-    the same operations, in the same order, as in a loop that builds each
-    stage's vectors on its own, so the result is the same bit for bit.
+    ``runs`` splits the stage list into runs of consecutive stages that
+    share a shifted x mask; None makes every stage its own run.  A run maps
+    every row r to the same partner r ^ x, so its product is one update
+    U <- D U + E U[r ^ x] with per-row vectors D and E.  Starting from the
+    first stage's cos and row factors, each further stage with cos c and
+    row factors f folds in as D <- c D + f E[r ^ x], E <- c E + f D[r ^ x].
+
+    The runs go in chunks of ``STAGE_CHUNK``.  Each chunk's row indices
+    r ^ x and first-stage factors i sin(a) q (-1)^{|b & z|} are built in a
+    few vectorized calls, with sin and cos from ``math``.  The D and E of
+    the chunk's longer runs are built together, one flat ``take`` of the
+    stacked (D, E) pairs per position in a run, up to the longest run (4 in
+    SYK order); the runs are sorted longest first so that the live ones at
+    each position are a prefix.  A run itself is then one gather, two
+    scalings and one sum on the array; a run of one stage scales by its
+    scalar cos.  So with ``runs`` None every element goes through the same
+    operations, in the same order, as in a loop that builds each stage's
+    vectors on its own, and the result is the same bit for bit; a fused run
+    agrees with its stages applied one by one to rounding.
 
     The gather is ``ut.take(index, 0)``: it copies the same rows as
     ``ut[index]`` with less overhead per call.  Per SYK order-2 stage on one
@@ -248,17 +272,45 @@ def _stage_loop(loop: tuple, stages: list, t: float, start: np.ndarray | None) -
         ut = np.tile(np.eye(size, dtype=complex), (n_blocks, 1))
     else:
         ut = start.reshape(states.size, size).copy()
-    for first in range(0, len(stages), STAGE_CHUNK):
-        chunk = stages[first : first + STAGE_CHUNK]
-        js = [j for j, _ in chunk]
-        angles = [frac * t * coeffs[j] for j, frac in chunk]
-        sines = np.array([math.sin(angle) for angle in angles])
-        gathers = rows ^ shifted[js][:, None]
-        factors = (1j * sines * q[js])[:, None] * signs[states & z[js][:, None]]
-        for index, factor, angle in zip(gathers, factors[:, :, None], angles):
+    js = np.array([j for j, _ in stages], dtype=int)
+    angles = [frac * t * coeffs[j] for j, frac in stages]
+    sines = np.array([math.sin(angle) for angle in angles])
+    cosines = np.array([math.cos(angle) for angle in angles])
+    lengths = np.ones(js.size, dtype=int) if runs is None else runs
+    heads = np.cumsum(lengths) - lengths
+    for first in range(0, heads.size, STAGE_CHUNK):
+        head, length = heads[first : first + STAGE_CHUNK], lengths[first : first + STAGE_CHUNK]
+        gathers = rows ^ shifted[js[head]][:, None]
+        factors = (1j * sines[head] * q[js[head]])[:, None] * signs[states & z[js[head]][:, None]]
+        scales = cosines[head].tolist()
+        fused = np.flatnonzero(length > 1)
+        if fused.size:
+            # Longest runs first, so that the runs still live at a position are a prefix.
+            fused = fused[np.argsort(-length[fused], kind="stable")]
+            at, lf = head[fused], length[fused]
+            pairs = np.empty((fused.size, 2, rows.size), dtype=complex)
+            pairs[:, 0] = cosines[at][:, None]
+            pairs[:, 1] = factors[fused]
+            # Flat indices of E[r ^ x] and D[r ^ x] in the stacked (D, E) pairs.
+            swap = gathers[fused][:, None, :] + (
+                (2 * np.arange(fused.size)[:, None, None] + [[1], [0]]) * rows.size
+            )
+            for p in range(1, lf[0]):
+                live = at[: np.count_nonzero(lf > p)] + p
+                mixed = pairs.take(swap[: live.size])
+                mixed *= (1j * sines[live] * q[js[live]])[:, None, None] * signs[
+                    states & z[js[live]][:, None]
+                ][:, None, :]
+                part = pairs[: live.size]
+                part *= cosines[live][:, None, None]
+                part += mixed
+            factors[fused] = pairs[:, 1]
+            for r, scale in zip(fused.tolist(), pairs[:, 0, :, None]):
+                scales[r] = scale
+        for index, factor, scale in zip(gathers, factors[:, :, None], scales):
             mixed = ut.take(index, 0)
             mixed *= factor
-            ut *= math.cos(angle)
+            ut *= scale
             ut += mixed
     return ut.reshape(n_blocks, size, size)
 

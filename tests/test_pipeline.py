@@ -314,11 +314,14 @@ def test_mirror_nodes_share_one_formula(monkeypatch, order, mode, m_cheb):
 
     monkeypatch.setattr(trotter, "apply_formula", counted_formula)
     monkeypatch.setattr(pipeline, "boltzmann_oracle", counted_boltz)
+    # Even orders share mirror nodes since S_p(-t) = S_p(t)^dag; order 1
+    # does on SYK, whose time-reversal string V gives S_1(-t) =
+    # V conj(S_1(t)) V^dag, the same spectrum.
     model = syk_model(8, seed=4)
+    assert model.time_reversal is not None
     cfg = PipelineConfig(model=model, beta=1.0, m_cheb=m_cheb, order=order, mode=mode)
     res = run_pipeline(cfg)
-    fold = order % 2 == 0
-    assert calls["formula"] == (m_cheb // 2 if fold else m_cheb)
+    assert calls["formula"] == m_cheb // 2
     assert calls["boltz"] == (m_cheb // 2 if mode == "gqsp" else 0)
     shared = ("p0_exact", "z_exact", "beta_k", "depth", "diagnostics")
     if mode != "sampled":
@@ -327,13 +330,22 @@ def test_mirror_nodes_share_one_formula(monkeypatch, order, mode, m_cheb):
         pos, neg = res.nodes[k], res.nodes[m_cheb - 1 - k]
         assert pos.s_k == pytest.approx(-neg.s_k, abs=1e-15)
         assert pos.seed != neg.seed
-        if fold:
-            assert all(getattr(pos, name) == getattr(neg, name) for name in shared)
-        else:
-            assert pos.p0_exact != neg.p0_exact  # S_1(-t) is not S_1(t)^dag
+        assert all(getattr(pos, name) == getattr(neg, name) for name in shared)
     if mode == "sampled":
         assert len({r.p0_hat for r in res.nodes}) == m_cheb
         assert all(r.diagnostics == {"ae_clamped": False} for r in res.nodes)
+    if order == 1:
+        # No V with V P V^dag = conj(P) exists for X, Y and Z together, so
+        # S_1(-t) is neither S_1(t)^dag nor similar to conj(S_1(t)): each
+        # node builds its own formula.
+        calls["formula"] = 0
+        model = pauli_model(["X", "Y", "Z"], [0.3, -0.2, 0.4])
+        assert model.time_reversal is None
+        cfg = PipelineConfig(model=model, beta=1.0, m_cheb=m_cheb, order=order, mode=mode)
+        res = run_pipeline(cfg)
+        assert calls["formula"] == m_cheb
+        for k in range(m_cheb // 2):
+            assert res.nodes[k].p0_exact != res.nodes[m_cheb - 1 - k].p0_exact
 
 
 def test_beta_sweep_reuses_spectra_of_one_model(monkeypatch):

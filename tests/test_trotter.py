@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -249,8 +250,11 @@ def test_apply_formula_matches_product_oracle_property(model, order, reorder, t)
 SYK8 = normalize_one_norm(build_syk_hamiltonian(sample_syk(8, seed=7)))[0]
 
 
-def per_stage_loop(loop, stages, t, start):
-    """``trotter._stage_loop`` with each stage building its own row index and factor."""
+def per_stage_loop(loop, stages, t, start, runs=None):
+    """``trotter._stage_loop`` with each stage building its own row index and factor.
+
+    Every stage is its own pass over the array, whatever ``runs`` says.
+    """
     coeffs, shifted, z, q, signs, states, n_blocks = loop
     size = states.size // n_blocks
     rows = np.arange(states.size)
@@ -371,7 +375,12 @@ def folded_and_unfolded(h, t, order):
 
 
 SYK10 = normalize_one_norm(build_syk_hamiltonian(sample_syk(10, seed=7)))[0]
+SYK12_MODEL = normalize_one_norm(build_syk_hamiltonian(sample_syk(12, seed=7)))[0]
 ONE_BLOCK = pauli_model(["YII", "IYI", "IIY", "XZX"], [0.3, -0.2, 0.25, 0.1])
+# One parity block, a time-reversal string, and a run of 3 equal x masks when x-sorted.
+ONE_BLOCK_RUNS = pauli_model(
+    ["ZYX", "XZZ", "ZYZ", "IYY", "IIZ", "ZXY"], [-0.38, 0.14, 0.34, 0.26, 0.31, 0.13]
+)
 
 
 @pytest.mark.parametrize("order", [2, 4, 6])
@@ -403,26 +412,119 @@ def test_fold_stays_within_its_bound_and_leaves_a_model_without_v_alone(model, o
         assert max_abs(folded - unfolded) <= fold_bound(h, order)
 
 
-@pytest.mark.parametrize(
-    "n_majorana, order, share",
-    [(12, 2, 1 / 2), (12, 4, 1 / 5), (16, 2, 1 / 2)],
-)
-def test_node_spectrum_folds_each_order2_leaf(monkeypatch, n_majorana, order, share):
-    # From CAYLEY_MIN_ROWS rows up, a node runs Gamma stage updates per
-    # order-2 leaf instead of 2 Gamma; its eigenphases stay within the
-    # fold's bound of the unfolded blocks' phases.
-    stage_loop = trotter._stage_loop
-    updates = []
+def x_sorted(h):
+    """The same terms stably sorted by x mask: each x class is one run of the stage list."""
+    return HamiltonianTerms(h.n_qubits, sorted(h.terms, key=lambda term: term[1].x))
 
-    def counted(loop, stages, t, start):
-        updates.append(len(stages))
-        return stage_loop(loop, stages, t, start)
+
+def run_lengths(h):
+    return [len(list(run)) for _, run in itertools.groupby(h.pauli_masks[0].tolist())]
+
+
+def fused_and_per_stage(h, t, order):
+    """apply_formula's folded blocks from the fused stage loop, and one pass per stage."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trotter, "CAYLEY_MIN_ROWS", 1)
+        fused = apply_formula(h, t, order, blocks=True)
+        patch.setattr(trotter, "_stage_loop", per_stage_loop)
+        per_stage = apply_formula(h, t, order, blocks=True)
+    assert np.array_equal(fused[1], per_stage[1])
+    return fused[0], per_stage[0]
+
+
+# The largest ratio of |fused - per stage| to the fold's bound was 0.061
+# (SYK-8 to SYK-16 seed 7, SYK order and x-sorted, orders 2, 4 and 6 up
+# to SYK-12 and order 2 above, t in 0.3, -0.9 and 2.5).
+@pytest.mark.parametrize("order", [2, 4, 6])
+@pytest.mark.parametrize("by_x", [False, True], ids=["syk-order", "x-sorted"])
+@pytest.mark.parametrize(
+    "h", [SYK8, SYK10, SYK12_MODEL], ids=["syk8", "syk10-odd-sectors-swap", "syk12"]
+)
+def test_fused_runs_stay_within_the_fold_bound(h, by_x, order):
+    # SYK order has runs of up to 4 equal x masks; sorting by x makes each
+    # x class one run, about 9 to 16 stages long on average.
+    if by_x:
+        h = x_sorted(h)
+    assert max(run_lengths(h)) == (16 if by_x else 4)
+    for t in (0.3, -0.9, 2.5):
+        fused, per_stage = fused_and_per_stage(h, t, order)
+        assert max_abs(fused - per_stage) <= fold_bound(h, order)
+
+
+def interleaved(h):
+    """The same terms dealt round-robin over their x classes, so adjacent x masks differ."""
+    rank = {}
+    keyed = []
+    for term in h.terms:
+        x = term[1].x
+        rank[x] = rank.get(x, -1) + 1
+        keyed.append(((rank[x], x), term))
+    return HamiltonianTerms(h.n_qubits, [term for _, term in sorted(keyed, key=lambda k: k[0])])
+
+
+ARRANGEMENTS = {"term-order": lambda h: h, "x-sorted": x_sorted, "interleaved": interleaved}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    parity_models(max_terms=40),
+    st.sampled_from((2, 4, 6)),
+    st.sampled_from(sorted(ARRANGEMENTS)),
+    st.floats(-0.6, 0.6, allow_nan=False),
+)
+@example((ONE_BLOCK_RUNS, False), 4, "x-sorted", 0.5)
+@example((SYK10, True), 4, "x-sorted", -0.45)
+@example((SYK10, True), 2, "interleaved", 0.3)
+@example((SYK12_MODEL, True), 4, "interleaved", -0.45)
+def test_fused_runs_match_the_per_stage_loop_property(model, order, arrangement, t):
+    # Parity-keeping models run two blocks, the others one.  A model without
+    # a time-reversal string is not folded, so it is not fused either; in a
+    # stage list with no repeated adjacent x mask (SYK-10 and SYK-12 dealt
+    # over their x classes) every run has one stage, which scales by its
+    # scalar cos.  Both give the bits of one pass per stage.
+    h = ARRANGEMENTS[arrangement](model[0])
+    fused, per_stage = fused_and_per_stage(h, t, order)
+    if h.time_reversal is None or max(run_lengths(h), default=1) == 1:
+        assert fused.tobytes() == per_stage.tobytes()
+    else:
+        assert max_abs(fused - per_stage) <= fold_bound(h, order)
+
+
+@pytest.mark.parametrize(
+    "n_majorana, order, share, runs",
+    [(12, 2, 1 / 2, 246), (12, 4, 1 / 5, 2 * 246), (16, 2, 1 / 2, 927)],
+    ids=["12-2-0.5", "12-4-0.2", "16-2-0.5"],
+)
+def test_node_spectrum_folds_each_order2_leaf(monkeypatch, n_majorana, order, share, runs):
+    # From CAYLEY_MIN_ROWS rows up, a node runs Gamma stages per order-2 leaf
+    # instead of 2 Gamma, and passes over the array once per run of equal x
+    # masks in the half list (246 of the 495 SYK-12 stages, 927 of 1820 at
+    # SYK-16); its eigenphases stay within the fold's bound of the unfolded
+    # blocks' phases.  A pass is one row gather, ``take`` on the d x d/2 array.
+    stage_loop = trotter._stage_loop
+    stages = []
+
+    def counted(loop, leaf, *args):
+        stages.append(len(leaf))
+        return stage_loop(loop, leaf, *args)
 
     h = build_model({**SYK12, "n_majorana": n_majorana})
     tau = 0.7
+    gathers = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", "") == "take":
+            if getattr(arg.__self__, "shape", None) == (2**h.n_qubits, 2**h.n_qubits // 2):
+                gathers.append(1)
+
     monkeypatch.setattr(trotter, "_stage_loop", counted)
-    got = node_spectrum(h, tau, order)
-    assert sum(updates) == share * stage_count(order, h.n_terms)
+    sys.setprofile(profile)
+    try:
+        got = node_spectrum(h, tau, order)
+    finally:
+        sys.setprofile(None)
+    assert sum(stages) == share * stage_count(order, h.n_terms)
+    assert len(gathers) == runs
     monkeypatch.setattr(trotter, "CAYLEY_MIN_ROWS", 2**h.n_qubits)
     unfolded, _ = apply_formula(h, tau, order, blocks=True)
     want = np.sort(cayley_eigenphases(unfolded, trotter.phase_bound(h, tau, order)))
@@ -430,13 +532,18 @@ def test_node_spectrum_folds_each_order2_leaf(monkeypatch, n_majorana, order, sh
 
 
 def test_apply_formula_leaves_no_reference_cycles():
-    h = build_syk_hamiltonian(sample_syk(8, seed=3))
-    apply_formula(h, 0.2, 2)  # fill the model's lazily built masks
+    # The dense route at 4 qubits, and the folded, fused blocks at 6.
+    calls = [
+        (build_syk_hamiltonian(sample_syk(n_majorana, seed=3)), blocks)
+        for n_majorana, blocks in ((8, False), (12, True))
+    ]
+    for h, blocks in calls:
+        apply_formula(h, 0.2, 2, blocks=blocks)  # fill the model's lazily built masks
     gc.collect()
     gc.disable()
     try:
-        for order in (2, 4):
-            apply_formula(h, 0.2, order)
+        for (h, blocks), order in itertools.product(calls, (2, 4)):
+            apply_formula(h, 0.2, order, blocks=blocks)
         assert gc.collect() == 0
     finally:
         gc.enable()
