@@ -38,12 +38,16 @@ for SYK the particle-hole operator, vx all ones).  The antiunitary V conj
 then commutes with every term, so S_1(-t/2) = V conj(A) V^dag with
 A = S_1(t/2), and S_2(t) = A V A^T V^dag: Gamma stages, one signed
 permutation of A's blocks and one block matmul instead of 2 Gamma stages
-(``_folded_leaf``).  The folded half list also passes over the array once
-per run of equal x masks rather than once per stage: in SYK term order
-that is 246 passes for 495 stages at 6 qubits and 927 for 1820 at 8.  The
+(``_folded_leaf``).  The folded half list also runs in the model's
+merged order (``HamiltonianTerms.stage_schedule``), where each term has
+slid back past the terms it commutes with into the nearest earlier run of
+its x mask, and passes over the array once per run rather than once per
+stage: from SYK term order that is 187 passes for 495 stages at 6 qubits
+and 641 for 1820 at 8.  Commuting exponentials swap exactly, so the
+product, its Trotter error and its circuit are those of term order.  The
 dense result, blocks under CAYLEY_MIN_ROWS rows, order 1 and models
-without V keep the full stage list, one pass per stage, so their bits are
-the flat loop's.
+without V keep the full stage list in term order, one pass per stage, so
+their bits are the flat loop's.
 """
 
 from __future__ import annotations
@@ -64,9 +68,10 @@ from .paulis import check_dense_cap, parity_signs
 from .syk import HamiltonianTerms
 
 # Runs of stages per chunk of precomputed row indices and factors: with
-# int64 indices and complex factors a chunk holds 24 * STAGE_CHUNK * d
-# bytes, about 100 KB at 6 qubits and 1.5 MB at 10; the (D, E) pairs of
-# its fused runs and their indices at most twice that again.
+# int64 indices, complex factors and the int8 row signs they are built from
+# a chunk holds 25 * STAGE_CHUNK * d bytes, about 100 KB at 6 qubits and
+# 1.6 MB at 10; the (D, E) pairs of its fused runs and their indices at
+# most twice that again.
 STAGE_CHUNK = 64
 
 # Node spectra of blocks with fewer rows come from eigvals on the scattered
@@ -145,29 +150,30 @@ def apply_formula(h: HamiltonianTerms, t: float, order: int, *, blocks: bool = F
     basis states of their rows, which is all ``node_spectrum`` needs.
     Blocks of CAYLEY_MIN_ROWS rows or more, at order 2 and up, on a model
     with a time-reversal string, are built with each order-2 leaf folded
-    from its first half (``_folded_leaf``), whose runs of equal x masks are
-    fused into one pass each; they agree with the full stage list to
-    rounding.
+    from its first half (``_folded_leaf``), in the merged order of the
+    model's ``stage_schedule``, whose runs of equal x masks are fused into
+    one pass each; they agree with the full stage list to rounding.  Every
+    route reads the blocks, basis states and row signs from that schedule,
+    built on the model's first formula.
     """
     check_order(order)
     check_dense_cap(h.n_qubits)
-    x, z, q = h.pauli_masks
-    signs = parity_signs(h.n_qubits)
-    split = int(h.n_qubits > 0 and np.all(signs[x] > 0))
-    states = np.argsort(-signs, kind="stable") if split else np.arange(signs.size)
-    loop = ([c for c, _ in h.terms], x >> split, z, q, signs, states, 1 + split)
-    rows = states.reshape(1 + split, -1)
-    half = [(g, 0.5) for g in range(h.n_terms)]
+    sched = h.stage_schedule
+    coeffs, q = [c for c, _ in h.terms], h.pauli_masks[2]
+    loop = (coeffs, sched.shifted, q, sched.row_signs, sched.states, sched.n_blocks)
+    rows = sched.states.reshape(sched.n_blocks, -1)
     fold = None
     if blocks and order > 1 and rows.shape[1] >= CAYLEY_MIN_ROWS and h.time_reversal is not None:
         vx, vz = h.time_reversal
-        swap = np.arange(1 + split) ^ (split * vx.bit_count() % 2)
-        runs = np.diff(np.flatnonzero(np.diff(x >> split, prepend=-1, append=-1)))
-        fold = (swap, np.arange(rows.shape[1]) ^ (vx >> split), signs[rows & vz], runs)
-        leaf = half
+        split = sched.n_blocks - 1
+        swap = np.arange(sched.n_blocks) ^ (split * vx.bit_count() % 2)
+        signs = parity_signs(h.n_qubits)[rows & vz]
+        fold = (swap, np.arange(rows.shape[1]) ^ (vx >> split), signs, sched.runs)
+        leaf = [(g, 0.5) for g in sched.order]
     elif order == 1:
         leaf = [(g, 1.0) for g in range(h.n_terms)]
     else:
+        half = [(g, 0.5) for g in range(h.n_terms)]
         leaf = half + half[::-1]
     ut = _suzuki_blocks(loop, leaf, fold, order, t, None)
     return (ut, rows) if blocks else _scatter(ut, rows)
@@ -215,9 +221,11 @@ def _folded_leaf(
     signed permutation of A^T's transposed blocks, ``fold`` holding the
     block each block reads (the other parity sector when |vx| is odd), the
     row permutation r -> r ^ (vx >> split) within a block and each row's
-    sign.  One block matmul W @ A^T finishes the leaf.  A's stage loop
-    fuses each run of equal x masks, whose lengths ``fold`` also holds, into
-    one pass; it agrees with the unfused loop to rounding.
+    sign.  One block matmul W @ A^T finishes the leaf.  ``half`` is A's
+    stage list in the schedule's merged order, the same product as in term
+    order, and A's stage loop fuses each of its runs of equal x masks, whose
+    lengths ``fold`` also holds, into one pass; it agrees with the unfused
+    term-order loop to rounding.
     """
     swap, perm, signs, runs = fold
     at = _stage_loop(loop, half, t, None, runs)
@@ -236,8 +244,9 @@ def _stage_loop(
     Right-multiplying U by cos(a) I + i sin(a) P mixes column b of U with
     column b ^ x, signed by P's entry; the loop keeps U transposed so that
     those columns are contiguous rows.  ``loop`` holds the term
-    coefficients, shifted x masks, z masks, phases, parity signs, the basis
-    state of each stacked row and the number of blocks.
+    coefficients, shifted x masks, phases, the int8 row signs
+    (-1)^{|b & z|} of every term on every stacked row, the basis state of
+    each stacked row and the number of blocks.
 
     ``runs`` splits the stage list into runs of consecutive stages that
     share a shifted x mask; None makes every stage its own run.  A run maps
@@ -248,11 +257,12 @@ def _stage_loop(
 
     The runs go in chunks of ``STAGE_CHUNK``.  Each chunk's row indices
     r ^ x and first-stage factors i sin(a) q (-1)^{|b & z|} are built in a
-    few vectorized calls, with sin and cos from ``math``.  The D and E of
-    the chunk's longer runs are built together, one flat ``take`` of the
-    stacked (D, E) pairs per position in a run, up to the longest run (4 in
-    SYK order); the runs are sorted longest first so that the live ones at
-    each position are a prefix.  A run itself is then one gather, two
+    few vectorized calls, with sin and cos from ``math`` and the signs
+    gathered from the table.  The D and E of the chunk's longer runs are
+    built together, one flat ``take`` of the stacked (D, E) pairs per
+    position in a run, up to the longest run (4 in SYK order); the runs
+    are sorted longest first so that the live ones at each position are a
+    prefix.  A run itself is then one gather, two
     scalings and one sum on the array; a run of one stage scales by its
     scalar cos.  So with ``runs`` None every element goes through the same
     operations, in the same order, as in a loop that builds each stage's
@@ -265,7 +275,7 @@ def _stage_loop(
     7.2 -> 6.4 us at 6; at 8 the gather alone goes 12.4 -> 11.4 us of a
     65 us stage, and at 10 it stays at 490 us, bound by memory traffic.
     """
-    coeffs, shifted, z, q, signs, states, n_blocks = loop
+    coeffs, shifted, q, row_signs, states, n_blocks = loop
     size = states.size // n_blocks
     rows = np.arange(states.size)
     if start is None:
@@ -281,7 +291,7 @@ def _stage_loop(
     for first in range(0, heads.size, STAGE_CHUNK):
         head, length = heads[first : first + STAGE_CHUNK], lengths[first : first + STAGE_CHUNK]
         gathers = rows ^ shifted[js[head]][:, None]
-        factors = (1j * sines[head] * q[js[head]])[:, None] * signs[states & z[js[head]][:, None]]
+        factors = (1j * sines[head] * q[js[head]])[:, None] * row_signs[js[head]]
         scales = cosines[head].tolist()
         fused = np.flatnonzero(length > 1)
         if fused.size:
@@ -298,9 +308,7 @@ def _stage_loop(
             for p in range(1, lf[0]):
                 live = at[: np.count_nonzero(lf > p)] + p
                 mixed = pairs.take(swap[: live.size])
-                mixed *= (1j * sines[live] * q[js[live]])[:, None, None] * signs[
-                    states & z[js[live]][:, None]
-                ][:, None, :]
+                mixed *= (1j * sines[live] * q[js[live]])[:, None, None] * row_signs[js[live], None]
                 part = pairs[: live.size]
                 part *= cosines[live][:, None, None]
                 part += mixed

@@ -12,10 +12,10 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trottergibbs import trotter
+from trottergibbs import syk, trotter
 from trottergibbs.cli import build_model
 from trottergibbs.linalg import BranchCutError, cayley_eigenphases, max_abs, spectral_norm
-from trottergibbs.paulis import PauliString, pauli_commutes
+from trottergibbs.paulis import PauliString, parity_signs, pauli_commutes
 from trottergibbs.syk import (
     HamiltonianTerms,
     build_syk_hamiltonian,
@@ -255,7 +255,7 @@ def per_stage_loop(loop, stages, t, start, runs=None):
 
     Every stage is its own pass over the array, whatever ``runs`` says.
     """
-    coeffs, shifted, z, q, signs, states, n_blocks = loop
+    coeffs, shifted, q, row_signs, states, n_blocks = loop
     size = states.size // n_blocks
     rows = np.arange(states.size)
     if start is None:
@@ -265,7 +265,7 @@ def per_stage_loop(loop, stages, t, start, runs=None):
     for j, frac in stages:
         angle = frac * t * coeffs[j]
         mixed = ut[rows ^ shifted[j]]
-        mixed *= (1j * math.sin(angle) * q[j] * signs[states & z[j]])[:, None]
+        mixed *= (1j * math.sin(angle) * q[j] * row_signs[j])[:, None]
         ut *= math.cos(angle)
         ut += mixed
     return ut.reshape(n_blocks, size, size)
@@ -478,29 +478,92 @@ ARRANGEMENTS = {"term-order": lambda h: h, "x-sorted": x_sorted, "interleaved": 
 @example((SYK12_MODEL, True), 4, "interleaved", -0.45)
 def test_fused_runs_match_the_per_stage_loop_property(model, order, arrangement, t):
     # Parity-keeping models run two blocks, the others one.  A model without
-    # a time-reversal string is not folded, so it is not fused either; in a
-    # stage list with no repeated adjacent x mask (SYK-10 and SYK-12 dealt
-    # over their x classes) every run has one stage, which scales by its
-    # scalar cos.  Both give the bits of one pass per stage.
+    # a time-reversal string is not folded, so it is not fused either; when
+    # the merged half list has no repeated adjacent x mask (SYK-12 dealt
+    # over its x classes) every run has one stage, which scales by its
+    # scalar cos.  Both give the bits of one pass per stage.  SYK-10 dealt
+    # the same way fuses runs of 2 once merged.
     h = ARRANGEMENTS[arrangement](model[0])
     fused, per_stage = fused_and_per_stage(h, t, order)
-    if h.time_reversal is None or max(run_lengths(h), default=1) == 1:
+    if h.time_reversal is None or max(h.stage_schedule.runs, default=1) == 1:
         assert fused.tobytes() == per_stage.tobytes()
     else:
         assert max_abs(fused - per_stage) <= fold_bound(h, order)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    parity_models(max_terms=40),
+    st.sampled_from((2, 4, 6)),
+    st.sampled_from(sorted(ARRANGEMENTS)),
+    st.floats(-0.6, 0.6, allow_nan=False),
+)
+@example((ONE_BLOCK_RUNS, False), 6, "interleaved", -0.45)
+@example((SYK8, True), 4, "term-order", 0.5)
+@example((SYK10, True), 2, "interleaved", 0.3)
+def test_stage_schedule_merges_only_commuting_terms_property(model, order, arrangement, t):
+    # The merged order is a permutation that swaps only commuting terms, so
+    # its product is the unfolded term-order product; its runs are the
+    # maximal runs of equal shifted x; the row signs are the ones each stage
+    # would compute.  Parity-free models run one block, parity-keeping ones
+    # two, and odd qubit counts (SYK-10 among them) swap V's sectors.
+    h = ARRANGEMENTS[arrangement](model[0])
+    plan = h.stage_schedule
+    x, z, _ = h.pauli_masks
+    assert plan.n_blocks == 1 + model[1]
+    assert sorted(plan.order) == list(range(h.n_terms))
+    place = {j: k for k, j in enumerate(plan.order)}
+    for i, j in itertools.combinations(range(h.n_terms), 2):
+        if place[i] > place[j]:
+            assert pauli_commutes(h.terms[i][1], h.terms[j][1])
+    assert np.array_equal(plan.shifted, x >> (plan.n_blocks - 1))
+    keys = plan.shifted[list(plan.order)].tolist()
+    assert plan.runs.tolist() == [len(list(run)) for _, run in itertools.groupby(keys)]
+    assert plan.row_signs.dtype == np.int8
+    assert np.array_equal(plan.row_signs, parity_signs(h.n_qubits)[plan.states & z[:, None]])
+    folded, unfolded = folded_and_unfolded(h, t, order)
+    assert max_abs(folded - unfolded) <= fold_bound(h, order)
+
+
+@pytest.mark.parametrize("n_majorana, runs, merged", [(12, 246, 187), (16, 927, 641)])
+def test_stage_schedule_run_counts_are_pinned(n_majorana, runs, merged):
+    # SYK term order, and the half list after the commuting merge.
+    h = build_model({**SYK12, "n_majorana": n_majorana})
+    assert len(run_lengths(h)) == runs
+    assert h.stage_schedule.runs.size == merged
+    assert h.stage_schedule.runs.sum() == h.n_terms
+
+
+def test_stage_schedule_is_built_once_per_model_and_not_at_construction(monkeypatch):
+    # Built inside the solve, on the first formula, so the benchmark's model
+    # setup does none of the solve's work; every later formula reuses it.
+    builds = []
+    build = syk.build_stage_schedule
+
+    def counted(h):
+        builds.append(h)
+        return build(h)
+
+    monkeypatch.setattr(syk, "build_stage_schedule", counted)
+    h = build_model(SYK12)
+    assert not builds and "stage_schedule" not in vars(h)
+    for tau in (0.3, 0.7):
+        node_spectrum(h, tau, 4)
+    assert len(builds) == 1 and builds[0] is h
+
+
 @pytest.mark.parametrize(
     "n_majorana, order, share, runs",
-    [(12, 2, 1 / 2, 246), (12, 4, 1 / 5, 2 * 246), (16, 2, 1 / 2, 927)],
+    [(12, 2, 1 / 2, 187), (12, 4, 1 / 5, 2 * 187), (16, 2, 1 / 2, 641)],
     ids=["12-2-0.5", "12-4-0.2", "16-2-0.5"],
 )
 def test_node_spectrum_folds_each_order2_leaf(monkeypatch, n_majorana, order, share, runs):
     # From CAYLEY_MIN_ROWS rows up, a node runs Gamma stages per order-2 leaf
     # instead of 2 Gamma, and passes over the array once per run of equal x
-    # masks in the half list (246 of the 495 SYK-12 stages, 927 of 1820 at
-    # SYK-16); its eigenphases stay within the fold's bound of the unfolded
-    # blocks' phases.  A pass is one row gather, ``take`` on the d x d/2 array.
+    # masks in the commuting-merged half list (187 of the 495 SYK-12 stages,
+    # 641 of 1820 at SYK-16); its eigenphases stay within the fold's bound of
+    # the unfolded blocks' phases.  A pass is one row gather, ``take`` on the
+    # d x d/2 array.
     stage_loop = trotter._stage_loop
     stages = []
 
