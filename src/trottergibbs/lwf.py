@@ -118,8 +118,8 @@ class TaylorSeries:
 
     @property
     def tail_bound(self) -> float:
-        """l1 mass beyond order K; the full series has one-norm exactly 1."""
-        return max(0.0, 1.0 - self.one_norm)
+        """l1 mass beyond order K (``_poisson_tail``)."""
+        return _poisson_tail(self.beta, self.order)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coeffs)
@@ -138,21 +138,37 @@ def gibbs_taylor(beta: float, order: int) -> TaylorSeries:
     return TaylorSeries(beta, coeffs)
 
 
-def taylor_order(beta: float, eps: float) -> int:
-    """Smallest K with exp(-beta) beta^(K+1) / (K+1)! < eps / 8.
+def _poisson_tail(beta: float, order: int) -> float:
+    """exp(-beta) sum_{k > order} beta^k / k!, summed term by term with no floor at 1 - ulp.
 
-    The leading-term rule only bounds the tail once the terms are actually
-    decaying (K >= beta), so the true l1 tail is required to be under the
-    same budget as well.
+    A term is exp(k log beta - beta - lgamma(k + 1)), so no factor leaves the
+    float range alone; past the mode the sum stops at a term too small to move it.
+    """
+    total, k = 0.0, order + 1
+    while 0.0 < beta < math.inf:
+        term = math.exp(k * math.log(beta) - beta - math.lgamma(k + 1))
+        if k > beta and total + term == total:
+            break
+        total, k = total + term, k + 1
+    return total
+
+
+def taylor_order(beta: float, eps: float) -> int:
+    """Smallest K with exp(-beta) beta^(K+1) / (K+1)! < eps / 8 and a tail under the same budget.
+
+    The leading-term rule only bounds the tail (``_poisson_tail``) once the
+    terms decay, K >= beta.  Below K + 1 = beta the tail holds at least half
+    the mass (the Poisson median), so it is summed only from there on.  Past
+    beta 708 exp(-beta), and with it every coefficient, underflows.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
-    k = 0
+    if not math.exp(-beta) >= np.finfo(float).tiny:
+        raise ApproximationError(f"exp(-beta) underflows at beta={beta!r}")
+    k, budget = 0, eps / 8.0
     term = math.exp(-beta) * beta  # order K=0 bound: term for k=1
-    partial = math.exp(-beta)
-    while term >= eps / 8.0 or 1.0 - partial >= eps / 8.0:
+    while k + 1 < beta or term >= budget or _poisson_tail(beta, k) >= budget:
         k += 1
-        partial += term
         term *= beta / (k + 1)
         if k > 10_000:
             raise ApproximationError("Taylor order does not converge")
@@ -449,8 +465,7 @@ def lwf_coefficients(ts: TaylorSeries, delta: float, eps: float) -> FourierAppro
     taylor_tail = ts.tail_bound
     if taylor_tail >= eps / 4.0:
         raise ApproximationError(
-            f"Taylor tail {taylor_tail:.3e} >= eps/4 = {eps / 4.0:.3e}; "
-            "increase the Taylor order",
+            f"Taylor tail {taylor_tail:.3e} at order K={ts.order} >= eps/4 = {eps / 4.0:.3e}",
             split={"taylor_tail": taylor_tail, "eps": eps},
         )
     order, combined, arcsin_tail = _choose_arcsin_order(ts, delta, eps)

@@ -24,6 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .linalg import read_only
 from .paulis import (
     PauliString,
     check_dense_cap,
@@ -81,32 +82,76 @@ def jordan_wigner_majorana(index: int, n_majorana: int) -> tuple[float, PauliStr
 
 @dataclass(frozen=True)
 class StageSchedule:
-    """What every stage loop on one model reads, built once per model.
+    """The one per-model plan every stage loop reads, built on the model's first use.
 
+    ``coeffs`` holds the term coefficients as floats, ``x``, ``z`` and ``q``
+    the strings' masks (P|b> = q (-1)^{|b & z|} |b ^ x>), all read-only.
     When every x mask has even popcount, every term keeps the fermion
     parity of b, so a formula splits into ``n_blocks`` = 2 parity blocks,
-    stored stacked with the even states first; otherwise there is one
-    block.  ``states`` is the basis state of each stacked row, ``shifted``
-    each term's x mask shifted right by ``n_blocks - 1`` (within a sector
-    b is fixed by b >> 1), and ``row_signs`` the (n_terms, d) int8 table of
-    (-1)^{|b & z|} for every term on those states: 5 MB at 10 qubits.
+    stacked with the even states first; otherwise there is one.  ``states``
+    is each stacked row's basis state, ``shifted`` each x mask shifted right
+    by ``n_blocks - 1`` (within a sector b is fixed by b >> 1).
 
-    ``order`` is the half-list term order in which each term has slid back
-    past the terms it commutes with into the nearest earlier run of its
-    shifted x mask (``merged_order``), and ``runs`` the lengths of that
-    order's maximal runs of equal shifted x.  The swaps exchange commuting
-    exponentials only, so the product of a stage list in ``order`` is the
-    same unitary as in term order, with the same circuit.  In SYK term
-    order the merge takes the runs of a half list from 246 to 187 at 6
-    qubits, 927 to 641 at 8 and 2492 to 1623 at 10.
+    Built on first read, so ``dense()`` and ``time_reversal`` never build
+    them: ``row_signs``, the (n_terms, d) int8 table of (-1)^{|b & z|} on
+    the stacked rows that every stage loop reads (5 MB at 10 qubits), and
+    ``merged``, the commuting-merged half-list order that only the folded
+    route reads.
     """
 
+    n_qubits: int
+    coeffs: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    q: np.ndarray
     n_blocks: int
     states: np.ndarray
     shifted: np.ndarray
-    row_signs: np.ndarray
-    order: tuple[int, ...]
-    runs: np.ndarray
+
+    @cached_property
+    def row_signs(self) -> np.ndarray:
+        """The int8 row-sign table, TERM_CHUNK terms at a time."""
+        small = parity_signs(self.n_qubits).astype(np.int8)
+        table = np.empty((self.x.size, self.states.size), dtype=np.int8)
+        for first in range(0, self.x.size, TERM_CHUNK):
+            part = slice(first, first + TERM_CHUNK)
+            table[part] = small[self.states & self.z[part, None]]
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def merged(self) -> tuple[np.ndarray, np.ndarray]:
+        """Term order in which each term joins the nearest run of its shifted x, and run lengths.
+
+        Both are read-only integer arrays.  Terms are taken in index order.
+        Term j walks back over the runs built so far, past every run all of
+        whose terms commute with P_j, and joins the first run with its key
+        at its end; it stops at a run holding a term it does not commute
+        with, and then starts a new run.  So j only passes terms it commutes
+        with, which keeps the product and its circuit, and adjacent runs
+        have different keys: they are the order's maximal runs of equal
+        keys.  A run keeps its x mask and its terms' z masks: P_j commutes
+        with P_m of x mask x_r when |x_j & z_m| and |z_j & x_r| have the
+        same parity.  In SYK order a half list's runs go 246 -> 187 at 6
+        qubits, 927 -> 641 at 8 and 2492 -> 1623 at 10.
+        """
+        runs: list[tuple[int, int, list[int], list[int]]] = []
+        keys, x, z = self.shifted.tolist(), self.x.tolist(), self.z.tolist()
+        for j, (key, xj, zj) in enumerate(zip(keys, x, z)):
+            for run in reversed(runs):
+                run_key, run_x, run_z, members = run
+                if run_key == key:
+                    run_z.append(zj)
+                    members.append(j)
+                    break
+                parity = (zj & run_x).bit_count() & 1
+                if any((xj & zm).bit_count() & 1 != parity for zm in run_z):
+                    runs.append((key, xj, [zj], [j]))
+                    break
+            else:
+                runs.append((key, xj, [zj], [j]))
+        order = read_only([j for *_, members in runs for j in members], np.int64)
+        return order, read_only([len(members) for *_, members in runs], np.int64)
 
 
 @dataclass(frozen=True)
@@ -117,9 +162,9 @@ class HamiltonianTerms:
     the model; the constructor takes any sequence and refuses a coefficient
     that is not ``numbers.Real`` or a string on another qubit count.  Data
     derived from ``terms`` is computed on first use and kept on the
-    instance, read-only: ``pauli_masks``, the strings' fields stacked as
-    arrays, ``time_reversal``, ``stage_schedule``, and through ``kept`` the
-    node spectra and reference eigenvalues.
+    instance, read-only: ``stage_schedule``, the plan that holds the
+    coefficients and masks as arrays, ``time_reversal``, and through
+    ``kept`` the node spectra and reference eigenvalues.
     """
 
     n_qubits: int
@@ -144,17 +189,9 @@ class HamiltonianTerms:
         return len(self.terms)
 
     @cached_property
-    def pauli_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-term x masks, z masks and q, with P|b> = q (-1)^{|b & z|} |b ^ x>."""
-        strings = [s for _, s in self.terms]
-        masks = (
-            np.array([s.x for s in strings], dtype=np.int64),
-            np.array([s.z for s in strings], dtype=np.int64),
-            np.array([s.q for s in strings], dtype=complex),
-        )
-        for array in masks:
-            array.flags.writeable = False
-        return masks
+    def stage_schedule(self) -> StageSchedule:
+        """The model's ``StageSchedule``."""
+        return build_stage_schedule(self)
 
     @cached_property
     def time_reversal(self) -> tuple[int, int] | None:
@@ -162,13 +199,7 @@ class HamiltonianTerms:
 
         Every SYK draw has one: the particle-hole operator, with vx all ones.
         """
-        x, z, _ = self.pauli_masks
-        return time_reversal_string(self.n_qubits, x, z)
-
-    @cached_property
-    def stage_schedule(self) -> StageSchedule:
-        """Blocks, row signs and merged half-list order of every stage loop (``StageSchedule``)."""
-        return build_stage_schedule(self)
+        return time_reversal_string(self.n_qubits, self.stage_schedule.x, self.stage_schedule.z)
 
     def kept(self, key, compute) -> np.ndarray:
         """``compute()`` on the first call with ``key``, then the same read-only array."""
@@ -190,60 +221,25 @@ class HamiltonianTerms:
         basis = np.arange(dim)
         signs = parity_signs(self.n_qubits)
         mat = np.zeros((dim, dim), dtype=complex)
-        coeffs = np.array([c for c, _ in self.terms])
-        x, z, q = self.pauli_masks
+        plan = self.stage_schedule
         for first in range(0, self.n_terms, TERM_CHUNK):
             part = slice(first, first + TERM_CHUNK)
-            values = coeffs[part, None] * (q[part, None] * signs[basis & z[part, None]])
-            np.add.at(mat, (basis ^ x[part, None], basis), values)
+            masked = signs[basis & plan.z[part, None]]
+            values = plan.coeffs[part, None] * (plan.q[part, None] * masked)
+            np.add.at(mat, (basis ^ plan.x[part, None], basis), values)
         return mat
 
 
 def build_stage_schedule(h: HamiltonianTerms) -> StageSchedule:
-    """The model's ``StageSchedule``: row signs TERM_CHUNK terms at a time, then the merge."""
-    x, z, _ = h.pauli_masks
+    """The model's ``StageSchedule``, without the parts built on first read."""
+    x = read_only([s.x for _, s in h.terms], np.int64)
+    z = read_only([s.z for _, s in h.terms], np.int64)
+    q = read_only([s.q for _, s in h.terms], complex)
     signs = parity_signs(h.n_qubits)
     split = int(h.n_qubits > 0 and np.all(signs[x] > 0))
-    states = np.argsort(-signs, kind="stable") if split else np.arange(signs.size)
-    small = signs.astype(np.int8)
-    row_signs = np.empty((h.n_terms, states.size), dtype=np.int8)
-    for first in range(0, h.n_terms, TERM_CHUNK):
-        part = slice(first, first + TERM_CHUNK)
-        row_signs[part] = small[states & z[part, None]]
-    shifted = x >> split
-    order = merged_order(shifted.tolist(), x.tolist(), z.tolist())
-    runs = np.diff(np.flatnonzero(np.diff(shifted[list(order)], prepend=-1, append=-1)))
-    for array in (states, shifted, row_signs, runs):
-        array.flags.writeable = False
-    return StageSchedule(1 + split, states, shifted, row_signs, order, runs)
-
-
-def merged_order(keys: list[int], x: list[int], z: list[int]) -> tuple[int, ...]:
-    """Term order in which each term joins the nearest earlier run of its key it can reach.
-
-    Terms are taken in index order.  Term j walks back over the runs built
-    so far, past every run all of whose terms commute with P_j, and joins
-    the first run with its key at its end; it stops at a run holding a term
-    it does not commute with, and then starts a new run.  So j only passes
-    terms it commutes with, and adjacent runs have different keys.  A run
-    keeps its x mask and its terms' z masks: P_j commutes with P_m of x
-    mask x_r when |x_j & z_m| and |z_j & x_r| have the same parity.
-    """
-    runs: list[tuple[int, int, list[int], list[int]]] = []
-    for j, (key, xj, zj) in enumerate(zip(keys, x, z)):
-        for run in reversed(runs):
-            run_key, run_x, run_z, members = run
-            if run_key == key:
-                run_z.append(zj)
-                members.append(j)
-                break
-            parity = (zj & run_x).bit_count() & 1
-            if any((xj & zm).bit_count() & 1 != parity for zm in run_z):
-                runs.append((key, xj, [zj], [j]))
-                break
-        else:
-            runs.append((key, xj, [zj], [j]))
-    return tuple(j for *_, members in runs for j in members)
+    states = read_only(np.argsort(-signs, kind="stable") if split else np.arange(signs.size))
+    coeffs = read_only([c for c, _ in h.terms], float)
+    return StageSchedule(h.n_qubits, coeffs, x, z, q, 1 + split, states, read_only(x >> split))
 
 
 def build_syk_hamiltonian(c: SykCouplings) -> HamiltonianTerms:

@@ -1,7 +1,7 @@
 """Suzuki product formulas and the effective Hamiltonians they generate.
 
-A product formula of order p applied for time t is a sequence of stages
-(term index, fraction) with
+A product formula of order p applied for time t is a sequence of stages,
+each a term at a fraction of t, with
 
     S_1(t) = prod_g exp(i H_g t)
     S_2(t) = S_1(t/2) S_1(-t/2)^dag
@@ -14,11 +14,12 @@ shrinks as O(|t|^p).
 Each stage exp(i theta c P) = cos(theta c) I + i sin(theta c) P acts on
 the running product as a signed permutation of its columns, so a stage
 costs O(d^2) and never forms a term matrix; d^2/2 when every term keeps
-fermion parity, since only the two parity blocks are stored.  The row
-indices and factors of STAGE_CHUNK stages are built together, so a stage
-makes four numpy calls, its row gather a ``take``; on the folded route
-below, a run of consecutive stages that share an x mask makes those four
-calls once.  Orders 1 and 2 are one such stage loop.  Above that the
+fermion parity, since only the two parity blocks are stored.  A stage
+reads its term from the model's one plan (``HamiltonianTerms.stage_schedule``).
+The row indices and factors of STAGE_CHUNK stages are built together, so
+a stage makes four numpy calls, its row gather a ``take``; on the folded
+route below, a run of consecutive stages that share an x mask makes those
+four calls once.  Orders 1 and 2 are one such stage loop.  Above that the
 recursion is evaluated with reuse: S_{2l-2}(u_l t) is built once and
 squared, so an order-2l formula costs 2^(l-1) order-2 stage loops plus a
 few block matmuls per recursion level, where the circuit it stands for
@@ -38,16 +39,13 @@ for SYK the particle-hole operator, vx all ones).  The antiunitary V conj
 then commutes with every term, so S_1(-t/2) = V conj(A) V^dag with
 A = S_1(t/2), and S_2(t) = A V A^T V^dag: Gamma stages, one signed
 permutation of A's blocks and one block matmul instead of 2 Gamma stages
-(``_folded_leaf``).  The folded half list also runs in the model's
-merged order (``HamiltonianTerms.stage_schedule``), where each term has
-slid back past the terms it commutes with into the nearest earlier run of
-its x mask, and passes over the array once per run rather than once per
-stage: from SYK term order that is 187 passes for 495 stages at 6 qubits
-and 641 for 1820 at 8.  Commuting exponentials swap exactly, so the
-product, its Trotter error and its circuit are those of term order.  The
-dense result, blocks under CAYLEY_MIN_ROWS rows, order 1 and models
-without V keep the full stage list in term order, one pass per stage, so
-their bits are the flat loop's.
+(``_folded_leaf``).  The folded half list also runs in the plan's merged
+order (``StageSchedule.merged``), the same product with commuting terms
+swapped, and passes over the array once per run of equal x masks rather
+than once per stage: from SYK term order that is 187 passes for 495
+stages at 6 qubits and 641 for 1820 at 8.  The dense result, blocks under
+CAYLEY_MIN_ROWS rows, order 1 and models without V keep the full stage
+list in term order, one pass per stage, so their bits are the flat loop's.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ from .linalg import (  # noqa: F401  (eigh_decompose: perfbench probes it here)
     unitary_eigenphases,
 )
 from .paulis import check_dense_cap, parity_signs
-from .syk import HamiltonianTerms
+from .syk import HamiltonianTerms, StageSchedule
 
 # Runs of stages per chunk of precomputed row indices and factors: with
 # int64 indices, complex factors and the int8 row signs they are built from
@@ -138,44 +136,33 @@ def apply_formula(h: HamiltonianTerms, t: float, order: int, *, blocks: bool = F
     5^(l-1) order-2 blocks of the flat circuit.  It agrees with the flat
     product to rounding.
 
-    When every x mask has even popcount (every SYK term does), each term
-    keeps the fermion parity of b, so U is block-diagonal in the even and
-    odd popcount sectors.  The loop then holds only the two d/2 x d/2
-    blocks, stacked as a d x d/2 array with the even states first.  Within
-    a sector b is fixed by b >> 1, so row i mixes with row i ^ (x >> 1).
-    Any parity-flipping term leaves one block of size d.
+    The loop holds U's blocks as the model's plan stacks them: two d/2 x d/2
+    parity blocks when every term keeps fermion parity (``StageSchedule``).
 
     With ``blocks`` the dense scatter is skipped: the result is the
     (n_blocks, size, size) stack of U^T's blocks and the (n_blocks, size)
     basis states of their rows, which is all ``node_spectrum`` needs.
     Blocks of CAYLEY_MIN_ROWS rows or more, at order 2 and up, on a model
     with a time-reversal string, are built with each order-2 leaf folded
-    from its first half (``_folded_leaf``), in the merged order of the
-    model's ``stage_schedule``, whose runs of equal x masks are fused into
-    one pass each; they agree with the full stage list to rounding.  Every
-    route reads the blocks, basis states and row signs from that schedule,
-    built on the model's first formula.
+    from its first half (``_folded_leaf``), in the plan's merged order,
+    whose runs of equal x masks are fused into one pass each; they agree
+    with the full stage list to rounding.
     """
     check_order(order)
     check_dense_cap(h.n_qubits)
-    sched = h.stage_schedule
-    coeffs, q = [c for c, _ in h.terms], h.pauli_masks[2]
-    loop = (coeffs, sched.shifted, q, sched.row_signs, sched.states, sched.n_blocks)
-    rows = sched.states.reshape(sched.n_blocks, -1)
-    fold = None
+    plan = h.stage_schedule
+    rows = plan.states.reshape(plan.n_blocks, -1)
+    terms, runs, fold = np.arange(h.n_terms), None, None
     if blocks and order > 1 and rows.shape[1] >= CAYLEY_MIN_ROWS and h.time_reversal is not None:
         vx, vz = h.time_reversal
-        split = sched.n_blocks - 1
-        swap = np.arange(sched.n_blocks) ^ (split * vx.bit_count() % 2)
-        signs = parity_signs(h.n_qubits)[rows & vz]
-        fold = (swap, np.arange(rows.shape[1]) ^ (vx >> split), signs, sched.runs)
-        leaf = [(g, 0.5) for g in sched.order]
-    elif order == 1:
-        leaf = [(g, 1.0) for g in range(h.n_terms)]
-    else:
-        half = [(g, 0.5) for g in range(h.n_terms)]
-        leaf = half + half[::-1]
-    ut = _suzuki_blocks(loop, leaf, fold, order, t, None)
+        split = plan.n_blocks - 1
+        swap = np.arange(plan.n_blocks) ^ (split * vx.bit_count() % 2)
+        perm = np.arange(rows.shape[1]) ^ (vx >> split)
+        fold = (swap, perm, parity_signs(h.n_qubits)[rows & vz])
+        terms, runs = plan.merged
+    elif order > 1:
+        terms = np.concatenate([terms, terms[::-1]])
+    ut = _suzuki_blocks(plan, (terms, 1.0 if order == 1 else 0.5, runs), fold, order, t, None)
     return (ut, rows) if blocks else _scatter(ut, rows)
 
 
@@ -188,29 +175,35 @@ def _scatter(ut: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _suzuki_blocks(
-    loop: tuple, leaf: list, fold: tuple | None, order: int, t: float, start: np.ndarray | None
+    plan: StageSchedule,
+    leaf: tuple,
+    fold: tuple | None,
+    order: int,
+    t: float,
+    start: np.ndarray | None,
 ) -> np.ndarray:
     """Blocks of S_order(t)^T @ start, start None standing for the identity.
 
     S_2l(t) = O^2 M O^2 with O = S_{2l-2}(u_l t) and M = S_{2l-2}((1-4u_l)t),
     so S_2l(t)^T = Q M^T Q with Q = (O^T)^2: O is built once and squared,
-    and M's stages run on Q @ start.  Orders 1 and 2 run ``leaf``, or with
-    ``fold`` the order-2 leaf from its first half (``_folded_leaf``).  A
-    module-level function, so the recursion leaves no reference cycle.
+    and M's stages run on Q @ start.  Orders 1 and 2 run ``leaf``
+    (``_stage_loop``), or with ``fold`` the order-2 leaf from its first half
+    (``_folded_leaf``).  A module-level function, so the
+    recursion leaves no reference cycle.
     """
     if order <= 2:
         if fold is None:
-            return _stage_loop(loop, leaf, t, start)
-        return _folded_leaf(loop, leaf, fold, t, start)
+            return _stage_loop(plan, leaf, t, start)
+        return _folded_leaf(plan, leaf, fold, t, start)
     u = suzuki_u(order // 2)
-    outer = _suzuki_blocks(loop, leaf, fold, order - 2, u * t, None)
+    outer = _suzuki_blocks(plan, leaf, fold, order - 2, u * t, None)
     square = outer @ outer
     middle = square if start is None else square @ start
-    return square @ _suzuki_blocks(loop, leaf, fold, order - 2, (1.0 - 4.0 * u) * t, middle)
+    return square @ _suzuki_blocks(plan, leaf, fold, order - 2, (1.0 - 4.0 * u) * t, middle)
 
 
 def _folded_leaf(
-    loop: tuple, half: list, fold: tuple, t: float, start: np.ndarray | None
+    plan: StageSchedule, half: tuple, fold: tuple, t: float, start: np.ndarray | None
 ) -> np.ndarray:
     """Blocks of S_2(t)^T @ start from the Gamma stages of A = S_1(t/2) alone.
 
@@ -222,13 +215,12 @@ def _folded_leaf(
     block each block reads (the other parity sector when |vx| is odd), the
     row permutation r -> r ^ (vx >> split) within a block and each row's
     sign.  One block matmul W @ A^T finishes the leaf.  ``half`` is A's
-    stage list in the schedule's merged order, the same product as in term
-    order, and A's stage loop fuses each of its runs of equal x masks, whose
-    lengths ``fold`` also holds, into one pass; it agrees with the unfused
-    term-order loop to rounding.
+    terms in the plan's merged order at fraction 1/2 with that order's
+    runs, and its stage loop fuses each run of equal x masks into one
+    pass, within rounding of the unfused term-order loop.
     """
-    swap, perm, signs, runs = fold
-    at = _stage_loop(loop, half, t, None, runs)
+    swap, perm, signs = fold
+    at = _stage_loop(plan, half, t, None)
     w = np.swapaxes(at, 1, 2)[np.ix_(swap, perm, perm)]
     w *= signs[:, :, None]
     w *= signs[:, None, :]
@@ -237,16 +229,14 @@ def _folded_leaf(
 
 
 def _stage_loop(
-    loop: tuple, stages: list, t: float, start: np.ndarray | None, runs: np.ndarray | None = None
+    plan: StageSchedule, leaf: tuple, t: float, start: np.ndarray | None
 ) -> np.ndarray:
     """Blocks of S(t)^T @ start for one stage list S, start None the identity.
 
-    Right-multiplying U by cos(a) I + i sin(a) P mixes column b of U with
-    column b ^ x, signed by P's entry; the loop keeps U transposed so that
-    those columns are contiguous rows.  ``loop`` holds the term
-    coefficients, shifted x masks, phases, the int8 row signs
-    (-1)^{|b & z|} of every term on every stacked row, the basis state of
-    each stacked row and the number of blocks.
+    ``leaf`` is (js, frac, runs): stage k applies term js[k] at angle
+    a = (frac t) c_j.  Right-multiplying U by cos(a) I + i sin(a) P mixes
+    column b of U with column b ^ x, signed by P's entry; the loop keeps U
+    transposed so that those columns are contiguous rows.
 
     ``runs`` splits the stage list into runs of consecutive stages that
     share a shifted x mask; None makes every stage its own run.  A run maps
@@ -262,28 +252,26 @@ def _stage_loop(
     built together, one flat ``take`` of the stacked (D, E) pairs per
     position in a run, up to the longest run (4 in SYK order); the runs
     are sorted longest first so that the live ones at each position are a
-    prefix.  A run itself is then one gather, two
-    scalings and one sum on the array; a run of one stage scales by its
-    scalar cos.  So with ``runs`` None every element goes through the same
-    operations, in the same order, as in a loop that builds each stage's
-    vectors on its own, and the result is the same bit for bit; a fused run
-    agrees with its stages applied one by one to rounding.
+    prefix.  A run itself is then one gather, two scalings and one sum on
+    the array; a run of one stage scales by its scalar cos.  So with
+    ``runs`` None every element goes through the same operations, in the
+    same order, as in a loop that builds each stage's vectors on its own,
+    and the result is the same bit for bit; a fused run agrees with its
+    stages applied one by one to rounding.
 
-    The gather is ``ut.take(index, 0)``: it copies the same rows as
-    ``ut[index]`` with less overhead per call.  Per SYK order-2 stage on one
-    BLAS thread, fancy indexing -> ``take``: 3.1 -> 2.4 us at 4 qubits and
-    7.2 -> 6.4 us at 6; at 8 the gather alone goes 12.4 -> 11.4 us of a
-    65 us stage, and at 10 it stays at 490 us, bound by memory traffic.
+    The gather is ``ut.take(index, 0)``, the rows of ``ut[index]`` with less
+    overhead per call: 2.4 against 3.1 us per SYK stage at 4 qubits, 6.4
+    against 7.2 at 6, and the same 490 us at 10, bound by memory traffic.
     """
-    coeffs, shifted, q, row_signs, states, n_blocks = loop
-    size = states.size // n_blocks
-    rows = np.arange(states.size)
+    js, frac, runs = leaf
+    shifted, q, row_signs = plan.shifted, plan.q, plan.row_signs
+    rows = np.arange(plan.states.size)
+    size = rows.size // plan.n_blocks
     if start is None:
-        ut = np.tile(np.eye(size, dtype=complex), (n_blocks, 1))
+        ut = np.tile(np.eye(size, dtype=complex), (plan.n_blocks, 1))
     else:
-        ut = start.reshape(states.size, size).copy()
-    js = np.array([j for j, _ in stages], dtype=int)
-    angles = [frac * t * coeffs[j] for j, frac in stages]
+        ut = start.reshape(rows.size, size).copy()
+    angles = ((frac * t) * plan.coeffs[js]).tolist()
     sines = np.array([math.sin(angle) for angle in angles])
     cosines = np.array([math.cos(angle) for angle in angles])
     lengths = np.ones(js.size, dtype=int) if runs is None else runs
@@ -320,7 +308,7 @@ def _stage_loop(
             mixed *= factor
             ut *= scale
             ut += mixed
-    return ut.reshape(n_blocks, size, size)
+    return ut.reshape(plan.n_blocks, size, size)
 
 
 def effective_hamiltonian(h: HamiltonianTerms, tau: float, order: int) -> np.ndarray:

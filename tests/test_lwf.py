@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln
 
 from trottergibbs import lwf
 from trottergibbs.lwf import (
@@ -136,6 +136,45 @@ def test_taylor_order_tail_actually_small():
 def test_taylor_order_domain(eps):
     with pytest.raises(ValueError, match=r"eps must be in \(0, 1\)"):
         taylor_order(1.0, eps)
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.5, 2.0, 8.0, 40.0, 369.0, 700.0])
+def test_taylor_tail_is_the_regularized_gamma_with_no_floor(beta):
+    # exp(-beta) sum_{k > K} beta^k / k! = P(K + 1, beta).  As 1 - one_norm
+    # the tail stalled a few ulps above 0 (or at 0), so budgets below about
+    # 1e-14 were met or missed by rounding; summed directly it follows the
+    # reference down to 1e-22, and taylor_order's K is the smallest whose
+    # leading term and tail both meet eps / 8.
+    for eps in (1e-2, 1e-8, 1e-14, 1e-20):
+        k = taylor_order(beta, eps)
+        for order in (max(0, k - 2), k, k + 3):
+            want = gammainc(order + 1, beta)
+            assert gibbs_taylor(beta, order).tail_bound == pytest.approx(want, rel=1e-11, abs=0.0)
+        assert gammainc(k + 1, beta) < eps / 8
+        if k > 0:
+            lead = math.exp(k * math.log(beta) - beta - gammaln(k + 1))
+            assert lead >= eps / 8 or gammainc(k, beta) >= eps / 8
+    assert gibbs_taylor(beta, taylor_order(beta, 1e-20)).tail_bound < 1e-15
+
+
+def test_taylor_order_refuses_a_beta_whose_coefficients_underflow():
+    # exp(-beta) leaves the normal range past beta 708.4; the partial-sum
+    # check used to run into "does not converge" there, or not, by rounding.
+    assert taylor_order(700.0, 1e-6) == 841
+    for beta in (710.0, 800.0, math.inf, math.nan):
+        with pytest.raises(ApproximationError, match="exp\\(-beta\\) underflows"):
+            taylor_order(beta, 1e-6)
+
+
+def test_taylor_refusal_names_the_order_and_the_tail():
+    # gibbs_fourier takes taylor_order's K, whose tail meets eps / 8; a series
+    # cut shorter by hand is refused, naming its K and its tail.
+    ts = gibbs_taylor(2.0, 3)
+    with pytest.raises(ApproximationError) as exc_info:
+        lwf_coefficients(ts, 0.5, 1e-6)
+    message = str(exc_info.value)
+    assert message == f"Taylor tail {ts.tail_bound:.3e} at order K=3 >= eps/4 = 2.500e-07"
+    assert exc_info.value.split == {"taylor_tail": ts.tail_bound, "eps": 1e-6}
 
 
 def test_gibbs_taylor_domain():

@@ -155,15 +155,18 @@ def test_masks_and_coefficients_are_byte_equal_to_the_letter_reference(spec):
         want = letter_masks(letter_syk_terms(sample_syk(spec["n_majorana"], seed=spec["seed"])))
     else:
         want = letter_masks(spec["terms"])
-    got = (*h.pauli_masks, np.array([c for c, _ in h.terms]))
+    plan = h.stage_schedule
+    got = (plan.x, plan.z, plan.q, plan.coeffs)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_masks_and_terms_are_read_only():
-    # Every formula and dense() read the kept masks, so a write through them
-    # would change the model while its terms stay the same.
+    # Every formula and dense() read the model's plan, so a write through
+    # one of its arrays would change the model while its terms stay the same.
     h = build_syk_hamiltonian(sample_syk(8, seed=7))
-    for array in h.pauli_masks:
+    plan = h.stage_schedule
+    arrays = (plan.coeffs, plan.x, plan.z, plan.q, plan.states, plan.shifted, plan.row_signs)
+    for array in arrays + plan.merged:
         with pytest.raises(ValueError, match="read-only"):
             array[0] *= -1
     with pytest.raises(TypeError):
@@ -367,7 +370,8 @@ def per_term_dense(h):
     basis = np.arange(dim)
     signs = parity_signs(h.n_qubits)
     mat = np.zeros((dim, dim), dtype=complex)
-    for (coeff, _), x, z, q in zip(h.terms, *h.pauli_masks):
+    plan = h.stage_schedule
+    for (coeff, _), x, z, q in zip(h.terms, plan.x, plan.z, plan.q):
         mat[basis ^ x, basis] += coeff * (q * signs[basis & z])
     return mat
 

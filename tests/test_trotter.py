@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trottergibbs import syk, trotter
+from trottergibbs.cheb import exact_partition
 from trottergibbs.cli import build_model
 from trottergibbs.linalg import BranchCutError, cayley_eigenphases, max_abs, spectral_norm
 from trottergibbs.paulis import PauliString, parity_signs, pauli_commutes
@@ -250,25 +251,27 @@ def test_apply_formula_matches_product_oracle_property(model, order, reorder, t)
 SYK8 = normalize_one_norm(build_syk_hamiltonian(sample_syk(8, seed=7)))[0]
 
 
-def per_stage_loop(loop, stages, t, start, runs=None):
+def per_stage_loop(plan, leaf, t, start):
     """``trotter._stage_loop`` with each stage building its own row index and factor.
 
-    Every stage is its own pass over the array, whatever ``runs`` says.
+    Every stage is its own pass over the array, whatever the leaf's runs
+    say, and takes its coefficient, masks and row signs from the plan one
+    term at a time, at the per-stage angle frac * t * c_j.
     """
-    coeffs, shifted, q, row_signs, states, n_blocks = loop
-    size = states.size // n_blocks
-    rows = np.arange(states.size)
+    js, frac, _ = leaf
+    size = plan.states.size // plan.n_blocks
+    rows = np.arange(plan.states.size)
     if start is None:
-        ut = np.tile(np.eye(size, dtype=complex), (n_blocks, 1))
+        ut = np.tile(np.eye(size, dtype=complex), (plan.n_blocks, 1))
     else:
-        ut = start.reshape(states.size, size).copy()
-    for j, frac in stages:
-        angle = frac * t * coeffs[j]
-        mixed = ut[rows ^ shifted[j]]
-        mixed *= (1j * math.sin(angle) * q[j] * row_signs[j])[:, None]
+        ut = start.reshape(plan.states.size, size).copy()
+    for j in js.tolist():
+        angle = frac * t * float(plan.coeffs[j])
+        mixed = ut[rows ^ plan.shifted[j]]
+        mixed *= (1j * math.sin(angle) * plan.q[j] * plan.row_signs[j])[:, None]
         ut *= math.cos(angle)
         ut += mixed
-    return ut.reshape(n_blocks, size, size)
+    return ut.reshape(plan.n_blocks, size, size)
 
 
 @settings(max_examples=60, deadline=None)
@@ -340,9 +343,9 @@ def test_recursion_runs_a_share_of_the_flat_stages(monkeypatch, order, share):
     stage_loop = trotter._stage_loop
     updates = []
 
-    def counted(loop, stages, t, start):
-        updates.append(len(stages))
-        return stage_loop(loop, stages, t, start)
+    def counted(plan, leaf, t, start):
+        updates.append(len(leaf[0]))
+        return stage_loop(plan, leaf, t, start)
 
     monkeypatch.setattr(trotter, "_stage_loop", counted)
     h = random_pauli_model(np.random.default_rng(29), 3, 4, scale=0.3)
@@ -418,7 +421,7 @@ def x_sorted(h):
 
 
 def run_lengths(h):
-    return [len(list(run)) for _, run in itertools.groupby(h.pauli_masks[0].tolist())]
+    return [len(list(run)) for _, run in itertools.groupby(h.stage_schedule.x.tolist())]
 
 
 def fused_and_per_stage(h, t, order):
@@ -485,7 +488,7 @@ def test_fused_runs_match_the_per_stage_loop_property(model, order, arrangement,
     # the same way fuses runs of 2 once merged.
     h = ARRANGEMENTS[arrangement](model[0])
     fused, per_stage = fused_and_per_stage(h, t, order)
-    if h.time_reversal is None or max(h.stage_schedule.runs, default=1) == 1:
+    if h.time_reversal is None or max(h.stage_schedule.merged[1], default=1) == 1:
         assert fused.tobytes() == per_stage.tobytes()
     else:
         assert max_abs(fused - per_stage) <= fold_bound(h, order)
@@ -509,18 +512,18 @@ def test_stage_schedule_merges_only_commuting_terms_property(model, order, arran
     # two, and odd qubit counts (SYK-10 among them) swap V's sectors.
     h = ARRANGEMENTS[arrangement](model[0])
     plan = h.stage_schedule
-    x, z, _ = h.pauli_masks
+    merged, runs = plan.merged
     assert plan.n_blocks == 1 + model[1]
-    assert sorted(plan.order) == list(range(h.n_terms))
-    place = {j: k for k, j in enumerate(plan.order)}
+    assert sorted(merged.tolist()) == list(range(h.n_terms))
+    place = {j: k for k, j in enumerate(merged.tolist())}
     for i, j in itertools.combinations(range(h.n_terms), 2):
         if place[i] > place[j]:
             assert pauli_commutes(h.terms[i][1], h.terms[j][1])
-    assert np.array_equal(plan.shifted, x >> (plan.n_blocks - 1))
-    keys = plan.shifted[list(plan.order)].tolist()
-    assert plan.runs.tolist() == [len(list(run)) for _, run in itertools.groupby(keys)]
+    assert np.array_equal(plan.shifted, plan.x >> (plan.n_blocks - 1))
+    keys = plan.shifted[merged].tolist()
+    assert runs.tolist() == [len(list(run)) for _, run in itertools.groupby(keys)]
     assert plan.row_signs.dtype == np.int8
-    assert np.array_equal(plan.row_signs, parity_signs(h.n_qubits)[plan.states & z[:, None]])
+    assert np.array_equal(plan.row_signs, parity_signs(h.n_qubits)[plan.states & plan.z[:, None]])
     folded, unfolded = folded_and_unfolded(h, t, order)
     assert max_abs(folded - unfolded) <= fold_bound(h, order)
 
@@ -530,13 +533,16 @@ def test_stage_schedule_run_counts_are_pinned(n_majorana, runs, merged):
     # SYK term order, and the half list after the commuting merge.
     h = build_model({**SYK12, "n_majorana": n_majorana})
     assert len(run_lengths(h)) == runs
-    assert h.stage_schedule.runs.size == merged
-    assert h.stage_schedule.runs.sum() == h.n_terms
+    _, runs = h.stage_schedule.merged
+    assert runs.size == merged and runs.sum() == h.n_terms
 
 
 def test_stage_schedule_is_built_once_per_model_and_not_at_construction(monkeypatch):
     # Built inside the solve, on the first formula, so the benchmark's model
     # setup does none of the solve's work; every later formula reuses it.
+    # The dense reference and the time-reversal solve read only the masks,
+    # so they leave the row-sign table and the merge unbuilt, and only the
+    # folded route (6 qubits and up) builds the merge.
     builds = []
     build = syk.build_stage_schedule
 
@@ -544,12 +550,24 @@ def test_stage_schedule_is_built_once_per_model_and_not_at_construction(monkeypa
         builds.append(h)
         return build(h)
 
+    def built(h):
+        return {"row_signs", "merged"} & set(vars(h.stage_schedule))
+
     monkeypatch.setattr(syk, "build_stage_schedule", counted)
-    h = build_model(SYK12)
+    small, h = build_model(SYK8_DOC), build_model(SYK12)
     assert not builds and "stage_schedule" not in vars(h)
-    for tau in (0.3, 0.7):
-        node_spectrum(h, tau, 4)
-    assert len(builds) == 1 and builds[0] is h
+    h.dense()
+    exact_partition(h, 1.0)
+    assert h.time_reversal is not None
+    assert builds == [h] and built(h) == set()
+    node_spectrum(small, 0.3, 2)
+    assert builds == [h, small] and built(small) == {"row_signs"}
+    plan = h.stage_schedule
+    node_spectrum(h, 0.3, 4)
+    merged = plan.merged
+    node_spectrum(h, 0.7, 4)
+    assert builds == [h, small] and built(h) == {"row_signs", "merged"}
+    assert h.stage_schedule is plan and plan.merged is merged
 
 
 @pytest.mark.parametrize(
@@ -567,9 +585,9 @@ def test_node_spectrum_folds_each_order2_leaf(monkeypatch, n_majorana, order, sh
     stage_loop = trotter._stage_loop
     stages = []
 
-    def counted(loop, leaf, *args):
-        stages.append(len(leaf))
-        return stage_loop(loop, leaf, *args)
+    def counted(plan, leaf, *args):
+        stages.append(len(leaf[0]))
+        return stage_loop(plan, leaf, *args)
 
     h = build_model({**SYK12, "n_majorana": n_majorana})
     tau = 0.7
