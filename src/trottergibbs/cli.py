@@ -345,9 +345,8 @@ def cmd_lwf_convergence(cfg: dict, out_dir: Path) -> list[Path]:
                 fa = gibbs_fourier(beta, delta, eps)
                 sup = fa.certify()  # measured on CERT_GRID points, so reused there
             except ApproximationError as err:
-                raise ApproximationError(
-                    f"lwf-convergence: beta={beta!r}, eps={eps!r}: {err}", err.split
-                ) from err
+                where = f"lwf-convergence: beta={beta!r}, eps={eps!r}"
+                raise ApproximationError(f"{where}: {err}") from err
             if cfg["grid_points"] != CERT_GRID:
                 sup = fa.sup_error(cfg["grid_points"])
             rows.append(("lwf", beta, fa.M, sup))

@@ -6,7 +6,7 @@ callers and branch-cut handling in the matrix logarithm is explicit.
 Eigenphases come from the general ``eigvals`` (``unitary_eigenphases``) or,
 for a stack of unitary blocks whose phases are bounded away from the cut,
 from one Hermitian eigensolve of their Cayley transforms
-(``cayley_eigenphases``).
+(``cayley_eigenphases``).  A NaN deviation fails every tolerance check.
 
 SciPy is imported only inside ``unitary_decompose``, which
 ``matrix_log_unitary`` calls: the pipeline never calls either, so
@@ -56,14 +56,14 @@ def spectral_norm(a: np.ndarray) -> float:
 
 def assert_hermitian(a: np.ndarray, what: str = "matrix"):
     dev = max_abs(a - a.conj().T)
-    if dev > HERMITIAN_TOL:
+    if not dev <= HERMITIAN_TOL:
         raise ToleranceError(f"{what} is not Hermitian: deviation {dev:.3e} > {HERMITIAN_TOL:.3e}")
 
 
 def assert_unitary(a: np.ndarray, what: str = "matrix"):
     """Checks one matrix, or each matrix of a stack along the leading axes."""
     dev = max_abs(np.swapaxes(a, -1, -2).conj() @ a - np.eye(a.shape[-1]))
-    if dev > UNITARY_TOL:
+    if not dev <= UNITARY_TOL:
         raise ToleranceError(f"{what} is not unitary: deviation {dev:.3e} > {UNITARY_TOL:.3e}")
 
 
@@ -74,7 +74,7 @@ def spectral_apply(eigenvectors: np.ndarray, fvals: np.ndarray) -> np.ndarray:
 
 def _checked(eigenvalues, eigenvectors, original) -> tuple[np.ndarray, np.ndarray]:
     dev = max_abs(spectral_apply(eigenvectors, eigenvalues) - original)
-    if dev > RECONSTRUCTION_TOL:
+    if not dev <= RECONSTRUCTION_TOL:
         raise ToleranceError(f"spectral reconstruction off by {dev:.3e} > {RECONSTRUCTION_TOL:.3e}")
     return eigenvalues, eigenvectors
 
@@ -108,7 +108,7 @@ def _principal_phases(eigenvalues: np.ndarray) -> np.ndarray:
     the principal branch is discontinuous there.
     """
     mods = np.abs(eigenvalues)
-    if max_abs(mods - 1.0) > UNITARY_TOL:
+    if not max_abs(mods - 1.0) <= UNITARY_TOL:
         raise ToleranceError("eigenvalues are not on the unit circle")
     phases = np.angle(eigenvalues)
     if np.any(np.pi - np.abs(phases) < BRANCH_GAP):
@@ -152,7 +152,7 @@ def cayley_eigenphases(blocks: np.ndarray, phase_bound: float) -> np.ndarray:
         tangents = np.linalg.eigvalsh(cayley).ravel()
         if max_abs(tangents) <= CAYLEY_NORM_CAP:
             dev = max_abs(cayley - np.swapaxes(cayley, -1, -2).conj())
-            if dev > DISCARD_TOL:
+            if not dev <= DISCARD_TOL:
                 raise ToleranceError(
                     f"Cayley transform is not Hermitian: deviation {dev:.3e} > {DISCARD_TOL:.3e}"
                 )
@@ -182,6 +182,6 @@ def hermitian_part(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     """(a + a^dag)/2, asserting the discarded anti-Hermitian part is within DISCARD_TOL."""
     herm = 0.5 * (a + a.conj().T)
     dev = max_abs(a - herm)
-    if dev > DISCARD_TOL:
+    if not dev <= DISCARD_TOL:
         raise ToleranceError(f"anti-Hermitian part of {what} is {dev:.3e} > {DISCARD_TOL:.3e}")
     return herm

@@ -21,18 +21,19 @@ arcsin series, itself a slice of one series kept up to ARCSIN_CAP.  A
 lower bound on every order's tail, from partial sums of that series and a
 closed form past the cap, is computed first: orders it proves too short
 run no pass, and a budget that even ARCSIN_CAP cannot meet is refused
-before any.  The collapse to frequencies then reads one log-factorial
-table.  That table, log n! for n = 0..ARCSIN_CAP, is built once per
-process in scalar Python from Cephes' ``lgam`` recurrence, which matches
-SciPy's ``gammaln`` bit for bit on these integers; the coefficients
-depend on those last bits, and the module needs nothing beyond NumPy.
+before any.  Each refusal names the number that decided it.  The
+collapse to frequencies then reads one log-factorial table.  That table,
+log n! for n = 0..ARCSIN_CAP, is built once per process in scalar Python
+from Cephes' ``lgam`` recurrence, which matches SciPy's ``gammaln`` bit
+for bit on these integers; the coefficients depend on those last bits,
+and the module needs nothing beyond NumPy.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,11 +92,7 @@ def _log_factorials() -> np.ndarray:
 
 
 class ApproximationError(ValueError):
-    """Requested accuracy is unattainable; carries the error split."""
-
-    def __init__(self, message: str, split: dict | None = None):
-        super().__init__(message)
-        self.split = split or {}
+    """Requested accuracy is unattainable; the message names the number that decided it."""
 
 
 @dataclass(frozen=True)
@@ -125,14 +122,21 @@ class TaylorSeries:
         return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coeffs)
 
 
-def gibbs_taylor(beta: float, order: int) -> TaylorSeries:
-    """Taylor coefficients of exp(-beta (x+1)) up to the given order."""
+def _exp_neg_beta(beta: float) -> float:
+    """exp(-beta), the factor of every Taylor coefficient, for a beta >= 0 that keeps it normal."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
+    if not math.exp(-beta) >= np.finfo(float).tiny:  # NaN, inf and beta past about 708.4
+        raise ApproximationError(f"exp(-beta) underflows at beta={beta!r}")
+    return math.exp(-beta)
+
+
+def gibbs_taylor(beta: float, order: int) -> TaylorSeries:
+    """Taylor coefficients of exp(-beta (x+1)) up to the given order; ``_exp_neg_beta``'s domain."""
     if order < 0:
         raise ValueError("order must be >= 0")
     coeffs = np.empty(order + 1)
-    coeffs[0] = math.exp(-beta)
+    coeffs[0] = _exp_neg_beta(beta)
     for k in range(1, order + 1):
         coeffs[k] = coeffs[k - 1] * (-beta) / k
     return TaylorSeries(beta, coeffs)
@@ -158,15 +162,13 @@ def taylor_order(beta: float, eps: float) -> int:
 
     The leading-term rule only bounds the tail (``_poisson_tail``) once the
     terms decay, K >= beta.  Below K + 1 = beta the tail holds at least half
-    the mass (the Poisson median), so it is summed only from there on.  Past
-    beta 708 exp(-beta), and with it every coefficient, underflows.
+    the mass (the Poisson median), so it is summed only from there on.
+    Its beta domain is ``gibbs_taylor``'s.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
-    if not math.exp(-beta) >= np.finfo(float).tiny:
-        raise ApproximationError(f"exp(-beta) underflows at beta={beta!r}")
     k, budget = 0, eps / 8.0
-    term = math.exp(-beta) * beta  # order K=0 bound: term for k=1
+    term = _exp_neg_beta(beta) * beta  # order K=0 bound: term for k=1
     while k + 1 < beta or term >= budget or _poisson_tail(beta, k) >= budget:
         k += 1
         term *= beta / (k + 1)
@@ -200,39 +202,27 @@ def lwf_order(one_norm_a: float, delta: float, eps: float) -> int:
         raise ValueError("delta must be in (0, 1]")
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
-    if one_norm_a <= 0:
+    if not one_norm_a > 0:
         raise ValueError("one_norm_a must be positive")
     return max(2 * math.ceil(math.log(4.0 * one_norm_a / eps) / delta), 0)
 
 
 @dataclass(frozen=True)
 class FourierApprox:
-    """Assembled coefficients c_m, m = -M..M, and the a-priori error split."""
+    """Assembled coefficients c_m, m = -M..M, for inverse temperature beta on the window delta."""
 
     beta: float
     delta: float
     M: int
     c: np.ndarray  # complex, index m + M
     eps: float
-    diagnostics: dict = field(default_factory=dict)
-    series: np.ndarray | None = None  # the y-series B_l that c was collapsed from, if known
 
     def __post_init__(self):
         object.__setattr__(self, "c", read_only(self.c, complex))
-        if self.series is not None:
-            object.__setattr__(self, "series", read_only(self.series, float))
 
     @property
     def one_norm(self) -> float:
         return float(np.sum(np.abs(self.c)))
-
-    @property
-    def binomial_dropped(self) -> float | None:
-        """l1 mass the window |m| <= M drops from the binomial collapse; None without ``series``.
-
-        No node reads it, so it is computed on each read, not with the coefficients.
-        """
-        return None if self.series is None else _binomial_dropped(self.series, self.M)
 
     def reconstruct(self, x: np.ndarray) -> np.ndarray:
         """sum_m c_m exp(i pi m x / 2), in balanced chunks of at most CERT_GRID points.
@@ -260,13 +250,11 @@ class FourierApprox:
         return float(np.max(np.abs(np.exp(-self.beta * (grid + 1.0)) - self.reconstruct(grid))))
 
     def certify(self) -> float:
-        """Sup error on CERT_GRID window points; past eps, ApproximationError with the split."""
+        """Sup error on CERT_GRID window points; past eps, an ApproximationError naming it."""
         sup_err = self.sup_error()
         if sup_err > self.eps:
             raise ApproximationError(
-                f"certificate failed: grid error {sup_err:.3e} > eps {self.eps:.3e}",
-                split={**self.diagnostics, "binomial_dropped": self.binomial_dropped,
-                       "grid_sup_error": sup_err},
+                f"certificate failed: grid error {sup_err:.3e} > eps {self.eps:.3e}"
             )
         return sup_err
 
@@ -348,26 +336,26 @@ def _arcsin_tail_bounds(ts: TaylorSeries, delta: float) -> dict[int, float]:
     return dict(zip(ARCSIN_ORDERS, np.maximum(lb - rounding, 0.0).tolist()))
 
 
-def _choose_arcsin_order(
-    ts: TaylorSeries, delta: float, eps: float
-) -> tuple[int, np.ndarray, float]:
-    """Double the arcsin order until its tail is below eps/8: (order, B_l, tail).
+def _choose_arcsin_order(ts: TaylorSeries, delta: float, eps: float) -> np.ndarray:
+    """Double the arcsin order until its tail is below eps/8; return that pass's B_l.
 
     An order whose ``_arcsin_tail_bounds`` entry reaches eps/8 would fail its
     pass, so it is skipped, and when ARCSIN_CAP's does the budget is refused
-    before any pass runs.  The order returned is the one plain doubling
-    returns, from the same pass.
+    before any pass runs, naming that bound; a refusal after the pass at the
+    cap names its tail.  The order accepted is the one plain doubling
+    accepts, from the same pass.
     """
-    refusal = f"arcsin truncation at L={ARCSIN_CAP} cannot reach eps={eps:.3e}"
+    budget = eps / 8.0
+    msg = f"arcsin truncation at L={ARCSIN_CAP} cannot reach eps={eps:.3e}: tail"
     bounds = _arcsin_tail_bounds(ts, delta)
-    if bounds[ARCSIN_CAP] >= eps / 8.0:
-        raise ApproximationError(refusal, split={"arcsin_tail_bound": bounds[ARCSIN_CAP]})
+    if bounds[ARCSIN_CAP] >= budget:
+        raise ApproximationError(f"{msg} bound {bounds[ARCSIN_CAP]:.3e} >= eps/8 = {budget:.3e}")
     for order, bound in bounds.items():
-        if bound < eps / 8.0:
+        if bound < budget:
             combined, tail = _arcsin_pass(ts, delta, order)
-            if tail < eps / 8.0:
-                return order, combined, tail
-    raise ApproximationError(refusal, split={"arcsin_tail": tail})
+            if tail < budget:
+                return combined
+    raise ApproximationError(f"{msg} {tail:.3e} >= eps/8 = {budget:.3e}")
 
 
 def _row_sums(pad: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -392,12 +380,6 @@ def _row_blocks(width: np.ndarray):
         yield (rows, keep, *np.nonzero(keep))
 
 
-def _pmf(l: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """binom(l, j) / 2^l from the log-factorial table."""
-    log_fact = _log_factorials()
-    return np.exp(log_fact[l] - log_fact[j] - log_fact[l - j] - l * LN2)
-
-
 def _assemble(combined: np.ndarray, m_cut: int) -> np.ndarray:
     """Collapse the triple sum to coefficients c_m, |m| <= m_cut.
 
@@ -411,6 +393,7 @@ def _assemble(combined: np.ndarray, m_cut: int) -> np.ndarray:
     """
     order = len(combined) - 1
     i_pow = np.array([1, 1j, -1, -1j])  # exact powers of i
+    log_fact = _log_factorials()
 
     # Entry k of the row of frequency m has l = |m| + 2k <= order.  Row sums of the sorted
     # rows give the bits of a loop per frequency.  Rows go in |m| order, 0, 1, -1, 2, -2, ...:
@@ -426,7 +409,8 @@ def _assemble(combined: np.ndarray, m_cut: int) -> np.ndarray:
         lsub = np.abs(m) + 2 * k
         j = (lsub + m) // 2
         signs = np.where(j % 2 == 0, 1.0, -1.0)
-        vals = combined[lsub] * i_pow[lsub % 4] * signs * _pmf(lsub, j)
+        pmf = np.exp(log_fact[lsub] - log_fact[j] - log_fact[lsub - j] - lsub * LN2)
+        vals = combined[lsub] * i_pow[lsub % 4] * signs * pmf
         pad = np.zeros(keep.shape, dtype=complex)
         pad[keep] = vals
         mag = np.full(keep.shape, np.inf)
@@ -436,47 +420,21 @@ def _assemble(combined: np.ndarray, m_cut: int) -> np.ndarray:
     return c
 
 
-def _binomial_dropped(combined: np.ndarray, m_cut: int) -> float:
-    """l1 mass of the binomial tails j <= (l - m_cut - 1) // 2 that frequencies past m_cut drop.
-
-    Tail rows, one per l > m_cut, are laid out and summed as ``_assemble``
-    lays out its frequency rows, and a sequential ``cumsum`` adds them up:
-    the bits of a loop over l.
-    """
-    order = len(combined) - 1
-    ls = np.arange(m_cut + 1, order + 1)
-    width = (ls - m_cut + 1) // 2
-    tails = np.empty(len(ls))
-    for rows, keep, run, j in _row_blocks(width):
-        pad = np.zeros(keep.shape)
-        pad[keep] = _pmf(ls[rows][run], j)
-        tails[rows] = _row_sums(pad, width[rows])
-    return float(np.cumsum(np.concatenate([[0.0], 2.0 * np.abs(combined[ls]) * tails]))[-1])
-
-
 def lwf_coefficients(ts: TaylorSeries, delta: float, eps: float) -> FourierApprox:
     """Assemble the Fourier coefficients; ``FourierApprox.certify`` checks them on the window.
 
-    Raises ApproximationError, with the Taylor/arcsin error split, when the
-    requested eps is out of reach for the given Taylor order or arcsin cap,
-    or when the assembled one-norm exceeds the Taylor one-norm.
+    Raises ApproximationError, naming the tail or norm that decided it, when
+    the requested eps is out of reach for the given Taylor order or arcsin
+    cap, or when the assembled one-norm exceeds the Taylor one-norm.
     """
     m_cut = lwf_order(ts.one_norm, delta, eps)
     taylor_tail = ts.tail_bound
     if taylor_tail >= eps / 4.0:
         raise ApproximationError(
-            f"Taylor tail {taylor_tail:.3e} at order K={ts.order} >= eps/4 = {eps / 4.0:.3e}",
-            split={"taylor_tail": taylor_tail, "eps": eps},
+            f"Taylor tail {taylor_tail:.3e} at order K={ts.order} >= eps/4 = {eps / 4.0:.3e}"
         )
-    order, combined, arcsin_tail = _choose_arcsin_order(ts, delta, eps)
-    diagnostics = {
-        "taylor_order": ts.order,
-        "arcsin_order": order,
-        "taylor_tail": taylor_tail,
-        "arcsin_tail": arcsin_tail,
-    }
-    c = _assemble(combined, m_cut)
-    approx = FourierApprox(ts.beta, delta, m_cut, c, eps, diagnostics, series=combined)
+    c = _assemble(_choose_arcsin_order(ts, delta, eps), m_cut)
+    approx = FourierApprox(ts.beta, delta, m_cut, c, eps)
     if approx.one_norm > ts.one_norm + 1e-12:
         raise ApproximationError(
             f"one-norm grew: ||c||_1 = {approx.one_norm:.6f} > ||a||_1 = {ts.one_norm:.6f}"

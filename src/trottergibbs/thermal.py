@@ -185,7 +185,7 @@ def boltzmann_oracle(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if beta < 0.0:
+    if not beta >= 0.0:
         raise ValueError("beta must be nonnegative")
     spectrum = np.asarray(spectrum)
     if beta == 0.0:

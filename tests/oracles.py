@@ -90,8 +90,8 @@ def choose_arcsin_order_reference(ts, delta: float, eps: float):
             return order, combined, tail
         if order >= ARCSIN_CAP:
             raise ApproximationError(
-                f"arcsin truncation at L={order} cannot reach eps={eps:.3e}",
-                split={"arcsin_tail": tail},
+                f"arcsin truncation at L={order} cannot reach eps={eps:.3e}: "
+                f"tail {tail:.3e} >= eps/8 = {eps / 8.0:.3e}"
             )
         order *= 2
 

@@ -376,9 +376,11 @@ def test_unreachable_arcsin_budget_exits_3_before_any_arcsin_pass(tmp_path, caps
     # ideal-w at beta 700 asks the Fourier builder for eps 3.1e-21 on a
     # window of delta 1.4e-3.  The tail bound at the arcsin cap refuses it
     # before any pass; the seven passes up to the cap used to take over a second.
-    calls = []
-    real = lwf._arcsin_pass
+    # The refusal names that bound, which is at least eps/8.
+    calls, searches = [], []
+    real, search = lwf._arcsin_pass, lwf._choose_arcsin_order
     monkeypatch.setattr(lwf, "_arcsin_pass", lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(lwf, "_choose_arcsin_order", lambda *a: searches.append(a) or search(*a))
     doc = {"model": {"kind": "pauli", "n_qubits": 1, "terms": [[1.0, "Z"]]}, "mode": "ideal-w",
            "beta": 700.0, "eps_qsp": 1e-12, "base_step": 0.41, "order": 2, "m_cheb": 6}
     cfg = write_config(tmp_path, "cfg.json", doc)
@@ -388,6 +390,10 @@ def test_unreachable_arcsin_budget_exits_3_before_any_arcsin_pass(tmp_path, caps
     node, reason = payload["error"]["message"].split(": ", 1)
     assert node.startswith("node 1 (s_k=")
     assert reason.startswith("arcsin truncation at L=4096 cannot reach eps=")
+    ts, delta, eps = searches[-1]
+    bound = lwf._arcsin_tail_bounds(ts, delta)[4096]
+    assert reason.endswith(f": tail bound {bound:.3e} >= eps/8 = {eps / 8.0:.3e}")
+    assert bound >= eps / 8.0
     assert calls == []
     assert not out.exists()
 

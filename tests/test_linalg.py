@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trottergibbs import linalg
 from trottergibbs.linalg import (
     BRANCH_GAP,
     CAYLEY_NORM_CAP,
@@ -160,6 +161,59 @@ def test_hermitian_part_guard():
     assert np.allclose(hermitian_part(a), np.array([[0, 1], [1, 0]]))
     with pytest.raises(ToleranceError, match="anti-Hermitian part of test input"):
         hermitian_part(a + np.array([[0.0, 1e-9], [0.0, 0.0]]), what="test input")
+
+
+def eye_with_nan(dim: int = 4) -> np.ndarray:
+    """The identity with one NaN entry off the diagonal; ``max_abs`` of any deviation is NaN."""
+    a = np.eye(dim, dtype=complex)
+    a[1, 2] = math.nan
+    return a
+
+
+# Each guard reads ``not dev <= TOL``: as ``dev > TOL`` a NaN deviation passed it.
+def test_assert_hermitian_refuses_nan():
+    with pytest.raises(ToleranceError, match="not Hermitian: deviation nan"):
+        assert_hermitian(eye_with_nan())
+
+
+def test_assert_unitary_refuses_nan():
+    with pytest.raises(ToleranceError, match="not unitary: deviation nan"):
+        assert_unitary(eye_with_nan())
+
+
+def test_spectral_reconstruction_check_refuses_nan():
+    with pytest.raises(ToleranceError, match="spectral reconstruction off by nan"):
+        linalg._checked(np.array([1.0, math.nan]), np.eye(2), np.eye(2))
+
+
+def test_hermitian_part_refuses_nan():
+    with pytest.raises(ToleranceError, match="anti-Hermitian part of matrix is nan"):
+        hermitian_part(eye_with_nan())
+
+
+def test_principal_phases_refuse_nan():
+    # Used to return [nan, 0.].
+    with pytest.raises(ToleranceError, match="not on the unit circle"):
+        linalg._principal_phases(np.array([math.nan, 1.0]))
+
+
+def test_cayley_route_refuses_nan(monkeypatch):
+    # A NaN block used to end in a bare LinAlgError from eigvalsh; it is now
+    # refused as not unitary.  A NaN the unitary check cannot see, put in the
+    # upper triangle of C that eigvalsh does not read, fails the Hermitian check.
+    with pytest.raises(ToleranceError, match="not unitary: deviation nan"):
+        cayley_eigenphases(eye_with_nan()[None], 0.5)
+    real_solve = np.linalg.solve
+
+    def solve_with_nan(a, b):
+        out = real_solve(a, b)
+        out[..., 0, 1] = math.nan
+        return out
+
+    monkeypatch.setattr(np.linalg, "solve", solve_with_nan)
+    blocks = unitary_stack(2, np.array([[0.1, -0.2, 0.3]]))
+    with pytest.raises(ToleranceError, match="Cayley transform is not Hermitian: deviation nan"):
+        cayley_eigenphases(blocks, 0.5)
 
 
 def test_assertion_helpers():

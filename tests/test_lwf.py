@@ -5,6 +5,7 @@ the approximation is a trigonometric series sum_m c_m exp(i pi m x / 2).
 """
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -45,7 +46,6 @@ def assemble_reference(combined, m_cut):
     log_fact = gammaln(ls + 1)
     i_pow = np.array([1, 1j, -1, -1j])
     c = np.zeros(2 * m_cut + 1, dtype=complex)
-    dropped = 0.0
 
     def pmf(l, j):
         return np.exp(log_fact[l] - log_fact[j] - log_fact[l - j] - l * LN2)
@@ -59,16 +59,7 @@ def assemble_reference(combined, m_cut):
         vals = combined[lsub] * i_pow[lsub % 4] * signs * pmf(lsub, j)
         vals = vals[np.argsort(np.abs(vals))]
         c[m + m_cut] = np.sum(vals)
-    for l in range(m_cut + 1, order + 1):
-        j = np.arange(0, (l - m_cut - 1) // 2 + 1)
-        dropped += 2.0 * abs(combined[l]) * float(np.sum(pmf(l, j)))
-    return c, dropped
-
-
-def assemble(combined, m_cut):
-    """``_assemble``'s coefficients and the ``binomial_dropped`` a FourierApprox of them reads."""
-    c = _assemble(combined, m_cut)
-    return c, FourierApprox(1.0, 0.5, m_cut, c, 1e-3, series=combined).binomial_dropped
+    return c
 
 
 def reconstruct_reference(approx, x):
@@ -88,7 +79,7 @@ def truncation_scan(ts, delta, m_list, grid_size=1000, floor_eps=1e-12):
     if not m_list or any(m < 0 for m in m_list):
         raise ValueError("m_list must be non-empty with nonnegative entries")
     m_full = max(m_list)
-    _, combined, _ = _choose_arcsin_order(ts, delta, floor_eps)
+    combined = _choose_arcsin_order(ts, delta, floor_eps)
     c_full = _assemble(combined, m_full)
     grid = np.linspace(-1.0 + delta, 1.0 - delta, grid_size)
     target = np.exp(-ts.beta * (grid + 1.0))
@@ -174,7 +165,11 @@ def test_taylor_refusal_names_the_order_and_the_tail():
         lwf_coefficients(ts, 0.5, 1e-6)
     message = str(exc_info.value)
     assert message == f"Taylor tail {ts.tail_bound:.3e} at order K=3 >= eps/4 = 2.500e-07"
-    assert exc_info.value.split == {"taylor_tail": ts.tail_bound, "eps": 1e-6}
+    ts = gibbs_taylor(4.0, 2)
+    with pytest.raises(ApproximationError) as exc_info:
+        lwf_coefficients(ts, 0.25, 1e-8)
+    message = str(exc_info.value)
+    assert message == f"Taylor tail {ts.tail_bound:.3e} at order K=2 >= eps/4 = 2.500e-09"
 
 
 def test_gibbs_taylor_domain():
@@ -182,6 +177,25 @@ def test_gibbs_taylor_domain():
         gibbs_taylor(-1.0, 4)
     with pytest.raises(ValueError):
         gibbs_taylor(1.0, -1)
+
+
+def test_gibbs_taylor_refuses_a_beta_whose_coefficients_underflow():
+    # gibbs_taylor shares taylor_order's domain.  Past beta 708.4 it used to
+    # build from a subnormal or zero exp(-beta): one_norm read 1.00000018 at
+    # beta 730, and at beta 800 every coefficient was 0, so lwf_order's bare
+    # "one_norm_a must be positive" was what refused it.  NaN gave NaN coefficients.
+    assert gibbs_taylor(700.0, 841).one_norm <= 1.0
+    for beta, order in ((730.0, 1000), (800.0, 1100), (math.inf, 3), (math.nan, 3)):
+        message = re.escape(f"exp(-beta) underflows at beta={beta!r}")
+        with pytest.raises(ApproximationError, match=message):
+            gibbs_taylor(beta, order)
+
+
+def test_taylor_order_refuses_a_negative_beta():
+    # It used to return K = 0 at beta -1: the e^(+1) "coefficients" met any budget.
+    for beta in (-1.0, -math.inf):
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            taylor_order(beta, 1e-3)
 
 
 def test_arcsin_series_power_zero():
@@ -237,6 +251,9 @@ def test_lwf_order_domain():
         lwf_order(1.0, 0.1, 1.5)
     with pytest.raises(ValueError):
         lwf_order(0.0, 0.1, 0.1)
+    # NaN used to pass "one_norm_a <= 0" and end in "cannot convert float NaN to integer".
+    with pytest.raises(ValueError, match="one_norm_a must be positive"):
+        lwf_order(math.nan, 0.1, 0.1)
 
 
 def test_fourier_beta_zero_is_constant_series():
@@ -272,50 +289,18 @@ def test_fourier_certificates_across_beta():
 def test_certify_returns_the_window_sup_error():
     f = gibbs_fourier(4.0, 0.25, 1e-6)
     assert f.certify() == f.sup_error(CERT_GRID) <= 1e-6
-    # Assembly leaves the check to certify: the split carries no grid error.
-    assert "grid_sup_error" not in f.diagnostics
 
 
-def test_certify_refuses_a_series_past_eps_with_the_split():
+def test_certify_refuses_a_series_past_eps_naming_its_grid_error():
     f = gibbs_fourier(2.0, 0.5, 1e-6)
     c = f.c.copy()
     c[f.M] += 1e-5
     f = replace(f, c=c)
-    with pytest.raises(ApproximationError, match="certificate failed") as exc_info:
-        f.certify()
-    split = exc_info.value.split
-    assert split["grid_sup_error"] == f.sup_error() > 1e-6
-    assert split["taylor_tail"] == f.diagnostics["taylor_tail"]
-
-
-def test_failed_certify_carries_the_binomial_tail_with_the_reference_bits():
-    # Assembly no longer computes the tail; the split of a failed certificate
-    # computes it from the kept y-series, with the loop reference's bits.
-    f = gibbs_fourier(4.0, 0.25, 1e-6)
-    assert "binomial_dropped" not in f.diagnostics
-    _, dropped_ref = assemble_reference(f.series, f.M)
-    assert dropped_ref > 0.0
-    c = f.c.copy()
-    c[f.M] += 1e-5
-    with pytest.raises(ApproximationError, match="certificate failed") as exc_info:
-        replace(f, c=c).certify()
-    assert exc_info.value.split["binomial_dropped"] == dropped_ref
-    assert f.binomial_dropped == dropped_ref
-
-
-def test_a_series_built_without_its_y_series_has_no_binomial_tail():
-    f = FourierApprox(1.0, 0.5, 0, np.array([0.5 + 0j]), 1e-3)
-    assert f.binomial_dropped is None
     with pytest.raises(ApproximationError) as exc_info:
         f.certify()
-    assert exc_info.value.split["binomial_dropped"] is None
-
-
-def test_lwf_coefficients_reports_budget_split_on_failure():
-    with pytest.raises(ApproximationError) as exc_info:
-        lwf_coefficients(gibbs_taylor(4.0, 2), 0.25, 1e-8)
-    assert getattr(exc_info.value, "split", None)
-    assert "taylor" in str(exc_info.value).lower()
+    sup_err = f.sup_error()
+    assert sup_err > 1e-6
+    assert str(exc_info.value) == f"certificate failed: grid error {sup_err:.3e} > eps 1.000e-06"
 
 
 def test_truncation_scan_monotone():
@@ -368,24 +353,27 @@ def counting(monkeypatch, name):
 
 def test_one_arcsin_pass_per_order_tried(monkeypatch):
     # Plain doubling would try orders 64, 128 and 256; the tail bound rules
-    # out the first two, so one pass runs, and it also feeds the
-    # coefficients and the arcsin_tail diagnostic.
+    # out the first two, so one pass runs, and it feeds the coefficients.
     calls = counting(monkeypatch, "_arcsin_pass")
     f = gibbs_fourier(4.0, 0.25, 1e-6)
-    assert f.diagnostics["arcsin_order"] == 256
     assert [order for *_, order in calls] == [256]
+    assert f.certify() <= 1e-6
 
 
 def test_arcsin_cap_error_reports_the_last_pass(monkeypatch):
     # The bound at ARCSIN_CAP already exceeds eps/8, so the budget is refused
-    # before any pass, and the split carries that bound: never more than the
+    # before any pass, and the message names that bound: never more than the
     # tail the pass at the cap reports.
     ts = gibbs_taylor(2.0, taylor_order(2.0, 1e-9))
     calls = counting(monkeypatch, "_arcsin_pass")
-    with pytest.raises(ApproximationError, match="arcsin truncation at L=4096") as exc_info:
+    with pytest.raises(ApproximationError) as exc_info:
         lwf_coefficients(ts, 0.02, 1e-9)
     assert calls == []
-    bound = exc_info.value.split["arcsin_tail_bound"]
+    bound = lwf._arcsin_tail_bounds(ts, 0.02)[ARCSIN_CAP]
+    assert str(exc_info.value) == (
+        f"arcsin truncation at L=4096 cannot reach eps=1.000e-09: "
+        f"tail bound {bound:.3e} >= eps/8 = 1.250e-10"
+    )
     assert 1e-9 / 8.0 <= bound <= _arcsin_pass(ts, 0.02, ARCSIN_CAP)[1]
 
 
@@ -406,13 +394,18 @@ def test_arcsin_base_is_within_its_stated_error_of_the_exact_series():
 
 def test_arcsin_refusal_after_the_cap_pass_reports_its_tail(monkeypatch):
     # Here the bound at ARCSIN_CAP stays below eps/8, so the pass at the cap
-    # runs and is the last one; its tail fails, and the split carries it.
+    # runs and is the last one; its tail fails, and the message names it.
     ts = gibbs_taylor(16.0, taylor_order(16.0, 1e-12))
     calls = counting(monkeypatch, "_arcsin_pass")
-    with pytest.raises(ApproximationError, match="arcsin truncation at L=4096") as exc_info:
+    with pytest.raises(ApproximationError) as exc_info:
         lwf_coefficients(ts, 1 / 16, 1e-12)
     assert [order for *_, order in calls][-1] == ARCSIN_CAP
-    assert exc_info.value.split == {"arcsin_tail": _arcsin_pass(ts, 1 / 16, ARCSIN_CAP)[1]}
+    tail = _arcsin_pass(ts, 1 / 16, ARCSIN_CAP)[1]
+    assert tail >= 1e-12 / 8.0
+    assert str(exc_info.value) == (
+        f"arcsin truncation at L=4096 cannot reach eps=1.000e-12: "
+        f"tail {tail:.3e} >= eps/8 = 1.250e-13"
+    )
 
 
 @settings(max_examples=25, deadline=None)
@@ -422,10 +415,11 @@ def test_arcsin_refusal_after_the_cap_pass_reports_its_tail(monkeypatch):
 @example(2.0, 0.02, 0.01)  # accepted at the cap
 @example(16.0, 1 / 16, 1e-12)  # the bound lets the cap pass run; that pass refuses
 def test_bound_guided_search_matches_the_doubling_search(beta, delta, eps):
-    # Same (order, B_l bytes, tail) as the doubling search, or the same
-    # refusal at the cap; an early refusal (no pass run) only where the
-    # doubling refuses too; and the bound never above the tail of an order
-    # that runs.
+    # Same (order, B_l bytes, tail) as the doubling search, read from the
+    # last pass the search runs, or the same refusal at the cap; an early
+    # refusal (no pass run) only where the doubling refuses too, naming a
+    # bound at ARCSIN_CAP of at least eps/8; and the bound never above the
+    # tail of an order that runs.
     ts = gibbs_taylor(beta, taylor_order(beta, eps))
     bounds = lwf._arcsin_tail_bounds(ts, delta)
     tails = {}  # order: tail of each pass the search runs
@@ -444,14 +438,19 @@ def test_bound_guided_search_matches_the_doubling_search(beta, delta, eps):
         order, combined, tail = choose_arcsin_order_reference(ts, delta, eps)
     except ApproximationError as refusal:
         assert isinstance(got, ApproximationError)
-        assert str(got) == str(refusal)
         if tails:
-            assert got.split == refusal.split
+            assert list(tails)[-1] == ARCSIN_CAP
+            assert str(got) == str(refusal)
         else:
-            assert eps / 8.0 <= got.split["arcsin_tail_bound"] == bounds[ARCSIN_CAP]
+            assert eps / 8.0 <= bounds[ARCSIN_CAP]
+            prefix = f"arcsin truncation at L={ARCSIN_CAP} cannot reach eps={eps:.3e}"
+            assert str(refusal).startswith(prefix + ": tail ")
+            bound = f"tail bound {bounds[ARCSIN_CAP]:.3e} >= eps/8 = {eps / 8.0:.3e}"
+            assert str(got) == f"{prefix}: {bound}"
     else:
         assert not isinstance(got, ApproximationError), got
-        assert (got[0], got[1].tobytes(), got[2]) == (order, combined.tobytes(), tail)
+        last = list(tails)[-1]
+        assert (last, got.tobytes(), tails[last]) == (order, combined.tobytes(), tail)
     for ran, tail in tails.items():
         assert bounds[ran] <= tail
         assert bounds[ran] < eps / 8.0
@@ -468,17 +467,17 @@ def test_factorial_table_is_scipy_gammaln_to_the_bit():
 
 
 def test_factorial_table_is_built_once_per_process(monkeypatch):
-    _, combined, _ = _choose_arcsin_order(gibbs_taylor(2.0, 20), 0.5, 1e-6)
+    combined = _choose_arcsin_order(gibbs_taylor(2.0, 20), 0.5, 1e-6)
     lwf._log_factorials.cache_clear()
     lwf._arcsin_base.cache_clear()
     calls = counting(monkeypatch, "_lgam")
-    c, dropped = assemble(combined, 12)
+    c = _assemble(combined, 12)
     _assemble(combined, 20)
     _choose_arcsin_order(gibbs_taylor(3.0, 30), 0.25, 1e-6)  # rebuilds the arcsin base
     # One entry per n = 0..ARCSIN_CAP, for the first _assemble only.
     assert len(calls) == ARCSIN_CAP + 1
     assert lwf._log_factorials.cache_info().misses == 1
-    assert len(c) == 25 and dropped > 0.0
+    assert len(c) == 25
 
 
 @settings(max_examples=40, deadline=None)
@@ -490,17 +489,15 @@ def test_factorial_table_is_built_once_per_process(monkeypatch):
 )
 def test_assemble_and_reconstruct_match_loop_references_bit_for_bit(beta, delta, eps, order):
     # Flat-array _assemble and the half-exponential reconstruct against the
-    # per-frequency loops they replaced: every byte of c, dropped and the
+    # per-frequency loops they replaced: every byte of c and of the
     # certificate-grid values.  The Taylor order and window are sized as
     # gibbs_fourier sizes them; the arcsin order is drawn, so that orders
     # the doubling rarely reaches are covered too.
     ts = gibbs_taylor(beta, taylor_order(beta, eps))
     m_cut = lwf_order(ts.one_norm, delta, eps)
     combined, _ = _arcsin_pass(ts, delta, order)
-    c, dropped = assemble(combined, m_cut)
-    c_ref, dropped_ref = assemble_reference(combined, m_cut)
-    assert c.tobytes() == c_ref.tobytes()
-    assert dropped == dropped_ref
+    c = _assemble(combined, m_cut)
+    assert c.tobytes() == assemble_reference(combined, m_cut).tobytes()
     approx = FourierApprox(beta, delta, m_cut, c, eps)
     grid = np.linspace(-1.0 + delta, 1.0 - delta, CERT_GRID)
     assert approx.reconstruct(grid).tobytes() == reconstruct_reference(approx, grid).tobytes()
@@ -510,22 +507,16 @@ def test_assemble_and_reconstruct_match_loop_references_bit_for_bit(beta, delta,
 @pytest.mark.parametrize("m_cut", [0, 1, 40, 200, 1100])
 def test_assemble_matches_loop_reference_at_every_window(order, m_cut):
     # Windows narrower and wider than the arcsin order, including m_cut >= order
-    # (no dropped tail, empty frequency runs) and m_cut = 0 (one run).
+    # (empty frequency runs) and m_cut = 0 (one run).
     combined, _ = _arcsin_pass(gibbs_taylor(3.0, 40), 0.3, order)
-    c, dropped = assemble(combined, m_cut)
-    c_ref, dropped_ref = assemble_reference(combined, m_cut)
-    assert c.tobytes() == c_ref.tobytes()
-    assert dropped == dropped_ref
+    assert _assemble(combined, m_cut).tobytes() == assemble_reference(combined, m_cut).tobytes()
 
 
 def test_assemble_matches_loop_reference_at_the_arcsin_cap():
     # Only an arcsin order of ARCSIN_CAP reads the last entry of the table.
     combined, _ = _arcsin_pass(gibbs_taylor(3.0, 20), 0.3, ARCSIN_CAP)
     for m_cut in (0, 200):
-        c, dropped = assemble(combined, m_cut)
-        c_ref, dropped_ref = assemble_reference(combined, m_cut)
-        assert c.tobytes() == c_ref.tobytes()
-        assert dropped == dropped_ref
+        assert _assemble(combined, m_cut).tobytes() == assemble_reference(combined, m_cut).tobytes()
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 7, 64, 129])
@@ -538,10 +529,7 @@ def test_assemble_matches_loop_reference_with_every_run_length(order):
     for m_cut, shortest in ((order, 1), (order + 7, 0)):
         lengths = {len(range(abs(m), order + 1, 2)) for m in range(-m_cut, m_cut + 1)}
         assert lengths == set(range(shortest, order // 2 + 2))
-        c, dropped = assemble(combined, m_cut)
-        c_ref, dropped_ref = assemble_reference(combined, m_cut)
-        assert c.tobytes() == c_ref.tobytes()
-        assert dropped == dropped_ref
+        assert _assemble(combined, m_cut).tobytes() == assemble_reference(combined, m_cut).tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -552,27 +540,27 @@ def test_assemble_bits_do_not_depend_on_the_row_block(beta, delta, eps):
     # reference's bytes.
     ts = gibbs_taylor(beta, taylor_order(beta, eps))
     m_cut = lwf_order(ts.one_norm, delta, eps)
-    _, combined, _ = _choose_arcsin_order(ts, delta, eps)
-    c_ref, dropped_ref = assemble_reference(combined, m_cut)
+    combined = _choose_arcsin_order(ts, delta, eps)
+    c_ref = assemble_reference(combined, m_cut)
     for chunk in (1, 7, lwf.ROW_CHUNK, 2 * m_cut + len(combined)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lwf, "ROW_CHUNK", chunk)
-            c, dropped = assemble(combined, m_cut)
+            c = _assemble(combined, m_cut)
         assert c.tobytes() == c_ref.tobytes(), chunk
-        assert dropped == dropped_ref, chunk
 
 
-def test_fourier_target_memory_does_not_grow_with_the_frequencies():
+def test_fourier_target_memory_does_not_grow_with_the_frequencies(monkeypatch):
     # Row blocks hold O(ROW_CHUNK L) at a time: about 2 MB here, where one
     # padded row per frequency and the whole binomial-tail table took 31 MB.
     gibbs_fourier(8.0, 0.1, 1e-6)  # the cached tables are built outside the trace
+    calls = counting(monkeypatch, "_arcsin_pass")
     tracemalloc.start()
     try:
         f = gibbs_fourier(8.0, 0.1, 1e-6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (f.diagnostics["arcsin_order"], f.M) == (1024, 306)
+    assert ([order for *_, order in calls][-1], f.M) == (1024, 306)
     assert peak <= 4e6
 
 

@@ -255,6 +255,9 @@ def test_build_u_boltz_rejects_bad_input():
     eff = syk_effective(4, beta_seed=1)
     with pytest.raises(ValueError):
         build_u_boltz(eff, 0.3, -1.0)
+    # NaN used to pass "beta < 0" and end in "cannot convert float NaN to integer".
+    with pytest.raises(ValueError, match="beta must be nonnegative"):
+        build_u_boltz(eff, 0.3, math.nan)
     with pytest.raises(ValueError):
         build_u_boltz(eff, 0.3, 1.0, mode="unknown")
     with pytest.raises(ValueError):
@@ -297,8 +300,8 @@ def test_cell_past_unit_norm_fails_the_unitarity_check(monkeypatch):
 
 
 def test_nan_block_is_refused(monkeypatch):
-    # A NaN cell passes the unitarity check (NaN compares false to its bound);
-    # the gate on block_deviation must still refuse it.
+    # A NaN cell fails the unitarity check, whose NaN deviation used to pass
+    # it; without that check the gate on block_deviation still refuses it.
     real = thermal.gqsp_cells
 
     def spoiled(*args):
@@ -307,6 +310,9 @@ def test_nan_block_is_refused(monkeypatch):
         return cells
 
     monkeypatch.setattr(thermal, "gqsp_cells", spoiled)
+    with pytest.raises(ToleranceError, match="Boltzmann cell is not unitary: deviation nan"):
+        build_u_boltz(syk_effective(4, beta_seed=1), 0.3, 1.0, mode="gqsp")
+    monkeypatch.setattr(thermal, "assert_unitary", lambda *args, **kwargs: None)
     with pytest.raises(OracleError, match="block_deviation nan exceeds eps_qsp"):
         build_u_boltz(syk_effective(4, beta_seed=1), 0.3, 1.0, mode="gqsp")
 
